@@ -32,8 +32,8 @@ from collections import OrderedDict
 import numpy as np
 
 from ..errors import CorruptBlobError, TruncatedStreamError
-from ..kernels import select_backend
 from ..obs import metric_count
+from .bitstream import encode_codes_packed
 
 __all__ = [
     "HuffmanCodec",
@@ -298,14 +298,10 @@ class HuffmanCodec:
     the symbol count, and per-block bit offsets enabling lockstep decoding.
     """
 
-    def __init__(
-        self, block_size: int = DEFAULT_BLOCK_SIZE, backend: str | None = None
-    ) -> None:
+    def __init__(self, block_size: int = DEFAULT_BLOCK_SIZE) -> None:
         if block_size <= 0:
             raise ValueError("block_size must be positive")
         self.block_size = block_size
-        #: kernel backend name for the hot loops (None = env/auto resolution)
-        self.backend = backend
 
     # -- encoding ---------------------------------------------------------
 
@@ -334,8 +330,7 @@ class HuffmanCodec:
         block_offsets = bit_positions[:-1:self.block_size].astype(np.uint64)
         total_bits = int(bit_positions[-1])
 
-        kern = select_backend("huffman", self.backend)
-        payload = kern.ops["encode_payload"](sym_codes, sym_lengths, bit_positions)
+        payload = encode_codes_packed(sym_codes, sym_lengths, bit_positions)
 
         present = np.nonzero(lengths)[0].astype(np.uint32)
         present_lens = lengths[present].astype(np.uint8)
@@ -368,7 +363,7 @@ class HuffmanCodec:
         parsed = _parse_container(data)
         if parsed is None:
             return np.empty(0, dtype=np.int64)
-        return _decode_group([parsed], backend=self.backend)[0]
+        return _decode_group([parsed])[0]
 
     def decode_many(self, datas: "list[bytes]") -> "list[np.ndarray]":
         """Decode several containers in one joint lockstep loop.
@@ -382,9 +377,7 @@ class HuffmanCodec:
         """
         parsed = [_parse_container(d) for d in datas]
         live = [p for p in parsed if p is not None]
-        decoded = (
-            iter(_decode_group(live, backend=self.backend)) if live else iter(())
-        )
+        decoded = iter(_decode_group(live)) if live else iter(())
         return [
             np.empty(0, dtype=np.int64) if p is None else next(decoded)
             for p in parsed
@@ -459,14 +452,51 @@ def _parse_container(data: bytes) -> "tuple | None":
     return n, block_size, block_offsets.astype(np.int64), total_bits, payload, tables
 
 
-def _decode_group(parsed: list, backend: str | None = None) -> "list[np.ndarray]":
+def _decode_lockstep(buf, cur, stops, len_flat, lane_off, wins, M) -> None:
+    """Advance every lane one symbol per step, recording matched windows.
+
+    ``buf`` is the zero-padded concatenated payload, ``cur`` the per-lane
+    absolute bit cursors (advanced in place), ``stops`` the per-lane symbol
+    counts sorted descending, ``len_flat`` the window -> code-length table,
+    ``lane_off`` each lane's base offset into ``len_flat`` (``None`` when
+    all lanes share one table), ``wins`` the ``(max_steps, n_lanes)`` output
+    matrix of matched windows and ``M`` the window width in bits.
+    """
+    # Overlapping big-endian 32-bit window view: byte i starts the window
+    # covering bits [8i, 8i+32); buf carries >=3 padding bytes at the end.
+    allwin = np.ndarray(
+        (buf.size - 3,), dtype=_WIN_DTYPE, buffer=buf.data, strides=(1,)
+    ).astype(np.int64)
+    mask = np.int64((1 << M) - 1)
+    shift_base = np.int64(32 - M)
+    prev = 0
+    for b in [int(v) for v in np.unique(stops)]:
+        act = int(np.count_nonzero(stops >= b))
+        cur_v = cur[:act]
+        row = slice(0, act)
+        if lane_off is None:
+            for step in range(prev, b):
+                w = allwin[cur_v >> 3]
+                win = (w >> (shift_base - (cur_v & 7))) & mask
+                wins[step, row] = win
+                cur_v += len_flat[win]
+        else:
+            off_v = lane_off[:act]
+            for step in range(prev, b):
+                w = allwin[cur_v >> 3]
+                win = (w >> (shift_base - (cur_v & 7))) & mask
+                wins[step, row] = win
+                cur_v += len_flat[win + off_v]
+        prev = b
+
+
+def _decode_group(parsed: list) -> "list[np.ndarray]":
     """Joint lockstep decode of one or more parsed containers.
 
     Every block of every container is one *lane*: a cursor advanced one
     symbol per Python-level step.  Lanes are sorted by their step count
     (descending), so the active set is always a prefix and the lockstep
-    advance runs as one ``decode_lockstep`` kernel call (numpy reference or
-    a compiled backend — see :mod:`repro.kernels`).  Windows are gathered
+    advance runs as one :func:`_decode_lockstep` call.  Windows are gathered
     from the concatenated zero-padded payload buffer and matched windows are
     stored row-major so the per-step store is contiguous.  The step count is
     fixed up front, so decode time stays bounded for corrupt input; each
@@ -520,19 +550,13 @@ def _decode_group(parsed: list, backend: str | None = None) -> "list[np.ndarray]
     inv[perm] = np.arange(L)
     cur = np.ascontiguousarray(cur[perm])
     stops_p = stops[perm]
-    if single:
-        # empty offset table = "single shared length table" in the kernel
-        # contract (compiled backends cannot take None for an array argument)
-        lane_off = np.empty(0, dtype=np.int64)
-    else:
-        # per-lane base offset into the width-expanded length table; the
-        # expansion absorbs the per-container normalization shift, so the
-        # advance is one add + one gather regardless of mixed table depths
-        lane_off = np.ascontiguousarray(cont_ids[perm] << np.int64(M))
+    # per-lane base offset into the width-expanded length table; the
+    # expansion absorbs the per-container normalization shift, so the
+    # advance is one add + one gather regardless of mixed table depths
+    lane_off = None if single else cont_ids[perm] << np.int64(M)
 
     wins = np.empty((max_steps, L), dtype=np.int64)
-    kern = select_backend("huffman", backend)
-    kern.ops["decode_lockstep"](buf, cur, stops_p, len_flat, lane_off, wins, M)
+    _decode_lockstep(buf, cur, stops_p, len_flat, lane_off, wins, M)
 
     # Validate and extract per container.  Each container's blocks must land
     # exactly where the next one starts — a decode that drifted out of code

@@ -24,15 +24,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..kernels import select_backend
 from ..obs import span
 from .conditions import compensation
 from .config import QPConfig
 
 __all__ = ["qp_forward", "qp_inverse", "qp_inverse_multi", "effective_dimension"]
-
-#: wavefront-kernel condition codes (0 = plain sentinel-validity)
-_COND_CODES = {"III": 3, "IV": 4}
 
 
 def effective_dimension(dimension: str, ndim: int) -> str | None:
@@ -113,17 +109,9 @@ def qp_forward(q: np.ndarray, sentinel: int, config: QPConfig, level: int) -> np
 
 
 def qp_inverse(
-    qp: np.ndarray,
-    sentinel: int,
-    config: QPConfig,
-    level: int,
-    backend: str | None = None,
+    qp: np.ndarray, sentinel: int, config: QPConfig, level: int
 ) -> np.ndarray:
-    """Invert :func:`qp_forward`, recovering the original pass array.
-
-    ``backend`` picks the wavefront kernel implementation (see
-    :mod:`repro.kernels`); ``None`` resolves via environment/auto.
-    """
+    """Invert :func:`qp_forward`, recovering the original pass array."""
     if not config.applies_to_level(level):
         return qp
     dim = effective_dimension(config.dimension, qp.ndim)
@@ -133,16 +121,12 @@ def qp_inverse(
         if dim in ("1d-back", "1d-top", "1d-left"):
             return _inverse_1d(qp, sentinel, config.condition, dim)
         if dim == "2d":
-            return _inverse_2d(qp, sentinel, config.condition, backend)
-        return _inverse_3d(qp, sentinel, config.condition, backend)
+            return _inverse_2d(qp, sentinel, config.condition)
+        return _inverse_3d(qp, sentinel, config.condition)
 
 
 def qp_inverse_multi(
-    parts: "list[np.ndarray]",
-    sentinel: int,
-    config: QPConfig,
-    level: int,
-    backend: str | None = None,
+    parts: "list[np.ndarray]", sentinel: int, config: QPConfig, level: int
 ) -> np.ndarray:
     """Invert :func:`qp_forward` for N equal-shape pass arrays at once.
 
@@ -159,7 +143,7 @@ def qp_inverse_multi(
     if any(p.shape != shape for p in parts[1:]):
         raise ValueError("qp_inverse_multi requires equal-shape parts")
     if len(parts) == 1:
-        return qp_inverse(parts[0], sentinel, config, level, backend)[None]
+        return qp_inverse(parts[0], sentinel, config, level)[None]
     if not config.applies_to_level(level):
         return np.stack(parts)
     ndim = len(shape)
@@ -168,10 +152,10 @@ def qp_inverse_multi(
         return np.stack(parts)
     if dim == "2d":
         with span("qp.inverse", dim=dim, level=level, batch=len(parts)):
-            return _inverse_2d_multi(parts, sentinel, config.condition, backend)
+            return _inverse_2d_multi(parts, sentinel, config.condition)
     if dim == "3d" and ndim == 3:
         with span("qp.inverse", dim=dim, level=level, batch=len(parts)):
-            return _inverse_3d_multi(parts, sentinel, config.condition, backend)
+            return _inverse_3d_multi(parts, sentinel, config.condition)
     if dim in ("1d-left", "1d-top"):
         # scan axis is a trailing axis (these dims only survive
         # ``effective_dimension`` at ranks where it is), so the stack is a
@@ -179,7 +163,7 @@ def qp_inverse_multi(
         # public entry would re-resolve against the stacked rank
         with span("qp.inverse", dim=dim, level=level, batch=len(parts)):
             return _inverse_1d(np.stack(parts), sentinel, config.condition, dim)
-    return np.stack([qp_inverse(p, sentinel, config, level, backend) for p in parts])
+    return np.stack([qp_inverse(p, sentinel, config, level) for p in parts])
 
 
 # -- inverse kernels ---------------------------------------------------------
@@ -242,9 +226,7 @@ def _diag_indices_2d(na: int, nb: int):
     return tuple(diags), interior
 
 
-def _inverse_2d(
-    qp: np.ndarray, sentinel: int, cond: str, backend: str | None = None
-) -> np.ndarray:
+def _inverse_2d(qp: np.ndarray, sentinel: int, cond: str) -> np.ndarray:
     if cond == "I":
         # Unconditional 2-D Lorenzo is a separable finite difference, so its
         # inverse is two prefix sums — O(N) fully vectorized, no wavefront.
@@ -255,11 +237,10 @@ def _inverse_2d(
     shape = qp.shape
     na, nb = shape[-2], shape[-1]
     batch = int(np.prod(shape[:-2], dtype=np.int64)) if qp.ndim > 2 else 1
-    _, interior = _diag_indices_2d(na, nb)
+    diags, interior = _diag_indices_2d(na, nb)
     q = np.zeros((batch, (na + 1) * (nb + 1)), dtype=qp.dtype)
     q[:, interior] = qp.reshape(batch, na * nb)
-    kern = select_backend("qp", backend)
-    kern.ops["walk_2d"](q, na, nb, sentinel, _COND_CODES.get(cond, 0))
+    _walk_2d(q, diags, sentinel, cond)
     return q[:, interior].reshape(shape)
 
 
@@ -288,10 +269,7 @@ def _walk_2d(q, diags, sentinel: int, cond: str) -> None:
 
 
 def _inverse_2d_multi(
-    parts: "list[np.ndarray]",
-    sentinel: int,
-    cond: str,
-    backend: str | None = None,
+    parts: "list[np.ndarray]", sentinel: int, cond: str
 ) -> np.ndarray:
     """N equal-shape parts through one 2-D wavefront; stacked result.
 
@@ -305,12 +283,11 @@ def _inverse_2d_multi(
         return np.cumsum(q, axis=-2)
     na, nb = shape[-2], shape[-1]
     b = int(np.prod(shape[:-2], dtype=np.int64)) if len(shape) > 2 else 1
-    _, interior = _diag_indices_2d(na, nb)
+    diags, interior = _diag_indices_2d(na, nb)
     q = np.zeros((len(parts) * b, (na + 1) * (nb + 1)), dtype=parts[0].dtype)
     for i, part in enumerate(parts):
         q[i * b:(i + 1) * b, interior] = part.reshape(b, na * nb)
-    kern = select_backend("qp", backend)
-    kern.ops["walk_2d"](q, na, nb, sentinel, _COND_CODES.get(cond, 0))
+    _walk_2d(q, diags, sentinel, cond)
     return q[:, interior].reshape((len(parts),) + shape)
 
 
@@ -356,9 +333,7 @@ def _diag_indices_3d(na: int, nb: int, nc: int):
     return tuple(diags), interior
 
 
-def _inverse_3d(
-    qp: np.ndarray, sentinel: int, cond: str, backend: str | None = None
-) -> np.ndarray:
+def _inverse_3d(qp: np.ndarray, sentinel: int, cond: str) -> np.ndarray:
     if qp.ndim < 3:
         raise ValueError("3d QP requires a rank >= 3 pass array")
     if cond == "I":
@@ -370,11 +345,10 @@ def _inverse_3d(
     shape = qp.shape
     na, nb, nc = shape[-3], shape[-2], shape[-1]
     batch = int(np.prod(shape[:-3], dtype=np.int64)) if qp.ndim > 3 else 1
-    _, interior = _diag_indices_3d(na, nb, nc)
+    diags, interior = _diag_indices_3d(na, nb, nc)
     q = np.zeros((batch, (na + 1) * (nb + 1) * (nc + 1)), dtype=qp.dtype)
     q[:, interior] = qp.reshape(batch, na * nb * nc)
-    kern = select_backend("qp", backend)
-    kern.ops["walk_3d"](q, na, nb, nc, sentinel, _COND_CODES.get(cond, 0))
+    _walk_3d(q, diags, sentinel, cond)
     return q[:, interior].reshape(shape)
 
 
@@ -414,10 +388,7 @@ def _walk_3d(q, diags, sentinel: int, cond: str) -> None:
 
 
 def _inverse_3d_multi(
-    parts: "list[np.ndarray]",
-    sentinel: int,
-    cond: str,
-    backend: str | None = None,
+    parts: "list[np.ndarray]", sentinel: int, cond: str
 ) -> np.ndarray:
     """N equal-shape rank-3 parts through one i+j+k wavefront; stacked."""
     shape = parts[0].shape
@@ -426,10 +397,9 @@ def _inverse_3d_multi(
         q = np.cumsum(q, axis=-2)
         return np.cumsum(q, axis=-3)
     na, nb, nc = shape[-3], shape[-2], shape[-1]
-    _, interior = _diag_indices_3d(na, nb, nc)
+    diags, interior = _diag_indices_3d(na, nb, nc)
     q = np.zeros((len(parts), (na + 1) * (nb + 1) * (nc + 1)), dtype=parts[0].dtype)
     for i, part in enumerate(parts):
         q[i, interior] = part.reshape(-1)
-    kern = select_backend("qp", backend)
-    kern.ops["walk_3d"](q, na, nb, nc, sentinel, _COND_CODES.get(cond, 0))
+    _walk_3d(q, diags, sentinel, cond)
     return q[:, interior].reshape((len(parts),) + shape)

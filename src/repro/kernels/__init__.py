@@ -1,259 +1,19 @@
-"""Per-stage kernel backend registry.
+"""Which implementation runs each hot loop of the compressor stack.
 
-The hot loops of the compressor stack (Huffman encode/decode, the QP
-wavefront inverse, the Lorenzo differencing pair, and the interpolation
-midpoint fills) each have one *reference* implementation in pure numpy and
-may have additional *compiled* implementations (numba ``@njit``).  Every
-implementation of a kernel stage exposes the same named ops with the same
-signatures — ``tools/check_api.py`` lints that parity — so callers resolve
-a backend at runtime and call through it without caring which one they got:
-
-    kern = select_backend("huffman")          # or select_backend("qp", "numba")
-    payload = kern.ops["encode_payload"](codes, lengths, positions)
-
-Resolution order for :func:`select_backend`:
-
-1. the explicit ``name`` argument (from a stage param / codec kwarg),
-2. ``REPRO_KERNEL_BACKEND_<STAGE>`` (e.g. ``REPRO_KERNEL_BACKEND_HUFFMAN``),
-3. ``REPRO_KERNEL_BACKEND`` (applies to every stage),
-4. ``"auto"``: the highest-priority *available* backend.
-
-Requesting a backend that is unknown or unavailable (numba not installed,
-or a JIT failure disabled it) silently falls back to numpy — with a
-one-time warning and a ``kernel.fallback`` obs counter — because a missing
-accelerator must never change correctness, only speed.
+Every hot loop is plain numpy, called directly in the module that owns it:
+the Huffman bit packing and lockstep decode in :mod:`repro.codecs.huffman`,
+the QP wavefront walks in :mod:`repro.core.qp`, the Lorenzo diff/cumsum pair
+in :mod:`repro.predictors.lorenzo`, the midpoint fills in
+:mod:`repro.predictors.interpolation`, and the reserved-index encode/decode
+in :mod:`repro.quantize.adaptive`.  Reports record :func:`active_backends`
+so a run states which implementation produced its numbers.
 """
-from __future__ import annotations
 
-import os
-import warnings
-from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+__all__ = ["active_backends"]
 
-from ..obs import metric_count
-
-__all__ = [
-    "KernelBackend",
-    "register_kernel_backend",
-    "select_backend",
-    "backend",
-    "registered_backends",
-    "available_backends",
-    "kernel_stages",
-    "active_backends",
-    "suppress_fallback_warnings",
-    "fallback_warnings_suppressed",
-    "mark_backend_broken",
-    "load_compiled_backends",
-    "numba_available",
-    "DEFAULT_BACKEND_NAME",
-    "ENV_GLOBAL",
-]
-
-ENV_GLOBAL = "REPRO_KERNEL_BACKEND"
-DEFAULT_BACKEND_NAME = "numpy"
-AUTO = "auto"
-
-
-@dataclass(frozen=True)
-class KernelBackend:
-    """One backend's implementation of one kernel stage."""
-
-    stage: str
-    name: str
-    ops: Mapping[str, Callable[..., Any]]
-    available: bool = True
-    priority: int = 0
-    #: optional pure-python callables with the *public* signatures, for
-    #: introspection when ``ops`` values are jit wrappers (lint support).
-    introspect: Mapping[str, Callable[..., Any]] | None = field(default=None)
-
-
-_REGISTRY: dict[str, dict[str, KernelBackend]] = {}
-_WARNED: set[tuple[str, str]] = set()
-#: process-wide gate on the one-time fallback warning; fork-pool workers
-#: set it via :func:`suppress_fallback_warnings` so a parallel run warns
-#: once (in the parent), not once per worker
-_WARNINGS_SUPPRESSED = False
-_COMPILED_LOADED = False
-# select_backend sits on per-pass hot paths (one resolution per interp fill),
-# so the auto winner and the per-stage env key strings are cached.  Env
-# *values* are still read on every call — monkeypatched/overridden
-# environments must take effect immediately — only the invariant pieces
-# (key spelling, best-available ranking) are memoized.
-_AUTO_CACHE: dict[str, KernelBackend] = {}
-_ENV_KEYS: dict[str, str] = {}
-
-
-def register_kernel_backend(
-    stage: str,
-    name: str,
-    ops: Mapping[str, Callable[..., Any]],
-    *,
-    available: bool = True,
-    priority: int = 0,
-    introspect: Mapping[str, Callable[..., Any]] | None = None,
-) -> KernelBackend:
-    """Register ``ops`` as backend ``name`` for kernel stage ``stage``."""
-    table = _REGISTRY.setdefault(stage, {})
-    if name in table:
-        raise ValueError(f"kernel backend {name!r} already registered for {stage!r}")
-    b = KernelBackend(
-        stage=stage,
-        name=name,
-        ops=dict(ops),
-        available=available,
-        priority=priority,
-        introspect=dict(introspect) if introspect else None,
-    )
-    table[name] = b
-    _AUTO_CACHE.pop(stage, None)
-    return b
-
-
-def kernel_stages() -> tuple[str, ...]:
-    """All kernel stages with at least one registered backend."""
-    load_compiled_backends()
-    return tuple(sorted(_REGISTRY))
-
-
-def registered_backends(stage: str) -> tuple[str, ...]:
-    """All backend names registered for ``stage`` (available or not)."""
-    load_compiled_backends()
-    return tuple(sorted(_REGISTRY.get(stage, ())))
-
-
-def available_backends(stage: str) -> tuple[str, ...]:
-    """Backend names for ``stage`` that can actually run right now."""
-    load_compiled_backends()
-    table = _REGISTRY.get(stage, {})
-    return tuple(sorted(n for n, b in table.items() if b.available))
-
-
-def backend(stage: str, name: str) -> KernelBackend:
-    """The registered backend object, available or not (lint/introspection)."""
-    load_compiled_backends()
-    return _REGISTRY[stage][name]
-
-
-def load_compiled_backends() -> None:
-    """Import compiled backend modules so they self-register (idempotent)."""
-    global _COMPILED_LOADED
-    if _COMPILED_LOADED:
-        return
-    _COMPILED_LOADED = True
-    from . import numba_backend  # noqa: F401 - registers on import
-
-
-def _env_key(stage: str) -> str:
-    key = _ENV_KEYS.get(stage)
-    if key is None:
-        key = _ENV_KEYS[stage] = f"{ENV_GLOBAL}_{stage.upper()}"
-    return key
-
-
-def env_override(stage: str) -> str | None:
-    """The backend name requested via environment for ``stage``, if any."""
-    per_stage = os.environ.get(_env_key(stage))
-    if per_stage:
-        return per_stage
-    return os.environ.get(ENV_GLOBAL) or None
-
-
-def select_backend(stage: str, name: str | None = None) -> KernelBackend:
-    """Resolve the kernel backend to use for ``stage``.
-
-    ``name=None`` consults the environment, then falls back to ``"auto"``
-    (best available).  An unknown or unavailable request degrades to the
-    numpy reference implementation with a one-time warning.
-    """
-    if not _COMPILED_LOADED:
-        load_compiled_backends()
-    table = _REGISTRY.get(stage)
-    if not table:
-        raise KeyError(f"no kernel backends registered for stage {stage!r}")
-    if name is None:
-        environ = os.environ
-        name = environ.get(_env_key(stage)) or environ.get(ENV_GLOBAL)
-    requested = name or AUTO
-    if requested == AUTO:
-        picked = _AUTO_CACHE.get(stage)
-        if picked is None:
-            picked = _AUTO_CACHE[stage] = max(
-                (b for b in table.values() if b.available),
-                key=lambda b: (b.priority, b.name),
-            )
-        return picked
-    picked = table.get(requested)
-    if picked is not None and picked.available:
-        return picked
-    fallback = table[DEFAULT_BACKEND_NAME]
-    key = (stage, requested)
-    if key not in _WARNED:
-        _WARNED.add(key)
-        if not _WARNINGS_SUPPRESSED:
-            reason = "not registered" if picked is None else "unavailable"
-            warnings.warn(
-                f"kernel backend {requested!r} for stage {stage!r} is {reason}; "
-                f"falling back to {DEFAULT_BACKEND_NAME!r}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    metric_count("kernel.fallback", stage=stage, requested=requested)
-    return fallback
-
-
-def suppress_fallback_warnings(suppress: bool = True) -> bool:
-    """Silence (or restore) the one-time backend-fallback warning in this
-    process; returns the previous setting.
-
-    The ``kernel.fallback`` obs counter still counts every fallback — only
-    the ``warnings.warn`` side effect is gated.  Fork-pool workers call
-    this from their initializer (the parent resolves all stages up front
-    and warns exactly once for the whole run), so a parallel run no longer
-    repeats the warning once per worker process.
-    """
-    global _WARNINGS_SUPPRESSED
-    prev = _WARNINGS_SUPPRESSED
-    _WARNINGS_SUPPRESSED = bool(suppress)
-    return prev
-
-
-def fallback_warnings_suppressed() -> bool:
-    """Whether the fallback warning is currently suppressed (see
-    :func:`suppress_fallback_warnings`)."""
-    return _WARNINGS_SUPPRESSED
-
-
-def mark_backend_broken(stage: str, name: str) -> None:
-    """Permanently disable a backend for this process (e.g. JIT failure)."""
-    table = _REGISTRY.get(stage, {})
-    b = table.get(name)
-    if b is not None and b.available:
-        _AUTO_CACHE.pop(stage, None)
-        table[name] = KernelBackend(
-            stage=b.stage,
-            name=b.name,
-            ops=b.ops,
-            available=False,
-            priority=b.priority,
-            introspect=b.introspect,
-        )
+_STAGES = ("adaptive_quantize", "huffman", "interp", "lorenzo", "qp")
 
 
 def active_backends() -> dict[str, str]:
-    """stage -> backend name that :func:`select_backend` resolves right now."""
-    return {stage: select_backend(stage).name for stage in kernel_stages()}
-
-
-def numba_available() -> bool:
-    """True when the numba compiled backends can run in this process."""
-    load_compiled_backends()
-    from .numba_backend import NUMBA_AVAILABLE
-
-    return NUMBA_AVAILABLE
-
-
-# The numpy reference backends are always registered eagerly: every kernel
-# stage must have its fallback before any compiled backend is considered.
-from . import numpy_backend  # noqa: E402,F401 - registers on import
+    """stage -> implementation of its hot loop (always ``"numpy"``)."""
+    return dict.fromkeys(_STAGES, "numpy")

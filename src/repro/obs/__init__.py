@@ -30,8 +30,7 @@ activates its own Observation, runs the job, and ships
 :meth:`Observation.merge_payload` in job-submission order, so the combined
 trace is deterministic (see ``repro.parallel``).
 
-The legacy :mod:`repro.perf` profiler is a thin view over this module —
-there is a single timing source of truth (the tracer).
+The tracer is the stack's single timing source of truth.
 """
 from __future__ import annotations
 

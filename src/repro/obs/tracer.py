@@ -211,8 +211,8 @@ class Tracer:
     # -- aggregation --------------------------------------------------------
 
     def stage_seconds(self) -> dict[str, float]:
-        """Total seconds per span name (the flat per-stage view the perf
-        profiler and the bench harness report)."""
+        """Total seconds per span name (the flat per-stage view the bench
+        harness reports)."""
         totals: dict[str, float] = {}
         for s in self.spans:
             if s.end is not None:

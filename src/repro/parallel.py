@@ -144,42 +144,20 @@ def _observed_job(args) -> tuple:
     return result, ob.to_payload()
 
 
-def _pool_worker_init(suppress_kernel_warnings: bool) -> None:
-    """Initializer run in every fork-pool worker.
-
-    Carries the parent's warning-dedupe decision into the worker: the
-    parent resolves every kernel stage (and warns, once) before the pool
-    exists, so workers re-deriving the same fallback must not re-fire the
-    warning N times.  The ``kernel.fallback`` counter still counts per
-    worker."""
-    if suppress_kernel_warnings:
-        from . import kernels
-
-        kernels.suppress_fallback_warnings(True)
-
-
 def create_fork_pool(workers: int) -> ProcessPoolExecutor:
     """Build the persistent fork-based worker pool the stack shares.
 
     One construction point for every fork-pool user (the slab-parallel
-    compressor and the service gateway): kernel backends are resolved in
-    the parent first so any fallback warning fires exactly once, workers
-    inherit the warning-dedupe flag through :func:`_pool_worker_init`, and
-    the fork start method is preferred for cheap startup + shared-memory
-    attach (spawn is the automatic fallback where fork is unavailable).
+    compressor and the service gateway); the fork start method is preferred
+    for cheap startup + shared-memory attach (spawn is the automatic
+    fallback where fork is unavailable).
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    from . import kernels
-
-    kernels.active_backends()
     ctx = None
     if "fork" in multiprocessing.get_all_start_methods():
         ctx = multiprocessing.get_context("fork")
-    return ProcessPoolExecutor(
-        max_workers=workers, mp_context=ctx,
-        initializer=_pool_worker_init, initargs=(True,),
-    )
+    return ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
 
 
 def _effective_cores() -> int:

@@ -64,9 +64,6 @@ class StageContext:
     sentinel: int = 0
     method: str = "linear"
     dtype: Any = None
-    #: kernel backend name for compiled hot loops (None = env/auto; see
-    #: :mod:`repro.kernels`) — per-stage ``backend`` params override it
-    backend: str | None = None
 
 
 @runtime_checkable
@@ -100,20 +97,12 @@ class InterpPredict:
     prediction is its own inverse (the decoder sees identical inputs).
     """
 
-    def __init__(
-        self,
-        interp: str = "auto",
-        layout: str = "global",
-        backend: str | None = None,
-    ) -> None:
+    def __init__(self, interp: str = "auto", layout: str = "global") -> None:
         self.interp = interp
         self.layout = layout
-        self.backend = backend
 
     @staticmethod
-    def pass_prediction(
-        arr: np.ndarray, p: Any, method: str, backend: str | None = None
-    ) -> np.ndarray:
+    def pass_prediction(arr: np.ndarray, p: Any, method: str) -> np.ndarray:
         """Average of 1-D interpolations along each prediction axis, in the
         natural orientation of the pass's target subgrid."""
         shape = arr.shape
@@ -121,9 +110,7 @@ class InterpPredict:
         for a in p.axes:
             known = arr[p.known_for(a)]
             n_targets = len(range(*p.target[a].indices(shape[a])))
-            pred_a = predict_midpoints(
-                np.moveaxis(known, a, 0), n_targets, method, backend
-            )
+            pred_a = predict_midpoints(np.moveaxis(known, a, 0), n_targets, method)
             pred_a = np.moveaxis(pred_a, 0, a)
             pred_sum = pred_a if pred_sum is None else pred_sum + pred_a
         assert pred_sum is not None
@@ -133,7 +120,7 @@ class InterpPredict:
 
     @staticmethod
     def pass_prediction_stacked(
-        arr_st: np.ndarray, p: Any, method: str, backend: str | None = None
+        arr_st: np.ndarray, p: Any, method: str
     ) -> np.ndarray:
         """:meth:`pass_prediction` over a stack of volumes ``(N, *shape)``.
 
@@ -147,7 +134,7 @@ class InterpPredict:
             known = arr_st[(slice(None),) + p.known_for(a)]
             n_targets = len(range(*p.target[a].indices(shape[a])))
             pred_a = predict_midpoints(
-                np.moveaxis(known, a + 1, 0), n_targets, method, backend
+                np.moveaxis(known, a + 1, 0), n_targets, method
             )
             pred_a = np.moveaxis(pred_a, 0, a + 1)
             pred_sum = pred_a if pred_sum is None else pred_sum + pred_a
@@ -174,7 +161,7 @@ class InterpPredict:
 
     def forward(self, ctx: StageContext, payload: Any) -> np.ndarray:
         arr, p = payload
-        return self.pass_prediction(arr, p, ctx.method, self.backend or ctx.backend)
+        return self.pass_prediction(arr, p, ctx.method)
 
     inverse = forward
 
@@ -183,32 +170,22 @@ class InterpPredict:
 class LorenzoPredict:
     """Dual-quantization Lorenzo predictor (SZ3's alternate frontend)."""
 
-    def __init__(
-        self,
-        error_bound: float = 0.0,
-        radius: int = 32768,
-        backend: str | None = None,
-    ) -> None:
+    def __init__(self, error_bound: float = 0.0, radius: int = 32768) -> None:
         self.error_bound = error_bound
         self.radius = radius
-        self.backend = backend
 
     def forward(self, ctx: StageContext, data: np.ndarray) -> Any:
         from ..predictors.lorenzo import lorenzo_encode
 
         result, _ = lorenzo_encode(
-            data, self.error_bound, self.radius, want_recon=False,
-            backend=self.backend or ctx.backend,
+            data, self.error_bound, self.radius, want_recon=False
         )
         return result
 
     def inverse(self, ctx: StageContext, result: Any) -> np.ndarray:
         from ..predictors.lorenzo import lorenzo_decode
 
-        return lorenzo_decode(
-            result, self.error_bound, ctx.dtype,
-            backend=self.backend or ctx.backend,
-        )
+        return lorenzo_decode(result, self.error_bound, ctx.dtype)
 
 
 @register_stage("regression_predict")
@@ -296,7 +273,6 @@ class AdaptiveLinearQuantize:
         adaptive_bits: int = 2,
         threshold: int = 4,
         level_eb_factors: dict[int, float] | None = None,
-        backend: str | None = None,
     ) -> None:
         # validate early — specs are built from untrusted headers
         AdaptiveConfig(bits=adaptive_bits, threshold=threshold)
@@ -305,7 +281,6 @@ class AdaptiveLinearQuantize:
         self.adaptive_bits = int(adaptive_bits)
         self.threshold = int(threshold)
         self.level_eb_factors = dict(level_eb_factors or {})
-        self.backend = backend
         self._per_level: dict[int, AdaptiveLinearQuantizer] = {}
 
     @property
@@ -317,8 +292,7 @@ class AdaptiveLinearQuantize:
         if q is None:
             eb = self.error_bound * self.level_eb_factors.get(level, 1.0)
             q = AdaptiveLinearQuantizer(
-                eb, self.radius, bits=self.adaptive_bits,
-                threshold=self.threshold, backend=self.backend,
+                eb, self.radius, bits=self.adaptive_bits, threshold=self.threshold
             )
             self._per_level[level] = q
         return q
@@ -326,8 +300,6 @@ class AdaptiveLinearQuantize:
     def forward(self, ctx: StageContext, payload: Any) -> Any:
         values, pred = payload
         quant = self.for_level(ctx.level)
-        if quant.backend is None and ctx.backend is not None:
-            quant.backend = ctx.backend
         result = quant.quantize(values, pred)
         metric_count("quantize.adaptive_points", quant.last_adaptive)
         metric_count("quantize.points", int(np.asarray(values).size))
@@ -335,10 +307,7 @@ class AdaptiveLinearQuantize:
 
     def inverse(self, ctx: StageContext, payload: Any) -> np.ndarray:
         indices, pred, literals = payload
-        quant = self.for_level(ctx.level)
-        if quant.backend is None and ctx.backend is not None:
-            quant.backend = ctx.backend
-        return quant.dequantize(indices, pred, literals)
+        return self.for_level(ctx.level).dequantize(indices, pred, literals)
 
 
 # -- index-stream transforms --------------------------------------------------
@@ -359,15 +328,10 @@ class QPTransform:
     #: engine-meta key this transform round-trips its config through
     meta_key = "qp"
 
-    def __init__(
-        self,
-        config: QPConfig | dict | None = None,
-        backend: str | None = None,
-    ) -> None:
+    def __init__(self, config: QPConfig | dict | None = None) -> None:
         if isinstance(config, dict):
             config = QPConfig.from_dict(config)
         self.config = config or QPConfig.disabled()
-        self.backend = backend
 
     def forward(self, ctx: StageContext, q: np.ndarray) -> np.ndarray:
         with obs_span("qp"):
@@ -375,19 +339,13 @@ class QPTransform:
 
     def inverse(self, ctx: StageContext, q: np.ndarray) -> np.ndarray:
         with obs_span("qp"):
-            return qp_inverse(
-                q, ctx.sentinel, self.config, ctx.level,
-                self.backend or ctx.backend,
-            )
+            return qp_inverse(q, ctx.sentinel, self.config, ctx.level)
 
     def inverse_multi(
         self, ctx: StageContext, qs: "list[np.ndarray]"
     ) -> np.ndarray:
         with obs_span("qp"):
-            return qp_inverse_multi(
-                qs, ctx.sentinel, self.config, ctx.level,
-                self.backend or ctx.backend,
-            )
+            return qp_inverse_multi(qs, ctx.sentinel, self.config, ctx.level)
 
 
 # -- entropy coding -----------------------------------------------------------
@@ -407,16 +365,11 @@ class HuffmanEncode:
     wire_id = 0
     bounded_alphabet = True
 
-    def __init__(
-        self, block_size: int | None = None, backend: str | None = None
-    ) -> None:
+    def __init__(self, block_size: int | None = None) -> None:
         self.block_size = block_size
-        self.backend = backend
 
     def _codec(self) -> HuffmanCodec:
-        if self.block_size:
-            return HuffmanCodec(self.block_size, backend=self.backend)
-        return HuffmanCodec(backend=self.backend)
+        return HuffmanCodec(self.block_size) if self.block_size else HuffmanCodec()
 
     def forward(self, ctx: StageContext, codes: np.ndarray) -> bytes:
         return self._codec().encode(codes)
@@ -477,12 +430,8 @@ class ANSEncode:
     wire_id = 2
     bounded_alphabet = True
 
-    def __init__(
-        self, block_size: int | None = None, backend: str | None = None
-    ) -> None:
+    def __init__(self, block_size: int | None = None) -> None:
         self.block_size = block_size
-        # accepted for interface symmetry; the rANS loops are numpy-only
-        self.backend = backend
 
     def _codec(self):
         from ..codecs.ans import ANSCodec

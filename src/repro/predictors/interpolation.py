@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..kernels import select_backend
-
 __all__ = ["predict_midpoints", "INTERP_METHODS"]
 
 INTERP_METHODS = ("linear", "cubic")
@@ -26,7 +24,6 @@ def predict_midpoints(
     known: np.ndarray,
     n_targets: int,
     method: str = "linear",
-    backend: str | None = None,
 ) -> np.ndarray:
     """Predict midpoint values along axis 0.
 
@@ -41,9 +38,6 @@ def predict_midpoints(
         ``nk`` (even fine grid, whose last target has no right neighbour).
     method:
         ``"linear"`` or ``"cubic"``.
-    backend:
-        Kernel backend name for the fill loops (see :mod:`repro.kernels`);
-        ``None`` resolves via environment/auto.
     """
     nk = known.shape[0]
     if n_targets not in (nk - 1, nk):
@@ -54,11 +48,10 @@ def predict_midpoints(
     pred = np.empty(out_shape, dtype=known.dtype)
     n_inner = min(n_targets, nk - 1)  # targets with both neighbours
 
-    kern = select_backend("interp", backend)
     if method == "linear" or nk < 4:
-        kern.ops["linear_fill"](known, pred, n_inner)
+        _linear_fill(known, pred, n_inner)
     else:
-        kern.ops["cubic_fill"](known, pred, n_inner)
+        _cubic_fill(known, pred, n_inner)
 
     if n_targets == nk:  # trailing boundary target: copy left neighbour
         pred[nk - 1] = known[nk - 1]

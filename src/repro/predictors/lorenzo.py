@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..kernels import select_backend
 from ..obs import span as stage
 
 __all__ = ["LorenzoResult", "lorenzo_encode", "lorenzo_decode"]
@@ -43,7 +42,7 @@ class LorenzoResult:
 
 def lorenzo_encode(
     data: np.ndarray, error_bound: float, radius: int = 32768,
-    want_recon: bool = True, backend: str | None = None,
+    want_recon: bool = True,
 ) -> tuple[LorenzoResult, np.ndarray | None]:
     """Encode ``data`` with dual-quantization Lorenzo.
 
@@ -75,7 +74,9 @@ def lorenzo_encode(
         recon = (t * two_eb).astype(data.dtype) if want_recon else None
 
     with stage("predict"):
-        q = select_backend("lorenzo", backend).ops["forward_diff"](t)
+        q = t
+        for ax in range(q.ndim):
+            q = np.diff(q, axis=ax, prepend=0)
 
     sentinel = -radius
     escape_mask = np.abs(q) >= radius
@@ -88,8 +89,7 @@ def lorenzo_encode(
 
 
 def lorenzo_decode(
-    result: LorenzoResult, error_bound: float, dtype=np.float64,
-    backend: str | None = None,
+    result: LorenzoResult, error_bound: float, dtype=np.float64
 ) -> np.ndarray:
     """Invert :func:`lorenzo_encode` back to the reconstruction.
 
@@ -104,7 +104,8 @@ def lorenzo_decode(
     if result.escapes.size:
         q[mask] = result.escapes
     with stage("predict"):
-        q = select_backend("lorenzo", backend).ops["inverse_cumsum"](q)
+        for ax in range(q.ndim):
+            q = np.cumsum(q, axis=ax)
     two_eb = result.step if result.step > 0 else 2.0 * error_bound
     with stage("quantize"):
         return (q * two_eb).astype(dtype)

@@ -139,9 +139,6 @@ class AdaptiveLinearQuantizer:
         Bound-tightening exponent, ``1 <= bits <= ADAPTIVE_MAX_BITS``.
     threshold:
         Coarse-index magnitude at which a point counts as hard (``>= 1``).
-    backend:
-        Kernel backend name for :func:`repro.kernels.select_backend`
-        (``None`` = environment / auto).
     """
 
     def __init__(
@@ -151,7 +148,6 @@ class AdaptiveLinearQuantizer:
         *,
         bits: int = 2,
         threshold: int = 4,
-        backend: str | None = None,
     ) -> None:
         if error_bound <= 0:
             raise ValueError("error_bound must be positive")
@@ -165,7 +161,6 @@ class AdaptiveLinearQuantizer:
         self.radius = int(radius)
         self.bits = int(bits)
         self.threshold = int(threshold)
-        self.backend = backend
         #: adaptive-point count of the most recent :meth:`quantize` call
         self.last_adaptive = 0
 
@@ -178,13 +173,8 @@ class AdaptiveLinearQuantizer:
         """The tightened bound applied at hard-to-predict points."""
         return self.error_bound / float(1 << self.bits)
 
-    def _ops(self):
-        from ..kernels import select_backend
-
-        return select_backend("adaptive_quantize", self.backend).ops
-
     def quantize(self, values: np.ndarray, preds: np.ndarray) -> QuantResult:
-        wire, decoded, literals, n_adaptive = self._ops()["encode"](
+        wire, decoded, literals, n_adaptive = adaptive_encode(
             values, preds, self.error_bound, self.bits, self.threshold, self.radius
         )
         self.last_adaptive = n_adaptive
@@ -193,7 +183,7 @@ class AdaptiveLinearQuantizer:
     def dequantize(
         self, indices: np.ndarray, preds: np.ndarray, literals: np.ndarray
     ) -> np.ndarray:
-        return self._ops()["decode"](
+        return adaptive_decode(
             indices, preds, literals, self.error_bound, self.bits,
             self.threshold, self.radius,
         )

@@ -328,10 +328,10 @@ def transfer_slices(
     on the quarantine list instead of raising, so one bad slice cannot sink
     the run; the report carries delivered/degraded/quarantined accounting.
 
-    Timings surface through :mod:`repro.obs` (and the ``repro.perf`` facade
-    over it) under the ``transfer`` (channel attempts), ``verify`` (integrity
-    checks), and ``retry`` (backoff waits) stages; delivered and verified
-    byte counts are recorded via ``add_bytes`` under the same names.  When an
+    Timings surface through :mod:`repro.obs` under the ``transfer`` (channel
+    attempts), ``verify`` (integrity checks), and ``retry`` (backoff waits)
+    stages; delivered and verified byte counts are recorded via
+    ``add_bytes`` under the same names.  When an
     observation is active the loop additionally records structured events
     (``transfer.retry``, ``transfer.quarantine``), per-attempt latency in the
     ``transfer.attempt_seconds`` histogram, and the

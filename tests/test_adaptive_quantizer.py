@@ -7,7 +7,7 @@ Three families of guarantees for the reserved-index adaptive quantizer:
   additionally meet the tightened bound ``eb / 2**bits``, the wire stream
   respects the reserved-band partition (easy ``|w| < t``, hard
   ``t <= |w| < radius``, literals exactly at the sentinel), and encode-side
-  ``decoded`` is bit-identical to ``dequantize`` — across kernel backends.
+  ``decoded`` is bit-identical to ``dequantize``.
 * **Integration** — every registered compressor accepts ``auto=True`` and
   the result decodes via ``decompress_any`` within the bound; the sampling
   tuner is deterministic under the seeded conftest RNG; with adaptivity off
@@ -124,46 +124,6 @@ def test_literal_count_mismatch_is_detected():
         quant.dequantize(res.indices, np.zeros_like(values),
                          literals=res.literals[:-1] if res.literals.size
                          else np.ones(1, values.dtype))
-
-
-def _backends_to_try():
-    from repro import kernels
-
-    names = ["numpy"]
-    if "numba" in kernels.available_backends("adaptive_quantize"):
-        names.append("numba")
-    return names
-
-
-def test_bit_stable_across_kernel_backends(monkeypatch):
-    """Backend selection may change speed, never bytes: the wire stream and
-    reconstruction must be identical whichever backend resolves — including
-    via the REPRO_KERNEL_BACKEND environment override."""
-    from repro import kernels
-
-    values = _field(seed=11, n=4096)
-    rng = np.random.default_rng(12)
-    preds = (values + 5e-3 * rng.standard_normal(values.size)).astype(values.dtype)
-
-    outs = {}
-    for name in _backends_to_try():
-        quant = AdaptiveLinearQuantizer(1e-3, bits=2, threshold=3, backend=name)
-        res = quant.quantize(values, preds)
-        outs[name] = (res.indices, res.decoded, res.literals)
-    # env-var selection must resolve to the same bytes as explicit selection
-    monkeypatch.setenv(kernels.ENV_GLOBAL, "numpy")
-    res = AdaptiveLinearQuantizer(1e-3, bits=2, threshold=3).quantize(values, preds)
-    outs["env:numpy"] = (res.indices, res.decoded, res.literals)
-    # an unavailable backend name falls back rather than crashing or drifting
-    monkeypatch.setenv(kernels.ENV_GLOBAL, "numba")
-    res = AdaptiveLinearQuantizer(1e-3, bits=2, threshold=3).quantize(values, preds)
-    outs["env:numba-or-fallback"] = (res.indices, res.decoded, res.literals)
-
-    ref = outs["numpy"]
-    for name, (idx, dec, lit) in outs.items():
-        assert np.array_equal(idx, ref[0]), f"{name}: wire stream drifted"
-        assert np.array_equal(dec, ref[1]), f"{name}: reconstruction drifted"
-        assert np.array_equal(lit, ref[2]), f"{name}: literal stream drifted"
 
 
 # -- integration: engine bound, auto=True, tuner determinism -----------------

@@ -43,9 +43,10 @@ def test_report_envelope(report):
     assert report["has_stage_profiler"] is True
     assert report["rel_error_bound"] == 1e-3
     assert isinstance(report["python"], str) and isinstance(report["numpy"], str)
-    assert isinstance(report["kernel_backends_run"], list)
-    assert "numpy" in report["kernel_backends_run"]
-    assert isinstance(report["numba_available"], bool)
+    assert report["kernel_backends"] == {
+        stage: "numpy"
+        for stage in ("adaptive_quantize", "huffman", "interp", "lorenzo", "qp")
+    }
     assert isinstance(report["has_rss_sampler"], bool)
     assert "stream_summary" in report
 
@@ -87,10 +88,7 @@ def test_row_schema(report):
         assert required <= set(row)
         assert "peak_rss_mb" in row and "peak_rss_delta_mb" in row
         if "stream" not in row:  # matrix rows run in-process with profiles
-            assert {"stages", "kernel_backend", "kernel_backends"} <= set(row)
-            assert set(row["kernel_backends"]) == {
-                "adaptive_quantize", "huffman", "interp", "lorenzo", "qp"
-            }
+            assert "stages" in row
         assert row["compressed_bytes"] > 0
         assert row["ratio"] > 1.0
         assert row["compress_mbs"] > 0 and row["decompress_mbs"] > 0
@@ -158,29 +156,8 @@ def test_compare_reports_counts_stage_metrics(bench_mod, report):
     assert any(k.endswith(":decompress_s") for k in flat)
     assert any(".huffman" in k and ":decompress." in k for k in flat)
     assert all(v >= 0 for v in flat.values())
-    # numpy rows keep unsuffixed keys, so a v3 baseline compares cleanly
-    assert not any("/backend=numpy" in k for k in flat)
     # auto rows are suffixed so they never collide with the fixed rows
     assert any("/auto:" in k for k in flat)
-
-
-def test_flatten_suffixes_compiled_backend_rows(bench_mod, report):
-    forged = json.loads(json.dumps(report))
-    for row in forged["results"]:
-        row["kernel_backend"] = "numba"
-    flat = bench_mod._flatten_timings(forged)
-    assert flat and all("/backend=numba" in k for k in flat)
-
-
-def test_resolve_backends(bench_mod):
-    from repro import kernels
-
-    auto = bench_mod.resolve_backends("auto")
-    assert auto[0] == "numpy"
-    assert ("numba" in auto) == kernels.numba_available()
-    assert bench_mod.resolve_backends("numpy") == ["numpy"]
-    # unavailable names are skipped, never silently benchmarked via fallback
-    assert bench_mod.resolve_backends("no-such-backend") == ["numpy"]
 
 
 def test_flatten_suffixes_stream_rows(bench_mod, report):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro import perf
+from repro import obs
 from repro.core.config import QPConfig
 from repro.compressors import get_compressor
 
@@ -61,12 +61,14 @@ def test_blob_matches_golden_digest(inputs, key):
 def test_profiling_does_not_change_bytes(inputs):
     data = inputs["miranda-24x20x22"]
     plain = _compress(data, "sz3", True)
-    prof = perf.PipelineProfiler()
-    with perf.profile(prof):
+    ob = obs.Observation()
+    with obs.observe(ob):
         instrumented = _compress(data, "sz3", True)
     assert instrumented == plain
-    # and the profiler actually saw the pipeline while bytes stayed equal
-    assert {"predict", "quantize", "qp", "huffman", "lossless"} <= set(prof.totals)
+    # and the tracer actually saw the pipeline while bytes stayed equal
+    assert {"predict", "quantize", "qp", "huffman", "lossless"} <= set(
+        ob.tracer.stage_seconds()
+    )
 
 
 def test_sealed_blob_payload_matches_golden_digest(inputs):

@@ -259,3 +259,18 @@ def test_decode_many_property(streams):
     blobs = [c.encode(s) for s in streams]
     for s, out in zip(streams, c.decode_many(blobs)):
         assert np.array_equal(out, s)
+
+
+def test_huffman_table_cache_counters_surface_in_obs():
+    from repro import obs
+
+    clear_decode_table_cache()
+    symbols = np.arange(100, dtype=np.int64) % 17
+    blob = HuffmanCodec().encode(symbols)
+    ob = obs.Observation()
+    with obs.observe(ob):
+        HuffmanCodec().decode(blob)   # miss: cold table
+        HuffmanCodec().decode(blob)   # hit: memoized table
+    snap = ob.metrics.snapshot()
+    assert snap["huffman.table_cache{result=miss}"]["value"] == 1
+    assert snap["huffman.table_cache{result=hit}"]["value"] == 1

@@ -8,7 +8,7 @@ pipeline's accounting reconciles exactly with the faults the link injected.
 import numpy as np
 import pytest
 
-from repro import perf
+from repro import obs
 from repro.errors import TransferFaultError
 from repro.testing import FlakyLink
 from repro.transfer import (
@@ -124,20 +124,20 @@ class TestBackoff:
 
 class TestProfilerSurfacing:
     def test_stages_recorded(self):
-        prof = perf.PipelineProfiler()
+        ob = obs.Observation()
         link = FlakyLink(fail_prob=0.3, seed=4)
         blobs = _blobs()
-        with perf.profile(prof):
+        with obs.observe(ob):
             report = transfer_slices(blobs, link, sleep=_no_sleep)
-        assert {"transfer", "verify", "retry"} <= set(prof.totals)
+        assert {"transfer", "verify", "retry"} <= set(ob.tracer.stage_seconds())
         assert sorted(report.delivered) == sorted(blobs)
 
     def test_byte_accounting_matches_report(self):
-        prof = perf.PipelineProfiler()
+        ob = obs.Observation()
         blobs = _blobs(n=6, size=50)
-        with perf.profile(prof):
+        with obs.observe(ob):
             report = transfer_slices(blobs, lambda n, p: p, sleep=_no_sleep)
-        assert prof.bytes_seen["verify"] == report.verified_bytes == 6 * 50
+        assert ob.bytes_seen()["verify"] == report.verified_bytes == 6 * 50
 
 
 class TestDiskPipelineIntegration:

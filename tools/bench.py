@@ -14,13 +14,8 @@ predict/quantize/qp/huffman/lossless keys.  The per-row shape is unchanged
 from v2, so ``--compare`` accepts a v2 baseline against a v3 run — span-only
 keys new in v3 show up as ``new`` and are never counted as regressions.
 
-Schema v4: the matrix is additionally run once per kernel backend
-(``--backends``, default: numpy plus numba when importable).  Each row
-records the requested ``kernel_backend`` and the resolved per-stage
-``kernel_backends`` map from :func:`repro.kernels.active_backends`.  Flat
-metric keys stay unsuffixed for the numpy rows and gain ``/backend=<name>``
-otherwise, so ``--compare`` still accepts a v3 baseline: compiled-backend
-keys show up as ``new`` and are never counted as regressions.
+Schema v4: the envelope records the per-stage ``kernel_backends`` map
+from :func:`repro.kernels.active_backends`.
 
 Schema v5: each base additionally gets one ``auto`` row per dataset — the
 compressor is replaced by its sampling-tuned copy (``_tuned_for``) before
@@ -522,118 +517,57 @@ def bench_stream_pair(
     return rows, summary
 
 
-def resolve_backends(requested: str) -> list[str]:
-    """Expand ``--backends`` into the list of backend runs to execute.
-
-    ``"auto"`` means numpy plus every compiled backend that can actually run
-    (currently numba, when importable).  Explicitly named backends that are
-    unavailable are skipped with a warning rather than silently benchmarked
-    through the numpy fallback — that would mislabel the rows.
-    """
-    if requested == "auto":
-        names = ["numpy"]
-        if kernels.numba_available():
-            names.append("numba")
-        return names
-    names = []
-    for name in (s.strip() for s in requested.split(",")):
-        if not name:
-            continue
-        usable = name == "numpy" or any(
-            name in kernels.available_backends(stage)
-            for stage in kernels.kernel_stages()
-        )
-        if not usable:
-            print(f"skipping backend {name!r}: not available in this process",
-                  file=sys.stderr)
-            continue
-        names.append(name)
-    return names or ["numpy"]
-
-
 def run(
     grids: list[tuple[str, tuple[int, ...]]],
     repeats: int,
     workers: int,
-    backends: list[str] | None = None,
     stream_grid: tuple[str, str, tuple[int, ...]] | None = STREAM_GRID,
 ) -> dict[str, Any]:
-    backends = backends or ["numpy"]
     results: list[dict[str, Any]] = []
-    saved_env = os.environ.get(kernels.ENV_GLOBAL)
-    try:
-        for backend in backends:
-            os.environ[kernels.ENV_GLOBAL] = backend
-            resolved = kernels.active_backends()
-            tag = f" [{backend}]" if len(backends) > 1 else ""
-            for dataset, shape in grids:
-                data = repro.generate(dataset, shape=shape, seed=0)
-                eb = REL_EB * float(data.max() - data.min())
-                for base in BASES:
-                    for qp in (None, QPConfig()):
-                        with _RssSampler() as rss:
-                            row = bench_one(base, data, eb, qp, repeats)
-                        _attach_rss(row, rss)
-                        row.update({
-                            "dataset": dataset,
-                            "shape": list(shape),
-                            "kernel_backend": backend,
-                            "kernel_backends": resolved,
-                        })
-                        results.append(row)
-                        print(
-                            f"{dataset} {base:5s}"
-                            f" qp={'on ' if row['qp'] else 'off'}"
-                            f"  CR={row['ratio']:7.2f}"
-                            f"  comp={row['compress_mbs']:8.2f} MB/s"
-                            f"  decomp={row['decompress_mbs']:8.2f} MB/s"
-                            f"{tag}",
-                            flush=True,
-                        )
-                    with _RssSampler() as rss:
-                        row = bench_auto(base, data, eb, repeats)
-                    _attach_rss(row, rss)
-                    row.update({
-                        "dataset": dataset,
-                        "shape": list(shape),
-                        "kernel_backend": backend,
-                        "kernel_backends": resolved,
-                    })
-                    results.append(row)
-                    print(
-                        f"{dataset} {base:5s} auto  "
-                        f"  CR={row['ratio']:7.2f}"
-                        f"  comp={row['compress_mbs']:8.2f} MB/s"
-                        f"  decomp={row['decompress_mbs']:8.2f} MB/s"
-                        f"  adaptive={row['adaptive_fraction']:.1%}"
-                        f"{tag}",
-                        flush=True,
-                    )
-                if workers > 1:
-                    with _RssSampler() as rss:
-                        row = bench_parallel(data, eb, QPConfig(), workers,
-                                             repeats)
-                    _attach_rss(row, rss)
-                    row.update({
-                        "dataset": dataset,
-                        "shape": list(shape),
-                        "kernel_backend": backend,
-                        "kernel_backends": resolved,
-                    })
-                    results.append(row)
-                    print(
-                        f"{dataset} sz3-parallel-{workers} qp=on "
-                        f"  CR={row['ratio']:7.2f}"
-                        f"  comp={row['compress_mbs']:8.2f} MB/s"
-                        f"  decomp={row['decompress_mbs']:8.2f} MB/s"
-                        f"{tag}",
-                        flush=True,
-                    )
-    finally:
-        if saved_env is None:
-            os.environ.pop(kernels.ENV_GLOBAL, None)
-        else:
-            os.environ[kernels.ENV_GLOBAL] = saved_env
+    for dataset, shape in grids:
+        data = repro.generate(dataset, shape=shape, seed=0)
+        eb = REL_EB * float(data.max() - data.min())
+        for base in BASES:
+            for qp in (None, QPConfig()):
+                with _RssSampler() as rss:
+                    row = bench_one(base, data, eb, qp, repeats)
+                _attach_rss(row, rss)
+                row.update(dataset=dataset, shape=list(shape))
+                results.append(row)
+                print(
+                    f"{dataset} {base:5s}"
+                    f" qp={'on ' if row['qp'] else 'off'}"
+                    f"  CR={row['ratio']:7.2f}"
+                    f"  comp={row['compress_mbs']:8.2f} MB/s"
+                    f"  decomp={row['decompress_mbs']:8.2f} MB/s",
+                    flush=True,
+                )
+            with _RssSampler() as rss:
+                row = bench_auto(base, data, eb, repeats)
+            _attach_rss(row, rss)
+            row.update(dataset=dataset, shape=list(shape))
+            results.append(row)
+            print(
+                f"{dataset} {base:5s} auto  "
+                f"  CR={row['ratio']:7.2f}"
+                f"  comp={row['compress_mbs']:8.2f} MB/s"
+                f"  decomp={row['decompress_mbs']:8.2f} MB/s"
+                f"  adaptive={row['adaptive_fraction']:.1%}",
+                flush=True,
+            )
+        if workers > 1:
+            with _RssSampler() as rss:
+                row = bench_parallel(data, eb, QPConfig(), workers, repeats)
+            _attach_rss(row, rss)
+            row.update(dataset=dataset, shape=list(shape))
+            results.append(row)
+            print(
+                f"{dataset} sz3-parallel-{workers} qp=on "
+                f"  CR={row['ratio']:7.2f}"
+                f"  comp={row['compress_mbs']:8.2f} MB/s"
+                f"  decomp={row['decompress_mbs']:8.2f} MB/s",
+                flush=True,
+            )
     stream_summary = None
     if stream_grid is not None:
         dataset, generator, shape = stream_grid
@@ -675,8 +609,7 @@ def run(
         "has_stage_profiler": True,
         "timing_source": "repro.obs",
         "has_rss_sampler": _RssSampler._rss_mb() is not None,
-        "kernel_backends_run": backends,
-        "numba_available": kernels.numba_available(),
+        "kernel_backends": kernels.active_backends(),
         "stream_summary": stream_summary,
         "results": results,
     }
@@ -729,9 +662,6 @@ def _flatten_timings(report: dict[str, Any]) -> dict[str, float]:
     Covers the end-to-end ``compress_s``/``decompress_s`` numbers and, when
     the report carries stage profiles, each ``compress.<stage>`` /
     ``decompress.<stage>`` wall-clock so regressions localise to a stage.
-    Rows from a non-numpy kernel backend get a ``/backend=<name>`` suffix;
-    numpy rows stay unsuffixed so a v4 run compares cleanly against a v3
-    (backend-less) baseline.
     """
     out: dict[str, float] = {}
     for row in report.get("results", []):
@@ -743,9 +673,6 @@ def _flatten_timings(report: dict[str, Any]) -> dict[str, float]:
             key += "/auto"
         if row.get("stream"):
             key += "/stream"
-        kb = row.get("kernel_backend")
-        if kb and kb != "numpy":
-            key += f"/backend={kb}"
         for metric in ("compress_s", "decompress_s"):
             if metric in row:
                 out[f"{key}:{metric}"] = float(row[metric])
@@ -787,9 +714,6 @@ def _flatten_memory(report: dict[str, Any]) -> dict[str, float]:
             key += "/auto"
         if row.get("stream"):
             key += "/stream"
-        kb = row.get("kernel_backend")
-        if kb and kb != "numpy":
-            key += f"/backend={kb}"
         out[key] = float(delta)
     return out
 
@@ -891,9 +815,6 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--workers", type=int, default=4,
                     help="slab-parallel workers (0 disables the parallel row)")
-    ap.add_argument("--backends", default="auto",
-                    help="comma-separated kernel backends to A/B "
-                         "(default auto: numpy plus numba when importable)")
     ap.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
                     help="diff two bench JSONs instead of running; exits "
                          "nonzero if any timing regressed past --threshold")
@@ -933,8 +854,7 @@ def main(argv: list[str] | None = None) -> int:
     workers = 0 if args.smoke else args.workers
     stream_grid = None if args.no_stream else (
         SMOKE_STREAM_GRID if args.smoke else STREAM_GRID)
-    report = run(grids, repeats, workers, resolve_backends(args.backends),
-                 stream_grid=stream_grid)
+    report = run(grids, repeats, workers, stream_grid=stream_grid)
     report["smoke"] = args.smoke
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=1)

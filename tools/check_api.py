@@ -27,12 +27,6 @@ parse), the ``cls_path`` resolves to a class whose ``name`` matches the
 registration, and the registry's ``supports_qp`` answer agrees with the
 spec.
 
-A third family of checks (:func:`check_kernels`) lints the kernel backend
-registry: every registered compiled kernel backend must expose exactly the
-ops of the numpy reference backend for its stage, with matching parameter
-lists, so backend selection can never change a call's shape — only its
-speed.
-
 Run directly (``python tools/check_api.py``, exit 0/1) or through the test
 suite (``tests/test_codec_api.py`` imports :func:`check_all`).
 """
@@ -210,68 +204,6 @@ def check_pipeline(name: str) -> list[str]:
         problems.append("supports_qp() disagrees with the spec's qp stage")
 
     return problems
-
-
-def check_kernel_stage(stage: str) -> list[str]:
-    """Backend-parity violations for one kernel stage (empty = ok).
-
-    Every registered compiled backend must implement exactly the ops the
-    numpy reference implements, with matching parameter lists — so a caller
-    resolved to *any* backend can make the same calls.  Jitted ops are
-    introspected through ``__wrapped__`` or the backend's ``introspect``
-    map when ``inspect.signature`` cannot see through the wrapper.
-    """
-    from repro import kernels
-
-    problems: list[str] = []
-    names = kernels.registered_backends(stage)
-    if "numpy" not in names:
-        return [f"no numpy reference backend registered for stage {stage!r}"]
-    ref = kernels.backend(stage, "numpy")
-
-    def params(b, op):
-        fn = b.ops[op]
-        if b.introspect and op in b.introspect:
-            fn = b.introspect[op]
-        try:
-            return [
-                (p.name, p.kind)
-                for p in inspect.signature(fn).parameters.values()
-            ]
-        except (TypeError, ValueError):
-            return None
-
-    ref_params = {op: params(ref, op) for op in ref.ops}
-    for name in names:
-        if name == "numpy":
-            continue
-        b = kernels.backend(stage, name)
-        missing = sorted(set(ref.ops) - set(b.ops))
-        extra = sorted(set(b.ops) - set(ref.ops))
-        if missing:
-            problems.append(f"{name}: missing ops {missing} (no numpy parity)")
-        if extra:
-            problems.append(f"{name}: extra ops {extra} absent from numpy")
-        for op in sorted(set(ref.ops) & set(b.ops)):
-            got = params(b, op)
-            if got is None:
-                problems.append(f"{name}.{op}: signature not introspectable")
-            elif got != ref_params[op]:
-                problems.append(
-                    f"{name}.{op}: signature {[n for n, _ in got]} != "
-                    f"numpy's {[n for n, _ in ref_params[op]]}"
-                )
-    return problems
-
-
-def check_kernels() -> dict[str, list[str]]:
-    """``kernels[stage]`` -> backend-parity violations for every kernel stage."""
-    from repro import kernels
-
-    return {
-        f"kernels[{stage}]": check_kernel_stage(stage)
-        for stage in kernels.kernel_stages()
-    }
 
 
 def check_adaptive_stage() -> list[str]:
@@ -779,7 +711,6 @@ def check_all() -> dict[str, list[str]]:
     """name -> violations for every candidate (empty dict values = all clean)."""
     out = {name: check_codec(obj) for name, obj in _candidates().items()}
     out.update(check_pipelines())
-    out.update(check_kernels())
     out["stage[adaptive_quantize]"] = check_adaptive_stage()
     out["streaming"] = check_streaming()
     out["public-api"] = check_public_api()
@@ -802,7 +733,7 @@ def main() -> int:
             print(f"ok   {name}")
     total = len(results)
     print(f"{total - bad}/{total} API-surface checks pass "
-          f"(Codec + pipeline + kernel lint)")
+          f"(Codec + pipeline + surface lint)")
     return 1 if bad else 0
 
 
