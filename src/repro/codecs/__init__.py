@@ -1,5 +1,4 @@
 """Codec substrates: bit I/O, Huffman entropy coding, lossless byte codecs."""
-from .ans import ANSCodec
 from .bitstream import BitReader, BitWriter, pack_bits, unpack_bits
 from .fixed import decode_fixed, encode_fixed
 from .huffman import HuffmanCodec, canonical_codes, huffman_code_lengths
@@ -15,7 +14,6 @@ __all__ = [
     "huffman_code_lengths",
     "canonical_codes",
     "RangeCodec",
-    "ANSCodec",
     "compress",
     "decompress",
     "BACKENDS",

@@ -25,11 +25,10 @@ __all__ = ["RangeCodec"]
 _MASK32 = 0xFFFFFFFF
 _TOP = 1 << 24
 _BOT = 1 << 16
-_MAGIC = b"RNG1"
-#: v2 container: adds a CRC32 of the decoded symbol bytes, because an
+#: the container carries a CRC32 of the decoded symbol bytes, because an
 #: adaptive arithmetic stream has no internal redundancy — without the
 #: checksum a flipped payload bit decodes to plausible garbage silently
-_MAGIC_V2 = b"RNG2"
+_MAGIC = b"RNG2"
 
 #: decoder slack past the payload before declaring truncation (the encoder's
 #: flush emits exactly 4 tail bytes; anything further means bytes are missing)
@@ -175,30 +174,23 @@ class RangeCodec:
                 payload_model.encode(enc, i, (v >> i) & 1)
         payload = enc.finish()
         crc = zlib.crc32(symbols.tobytes()) & 0xFFFFFFFF
-        return _MAGIC_V2 + struct.pack("<QI", symbols.size, crc) + payload
+        return _MAGIC + struct.pack("<QI", symbols.size, crc) + payload
 
     def decode(self, data: bytes) -> np.ndarray:
-        """Decode a range-coded container (v1 ``RNG1`` or v2 ``RNG2``).
+        """Decode an ``RNG2`` range-coded container.
 
-        v2 streams carry a CRC32 of the symbol array that is verified after
-        decoding — the only way to catch a mid-payload bit flip in an
-        adaptive arithmetic stream.  All failures are typed and bounded:
-        the symbol count is sanity-capped against the payload size so a
-        tampered header cannot drive an hours-long decode loop.
+        The CRC32 of the symbol array is verified after decoding — the only
+        way to catch a mid-payload bit flip in an adaptive arithmetic
+        stream.  All failures are typed and bounded: the symbol count is
+        sanity-capped against the payload size so a tampered header cannot
+        drive an hours-long decode loop.
         """
-        if data[:4] == _MAGIC_V2:
-            if len(data) < 16:
-                raise TruncatedStreamError("range-coder container truncated")
-            n, crc = struct.unpack_from("<QI", data, 4)
-            body = data[16:]
-        elif data[:4] == _MAGIC:
-            if len(data) < 12:
-                raise TruncatedStreamError("range-coder container truncated")
-            (n,) = struct.unpack_from("<Q", data, 4)
-            crc = None
-            body = data[12:]
-        else:
-            raise CorruptBlobError("not a range-coder container")
+        if data[:4] != _MAGIC:
+            raise CorruptBlobError("not an RNG2 range-coder container")
+        if len(data) < 16:
+            raise TruncatedStreamError("range-coder container truncated")
+        n, crc = struct.unpack_from("<QI", data, 4)
+        body = data[16:]
         if n > _MAX_SYMBOLS_PER_BYTE * max(len(body), 1):
             raise CorruptBlobError(
                 f"range-coder container declares {n} symbols for "
@@ -221,6 +213,6 @@ class RangeCodec:
                 for i in range(nbits - 2, -1, -1):
                     v = (v << 1) | payload_model.decode(dec, i)
             out[j] = (v >> 1) if (v & 1) == 0 else -((v + 1) >> 1)
-        if crc is not None and (zlib.crc32(out.tobytes()) & 0xFFFFFFFF) != crc:
+        if (zlib.crc32(out.tobytes()) & 0xFFFFFFFF) != crc:
             raise IntegrityError("range-coded stream CRC32 mismatch")
         return out

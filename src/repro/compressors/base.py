@@ -24,12 +24,7 @@ from ..codecs import compress as lossless_compress, decompress as lossless_decom
 from ..errors import CorruptBlobError, ReproError, TruncatedStreamError
 from ..io.integrity import is_sealed, seal, unseal
 from ..obs import add_bytes, span as stage
-from ..pipeline.stages import (
-    ENTROPY_STAGES,
-    StageContext,
-    entropy_stage,
-    entropy_stage_for_wire_id,
-)
+from ..pipeline.stages import StageContext, entropy_stage, entropy_stage_for_wire_id
 from ..utils.validation import check_error_bound, check_ndarray
 
 __all__ = [
@@ -262,11 +257,11 @@ class Compressor(ABC):
     #: offset per extra block) — the slab-parallel wrapper tunes this down
     huffman_block_size: int | None = None
     #: entropy stage for the index streams — any key of
-    #: :data:`repro.pipeline.stages.ENTROPY_STAGES` ("huffman", "range",
-    #: "ans").  The default keeps all serial container bytes frozen;
-    #: assigning e.g. ``comp.entropy = "ans"`` switches every index stream
-    #: to the static rANS coder (decode dispatches on the wire id, so no
-    #: header change is needed)
+    #: :data:`repro.pipeline.stages.ENTROPY_STAGES` ("huffman", "range").
+    #: The default keeps all serial container bytes frozen; assigning
+    #: ``comp.entropy = "range"`` switches every index stream to the
+    #: adaptive range coder (decode dispatches on the wire id, so no header
+    #: change is needed)
     entropy: str = "huffman"
     #: :class:`~repro.core.autotune.TuningDecision` carried by instances
     #: returned from ``_tuned_for`` (None on untuned compressors)
@@ -548,9 +543,6 @@ class Compressor(ABC):
 
 
 _STREAM_ALPHABET_CAP = 1 << 16
-#: wire ids are owned by the entropy stage classes; this view keeps the
-#: historical name for callers/tests that key on it
-_ENTROPY_IDS = {name: cls.wire_id for name, cls in ENTROPY_STAGES.items()}
 
 #: entropy stages never read the walk context in the framing below
 _FRAMING_CTX = StageContext()
@@ -691,8 +683,6 @@ def decode_index_streams(datas: "list[bytes]") -> "list[np.ndarray]":
             by_wire_id.setdefault(eid, []).append(i)
         for eid, members in by_wire_id.items():
             coder = entropy_stage_for_wire_id(eid)
-            if coder is None:
-                raise CorruptBlobError(f"unknown entropy stage id {eid}")
             decoded = coder.decode_many([payloads[i] for i in members])
             for i, codes in zip(members, decoded):
                 codes_list[i] = codes

@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.config import AdaptiveConfig, QPConfig
-from ..metrics_light import psnr_estimate
 from .interp_engine import EngineConfig, compress_volume, level_error_bounds
 from .sz3 import SZ3, _center_sample
 
@@ -118,6 +117,7 @@ def tune_level_eb(
                 qp=QPConfig.disabled(),
             )
             from ..core.characterize import shannon_entropy
+            from ..metrics.errors import psnr_estimate
             from .base import CompressionState
 
             st = CompressionState()

@@ -19,6 +19,7 @@ import numpy as np
 
 from ..codecs import compress as lossless_compress, decompress as lossless_decompress
 from ..codecs.fixed import decode_fixed, encode_fixed
+from ..errors import CorruptBlobError
 from ..pipeline.stages import CDF97Transform, StageContext
 from .base import (
     Blob,
@@ -28,7 +29,7 @@ from .base import (
     encode_index_stream,
 )
 
-__all__ = ["SPERR", "cdf97_forward", "cdf97_inverse"]
+__all__ = ["SPERR", "cdf97_forward", "cdf97_inverse", "reject_retired_coder"]
 
 # CDF 9/7 lifting constants
 _ALPHA = -1.586134342059924
@@ -139,6 +140,16 @@ def subband_regions(
 _QP_SENTINEL = -(1 << 40)
 
 
+def reject_retired_coder(header: dict[str, Any]) -> None:
+    """Reject blobs of the retired SPECK coefficient coder (the only header
+    that ever carried a ``coder`` field) with a migration hint."""
+    if header.get("coder") == "speck":
+        raise CorruptBlobError(
+            "SPERR blob uses the retired SPECK coefficient coder; decode it "
+            "with an earlier release and re-compress"
+        )
+
+
 class SPERR(Compressor):
     """SPERR-like wavelet compressor with point-wise outlier correction.
 
@@ -159,17 +170,12 @@ class SPERR(Compressor):
         error_bound: float,
         levels: int = _LEVELS,
         qp=None,
-        coder: str = "quant",
         lossless_backend: str = "zlib",
-        **_: Any,
     ) -> None:
         from ..core.config import QPConfig
 
         super().__init__(error_bound, lossless_backend)
-        if coder not in ("quant", "speck"):
-            raise ValueError("coder must be 'quant' or 'speck'")
         self.levels = levels
-        self.coder = coder
         self.qp = qp or QPConfig.disabled()
 
     def _qp_transform(self, q: np.ndarray, inverse: bool) -> np.ndarray:
@@ -196,8 +202,6 @@ class SPERR(Compressor):
         wavelet = CDF97Transform(self.levels)
         coeffs = wavelet.forward(_CTX, padded)
         core = tuple(slice(0, n) for n in data.shape)
-        if self.coder == "speck":
-            return self._compress_speck(data, coeffs, core)
 
         # Pick the quantization step minimizing estimated size = coefficient
         # entropy + outlier cost (SPERR balances its coder against the
@@ -240,52 +244,10 @@ class SPERR(Compressor):
             state.extras["outliers"] = int(positions.size)
         return header, sections
 
-    def _compress_speck(self, data, coeffs, core):
-        """SPECK-coded coefficient path (SPERR's native coder)."""
-        from ..codecs.speck import speck_encode
-
-        threshold = self.error_bound  # per-coefficient accuracy target
-        blob = speck_encode(coeffs, threshold)
-        # internal reconstruction mirrors the decoder's mid-tread dequant
-        imag = (np.abs(coeffs) / threshold).astype(np.int64)
-        mags = np.where(imag > 0, (imag + 0.5) * threshold, 0.0)
-        rq = np.where(coeffs < 0, -mags, mags)
-        recon = CDF97Transform(self.levels).inverse(_CTX, rq)
-        rec_cast = recon[core].astype(data.dtype).astype(np.float64)
-        viol = np.abs(rec_cast - data.astype(np.float64)) > self.error_bound
-        positions = np.nonzero(viol.ravel())[0]
-        literals = data.ravel()[positions]
-        header = {
-            "levels": self.levels,
-            "padded_shape": list(coeffs.shape),
-            "coder": "speck",
-        }
-        sections = {
-            "coeffs": lossless_compress(blob, self.lossless_backend),
-            "outlier_pos": lossless_compress(
-                encode_fixed(positions), self.lossless_backend
-            ),
-            "outlier_val": lossless_compress(literals.tobytes(), self.lossless_backend),
-        }
-        return header, sections
-
     def _decompress(self, blob: Blob) -> np.ndarray:
         header = blob.header
+        reject_retired_coder(header)
         padded_shape = tuple(header["padded_shape"])
-        if header.get("coder") == "speck":
-            from ..codecs.speck import speck_decode
-
-            rq = speck_decode(lossless_decompress(blob.sections["coeffs"]))
-            recon = CDF97Transform(int(header["levels"])).inverse(_CTX, rq)
-            dtype = np.dtype(header["dtype"])
-            out = recon[tuple(slice(0, n) for n in header["shape"])].astype(dtype)
-            positions = decode_fixed(lossless_decompress(blob.sections["outlier_pos"]))
-            if positions.size:
-                literals = np.frombuffer(
-                    lossless_decompress(blob.sections["outlier_val"]), dtype=dtype
-                )
-                out.ravel()[positions] = literals
-            return out
         q = decode_index_stream(blob.sections["coeffs"]).reshape(padded_shape)
         if "qp" in header:
             from ..core.config import QPConfig

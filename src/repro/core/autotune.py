@@ -220,7 +220,7 @@ def autotune(
         compress_volume,
         level_error_bounds,
     )
-    from ..metrics_light import psnr_estimate
+    from ..metrics.errors import psnr_estimate
     from ..utils.levels import num_levels
 
     fixed = dict(fixed or {})

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["mse", "psnr", "max_abs_error", "max_rel_error", "nrmse"]
+__all__ = ["mse", "psnr", "psnr_estimate", "max_abs_error", "max_rel_error", "nrmse"]
 
 
 def mse(original: np.ndarray, decoded: np.ndarray) -> float:
@@ -24,6 +24,17 @@ def psnr(original: np.ndarray, decoded: np.ndarray) -> float:
     if value_range == 0:
         return 0.0
     return float(20.0 * np.log10(value_range / np.sqrt(m)))
+
+
+def psnr_estimate(
+    original: np.ndarray, decoded: np.ndarray, value_range: float
+) -> float:
+    """PSNR against a caller-supplied ``value_range``: the tuners score
+    sample blocks against the whole field's range, not the block's own."""
+    m = mse(original, decoded)
+    if m == 0:
+        return float("inf")
+    return 20.0 * np.log10(value_range / np.sqrt(m))
 
 
 def max_abs_error(original: np.ndarray, decoded: np.ndarray) -> float:

@@ -269,6 +269,9 @@ def tthresh_pipeline() -> PipelineSpec:
 
 
 def _derive_sperr(header: dict) -> PipelineSpec:
+    from ..compressors.sperr import reject_retired_coder
+
+    reject_retired_coder(header)
     qp = header.get("qp")
     return sperr_pipeline(qp=qp if isinstance(qp, dict) else None)
 

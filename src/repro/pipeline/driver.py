@@ -69,7 +69,8 @@ def spec_for_blob(
     ``mode``, the engine meta's ``qp`` dict) onto stage params.  When
     ``sections`` are given, the entropy stage is refined from the wire id
     byte leading the index stream — the one spec datum that lives in a
-    section rather than the header.
+    section rather than the header; an unknown or retired byte raises
+    :class:`~repro.errors.CorruptBlobError`, as decode would.
     """
     name = header.get("compressor")
     spec = pipeline(name).derive(header)
@@ -82,7 +83,7 @@ def spec_for_blob(
             data = sections.get(key)
             if data:
                 cls = entropy_stage_for_wire_id(data[0])
-                if cls is not None and not spec.has_stage(cls.stage_id):
+                if not spec.has_stage(cls.stage_id):
                     spec = _swap_entropy_stage(spec, cls.stage_id)
                 break
     return spec

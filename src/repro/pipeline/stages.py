@@ -27,6 +27,7 @@ from ..codecs import (
 )
 from ..core.config import AdaptiveConfig, QPConfig
 from ..core.qp import qp_forward, qp_inverse, qp_inverse_multi
+from ..errors import CorruptBlobError
 from ..obs import metric_count, span as obs_span
 from ..predictors.interpolation import predict_midpoints
 from ..quantize.adaptive import AdaptiveLinearQuantizer
@@ -44,7 +45,6 @@ __all__ = [
     "QPTransform",
     "HuffmanEncode",
     "RangeEncode",
-    "ANSEncode",
     "LosslessBackend",
     "ZFPTransform",
     "TuckerFactorize",
@@ -415,49 +415,16 @@ class RangeEncode:
         return [RangeCodec().decode(p) for p in payloads]
 
 
-@register_stage("ans")
-class ANSEncode:
-    """Static rANS over a bounded symbol alphabet (see :mod:`..codecs.ans`).
-
-    Table-driven like Huffman (so it shares the framing's offset-window +
-    escape treatment via ``bounded_alphabet``) but with a one-gather decode
-    step instead of a bit-serial code-length walk.  New wire id: existing
-    Huffman/range containers are untouched, and decode dispatch is driven
-    by the wire byte, so a spec variant selecting ``ans`` round-trips
-    without any header version bump.
-    """
-
-    wire_id = 2
-    bounded_alphabet = True
-
-    def __init__(self, block_size: int | None = None) -> None:
-        self.block_size = block_size
-
-    def _codec(self):
-        from ..codecs.ans import ANSCodec
-
-        return ANSCodec(self.block_size) if self.block_size else ANSCodec()
-
-    def forward(self, ctx: StageContext, codes: np.ndarray) -> bytes:
-        return self._codec().encode(codes)
-
-    def inverse(self, ctx: StageContext, payload: bytes) -> np.ndarray:
-        return self._codec().decode(payload)
-
-    @staticmethod
-    def decode_many(payloads: "list[bytes]") -> "list[np.ndarray]":
-        from ..codecs.ans import ANSCodec
-
-        return ANSCodec().decode_many(payloads)
-
-
 #: entropy stages by name — the only stages with a wire id, i.e. valid for
 #: the index-stream framing's leading dispatch byte
 ENTROPY_STAGES: dict[str, type] = {
     "huffman": HuffmanEncode,
     "range": RangeEncode,
-    "ans": ANSEncode,
 }
+
+#: wire id of the retired static rANS stage: an index stream led by it fails
+#: with a migration hint rather than as an unknown id
+_RANS_WIRE_ID = 2
 
 
 def entropy_stage(name: str) -> type:
@@ -468,11 +435,18 @@ def entropy_stage(name: str) -> type:
     return ENTROPY_STAGES[name]
 
 
-def entropy_stage_for_wire_id(wire_id: int) -> type | None:
+def entropy_stage_for_wire_id(wire_id: int) -> type:
+    """Entropy stage type for an index stream's leading wire byte; an
+    unknown or retired byte raises :class:`~repro.errors.CorruptBlobError`."""
     for cls in ENTROPY_STAGES.values():
         if cls.wire_id == wire_id:
             return cls
-    return None
+    if wire_id == _RANS_WIRE_ID:
+        raise CorruptBlobError(
+            f"index stream uses the retired rANS entropy coder (wire id "
+            f"{wire_id}); decode it with an earlier release and re-compress"
+        )
+    raise CorruptBlobError(f"unknown entropy stage id {wire_id}")
 
 
 #: how the fine-grained stage graph partitions onto the streaming thread
@@ -498,7 +472,7 @@ STREAM_STAGE_GROUPS: dict[str, frozenset[str]] = {
             "cdf97",
         }
     ),
-    "entropy": frozenset({"huffman", "range", "ans", "lossless"}),
+    "entropy": frozenset({"huffman", "range", "lossless"}),
 }
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import struct
-import warnings
 
 import numpy as np
 
@@ -37,11 +36,10 @@ class QoIPreservingCompressor:
     """Wrap a base compressor with QoI-derived spatially varying bounds.
 
     Satisfies the :class:`repro.compressors.Codec` protocol: the v2
-    container header carries the array geometry, so
-    ``decompress(blob)`` needs no out-of-band ``shape`` (passing one is
-    deprecated); ``compress(..., checksum=True)`` seals the container in
-    the v1 integrity envelope.  The legacy shape-less ``RQOI`` format is
-    retired: those bytes now raise a typed
+    container header carries the array geometry, so ``decompress(blob)``
+    takes no out-of-band ``shape``; ``compress(..., checksum=True)`` seals
+    the container in the v1 integrity envelope.  The legacy shape-less
+    ``RQOI`` format is retired: those bytes now raise a typed
     :class:`~repro.errors.CorruptBlobError` with a migration hint.
 
     Parameters
@@ -156,27 +154,12 @@ class QoIPreservingCompressor:
             return self.qoi.check(block, out, self.tau)
         return self.qoi.error(block, out) <= self.tau * (1 + 1e-9)
 
-    def decompress(
-        self, blob: bytes, *, shape: tuple[int, ...] | None = None
-    ) -> np.ndarray:
+    def decompress(self, blob: bytes) -> np.ndarray:
         if is_sealed(blob):
             blob = unseal(blob)
         if blob[:4] == _MAGIC:
             (hlen,) = struct.unpack_from("<I", blob, 4)
             header = json.loads(blob[8:8 + hlen].decode())
-            if shape is not None:
-                warnings.warn(
-                    "QoIPreservingCompressor.decompress(blob, shape) is "
-                    "deprecated for v2 containers: the shape is stored in "
-                    "the blob header; drop the argument",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-                if tuple(shape) != tuple(header["shape"]):
-                    raise ValueError(
-                        f"shape argument {tuple(shape)} contradicts the "
-                        f"container header {tuple(header['shape'])}"
-                    )
             out_shape = tuple(header["shape"])
             block_side = int(header["block_side"])
             n_blocks = int(header["n_blocks"])

@@ -10,7 +10,7 @@ pipeline over a small thread pool:
 1. **front** (worker threads): page in one slab — through a recycled
    :class:`BufferPool` scratch array — and run predict + quantize + the
    QP/adaptive index transforms (``Compressor._stream_front``);
-2. **entropy** (dedicated thread): Huffman/rANS + lossless coding of the
+2. **entropy** (dedicated thread): Huffman (or range) + lossless coding of the
    finished index stream (``Compressor._stream_entropy``), framed as a
    standalone blob byte-identical to ``compress(slab)``;
 3. **write** (caller thread): flush each segment to the sink through an

@@ -1,10 +1,8 @@
 """Shared utilities: level math, blocks, validation.
 
-Timing lives in :mod:`repro.obs.timing` (the observability layer is the
-single timing source of truth); ``Stopwatch``/``throughput_mbs`` are
-re-exported here for back-compatibility.
+Timing lives in :mod:`repro.obs` (the observability layer is the single
+timing source of truth).
 """
-from ..obs.timing import Stopwatch, throughput_mbs
 from .blocks import block_grid_shape, iter_blocks, pad_to_multiple
 from .levels import Pass, anchor_slices, anchor_stride, level_passes, num_levels, pass_sizes
 from .validation import check_error_bound, check_ndarray
@@ -19,8 +17,6 @@ __all__ = [
     "block_grid_shape",
     "iter_blocks",
     "pad_to_multiple",
-    "Stopwatch",
-    "throughput_mbs",
     "check_ndarray",
     "check_error_bound",
 ]

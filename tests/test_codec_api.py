@@ -157,14 +157,12 @@ def test_qoi_v2_checksum_seals_whole_container(qoi_comp, field):
     assert out.shape == field.shape
 
 
-def test_qoi_v2_shape_argument_deprecated_but_tolerated(qoi_comp, field):
+def test_qoi_decompress_shape_argument_retired(qoi_comp, field):
+    """The deprecated ``shape=`` knob is gone: the v2 header carries it."""
     blob = qoi_comp.compress(field)
-    with pytest.warns(DeprecationWarning):
-        out = qoi_comp.decompress(blob, shape=field.shape)
-    assert out.shape == field.shape
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(ValueError):
-            qoi_comp.decompress(blob, shape=(1, 2, 3))  # contradicts header
+    with pytest.raises(TypeError):
+        qoi_comp.decompress(blob, shape=field.shape)
+    assert qoi_comp.decompress(blob).shape == field.shape
 
 
 def _as_legacy_rqoi(v2_blob: bytes) -> bytes:
@@ -181,11 +179,8 @@ def test_qoi_legacy_container_typed_rejection(qoi_comp, field):
     from repro.errors import CorruptBlobError
 
     legacy = _as_legacy_rqoi(qoi_comp.compress(field))
-    with pytest.raises(CorruptBlobError, match="RQOI.*retired"):
+    with pytest.raises(CorruptBlobError, match="RQOI.*retired.*re-compress"):
         qoi_comp.decompress(legacy)
-    # the shape= escape hatch is gone too — same typed rejection
-    with pytest.raises(CorruptBlobError, match="re-compress"):
-        qoi_comp.decompress(legacy, shape=field.shape)
 
 
 def test_qoi_decompress_shape_is_keyword_only(qoi_comp, field):

@@ -208,3 +208,16 @@ def test_spec_for_blob_refines_entropy_from_wire_id():
     assert not spec.has_stage("huffman")
     # header-only derivation keeps the pipeline's default entropy stage
     assert spec_for_blob(header).has_stage("huffman")
+
+
+def test_spec_for_blob_rejects_unknown_wire_id():
+    """A wire byte no entropy stage owns is corrupt, not silently Huffman."""
+    import numpy as np
+
+    from repro.compressors.base import encode_index_stream
+    from repro.errors import CorruptBlobError
+
+    stream = encode_index_stream(np.arange(200, dtype=np.int64))
+    tampered = bytes([7]) + stream[1:]
+    with pytest.raises(CorruptBlobError, match="unknown entropy stage id 7"):
+        spec_for_blob({"compressor": "sz3"}, {"indices": tampered})

@@ -120,6 +120,32 @@ def test_sperr_outlier_values_exact(smooth_field):
     assert maxerr(out, smooth_field) <= eb
 
 
+def test_sperr_coder_argument_retired():
+    # no catch-all: a leftover coder= fails loudly instead of being ignored
+    with pytest.raises(TypeError):
+        SPERR(1e-3, coder="speck")
+
+
+@pytest.mark.parametrize("checksum", [False, True], ids=["plain", "sealed"])
+def test_sperr_speck_blob_is_typed(checksum, field_2d):
+    """Blobs of the retired SPECK coder carry ``coder: speck`` in their
+    header; every decode entry point names the coder and how to migrate."""
+    import repro
+    from repro.compressors import decompress_any
+    from repro.compressors.base import Blob
+    from repro.errors import CorruptBlobError
+    from repro.pipeline.driver import spec_for_blob
+
+    blob = Blob.from_bytes(SPERR(1e-3).compress(field_2d))
+    blob.header["coder"] = "speck"
+    raw = blob.to_bytes(checksum=checksum)
+    for decode in (repro.decompress, decompress_any, SPERR(1e-3).decompress):
+        with pytest.raises(CorruptBlobError, match="retired SPECK.*re-compress"):
+            decode(raw)
+    with pytest.raises(CorruptBlobError, match="retired SPECK"):
+        spec_for_blob(blob.header, blob.sections)
+
+
 def test_tthresh_core_sparsity(smooth_field):
     c = TTHRESH(1e-2)
     st = CompressionState()

@@ -72,7 +72,7 @@ def _build_targets(seed: int):
         targets.append((f"stream[{name}]", sink.getvalue(), stream_decompress))
     symbols = rng.integers(0, 40, size=3000).astype(np.int64)
     # every registered entropy stage, enumerated from the pipeline registry
-    # so new wire formats (e.g. ans) are fuzzed without touching this list
+    # so a new wire format is fuzzed without touching this list
     for ename, cls in sorted(ENTROPY_STAGES.items()):
         blob = cls().forward(StageContext(), symbols)
 
