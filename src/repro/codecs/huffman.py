@@ -21,6 +21,11 @@ Design constraints (see DESIGN.md section 7):
   tables are memoized keyed by a digest of the sparse code-length table, so
   repeated tables (parallel slabs, multi-level passes, repeated decodes of
   one container) skip the rebuild entirely.
+* When the native decode library loads (:func:`repro.kernels.native`), a C
+  loop walks the same flat tables block by block, one call per container;
+  the numpy lockstep decode is the fallback and the reference.  Both paths
+  hand their per-block end cursors to one validation helper, so a corrupt
+  stream raises the same typed error on either.
 """
 from __future__ import annotations
 
@@ -31,6 +36,7 @@ from collections import OrderedDict
 
 import numpy as np
 
+from .. import kernels
 from ..errors import CorruptBlobError, TruncatedStreamError
 from ..obs import metric_count
 from .bitstream import encode_codes_packed
@@ -352,10 +358,10 @@ class HuffmanCodec:
         Strict-validating: every header field is bounds-checked against the
         available bytes, the code-length table must satisfy the Kraft
         inequality (so the flat decode table cannot be indexed out of range),
-        the lockstep loop runs a fixed number of steps over a zero-padded
-        payload (cursors cannot index out of bounds or loop forever), and
-        each block must land exactly on the next block's recorded bit
-        offset.  Corrupt input raises
+        each block decodes exactly its header-derived symbol count with
+        reads past the payload end seeing zeros (cursors cannot index out of
+        bounds or loop forever), and each block must land exactly on the
+        next block's recorded bit offset.  Corrupt input raises
         :class:`~repro.errors.CorruptBlobError` /
         :class:`~repro.errors.TruncatedStreamError` in bounded time — never
         a hang, never a silently mis-shaped array.
@@ -363,21 +369,29 @@ class HuffmanCodec:
         parsed = _parse_container(data)
         if parsed is None:
             return np.empty(0, dtype=np.int64)
+        lib = kernels.native()
+        if lib is not None:
+            return _decode_native(lib, parsed)
         return _decode_group([parsed])[0]
 
     def decode_many(self, datas: "list[bytes]") -> "list[np.ndarray]":
-        """Decode several containers in one joint lockstep loop.
+        """Decode several containers; output and errors match ``decode``.
 
-        Every container's blocks become lanes of a single cursor vector, so
+        The native decoder takes one call per container.  On the numpy path
+        every container's blocks become lanes of a single cursor vector, so
         the Python-level loop cost is paid once for the whole batch instead
         of once per container — the win that makes decoding N slab streams
-        of one volume as cheap as decoding the volume's own stream.  Output
-        and error behaviour match ``decode`` applied to each container in
-        order (the first corrupt member raises).
+        of one volume as cheap as decoding the volume's own stream.  Either
+        way the output and error behaviour match ``decode`` applied to each
+        container in order (the first corrupt member raises).
         """
         parsed = [_parse_container(d) for d in datas]
         live = [p for p in parsed if p is not None]
-        decoded = iter(_decode_group(live)) if live else iter(())
+        lib = kernels.native()
+        if lib is not None:
+            decoded = iter([_decode_native(lib, p) for p in live])
+        else:
+            decoded = iter(_decode_group(live)) if live else iter(())
         return [
             np.empty(0, dtype=np.int64) if p is None else next(decoded)
             for p in parsed
@@ -434,7 +448,9 @@ def _parse_container(data: bytes) -> "tuple | None":
         raise CorruptBlobError(
             f"{n} symbols cannot fit in {total_bits} payload bits"
         )
-    if (np.diff(block_offsets.astype(np.int64)) < 0).any() or (
+    # compared as uint64 so no offset can wrap negative; ascending offsets
+    # that end below total_bits start every cursor inside the payload
+    if (block_offsets[1:] < block_offsets[:-1]).any() or (
         n_blocks and int(block_offsets[-1]) >= max(total_bits, 1)
     ):
         raise CorruptBlobError("Huffman block offsets out of order or range")
@@ -450,6 +466,41 @@ def _parse_container(data: bytes) -> "tuple | None":
     tables = _decode_tables(present, present_lens)
     payload = np.frombuffer(data, dtype=np.uint8, offset=off)
     return n, block_size, block_offsets.astype(np.int64), total_bits, payload, tables
+
+
+def _check_block_ends(ends, block_offsets, total_bits: int) -> None:
+    """Each block must stop exactly where the next one starts, the last at
+    ``total_bits``.  A decode that drifted out of code alignment (flipped
+    bits, a truncated payload, a window matching no code and stalling its
+    cursor) cannot satisfy this; ``ends`` are bit cursors relative to the
+    container's payload, from either decode path."""
+    expected = np.empty(block_offsets.size, dtype=np.int64)
+    expected[:-1] = block_offsets[1:]
+    expected[-1] = total_bits
+    if not np.array_equal(ends, expected):
+        if int(ends.max()) > total_bits:
+            raise TruncatedStreamError("Huffman payload exhausted mid-block")
+        raise CorruptBlobError("Huffman blocks misaligned after decode")
+
+
+def _decode_native(lib, parsed: tuple) -> np.ndarray:
+    """Decode one parsed container with the C block decoder.
+
+    The kernel walks the memoized flat tables block by block, reading
+    bits past the payload end as zeros (the numpy path's padding), and
+    writes only inside the ``n``-symbol output.
+    """
+    n, block_size, block_offsets, total_bits, payload, tables = parsed
+    _, sym_table, len_table, max_len = tables
+    out = np.empty(n, dtype=np.int64)
+    ends = np.empty(block_offsets.size, dtype=np.int64)
+    lib.repro_huffman_decode(
+        payload.ctypes.data, payload.size, sym_table.ctypes.data,
+        len_table.ctypes.data, max_len, block_offsets.ctypes.data,
+        block_offsets.size, block_size, n, out.ctypes.data, ends.ctypes.data,
+    )
+    _check_block_ends(ends, block_offsets, total_bits)
+    return out
 
 
 def _decode_lockstep(buf, cur, stops, len_flat, lane_off, wins, M) -> None:
@@ -558,24 +609,17 @@ def _decode_group(parsed: list) -> "list[np.ndarray]":
     wins = np.empty((max_steps, L), dtype=np.int64)
     _decode_lockstep(buf, cur, stops_p, len_flat, lane_off, wins, M)
 
-    # Validate and extract per container.  Each container's blocks must land
-    # exactly where the next one starts — a decode that drifted out of code
-    # alignment (flipped bits, truncated payload, a window matching no code
-    # and stalling its cursor) cannot satisfy this.
+    # Validate and extract per container.
     end_cur = cur[inv]
     results: list[np.ndarray] = []
     lane_lo = 0
     for k, p in enumerate(parsed):
         n, block_size, block_offsets, total_bits, _, _ = p
         nb = block_offsets.size
-        rel = end_cur[lane_lo:lane_lo + nb] - base_bytes[k] * 8
-        expected_ends = np.empty(nb, dtype=np.int64)
-        expected_ends[:-1] = block_offsets[1:]
-        expected_ends[-1] = total_bits
-        if not np.array_equal(rel, expected_ends):
-            if int(rel.max()) > total_bits:
-                raise TruncatedStreamError("Huffman payload exhausted mid-block")
-            raise CorruptBlobError("Huffman blocks misaligned after decode")
+        _check_block_ends(
+            end_cur[lane_lo:lane_lo + nb] - base_bytes[k] * 8,
+            block_offsets, total_bits,
+        )
         cols = inv[lane_lo:lane_lo + nb]
         lane_lo += nb
         c0 = int(cols[0])

@@ -148,6 +148,9 @@ class _BitModel:
 
 
 _N_MAG_CTX = 72  # unary length contexts (covers 64-bit zigzag magnitudes)
+#: longest zigzag magnitude an int64 symbol can have; a longer unary length
+#: prefix can only come from a corrupt stream
+_MAX_MAG_BITS = 64
 
 
 class RangeCodec:
@@ -204,8 +207,10 @@ class RangeCodec:
             nbits = 0
             while length_model.decode(dec, nbits) == 1:
                 nbits += 1
-                if nbits >= _N_MAG_CTX:
-                    raise CorruptBlobError("corrupt range-coded stream")
+                if nbits > _MAX_MAG_BITS:
+                    raise CorruptBlobError(
+                        f"range-coded magnitude longer than {_MAX_MAG_BITS} bits"
+                    )
             if nbits == 0:
                 v = 0
             else:

@@ -644,12 +644,12 @@ def decode_index_stream(data: bytes) -> np.ndarray:
 def decode_index_streams(datas: "list[bytes]") -> "list[np.ndarray]":
     """Decode several index streams, batching the Huffman stage.
 
-    All Huffman-coded members are decoded in one joint lockstep loop
-    (:meth:`HuffmanCodec.decode_many`), so the Python-level decode cost is
-    paid once for the whole batch — the hot path for slab-parallel
-    containers, where N short streams would otherwise cost far more than
-    one long one.  Validation and output match ``decode_index_stream``
-    applied per stream.
+    All Huffman-coded members go to one :meth:`HuffmanCodec.decode_many`
+    call.  On the numpy path that is one joint lockstep loop, so the
+    Python-level decode cost is paid once for the whole batch — the hot
+    path for slab-parallel containers, where N short streams would
+    otherwise cost far more than one long one.  Validation and output match
+    ``decode_index_stream`` applied per stream.
     """
     from ..codecs.fixed import decode_fixed
 
@@ -677,7 +677,7 @@ def decode_index_streams(datas: "list[bytes]") -> "list[np.ndarray]":
     codes_list: "list[np.ndarray | None]" = [None] * len(parsed)
     with stage("huffman"):
         # group by wire id and hand each group to its stage's batched decode
-        # (Huffman runs one joint lockstep loop over its whole group)
+        # (on the numpy path Huffman runs one joint lockstep loop per group)
         by_wire_id: dict[int, list[int]] = {}
         for i, (eid, _, _, _) in enumerate(parsed):
             by_wire_id.setdefault(eid, []).append(i)

@@ -14,9 +14,13 @@ plane axes last.  The 2-D Lorenzo of the paper acts on the last two axes
 are batch axes.
 
 Vectorization strategy (DESIGN.md §7): the forward direction is a handful of
-whole-array shifts; the inverse walks anti-diagonal wavefronts so each Python
-iteration recovers a whole diagonal (1-D variants walk lines; the 3-D variant
-walks i+j+k wavefronts).
+whole-array shifts.  The Case I inverse is prefix sums.  The Case II-IV
+inverse runs in C when the native decode library loads
+(:func:`repro.kernels.native`): a plain raster scan, because C order visits
+every left, top and back neighbour (and their diagonals) before the point
+itself.  The numpy fallback, also the reference the tests compare against,
+walks anti-diagonal wavefronts so each Python iteration recovers a whole
+diagonal (1-D variants walk lines; the 3-D variant walks i+j+k wavefronts).
 """
 from __future__ import annotations
 
@@ -24,6 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .. import kernels
 from ..obs import span
 from .conditions import compensation
 from .config import QPConfig
@@ -168,14 +173,66 @@ def qp_inverse_multi(
 
 # -- inverse kernels ---------------------------------------------------------
 
+_NATIVE_CONDITIONS = {"II": 2, "III": 3, "IV": 4}
+_INT64 = np.iinfo(np.int64)
+
+
+def _native_lib(dtype: np.dtype, sentinel: int):
+    """The C library when it is loaded and can walk this input, else None."""
+    lib = kernels.native()
+    if lib is None or dtype != np.int64 or not _INT64.min <= sentinel <= _INT64.max:
+        return None
+    return lib
+
+
+def _prod(dims) -> int:
+    return int(np.prod(dims, dtype=np.int64))
+
+
+def _walk_native(lib, q: np.ndarray, sentinel: int, cond: str, dim: str) -> np.ndarray:
+    """Invert ``q`` in place with the C walk for ``dim`` and return it.
+
+    ``q`` must be a private C-contiguous int64 array.  The kernels index
+    only by loop counters over the shape passed here, so values from an
+    untrusted stream never steer memory access.  3d walks the last three
+    axes; callers move the back axis there first.
+    """
+    if q.dtype != np.int64 or not q.flags.c_contiguous:
+        raise ValueError("native QP walk needs a C-contiguous int64 array")
+    shape = q.shape
+    if dim == "2d":
+        lib.repro_qp_inverse_2d(
+            q.ctypes.data, _prod(shape[:-2]), *shape[-2:],
+            _NATIVE_CONDITIONS[cond], sentinel,
+        )
+    elif dim == "3d":
+        lib.repro_qp_inverse_3d(
+            q.ctypes.data, _prod(shape[:-3]), *shape[-3:],
+            _NATIVE_CONDITIONS[cond], sentinel,
+        )
+    else:  # 1-D: Cases II-IV coincide (see decode.c)
+        axis = _axis_1d(dim, q.ndim)
+        lib.repro_qp_inverse_1d(
+            q.ctypes.data, _prod(shape[:axis]), shape[axis],
+            _prod(shape[axis + 1:]), sentinel,
+        )
+    return q
+
+
+def _axis_1d(dim: str, ndim: int) -> int:
+    return {"1d-back": 0, "1d-top": ndim - 2, "1d-left": ndim - 1}[dim]
+
 
 def _inverse_1d(qp: np.ndarray, sentinel: int, cond: str, dim: str) -> np.ndarray:
-    axis = {"1d-back": 0, "1d-top": qp.ndim - 2, "1d-left": qp.ndim - 1}[dim]
+    axis = _axis_1d(dim, qp.ndim)
     if cond == "I":
         # Unconditional 1-D Lorenzo is a first difference along ``axis``; its
         # inverse is a prefix sum — O(N) fully vectorized, no line walk
         # (same fast path _inverse_2d has for the separable 2-D case).
         return np.cumsum(qp, axis=axis)
+    lib = _native_lib(qp.dtype, sentinel)
+    if lib is not None:
+        return _walk_native(lib, np.array(qp, order="C"), sentinel, cond, dim)
     q = np.moveaxis(qp.copy(), axis, -1)  # view into the copy; scan last axis
     n = q.shape[-1]
     zeros = np.zeros(q.shape[:-1], dtype=q.dtype)
@@ -234,6 +291,9 @@ def _inverse_2d(qp: np.ndarray, sentinel: int, cond: str) -> np.ndarray:
         # computational overhead for the unconditional case.)
         q = np.cumsum(qp, axis=-1)
         return np.cumsum(q, axis=-2)
+    lib = _native_lib(qp.dtype, sentinel)
+    if lib is not None:
+        return _walk_native(lib, np.array(qp, order="C"), sentinel, cond, "2d")
     shape = qp.shape
     na, nb = shape[-2], shape[-1]
     batch = int(np.prod(shape[:-2], dtype=np.int64)) if qp.ndim > 2 else 1
@@ -281,6 +341,9 @@ def _inverse_2d_multi(
     if cond == "I":
         q = np.cumsum(np.stack(parts), axis=-1)
         return np.cumsum(q, axis=-2)
+    lib = _native_lib(np.result_type(*parts), sentinel)
+    if lib is not None:
+        return _walk_native(lib, np.stack(parts), sentinel, cond, "2d")
     na, nb = shape[-2], shape[-1]
     b = int(np.prod(shape[:-2], dtype=np.int64)) if len(shape) > 2 else 1
     diags, interior = _diag_indices_2d(na, nb)
@@ -338,18 +401,25 @@ def _inverse_3d(qp: np.ndarray, sentinel: int, cond: str) -> np.ndarray:
         raise ValueError("3d QP requires a rank >= 3 pass array")
     if cond == "I":
         # The unconditional 3-D Lorenzo difference is separable too: its
-        # inverse is one prefix sum per axis.
+        # inverse is one prefix sum per axis (back, top, left).
         q = np.cumsum(qp, axis=-1)
         q = np.cumsum(q, axis=-2)
-        return np.cumsum(q, axis=-3)
-    shape = qp.shape
+        return np.cumsum(q, axis=0)
+    # back is axis 0 (``_plane_axes``): the walks run over the last three
+    # axes, so move it beside the plane and batch any axes in between
+    moved = np.moveaxis(qp, 0, -3)
+    lib = _native_lib(qp.dtype, sentinel)
+    if lib is not None:
+        q = _walk_native(lib, np.array(moved, order="C"), sentinel, cond, "3d")
+        return np.moveaxis(q, -3, 0)
+    shape = moved.shape
     na, nb, nc = shape[-3], shape[-2], shape[-1]
     batch = int(np.prod(shape[:-3], dtype=np.int64)) if qp.ndim > 3 else 1
     diags, interior = _diag_indices_3d(na, nb, nc)
     q = np.zeros((batch, (na + 1) * (nb + 1) * (nc + 1)), dtype=qp.dtype)
-    q[:, interior] = qp.reshape(batch, na * nb * nc)
+    q[:, interior] = moved.reshape(batch, na * nb * nc)
     _walk_3d(q, diags, sentinel, cond)
-    return q[:, interior].reshape(shape)
+    return np.moveaxis(q[:, interior].reshape(shape), -3, 0)
 
 
 def _walk_3d(q, diags, sentinel: int, cond: str) -> None:
@@ -396,6 +466,9 @@ def _inverse_3d_multi(
         q = np.cumsum(np.stack(parts), axis=-1)
         q = np.cumsum(q, axis=-2)
         return np.cumsum(q, axis=-3)
+    lib = _native_lib(np.result_type(*parts), sentinel)
+    if lib is not None:
+        return _walk_native(lib, np.stack(parts), sentinel, cond, "3d")
     na, nb, nc = shape[-3], shape[-2], shape[-1]
     diags, interior = _diag_indices_3d(na, nb, nc)
     q = np.zeros((len(parts), (na + 1) * (nb + 1) * (nc + 1)), dtype=parts[0].dtype)

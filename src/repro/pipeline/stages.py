@@ -379,8 +379,9 @@ class HuffmanEncode:
 
     @staticmethod
     def decode_many(payloads: "list[bytes]") -> "list[np.ndarray]":
-        """Joint lockstep decode: one Python-level block loop for the
-        whole batch (headers carry each stream's own block size)."""
+        """Batched decode (headers carry each stream's own block size): the
+        C block decoder per stream, or on the numpy path one joint
+        lockstep loop for the whole batch."""
         return HuffmanCodec().decode_many(payloads)
 
 

@@ -49,3 +49,12 @@ def field_2d():
     n = 64
     x, y = np.meshgrid(np.linspace(0, 1, n), np.linspace(0, 1, n), indexing="ij")
     return (np.sin(5 * np.pi * x) * np.cos(3 * np.pi * y)).astype(np.float32)
+
+
+@pytest.fixture()
+def numpy_path(monkeypatch):
+    """Run the test on the numpy decode loops even where the native library
+    loads: swaps the loader's cached handle for the "did not load" value."""
+    from repro import kernels
+
+    monkeypatch.setattr(kernels, "_lib", None)

@@ -1,0 +1,13 @@
+"""Re-run the decode suites on the numpy fallback.
+
+Each module here star-imports one suite, so pytest collects its tests a
+second time under this directory, where the autouse fixture below forces
+the numpy path.  The suites themselves run on whichever path loads (the
+native library where a C compiler exists), so together they cover both.
+"""
+import pytest
+
+
+@pytest.fixture(autouse=True)
+def _force_numpy_path(numpy_path):
+    """Every test in this directory decodes with the numpy loops."""

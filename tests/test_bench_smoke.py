@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from repro import kernels
+
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
@@ -43,10 +45,7 @@ def test_report_envelope(report):
     assert report["has_stage_profiler"] is True
     assert report["rel_error_bound"] == 1e-3
     assert isinstance(report["python"], str) and isinstance(report["numpy"], str)
-    assert report["kernel_backends"] == {
-        stage: "numpy"
-        for stage in ("adaptive_quantize", "huffman", "interp", "lorenzo", "qp")
-    }
+    assert report["kernel_backends"] == kernels.active_backends()
     assert isinstance(report["has_rss_sampler"], bool)
     assert "stream_summary" in report
 
@@ -136,10 +135,14 @@ def test_compare_identical_reports_passes(bench_mod, report_path):
 
 def test_compare_flags_injected_regression(bench_mod, report_path, report, tmp_path):
     # slow one row's end-to-end decompress and one of its decode stages by
-    # 50% -- the gate must exit nonzero at the default 10% threshold
+    # 50% -- the gate must exit nonzero at the default 10% threshold.  The
+    # slowest profiled row is the one that clears the gate's 1 ms noise
+    # floor (smoke rows can decompress faster than that).
     slow = json.loads(json.dumps(report))
-    row = slow["results"][0]
-    row["decompress_s"] = max(row["decompress_s"], 1e-3) * 1.5
+    row = max((r for r in slow["results"] if "stages" in r),
+              key=lambda r: r["decompress_s"])
+    assert row["decompress_s"] >= 1e-3
+    row["decompress_s"] *= 1.5
     stages = row["stages"]["decompress"]["stages"]
     for st in stages.values():
         st["seconds"] = max(st["seconds"], 1e-3) * 1.5

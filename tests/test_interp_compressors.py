@@ -87,6 +87,21 @@ def test_1d_data():
     assert maxerr(out, data) <= EB * (1 + 1e-9)
 
 
+@pytest.mark.parametrize("cls", ALL)
+def test_3d_qp_on_4d_data(cls):
+    # 3d QP takes back along axis 0 of a pass array; on rank-4 passes the
+    # inverse must walk that same axis or decode leaves the error bound
+    rng = np.random.default_rng(0)
+    shape = (6, 8, 10, 12)
+    coords = np.meshgrid(*(np.linspace(0, 2, s) for s in shape), indexing="ij")
+    data = (sum(np.sin(3 * c) for c in coords)
+            + 0.05 * rng.standard_normal(shape)).astype(np.float32)
+    kwargs = {"predictor": "interp"} if cls is SZ3 else {}
+    c = cls(EB, qp=QPConfig(dimension="3d"), **kwargs)
+    out = c.decompress(c.compress(data))
+    assert maxerr(out, data) <= EB * (1 + 1e-9)
+
+
 @pytest.mark.parametrize("shape", [(7, 9, 11), (33, 5, 17), (16, 16, 16)])
 def test_awkward_shapes(shape):
     rng = np.random.default_rng(0)

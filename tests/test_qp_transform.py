@@ -48,10 +48,16 @@ def test_roundtrip_1d_pass(dimension):
 
 
 def test_roundtrip_4d_pass():
-    q = sample_indices((3, 4, 5, 6), seed=3)
-    cfg = QPConfig(dimension="2d", condition="III")
-    qp = qp_forward(q, SENTINEL, cfg, level=1)
-    assert np.array_equal(qp_inverse(qp, SENTINEL, cfg, level=1), q)
+    # ranks 4 and 5: back is axis 0 and the plane the last two axes, so the
+    # axes in between are batch axes the inverse must keep apart
+    for shape in ((3, 4, 5, 6), (3, 2, 4, 5, 3)):
+        q = sample_indices(shape, seed=3)
+        for dimension in QP_DIMENSIONS:
+            for condition in QP_CONDITIONS:
+                cfg = QPConfig(dimension=dimension, condition=condition)
+                qp = qp_forward(q, SENTINEL, cfg, level=1)
+                back = qp_inverse(qp, SENTINEL, cfg, level=1)
+                assert np.array_equal(back, q), (shape, dimension, condition)
 
 
 def test_level_gating():

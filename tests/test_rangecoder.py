@@ -200,3 +200,19 @@ def test_range_blob_corruption_through_compressor(field3d):
     )
     untyped = [r for r in results if r.outcome == "untyped"]
     assert not untyped, [f"{r.injector}/seed={r.seed}: {r.detail}" for r in untyped]
+
+
+@pytest.mark.faults
+def test_fuzz_replay_splice_seed_394537_is_typed(codec):
+    # replays `tools/fuzz_smoke.py --seed 3`: target entropy-range, splice
+    # injector, seed 394537 (its symbols come from the script's seeded rng).
+    # The splice leaves a unary length prefix past 64 bits, which no int64
+    # zigzag magnitude has; decoding must fail typed, not overflow.
+    from repro.testing import INJECTORS
+
+    rng = np.random.default_rng(3)
+    rng.standard_normal((12, 11, 10))
+    symbols = rng.integers(0, 40, size=3000).astype(np.int64)
+    corrupted = INJECTORS["splice"](codec.encode(symbols), seed=394537)
+    with pytest.raises(CorruptBlobError, match="longer than 64 bits"):
+        codec.decode(corrupted)

@@ -9,6 +9,11 @@ an untyped exception or a per-decode deadline overrun is a violation and
 makes the script exit nonzero, printing the (target, injector, seed) triple
 so the failure replays exactly.
 
+Where the native decode library loads, every input is decoded twice: by
+the C kernels and by the numpy loops (forced by swapping the loader's
+handle, as the tests do).  Both must succeed with identical output, or
+both must raise a typed error; anything else is a violation too.
+
 Usage::
 
     PYTHONPATH=src python tools/fuzz_smoke.py [--seconds 30] [--seed 0]
@@ -22,6 +27,7 @@ import time
 
 import numpy as np
 
+from repro import kernels
 from repro.codecs import fixed as fixed_codec
 from repro.codecs import lossless
 from repro.compressors import decompress_any, get_compressor, supports_qp
@@ -94,6 +100,36 @@ def _build_targets(seed: int):
     return targets
 
 
+def _decode(decode, data: bytes) -> tuple:
+    """(outcome, detail, seconds): outcome is "ok" (detail is the output),
+    "typed" (the error class) or "untyped" (the error text)."""
+    t0 = time.perf_counter()
+    try:
+        result = ("ok", decode(data))
+    except ReproError as exc:
+        result = ("typed", type(exc))
+    except Exception as exc:  # noqa: BLE001 - violation report
+        result = ("untyped", f"{type(exc).__name__}: {exc}")
+    return (*result, time.perf_counter() - t0)
+
+
+def _on_numpy(decode, data: bytes) -> tuple:
+    """:func:`_decode` with the numpy loops in place of the C kernels."""
+    saved = kernels._lib
+    kernels._lib = None
+    try:
+        return _decode(decode, data)
+    finally:
+        kernels._lib = saved
+
+
+def _same_output(a, b) -> bool:
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+                and a.dtype == b.dtype and np.array_equal(a, b))
+    return a == b
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seconds", type=float, default=30.0)
@@ -101,6 +137,8 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
 
     targets = _build_targets(args.seed)
+    native = kernels.native() is not None
+    paths = ("c", "numpy") if native else ("numpy",)
     violations = []
     cells = 0
     t_end = time.monotonic() + args.seconds
@@ -116,22 +154,30 @@ def main(argv: list[str] | None = None) -> int:
                 if corrupted == pristine:
                     continue
                 cells += 1
-                t0 = time.perf_counter()
-                try:
-                    decode(corrupted)
-                except ReproError:
-                    pass  # the contract
-                except Exception as exc:  # noqa: BLE001 - violation report
-                    violations.append(
-                        (label, kind, seed, f"{type(exc).__name__}: {exc}")
+                runs = [_decode(decode, corrupted)]
+                if native:
+                    runs.append(_on_numpy(decode, corrupted))
+                for path, (outcome, detail, elapsed) in zip(paths, runs):
+                    where = f"[{path}] " if native else ""
+                    if outcome == "untyped":
+                        violations.append((label, kind, seed, where + detail))
+                    if elapsed > DEADLINE_S:
+                        violations.append(
+                            (label, kind, seed, f"{where}deadline: {elapsed:.1f}s")
+                        )
+                if native:
+                    (c_out, c_detail, _), (np_out, np_detail, _) = runs
+                    agree = c_out == np_out and (
+                        c_out != "ok" or _same_output(c_detail, np_detail)
                     )
-                elapsed = time.perf_counter() - t0
-                if elapsed > DEADLINE_S:
-                    violations.append(
-                        (label, kind, seed, f"deadline: {elapsed:.1f}s")
-                    )
+                    if not agree and "untyped" not in (c_out, np_out):
+                        violations.append((
+                            label, kind, seed,
+                            f"paths disagree: c {c_out}, numpy {np_out}",
+                        ))
     print(f"fuzz smoke: {cells} corrupted decodes across "
-          f"{len(targets)} targets, {len(violations)} violations")
+          f"{len(targets)} targets on the {' and '.join(paths)} decode "
+          f"path{'s' if native else ''}, {len(violations)} violations")
     for label, kind, seed, detail in violations:
         print(f"  VIOLATION {label} {kind} seed={seed}: {detail}")
     return 1 if violations else 0
