@@ -6,7 +6,14 @@ from conftest import write_result
 import repro
 from repro.analysis import format_table
 from repro.core import QPConfig
-from repro.core.autotune import autotune_qp
+from repro.core.autotune import autotune
+
+#: every non-QP knob pinned to what ``SZ3(eb, predictor="interp")`` runs,
+#: so the joint tuner searches only the QP config
+SZ3_INTERP_KNOBS = {
+    "interp": "auto", "structure": "sequential", "axis_order": None,
+    "alpha": 1.0, "beta": 1.0, "adaptive_bits": 0,
+}
 
 
 def test_ablation_qp_autotune(benchmark, bench_field):
@@ -18,7 +25,7 @@ def test_ablation_qp_autotune(benchmark, bench_field):
                         ("s3d", "pressure")):
             data = bench_field(ds, fld)
             eb = 1e-4 * float(data.max() - data.min())
-            tuned_cfg = autotune_qp(data, eb)
+            tuned_cfg = autotune(data, eb, fixed=SZ3_INTERP_KNOBS).qp_config()
             sizes = {
                 "off": len(repro.SZ3(eb, predictor="interp").compress(data)),
                 "fixed": len(

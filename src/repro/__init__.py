@@ -57,7 +57,6 @@ from .core import (
     shannon_entropy,
     slice_entropy,
 )
-from .core.autotune import autotune_qp
 from .datasets import DATASETS, generate, generate_all, table3_rows
 from .errors import (
     CorruptArchiveError,

@@ -220,10 +220,14 @@ def compress_volume(
 
     ``level_stats``, when a list, collects one dict per pass in schedule
     order — ``{"level", "indices", "literals", "max_residual"}`` — where
-    ``max_residual`` is the largest |original - prediction| of the pass in
-    float64.  The progressive compressor uses these to split the streams
-    at level boundaries and to derive per-level achievable error bounds;
-    the wire bytes are unaffected.
+    ``indices`` is the pass's index array before the index transforms,
+    interpolation axis first (the layout the transforms see),
+    ``literals`` the pass's literal count, and ``max_residual`` the largest
+    |original - prediction| of the pass in float64.  The progressive
+    compressor uses these to split the streams at level boundaries and to
+    derive per-level achievable error bounds; the auto-tuner re-scores
+    index transforms on ``indices`` without another engine run.  The wire
+    bytes are unaffected.
     """
     arr = data.copy()
     shape = arr.shape
@@ -267,21 +271,18 @@ def compress_volume(
             target_view = arr[p.target]
             with stage("quantize"):
                 res = quantize.forward(ctx, (target_view, pred))
+            q_out = np.moveaxis(res.indices, p.axis, 0)
             if level_stats is not None:
                 # measured before the overwrite below: target_view still
                 # holds the working values the prediction was scored against
-                diff = np.abs(
-                    target_view.astype(np.float64)
-                    - np.asarray(pred, dtype=np.float64)
-                )
+                diff = np.abs(np.subtract(target_view, pred, dtype=np.float64))
                 level_stats.append({
                     "level": level,
-                    "indices": int(res.indices.size),
+                    "indices": q_out,
                     "literals": int(res.literals.size),
                     "max_residual": float(diff.max()) if diff.size else 0.0,
                 })
             target_view[...] = res.decoded  # future passes see decoded values
-            q_out = np.moveaxis(res.indices, p.axis, 0)
             for t in transforms:
                 q_out = t.forward(ctx, q_out)
             streams.append(np.ascontiguousarray(q_out).ravel())
@@ -365,11 +366,7 @@ def decompress_volume(
             continue
         ctx.method = methods[level]
         for p in passes:
-            psize = pass_sizes(shape, p)
-            count = int(np.prod(psize))
-            moved_shape = tuple(
-                psize[a] for a in _moved_axes(len(shape), p.axis)
-            )
+            moved_shape, count = _stream_layout(shape, p)
             q = index_stream[spos:spos + count].reshape(moved_shape)
             spos += count
             for t in reversed(transforms):
@@ -416,10 +413,14 @@ def predict_fill(
     return arr
 
 
-def _moved_axes(ndim: int, primary: int) -> list[int]:
-    axes = list(range(ndim))
-    axes.remove(primary)
-    return [primary] + axes
+def _stream_layout(
+    shape: tuple[int, ...], p: Pass | MDPass
+) -> tuple[tuple[int, ...], int]:
+    """Shape and size of pass ``p``'s index array as it sits in the stream:
+    interpolation axis first, the other axes in order (``compress_volume``
+    moves it so before the index transforms)."""
+    size = pass_sizes(shape, p)
+    return (size[p.axis],) + size[:p.axis] + size[p.axis + 1:], int(np.prod(size))
 
 
 # -- batched decompression ---------------------------------------------------
@@ -532,11 +533,7 @@ def decompress_volumes(
             level_methods = [m[level] for m in methods_list]
             method = level_methods[0] if len(set(level_methods)) == 1 else None
             for p in passes:
-                psize = pass_sizes(shape, p)
-                count = int(np.prod(psize))
-                moved_shape = tuple(
-                    psize[a] for a in _moved_axes(ndim, p.axis)
-                )
+                moved_shape, count = _stream_layout(shape, p)
                 q_views = []
                 for i, it in enumerate(items):
                     q_views.append(
@@ -581,11 +578,7 @@ def decompress_volumes(
         if not passes:
             continue
         for p in passes:
-            psize = pass_sizes(shape, p)
-            count = int(np.prod(psize))
-            moved_shape = tuple(
-                psize[a] for a in _moved_axes(len(shape), p.axis)
-            )
+            moved_shape, count = _stream_layout(shape, p)
             q_outs = []
             for i, it in enumerate(items):
                 q_outs.append(it[1][spos[i]:spos[i] + count].reshape(moved_shape))

@@ -179,11 +179,6 @@ class SZ3Progressive(SZ3):
             adaptive=adaptive,
         )
 
-    def _tuned_for(self, data: np.ndarray) -> "SZ3Progressive":
-        tuned = super()._tuned_for(data)
-        tuned.predictor = "interp"  # the tuner may not unpin the frontend
-        return tuned
-
     # -- compression --------------------------------------------------------
 
     def _compress(
@@ -206,7 +201,7 @@ class SZ3Progressive(SZ3):
         end = len(sections["anchors"])
         spos = lpos = 0
         for lvl in order:
-            n_idx = sum(s["indices"] for s in stats if s["level"] == lvl)
+            n_idx = sum(s["indices"].size for s in stats if s["level"] == lvl)
             n_lit = sum(s["literals"] for s in stats if s["level"] == lvl)
             idx_sec = encode_index_stream(
                 stream[spos:spos + n_idx], self.lossless_backend,

@@ -11,16 +11,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.autotune import score_run
 from ..core.config import AdaptiveConfig, QPConfig
-from .interp_engine import EngineConfig, compress_volume, level_error_bounds
+from .interp_engine import EngineConfig, level_error_bounds
 from .sz3 import SZ3, _center_sample
 
 __all__ = ["QoZ"]
 
 _ALPHA_CANDIDATES = (1.0, 1.25, 1.5, 2.0)
 _BETA_CANDIDATES = (1.5, 2.0, 3.0, 4.0)
-# equal-slope rate-distortion weight: ~6.02 dB of PSNR per bit/point
-_RD_SLOPE = 6.02
 
 
 class QoZ(SZ3):
@@ -97,7 +96,8 @@ def tune_level_eb(
 ) -> tuple[float, float]:
     """Pick (alpha, beta) maximizing ``psnr - 6.02 * bits_per_point`` on a
     central sample (QoZ's quality-metric-oriented auto-tuner, also inherited
-    by HPEZ)."""
+    by HPEZ), scored by the joint tuner's
+    :func:`~repro.core.autotune.score_run`."""
     if alpha != "auto" and beta != "auto":
         return float(alpha), float(beta)
     alphas = _ALPHA_CANDIDATES if alpha == "auto" else (float(alpha),)
@@ -116,17 +116,7 @@ def tune_level_eb(
                 level_eb_factors=level_error_bounds(error_bound, levels, a, b),
                 qp=QPConfig.disabled(),
             )
-            from ..core.characterize import shannon_entropy
-            from ..metrics.errors import psnr_estimate
-            from .base import CompressionState
-
-            st = CompressionState()
-            _, stream, literals, _ = compress_volume(sample, cfg, st)
-            bpp = (
-                shannon_entropy(stream) * stream.size + 32.0 * literals.size
-            ) / sample.size
-            psnr = psnr_estimate(sample, st.extras["decoded"], value_range)
-            score = psnr - _RD_SLOPE * bpp
+            score = score_run(sample, cfg, value_range)[0]
             if score > best_score:
                 best, best_score = (a, b), score
     return best

@@ -60,7 +60,7 @@ class TTHRESH(Compressor):
     name = "tthresh"
     traits = {"speed": "low", "ratio": "high", "transform": True}
 
-    def __init__(self, error_bound: float, lossless_backend: str = "zlib", **_: Any) -> None:
+    def __init__(self, error_bound: float, lossless_backend: str = "zlib") -> None:
         super().__init__(error_bound, lossless_backend)
 
     def _compress(

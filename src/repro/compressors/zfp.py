@@ -47,7 +47,7 @@ class ZFP(Compressor):
     name = "zfp"
     traits = {"speed": "very high", "ratio": "low", "transform": True}
 
-    def __init__(self, error_bound: float, lossless_backend: str = "zlib", **_: Any) -> None:
+    def __init__(self, error_bound: float, lossless_backend: str = "zlib") -> None:
         super().__init__(error_bound, lossless_backend)
 
     # -- compression -------------------------------------------------------

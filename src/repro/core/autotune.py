@@ -1,20 +1,23 @@
-"""Sampling-based auto-tuning: QP configs and the joint compressor tuner.
+"""The joint sampling auto-tuner and the RD scorer it shares with QoZ.
 
 The paper fixes QP's best configuration offline (2-D, Case III, levels 1-2)
-by exploring Figures 7-9 once.  :func:`autotune_qp` makes that exploration
-*online* and per-field: candidate configs are scored on a sampled sub-volume
-by the entropy reduction they achieve on the actual index arrays, and the
-winner is returned — including the option of disabling QP where it would
-hurt (the paper's Hurricane/HPEZ cases).
+by exploring Figures 7-9 once.  :func:`autotune` makes that choice online
+and per field, together with the engine knobs around it — the HPEZ-style
+joint sampling tuner (arXiv:2311.12133).  It compresses a few strided
+blocks of the dataset and runs a coordinate-descent search over
+interpolation method, axis order, per-level error-bound scaling (QoZ's
+alpha/beta), the adaptive-quantizer ``adaptive_bits``, and the QP config,
+including the option of disabling QP where it would hurt (the paper's
+Hurricane/HPEZ cases).  Every trial is scored by :func:`score_run`, the
+rate–distortion objective QoZ uses (``psnr - 6.02 * bits_per_point``),
+which QoZ's own alpha/beta tuner calls too.
 
-:func:`autotune` generalizes this into the HPEZ-style joint sampling tuner
-(arXiv:2311.12133): it compresses a few strided blocks of the dataset and
-runs a coordinate-descent search over interpolation method, axis order,
-per-level error-bound scaling (QoZ's alpha/beta), the adaptive-quantizer
-``adaptive_bits``, and the QP config, scoring every trial with the same
-rate–distortion objective QoZ uses (``psnr - 6.02 * bits_per_point``).
-The winner is returned as a :class:`TuningDecision`; compressors apply it
-via their ``auto=True`` compress knob.
+QP is lossless on the quantization indices, so a QP candidate changes
+neither the decoded values nor the literals: the QP step scores each
+candidate by running the QP stage over the incumbent trial's per-pass
+index arrays (the engine's ``level_stats`` view) instead of compressing
+the blocks again.  The winner is returned as a :class:`TuningDecision`;
+compressors apply it via their ``auto=True`` compress knob.
 """
 from __future__ import annotations
 
@@ -28,8 +31,9 @@ from ..obs import metric_count, span as obs_span
 
 __all__ = [
     "autotune",
-    "autotune_qp",
+    "score_run",
     "sample_blocks",
+    "BlockRun",
     "TuningDecision",
     "DEFAULT_CANDIDATES",
 ]
@@ -44,66 +48,62 @@ DEFAULT_CANDIDATES: tuple[QPConfig, ...] = (
 )
 
 
-def autotune_qp(
-    data: np.ndarray,
-    error_bound: float,
-    candidates: tuple[QPConfig, ...] = DEFAULT_CANDIDATES,
-    sample_side: int = 48,
-    radius: int = 32768,
-) -> QPConfig:
-    """Pick the candidate QP config with the lowest estimated coded size on
-    a central sample of ``data`` (compressed with the plain engine).
+# -- the RD scorer ------------------------------------------------------------
 
-    The score is the Shannon entropy of the QP-transformed index stream —
-    the quantity QP minimizes by design (Section V-A) — so one engine run
-    produces the index arrays and every candidate is scored by pure integer
-    transforms on them.
+# the RD slope QoZ's tuner uses: ~6.02 dB of PSNR per bit/point
+_RD_SLOPE = 6.02
+
+
+@dataclass(frozen=True)
+class BlockRun:
+    """What the RD score needs of one engine run over one block besides
+    its index stream, so the stream can be re-scored on its own."""
+
+    psnr: float
+    n_literals: int
+    n_points: int
+
+    def score(self, stream: np.ndarray) -> float:
+        """``psnr - 6.02 * bpp``, with bits from the index-stream entropy
+        plus a 32-bit penalty per literal."""
+        bits = shannon_entropy(stream) * stream.size + 32.0 * self.n_literals
+        return self.psnr - _RD_SLOPE * (bits / self.n_points)
+
+
+def score_run(
+    block: np.ndarray,
+    cfg,
+    value_range: float,
+    level_stats: "list[dict] | None" = None,
+):
+    """Compress ``block`` with engine config ``cfg`` and score the result.
+
+    Returns ``(score, run)``: the RD score and the :class:`BlockRun` it
+    came from.  PSNR is measured
+    against ``value_range`` (:func:`autotune` passes the whole field's
+    range, not the block's).  An exactly reconstructed block (a flat land
+    mask, a saturated plateau) scores as an error at the dtype's
+    resolution, ``-20 log10(eps)`` (138 dB for float32), not as ``+inf``,
+    which would tie every trial.  ``level_stats`` is passed through to
+    :func:`~repro.compressors.interp_engine.compress_volume`.
     """
-    from ..compressors.interp_engine import EngineConfig, compress_volume
-    from ..compressors.sz3 import _center_sample
-    from ..core.qp import qp_forward
-    from ..utils.levels import level_passes, num_levels, pass_sizes
+    from ..compressors.base import CompressionState
+    from ..compressors.interp_engine import compress_volume
+    from ..metrics.errors import mse
 
-    sample = _center_sample(data, sample_side)
-    cfg = EngineConfig(error_bound=error_bound, radius=radius)
-    _, stream, _, _ = compress_volume(sample, cfg)
-
-    # rebuild the per-pass structure of the stream to re-apply each candidate
-    shape = sample.shape
-    sentinel = -radius
-    passes = []
-    pos = 0
-    for level in range(num_levels(shape), 0, -1):
-        for p in level_passes(shape, level):
-            psize = pass_sizes(shape, p)
-            n = int(np.prod(psize))
-            moved = [psize[a] for a in _moved_axes(len(shape), p.axis)]
-            passes.append((level, stream[pos:pos + n].reshape(moved)))
-            pos += n
-
-    best_cfg, best_bits = candidates[0], np.inf
-    for cand in candidates:
-        parts = [
-            np.ascontiguousarray(qp_forward(q, sentinel, cand, level)).ravel()
-            for level, q in passes
-        ]
-        merged = np.concatenate(parts) if parts else np.empty(0, np.int64)
-        bits = shannon_entropy(merged) * max(merged.size, 1)
-        if bits < best_bits:
-            best_cfg, best_bits = cand, bits
-    return best_cfg
-
-
-def _moved_axes(ndim: int, primary: int) -> list[int]:
-    axes = list(range(ndim))
-    axes.remove(primary)
-    return [primary] + axes
+    st = CompressionState()
+    _, stream, literals, _ = compress_volume(block, cfg, st, level_stats)
+    err = mse(block, st.extras["decoded"])
+    if err:
+        psnr = 20.0 * np.log10(value_range / np.sqrt(err))
+    else:
+        psnr = -20.0 * np.log10(np.finfo(block.dtype).eps)
+    run = BlockRun(psnr, literals.size, block.size)
+    return run.score(stream), run
 
 
 # -- joint sampling tuner -----------------------------------------------------
 
-# the RD slope QoZ's tuner uses: ~6.02 dB of PSNR per bit/point
-_RD_SLOPE = 6.02
 #: coordinate-descent grids (kept small: the tuner's cost model is
 #: ``trials x blocks`` engine runs over ``block_side**ndim`` points)
 _INTERP_GRID = ("linear", "cubic")
@@ -207,20 +207,18 @@ def autotune(
 ) -> TuningDecision:
     """Jointly tune interp / axis order / per-level eb / adaptive_bits / QP.
 
-    Coordinate descent over one knob at a time, each trial a full engine
-    compression of every sample block scored by ``psnr - 6.02 * bpp``
-    (bits from the index-stream entropy plus a 32-bit literal penalty).
-    ``fixed`` pins knobs a compressor does not expose — e.g. MGARD pins
-    ``{"interp": "linear", "structure": "multidim", "level_eb_factors":
-    <its allocation>}`` and only QP + adaptivity are searched.
+    Coordinate descent over one knob at a time.  Each trial compresses
+    every sample block with the engine and sums the blocks'
+    :func:`score_run` scores — except in the QP step, which scores each
+    candidate by running the QP stage over the incumbent's per-pass index
+    arrays: that gives the index stream, and so the score, a full engine
+    run with the candidate would.  ``fixed`` pins knobs a compressor does
+    not expose — e.g. MGARD pins ``{"interp": "linear", "structure":
+    "multidim", "level_eb_factors": <its allocation>}`` and only QP +
+    adaptivity are searched.
     """
-    from ..compressors.base import CompressionState
-    from ..compressors.interp_engine import (
-        EngineConfig,
-        compress_volume,
-        level_error_bounds,
-    )
-    from ..metrics.errors import psnr_estimate
+    from ..compressors.interp_engine import EngineConfig, level_error_bounds
+    from ..pipeline.stages import QPTransform, StageContext
     from ..utils.levels import num_levels
 
     fixed = dict(fixed or {})
@@ -239,13 +237,15 @@ def autotune(
         "qp": fixed.get("qp", QPConfig.disabled()),
     }
 
-    def _trial(params: dict) -> tuple[float, float]:
-        """RD score of one parameter set over all blocks, plus the fraction
-        of points the adaptive quantizer tightened."""
+    def _trial(params: dict) -> tuple[float, float, list]:
+        """Engine run of one parameter set over all blocks: the RD score,
+        the fraction of points the adaptive quantizer tightened, and each
+        block's :class:`BlockRun` with its ``(level, indices)`` passes."""
         metric_count("autotune.trials")
         score = 0.0
         adaptive_pts = 0
         total_pts = 0
+        view = []
         bits = int(params["adaptive_bits"])
         for block in blocks:
             levels = num_levels(block.shape)
@@ -268,62 +268,70 @@ def autotune(
                     if bits else None
                 ),
             )
-            st = CompressionState()
-            _, stream, literals, _ = compress_volume(block, cfg, st)
-            bpp = (
-                shannon_entropy(stream) * stream.size + 32.0 * literals.size
-            ) / block.size
-            psnr = psnr_estimate(block, st.extras["decoded"], value_range)
-            score += psnr - _RD_SLOPE * bpp
+            stats: list[dict] = []
+            block_score, run = score_run(block, cfg, value_range, stats)
+            score += block_score
+            passes = [(s["level"], s["indices"]) for s in stats]
+            view.append((run, passes))
             if bits:
-                idx = st.index_volume
-                adaptive_pts += int(np.count_nonzero(
-                    (np.abs(idx) >= adaptive_threshold) & (idx != -radius)
-                ))
+                adaptive_pts += sum(
+                    int(np.count_nonzero(
+                        (np.abs(q) >= adaptive_threshold) & (q != -radius)
+                    ))
+                    for _, q in passes
+                )
             total_pts += block.size
-        return score, (adaptive_pts / total_pts if total_pts else 0.0)
+        return score, (adaptive_pts / total_pts if total_pts else 0.0), view
+
+    def _qp_trial(params: dict) -> tuple[float, float, list]:
+        """Score ``params["qp"]`` on the incumbent's view: QP is lossless
+        on the indices, so PSNR, literals and the adaptive fraction stay
+        the incumbent's and only the index stream changes."""
+        metric_count("autotune.trials")
+        transform = QPTransform(params["qp"])
+        ctx = StageContext(sentinel=-radius)
+        score = 0.0
+        for run, passes in best_view:
+            parts = [np.empty(0, dtype=np.int64)]  # a block may have no passes
+            for level, q in passes:
+                ctx.level = level
+                parts.append(transform.forward(ctx, q).ravel())
+            score += run.score(np.concatenate(parts))
+        return score, best_fraction, best_view
 
     with obs_span("autotune"):
-        best_score, best_fraction = _trial(current)
+        best_score, best_fraction, best_view = _trial(current)
 
-        def _descend(key: str, candidates) -> None:
-            nonlocal best_score, best_fraction
-            for cand in candidates:
-                if cand == current[key]:
+        def _descend(steps, trial=_trial) -> None:
+            """Try each step (a dict of knob values) against the incumbent
+            in turn; a step that scores higher becomes the incumbent."""
+            nonlocal best_score, best_fraction, best_view
+            for step in steps:
+                if all(current[k] == v for k, v in step.items()):
                     continue
-                trial = dict(current)
-                trial[key] = cand
-                score, fraction = _trial(trial)
+                score, fraction, view = trial({**current, **step})
                 if score > best_score:
-                    best_score, best_fraction = score, fraction
-                    current[key] = cand
+                    best_score, best_fraction, best_view = score, fraction, view
+                    current.update(step)
 
         ndim = data.ndim
         if "interp" not in fixed:
-            _descend("interp", _INTERP_GRID)
+            _descend({"interp": m} for m in _INTERP_GRID)
         if "axis_order" not in fixed and "structure" not in fixed and ndim > 1:
-            _descend("axis_order", (None, tuple(reversed(range(ndim)))))
+            _descend(
+                {"axis_order": order}
+                for order in (None, tuple(reversed(range(ndim))))
+            )
         if factors_fn is None and "alpha" not in fixed:
-            pairs = [
-                (a, b)
+            _descend(
+                {"alpha": a, "beta": b}
                 for a in _ALPHA_GRID
                 for b in (_BETA_GRID if a != 1.0 else _BETA_GRID[:1])
-            ]
-            best_pair = (current["alpha"], current["beta"])
-            for a, b in pairs:
-                if (a, b) == best_pair:
-                    continue
-                trial = dict(current)
-                trial["alpha"], trial["beta"] = a, b
-                score, fraction = _trial(trial)
-                if score > best_score:
-                    best_score, best_fraction = score, fraction
-                    best_pair = (a, b)
-            current["alpha"], current["beta"] = best_pair
+            )
         if "adaptive_bits" not in fixed:
-            _descend("adaptive_bits", _ADAPTIVE_BITS_GRID)
+            _descend({"adaptive_bits": b} for b in _ADAPTIVE_BITS_GRID)
         if "qp" not in fixed:
-            _descend("qp", qp_candidates)
+            _descend(({"qp": c} for c in qp_candidates), _qp_trial)
 
     qp_cfg: QPConfig = current["qp"]
     return TuningDecision(

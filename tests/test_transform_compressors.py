@@ -2,10 +2,12 @@
 import numpy as np
 import pytest
 
+from repro.compressors import get_compressor
 from repro.compressors.base import CompressionState
 from repro.compressors.sperr import SPERR, cdf97_forward, cdf97_inverse
 from repro.compressors.tthresh import TTHRESH
 from repro.compressors.zfp import ZFP, _forward_transform, _from_blocks, _inverse_transform, _to_blocks
+from repro.core import QPConfig
 
 ALL = [ZFP, TTHRESH, SPERR]
 
@@ -124,6 +126,13 @@ def test_sperr_coder_argument_retired():
     # no catch-all: a leftover coder= fails loudly instead of being ignored
     with pytest.raises(TypeError):
         SPERR(1e-3, coder="speck")
+
+
+@pytest.mark.parametrize("name", ["zfp", "tthresh"])
+def test_transform_compressors_reject_unknown_arguments(name):
+    # no catch-all: QP belongs to the prediction-based bases only
+    with pytest.raises(TypeError):
+        get_compressor(name, 1e-3, qp=QPConfig())
 
 
 @pytest.mark.parametrize("checksum", [False, True], ids=["plain", "sealed"])
