@@ -31,9 +31,7 @@ def unpack_bits(data: bytes, nbits: int) -> np.ndarray:
 
 
 def encode_codes_packed(
-    codes: np.ndarray,
-    lengths: np.ndarray,
-    bit_positions: np.ndarray | None = None,
+    codes: np.ndarray, lengths: np.ndarray, bit_positions: np.ndarray
 ) -> bytes:
     """Concatenate variable-length codes straight into packed bytes.
 
@@ -41,12 +39,13 @@ def encode_codes_packed(
     :meth:`BitWriter.write_codes` builds, but in O(symbols) instead of
     O(total_bits): each code is left-aligned inside a byte-addressed integer
     window and the windows are OR-merged per output byte with one
-    ``bitwise_or.reduceat`` per window column.  This is the Huffman encoder's
-    hot path (millions of symbols per volume).
+    ``bitwise_or.reduceat`` per window column.  This is the numpy Huffman
+    encoder's hot path (millions of symbols per volume).
 
-    ``bit_positions`` is the optional precomputed exclusive prefix sum of
-    ``lengths`` (length ``n + 1``), letting callers that already need it
-    (for block offsets) avoid a second cumsum.
+    Every length must lie in [1, 57], so a code plus its bit offset fits a
+    64-bit window.  ``bit_positions`` is the exclusive prefix sum of
+    ``lengths`` (length ``n + 1``), which the caller already needs for its
+    block offsets.
     """
     codes = np.asarray(codes, dtype=np.uint64)
     lengths = np.asarray(lengths, dtype=np.int64)
@@ -54,18 +53,9 @@ def encode_codes_packed(
         raise ValueError("codes and lengths must have the same shape")
     if codes.size == 0:
         return b""
-    if bit_positions is None:
-        bit_positions = np.concatenate(([0], np.cumsum(lengths)))
     starts = bit_positions[:-1]
     total = int(bit_positions[-1])
-    if total == 0:
-        return b""
     max_len = int(lengths.max())
-    if max_len > 57 or int(lengths.min()) == 0:
-        # window math needs 1 <= length and length + 7 <= 64; fall back
-        writer = BitWriter()
-        writer.write_codes(codes, lengths)
-        return writer.getvalue()
     window_bytes = (max_len + 7 + 7) >> 3  # code bits + worst-case bit offset
     window_bits = 8 * window_bytes
     byte0 = (starts >> 3).astype(np.int64)

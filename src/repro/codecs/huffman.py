@@ -3,9 +3,12 @@
 This is the entropy stage shared by the SZ-family, MGARD, and SPERR ports.
 Design constraints (see DESIGN.md section 7):
 
-* **Encoding** is fully vectorized: per-symbol codes/lengths are gathered from
-  lookup tables and expanded into a flat bit array with one pass per bit
-  position of the longest code.
+* **Encoding** takes one ``np.bincount`` pass for the frequencies, builds
+  code lengths with a priority queue popping nodes in (frequency, node id)
+  order, assigns canonical codes from the count per length, and packs the
+  codes MSB-first, recording a bit offset every ``block_size`` symbols.
+  The numpy packer gathers per-symbol codes and lengths and OR-merges
+  byte-addressed windows (:func:`~repro.codecs.bitstream.encode_codes_packed`).
 * **Decoding** avoids a per-symbol Python loop by encoding in fixed-size
   *blocks* whose starting bit offsets are stored in the header.  All blocks
   are then decoded in lockstep: a vector of per-block cursors advances one
@@ -21,11 +24,13 @@ Design constraints (see DESIGN.md section 7):
   tables are memoized keyed by a digest of the sparse code-length table, so
   repeated tables (parallel slabs, multi-level passes, repeated decodes of
   one container) skip the rebuild entirely.
-* When the native decode library loads (:func:`repro.kernels.native`), a C
-  loop walks the same flat tables block by block, one call per container;
-  the numpy lockstep decode is the fallback and the reference.  Both paths
-  hand their per-block end cursors to one validation helper, so a corrupt
-  stream raises the same typed error on either.
+* When the native kernel library loads (:func:`repro.kernels.native`), C
+  loops build the code lengths, pack the payload (one pass over the
+  symbols) and walk the flat decode tables block by block, one call per
+  container.  The numpy code is the fallback and the reference: both
+  paths write identical bytes, and both hand their per-block end cursors
+  to one validation helper, so a corrupt stream raises the same typed
+  error on either.
 """
 from __future__ import annotations
 
@@ -51,6 +56,7 @@ __all__ = [
 ]
 
 _WIN_DTYPE = np.dtype(">u4")  # overlapping big-endian window view of payload
+_INT64_MAX = np.iinfo(np.int64).max
 
 MAX_CODE_LEN = 20
 DEFAULT_BLOCK_SIZE = 4096
@@ -63,6 +69,8 @@ def huffman_code_lengths(freqs: np.ndarray, max_len: int = MAX_CODE_LEN) -> np.n
     Zero-frequency symbols get length 0.  Lengths are limited to ``max_len``
     by repeatedly halving frequencies (the standard practical fallback; the
     loss versus package-merge is negligible for our skewed distributions).
+    More than ``2**max_len`` present symbols cannot be coded and raise
+    ``ValueError``.
     """
     freqs = np.asarray(freqs, dtype=np.int64)
     if freqs.ndim != 1:
@@ -76,32 +84,50 @@ def huffman_code_lengths(freqs: np.ndarray, max_len: int = MAX_CODE_LEN) -> np.n
     if present.size == 1:
         lengths[present[0]] = 1
         return lengths
+    if present.size > 1 << max_len:
+        # halving ends with every frequency 1, a tree ceil(log2(m)) deep:
+        # past 2**max_len leaves the loop below could never finish
+        raise ValueError(
+            f"{present.size} symbols cannot all get codes of at most "
+            f"{max_len} bits"
+        )
 
-    work = freqs.copy()
+    work = freqs[present]
+    lib = kernels.native()
+    if lib is not None and int(work.max()) > _INT64_MAX // work.size:
+        lib = None  # node sums could pass int64; Python ints cannot overflow
     while True:
-        lens = _huffman_lengths_heap(work, present)
+        lens = (
+            _huffman_lengths_heap(work) if lib is None
+            else _huffman_lengths_native(lib, work)
+        )
         if lens.max() <= max_len:
             lengths[present] = lens
             return lengths
         # Dampen: flattening the distribution shortens the deepest leaves.
-        work[present] = np.maximum(work[present] >> 1, 1)
+        work = np.maximum(work >> 1, 1)
 
 
-def _huffman_lengths_heap(freqs: np.ndarray, present: np.ndarray) -> np.ndarray:
-    """Optimal (unlimited) Huffman code lengths for the present symbols."""
-    # Heap items: (freq, tiebreak, node). Leaves are ints (position within
-    # ``present``); internal nodes are [left, right] lists.
+def _huffman_lengths_heap(freqs: np.ndarray) -> np.ndarray:
+    """Optimal (unlimited) Huffman code lengths of ``freqs.size >= 2`` leaves.
+
+    Nodes pop in (frequency, node id) order: leaf ``i`` is node ``i`` and
+    internal nodes are numbered from ``freqs.size`` upward as they are
+    created.  The order is total, so the C kernel pops the same sequence.
+    """
+    # Heap items: (freq, node id, node). Leaves are ints (position within
+    # ``freqs``); internal nodes are [left, right] lists.
     heap: list[tuple[int, int, object]] = [
-        (int(freqs[s]), i, i) for i, s in enumerate(present)
+        (f, i, i) for i, f in enumerate(freqs.tolist())
     ]
     heapq.heapify(heap)
-    counter = present.size
+    counter = freqs.size
     while len(heap) > 1:
         f1, _, n1 = heapq.heappop(heap)
         f2, _, n2 = heapq.heappop(heap)
         heapq.heappush(heap, (f1 + f2, counter, [n1, n2]))
         counter += 1
-    lens = np.zeros(present.size, dtype=np.int64)
+    lens = np.zeros(freqs.size, dtype=np.int64)
     # Iterative DFS assigning depth to each leaf.
     stack = [(heap[0][2], 0)]
     while stack:
@@ -111,6 +137,16 @@ def _huffman_lengths_heap(freqs: np.ndarray, present: np.ndarray) -> np.ndarray:
             stack.append((node[1], depth + 1))
         else:
             lens[node] = depth
+    return lens
+
+
+def _huffman_lengths_native(lib, freqs: np.ndarray) -> np.ndarray:
+    """:func:`_huffman_lengths_heap` in C; ``freqs`` is C-contiguous int64."""
+    lens = np.empty(freqs.size, dtype=np.int64)
+    scratch = np.empty(5 * freqs.size, dtype=np.int64)
+    lib.repro_huffman_lengths(
+        freqs.ctypes.data, freqs.size, lens.ctypes.data, scratch.ctypes.data
+    )
     return lens
 
 
@@ -126,15 +162,23 @@ def canonical_codes(lengths: np.ndarray) -> np.ndarray:
     present = np.nonzero(lengths)[0]
     if present.size == 0:
         return codes
-    order = present[np.argsort(lengths[present], kind="stable")]
+    plens = lengths[present]
+    order = np.argsort(plens, kind="stable")  # (length, symbol) order
+    count = np.bincount(plens)
+    # The first code of each length, from the count per length (the
+    # DEFLATE construction): the codes of one length run consecutively
+    # from there in symbol order.
+    first = [0] * count.size
     code = 0
-    prev_len = int(lengths[order[0]])
-    for sym in order:  # loop over *distinct* symbols only — small
-        ln = int(lengths[sym])
-        code <<= ln - prev_len
-        codes[sym] = code
-        code += 1
-        prev_len = ln
+    for ln in range(1, count.size):  # one step per length, not per symbol
+        code = (code + int(count[ln - 1])) << 1
+        first[ln] = code
+    sorted_lens = plens[order]
+    start = np.cumsum(count) - count  # position of each length's first symbol
+    rank = np.arange(present.size) - start[sorted_lens]
+    codes[present[order]] = (
+        np.array(first, dtype=np.uint64)[sorted_lens] + rank.astype(np.uint64)
+    )
     return codes
 
 
@@ -316,7 +360,7 @@ class HuffmanCodec:
         n = symbols.size
         if n == 0:
             return _MAGIC + struct.pack("<QII", 0, self.block_size, 0)
-        if symbols.dtype != np.int64:
+        if symbols.dtype != np.int64 or not symbols.flags.aligned:
             symbols = symbols.astype(np.int64)
         # bincount scans the data once and rejects negatives as it goes, so
         # the frequency table, the alphabet bound and the sign guard all come
@@ -327,28 +371,33 @@ class HuffmanCodec:
             raise ValueError("symbols must be non-negative") from None
         lengths = huffman_code_lengths(freqs)
         codes = canonical_codes(lengths)
-
-        sym_lengths = lengths[symbols]
-        sym_codes = codes[symbols]
-        bit_positions = np.empty(n + 1, dtype=np.int64)
-        bit_positions[0] = 0
-        np.cumsum(sym_lengths, out=bit_positions[1:])
-        block_offsets = bit_positions[:-1:self.block_size].astype(np.uint64)
-        total_bits = int(bit_positions[-1])
-
-        payload = encode_codes_packed(sym_codes, sym_lengths, bit_positions)
+        lib = kernels.native()
+        if lib is not None:
+            payload, block_offsets, total_bits = _encode_native(
+                lib, symbols, freqs, lengths, codes, self.block_size
+            )
+        else:
+            sym_lengths = lengths[symbols]
+            bit_positions = np.empty(n + 1, dtype=np.int64)
+            bit_positions[0] = 0
+            np.cumsum(sym_lengths, out=bit_positions[1:])
+            block_offsets = bit_positions[:-1:self.block_size].astype(np.uint64)
+            total_bits = int(bit_positions[-1])
+            payload = encode_codes_packed(
+                codes[symbols], sym_lengths, bit_positions
+            )
 
         present = np.nonzero(lengths)[0].astype(np.uint32)
         present_lens = lengths[present].astype(np.uint8)
-        header = [
+        return b"".join([
             _MAGIC,
             struct.pack("<QII", n, self.block_size, present.size),
             present.tobytes(),
             present_lens.tobytes(),
             struct.pack("<QQ", block_offsets.size, total_bits),
             block_offsets.tobytes(),
-        ]
-        return b"".join(header) + payload
+            payload,
+        ])
 
     # -- decoding ---------------------------------------------------------
 
@@ -396,6 +445,24 @@ class HuffmanCodec:
             np.empty(0, dtype=np.int64) if p is None else next(decoded)
             for p in parsed
         ]
+
+
+def _encode_native(lib, symbols, freqs, lengths, codes, block_size: int):
+    """Pack ``symbols`` with the C encoder: ``(payload, offsets, bits)``,
+    the payload as a uint8 array.
+
+    The tables come from ``np.bincount(symbols)``, so every symbol indexes
+    inside them, and the payload is sized exactly from the frequencies.
+    """
+    total_bits = int(freqs @ lengths)
+    payload = np.empty((total_bits + 7) >> 3, dtype=np.uint8)
+    offsets = np.empty(-(-symbols.size // block_size), dtype=np.uint64)
+    lib.repro_huffman_encode(
+        symbols.ctypes.data, symbols.size, codes.ctypes.data,
+        lengths.ctypes.data, block_size, payload.ctypes.data,
+        offsets.ctypes.data,
+    )
+    return payload, offsets, total_bits
 
 
 def _parse_container(data: bytes) -> "tuple | None":

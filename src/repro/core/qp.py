@@ -13,17 +13,22 @@ plane axes last.  The 2-D Lorenzo of the paper acts on the last two axes
 (the plane perpendicular to the interpolation direction); all leading axes
 are batch axes.
 
-Vectorization strategy (DESIGN.md §7): the forward direction is a handful of
-whole-array shifts.  The Case I inverse is prefix sums.  The Case II-IV
-inverse runs in C when the native decode library loads
-(:func:`repro.kernels.native`): a plain raster scan, because C order visits
-every left, top and back neighbour (and their diagonals) before the point
-itself.  The numpy fallback, also the reference the tests compare against,
-walks anti-diagonal wavefronts so each Python iteration recovers a whole
-diagonal (1-D variants walk lines; the 3-D variant walks i+j+k wavefronts).
+Vectorization strategy (DESIGN.md §7): when the native kernel library loads
+(:func:`repro.kernels.native`), the forward direction is one C pass that
+reads the pass array through its strides and writes ``Q'`` C-contiguous,
+and the Case II-IV inverse is a plain raster scan in C, because C order
+visits every left, top and back neighbour (and their diagonals) before the
+point itself.  The Case I inverse is prefix sums on either path.  The
+numpy fallback, also the reference the tests compare against, computes the
+forward as a handful of whole-array shifts fed to
+:func:`~repro.core.conditions.compensation`, and walks the inverse in
+anti-diagonal wavefronts so each Python iteration recovers a whole diagonal
+(1-D variants walk lines; the 3-D variant walks i+j+k wavefronts).
 """
 from __future__ import annotations
 
+import ctypes
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -86,9 +91,12 @@ def qp_forward(q: np.ndarray, sentinel: int, config: QPConfig, level: int) -> np
     dim = effective_dimension(config.dimension, q.ndim)
     if dim is None:
         return q
-    back_ax, top_ax, left_ax = _plane_axes(q.ndim, dim)
 
     with span("qp.forward", dim=dim, level=level):
+        lib = _native_lib(q.dtype, sentinel)
+        if lib is not None and q.ndim:
+            return _forward_native(lib, q, sentinel, config.condition, dim)
+        back_ax, top_ax, left_ax = _plane_axes(q.ndim, dim)
         # only allocate the all-zero stand-in when some neighbour axis is
         # missing
         zeros = (
@@ -171,9 +179,11 @@ def qp_inverse_multi(
     return np.stack([qp_inverse(p, sentinel, config, level) for p in parts])
 
 
-# -- inverse kernels ---------------------------------------------------------
+# -- native kernels ----------------------------------------------------------
 
-_NATIVE_CONDITIONS = {"II": 2, "III": 3, "IV": 4}
+_NATIVE_CONDITIONS = {"I": 1, "II": 2, "III": 3, "IV": 4}
+#: the forward kernels' view geometry: four extents, four element strides
+_Geometry = ctypes.c_int64 * 8
 _INT64 = np.iinfo(np.int64)
 
 
@@ -186,7 +196,41 @@ def _native_lib(dtype: np.dtype, sentinel: int):
 
 
 def _prod(dims) -> int:
-    return int(np.prod(dims, dtype=np.int64))
+    return math.prod(dims)
+
+
+def _forward_native(
+    lib, q: np.ndarray, sentinel: int, cond: str, dim: str
+) -> np.ndarray:
+    """:func:`qp_forward`'s ``q - c`` computed by the C kernel for ``dim``.
+
+    The kernels see ``q`` as a rank-4 strided view: back axis, batch
+    axes, top axis, left axis (``native.c``).  Reshaping to it keeps the
+    engine's moved-axis views as views; only rank >= 5 arrays whose middle
+    axes cannot merge, and unaligned arrays, are copied.  The output is a
+    new C-contiguous array, so callers can ravel it without a copy.
+    """
+    shape, d = q.shape, q.ndim
+    if d >= 3:
+        dims = (shape[0], _prod(shape[1:-2]), shape[-2], shape[-1])
+    else:
+        dims = (1,) * (4 - d) + shape
+    view = q.reshape(dims)
+    if not view.flags.aligned or any(s % 8 for s in view.strides):
+        view = np.ascontiguousarray(view)
+    geom = _Geometry(*dims, *[s // 8 for s in view.strides])
+    out = np.empty(shape, dtype=np.int64)
+    args = (_NATIVE_CONDITIONS[cond], int(sentinel), out.ctypes.data)
+    if dim == "2d":
+        lib.repro_qp_forward_2d(view.ctypes.data, geom, *args)
+    elif dim == "3d":
+        lib.repro_qp_forward_3d(view.ctypes.data, geom, *args)
+    else:
+        # the view axis the 1-D neighbour runs along: 0, 2 or 3
+        axis = _axis_1d(dim, d)
+        slot = axis + 4 - d if axis >= d - 2 else 0
+        lib.repro_qp_forward_1d(view.ctypes.data, geom, slot, *args)
+    return out
 
 
 def _walk_native(lib, q: np.ndarray, sentinel: int, cond: str, dim: str) -> np.ndarray:
@@ -210,7 +254,7 @@ def _walk_native(lib, q: np.ndarray, sentinel: int, cond: str, dim: str) -> np.n
             q.ctypes.data, _prod(shape[:-3]), *shape[-3:],
             _NATIVE_CONDITIONS[cond], sentinel,
         )
-    else:  # 1-D: Cases II-IV coincide (see decode.c)
+    else:  # 1-D: Cases II-IV coincide (see native.c)
         axis = _axis_1d(dim, q.ndim)
         lib.repro_qp_inverse_1d(
             q.ctypes.data, _prod(shape[:axis]), shape[axis],

@@ -1,22 +1,27 @@
 """Which implementation runs each hot loop of the compressor stack.
 
 Every hot loop has a plain numpy implementation, called directly in the
-module that owns it: the Huffman bit packing and lockstep decode in
-:mod:`repro.codecs.huffman`, the QP wavefront walks in :mod:`repro.core.qp`,
-the Lorenzo diff/cumsum pair in :mod:`repro.predictors.lorenzo`, the
-midpoint fills in :mod:`repro.predictors.interpolation`, and the
-reserved-index encode/decode in :mod:`repro.quantize.adaptive`.
+module that owns it: the Huffman code lengths, bit packing and lockstep
+decode in :mod:`repro.codecs.huffman`, the QP forward shifts and
+wavefront walks in :mod:`repro.core.qp`, the Lorenzo diff/cumsum pair in
+:mod:`repro.predictors.lorenzo`, the midpoint fills in
+:mod:`repro.predictors.interpolation`, and the reserved-index
+encode/decode in :mod:`repro.quantize.adaptive`.
 
-The two decode loops that stay sequential — the Huffman block decode and
-the QP Case II-IV inverse — also exist in C (``decode.c`` beside this file).
-:func:`native` compiles that source with the system C compiler on first
-use, caches the shared library in this package's ``__pycache__`` under a
-digest of the source and the compiler command, and loads it through
-:mod:`ctypes`.  Nothing is built at import.  When there is no compiler, the
-directory is not writable or the build or load fails, :func:`native`
-returns ``None`` for the life of the process and the numpy loops run; no
-option selects the path.  Reports record :func:`active_backends` so a run
-states which implementation produced its numbers.
+The integer loops of the Huffman and QP stages also exist in C
+(``native.c`` beside this file): on the decode side the Huffman block
+decode and the QP Case II-IV inverse, on the encode side the Huffman code
+lengths, the Huffman bit packing and the QP forward.  Integer arithmetic
+gives the same bytes on either path by construction; the float stages
+(interpolation, quantization) stay in numpy.  :func:`native` compiles the
+source with the system C compiler on first use, caches the shared library
+in this package's ``__pycache__`` under a digest of the source and the
+compiler command, and loads it through :mod:`ctypes`.  Nothing is built at
+import.  When there is no compiler, the directory is not writable or the
+build or load fails, :func:`native` returns ``None`` for the life of the
+process and the numpy loops run; no option selects the path.  Reports
+record :func:`active_backends` so a run states which implementation
+produced its numbers.
 """
 from __future__ import annotations
 
@@ -30,10 +35,10 @@ import threading
 __all__ = ["active_backends", "native"]
 
 _STAGES = ("adaptive_quantize", "huffman", "interp", "lorenzo", "qp")
-#: stages whose hot loop runs in ``decode.c`` when the library loads
+#: stages whose integer loops run in ``native.c`` when the library loads
 _NATIVE_STAGES = ("huffman", "qp")
 
-_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "decode.c")
+_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "native.c")
 _CACHE_DIR = os.path.join(os.path.dirname(_SOURCE), "__pycache__")
 _CFLAGS = ("-O2", "-shared", "-fPIC")
 
@@ -41,9 +46,14 @@ _P = ctypes.c_void_p
 _I = ctypes.c_int64
 _SIGNATURES = {
     "repro_huffman_decode": (_P, _I, _P, _P, _I, _P, _I, _I, _I, _P, _P),
+    "repro_huffman_lengths": (_P, _I, _P, _P),
+    "repro_huffman_encode": (_P, _I, _P, _P, _I, _P, _P),
     "repro_qp_inverse_1d": (_P, _I, _I, _I, _I),
     "repro_qp_inverse_2d": (_P, _I, _I, _I, _I, _I),
     "repro_qp_inverse_3d": (_P, _I, _I, _I, _I, _I, _I),
+    "repro_qp_forward_1d": (_P, _P, _I, _I, _I, _P),
+    "repro_qp_forward_2d": (_P, _P, _I, _I, _P),
+    "repro_qp_forward_3d": (_P, _P, _I, _I, _P),
 }
 
 _UNRESOLVED = object()
@@ -64,9 +74,9 @@ os.register_at_fork(after_in_child=_reset_lock_in_child)
 
 
 def native():
-    """The loaded C decode library, or ``None`` when the numpy path runs.
+    """The loaded C kernel library, or ``None`` when the numpy path runs.
 
-    The first call builds (or finds the cached build of) ``decode.c`` and
+    The first call builds (or finds the cached build of) ``native.c`` and
     loads it; every later call returns the same answer.
     """
     global _lib
@@ -90,7 +100,7 @@ def _library_path(compiler: str) -> str:
         source = f.read()
     command = " ".join((compiler, *_CFLAGS)).encode()
     digest = hashlib.blake2b(source + b"\0" + command, digest_size=8).hexdigest()
-    return os.path.join(_CACHE_DIR, f"decode-{digest}.so")
+    return os.path.join(_CACHE_DIR, f"native-{digest}.so")
 
 
 def _build(compiler: str, path: str) -> None:

@@ -53,7 +53,7 @@ def field_2d():
 
 @pytest.fixture()
 def numpy_path(monkeypatch):
-    """Run the test on the numpy decode loops even where the native library
+    """Run the test on the numpy loops even where the native library
     loads: swaps the loader's cached handle for the "did not load" value."""
     from repro import kernels
 

@@ -1,4 +1,4 @@
-"""Re-run the decode suites on the numpy fallback.
+"""Re-run the codec suites on the numpy fallback, encoders and decoders.
 
 Each module here star-imports one suite, so pytest collects its tests a
 second time under this directory, where the autouse fixture below forces
@@ -10,4 +10,4 @@ import pytest
 
 @pytest.fixture(autouse=True)
 def _force_numpy_path(numpy_path):
-    """Every test in this directory decodes with the numpy loops."""
+    """Every test in this directory encodes and decodes with the numpy loops."""

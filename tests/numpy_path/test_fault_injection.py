@@ -1,2 +1,2 @@
-"""tests/test_fault_injection.py on the numpy decode path (see conftest.py)."""
+"""tests/test_fault_injection.py on the numpy path (see conftest.py)."""
 from tests.test_fault_injection import *  # noqa: F401,F403

@@ -1,2 +1,2 @@
-"""tests/test_golden_identity.py on the numpy decode path (see conftest.py)."""
+"""tests/test_golden_identity.py on the numpy path (see conftest.py)."""
 from tests.test_golden_identity import *  # noqa: F401,F403

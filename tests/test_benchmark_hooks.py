@@ -10,19 +10,29 @@ from pathlib import Path
 from perfbench import common, trace
 
 from repro.codecs.huffman import HuffmanCodec
+from repro.pipeline.stages import QPTransform
 
 ROOT = str(Path(__file__).resolve().parents[1])
 
+#: entry points the native kernels run beneath, which the traced run times
+WRAPPED = [
+    (HuffmanCodec, "encode"),
+    (HuffmanCodec, "decode_many"),
+    (QPTransform, "forward"),
+]
+
 
 def test_trace_hooks_install_and_envelope_names_kernel_stages():
-    original = HuffmanCodec.__dict__["decode_many"]
+    originals = [cls.__dict__[attr] for cls, attr in WRAPPED]
     tracer = trace.Tracer()
     try:
         trace.install(tracer)
-        assert HuffmanCodec.__dict__["decode_many"] is not original
+        for (cls, attr), original in zip(WRAPPED, originals):
+            assert cls.__dict__[attr] is not original, attr
     finally:
         tracer.uninstall()
-    assert HuffmanCodec.__dict__["decode_many"] is original
+    for (cls, attr), original in zip(WRAPPED, originals):
+        assert cls.__dict__[attr] is original, attr
 
     env = common.envelope(ROOT, "codec-qp", 1, 1, False)
     assert set(env["kernel_backends"]) == {

@@ -1,4 +1,9 @@
 """Unit + property tests for the canonical length-limited Huffman codec."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,6 +72,38 @@ class TestCodeLengths:
         with pytest.raises(ValueError):
             huffman_code_lengths(np.ones((2, 2), dtype=np.int64))
 
+    def test_more_symbols_than_max_len_can_code_raises(self):
+        # Halving ends with every frequency 1, and 5 leaves need 3 bits, so
+        # the length-limit loop used to spin forever: run the calls in a
+        # child with a timeout so a regression fails instead of hanging.
+        # Both encoder paths run, the numpy one by dropping the library.
+        code = (
+            "import numpy as np\n"
+            "from repro import kernels\n"
+            "from repro.codecs.huffman import HuffmanCodec, huffman_code_lengths\n"
+            "for lib in (kernels.native(), None):\n"
+            "    kernels._lib = lib\n"
+            "    for call in (\n"
+            "        lambda: huffman_code_lengths(np.ones(5, dtype=np.int64), max_len=2),\n"
+            "        lambda: HuffmanCodec().encode(np.arange(2**20 + 1)),\n"
+            "    ):\n"
+            "        try:\n"
+            "            call()\n"
+            "        except ValueError:\n"
+            "            continue\n"
+            "        raise SystemExit('no ValueError')\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+
+    def test_exactly_two_to_max_len_symbols_fit(self):
+        lens = huffman_code_lengths(np.ones(4, dtype=np.int64), max_len=2)
+        assert lens.tolist() == [2, 2, 2, 2]
+
 
 class TestCanonicalCodes:
     def test_prefix_free(self):
@@ -84,6 +121,29 @@ class TestCanonicalCodes:
 
     def test_empty_lengths(self):
         assert canonical_codes(np.zeros(3, dtype=np.int64)).sum() == 0
+
+    @staticmethod
+    def _per_symbol_loop(lengths):
+        """The per-symbol construction canonical_codes replaced."""
+        codes = np.zeros(lengths.size, dtype=np.uint64)
+        present = np.nonzero(lengths)[0]
+        order = present[np.argsort(lengths[present], kind="stable")]
+        code, prev_len = 0, int(lengths[order[0]])
+        for sym in order:
+            code <<= int(lengths[sym]) - prev_len
+            codes[sym] = code
+            code += 1
+            prev_len = int(lengths[sym])
+        return codes
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_symbol_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        freqs = rng.geometric(0.05 * (seed + 1), size=rng.integers(2, 3000))
+        freqs[rng.random(freqs.size) < 0.3] = 0
+        freqs[:2] = 1
+        lens = huffman_code_lengths(freqs)
+        assert np.array_equal(canonical_codes(lens), self._per_symbol_loop(lens))
 
 
 class TestCodecRoundtrip:

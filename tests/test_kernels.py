@@ -1,4 +1,4 @@
-"""The native decode library's loader, and the kernel-path record that
+"""The native kernel library's loader, and the kernel-path record that
 benchmark and bench reports carry."""
 import multiprocessing
 import os
@@ -81,7 +81,7 @@ def test_truncated_cached_library_is_rebuilt(fresh_loader):
 
 
 def test_source_and_command_are_in_the_library_name(monkeypatch, tmp_path):
-    src = tmp_path / "decode.c"
+    src = tmp_path / "native.c"
     shutil.copy(kernels._SOURCE, src)
     monkeypatch.setattr(kernels, "_SOURCE", str(src))
     before = kernels._library_path("/usr/bin/cc")
@@ -99,7 +99,7 @@ def test_source_and_command_are_in_the_library_name(monkeypatch, tmp_path):
     ids=["compile-error", "missing-symbol"],
 )
 def test_build_failure_keeps_numpy(fresh_loader, monkeypatch, source):
-    bad = fresh_loader / "decode.c"
+    bad = fresh_loader / "native.c"
     bad.write_text(source)
     monkeypatch.setattr(kernels, "_SOURCE", str(bad))
     assert kernels.native() is None

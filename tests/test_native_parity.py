@@ -1,9 +1,9 @@
-"""The native decode kernels against their numpy reference.
+"""The native kernels against their numpy reference.
 
 Every case runs on both paths: the C library and the numpy loops (forced
-by swapping the loader's handle).  Both must return identical arrays, or
-both must raise a typed :class:`~repro.errors.ReproError` of the same
-class.
+by swapping the loader's handle).  Decodes must return identical arrays,
+or both must raise a typed :class:`~repro.errors.ReproError` of the same
+class; encodes must return identical bytes or arrays.
 """
 import itertools
 import struct
@@ -12,14 +12,20 @@ import numpy as np
 import pytest
 
 from repro import kernels
-from repro.codecs.huffman import HuffmanCodec, _parse_container
+from repro.codecs.huffman import (
+    MAX_CODE_LEN,
+    HuffmanCodec,
+    _huffman_lengths_heap,
+    _huffman_lengths_native,
+    _parse_container,
+)
 from repro.core import QP_CONDITIONS, QP_DIMENSIONS, QPConfig, qp_forward, qp_inverse
 from repro.core.qp import qp_inverse_multi
 from repro.errors import ReproError
 from repro.testing import INJECTORS
 
 pytestmark = pytest.mark.skipif(
-    kernels.native() is None, reason="native decode library unavailable"
+    kernels.native() is None, reason="native kernel library unavailable"
 )
 
 SENTINEL = -32
@@ -169,3 +175,114 @@ def test_qp_inverse_multi(monkeypatch, shape):
             monkeypatch, lambda: qp_inverse_multi(parts, SENTINEL, cfg, level=1)
         )
         assert np.array_equal(out[0], np.stack(qs)), (dim, cond)
+
+
+# -- encode side ---------------------------------------------------------------
+
+
+def assert_encodes_agree(monkeypatch, fn):
+    """Run ``fn`` natively and on numpy; both must give identical bytes."""
+    native = fn()
+    with monkeypatch.context() as m:
+        m.setattr(kernels, "_lib", None)
+        fallback = fn()
+    assert native == fallback
+    return native
+
+
+def _fibonacci_stream(n_symbols, seed=0):
+    counts = [1, 1]
+    while len(counts) < n_symbols:
+        counts.append(counts[-1] + counts[-2])
+    sym = np.repeat(np.arange(n_symbols), counts)
+    np.random.default_rng(seed).shuffle(sym)
+    return sym
+
+
+@pytest.mark.parametrize("block_size", [1, 64, 4096, 97])
+def test_huffman_encode_block_sizes(monkeypatch, block_size):
+    rng = np.random.default_rng(block_size)
+    codec = HuffmanCodec(block_size=block_size)
+    for n, scale in ((1, 1.0), (97, 0.5), (4097, 5.0), (20000, 300.0)):
+        sym = _skewed(rng, n, scale)
+        blob = assert_encodes_agree(monkeypatch, lambda: codec.encode(sym))
+        assert np.array_equal(codec.decode(blob), sym)
+
+
+@pytest.mark.parametrize(
+    "sym",
+    [
+        np.full(1000, 7),
+        np.array([3, 9] * 50 + [9]),
+        # 25 Fibonacci counts give a 24-deep optimal tree: the 20-bit limit
+        # takes the halving loop
+        _fibonacci_stream(25),
+        np.random.default_rng(3).permutation(np.arange(65535) * 3 % 65535),
+        np.random.default_rng(4).integers(0, 256, 5000).astype(np.uint8),
+        np.random.default_rng(5).integers(0, 70000, 5000).astype(np.int32),
+    ],
+    ids=["single-symbol", "two-symbols", "halving-loop", "alphabet-65535",
+         "uint8", "int32"],
+)
+def test_huffman_encode_streams(monkeypatch, sym):
+    codec = HuffmanCodec(block_size=509)
+    blob = assert_encodes_agree(monkeypatch, lambda: codec.encode(sym))
+    assert np.array_equal(codec.decode(blob), sym)
+
+
+def test_huffman_encode_halving_stream_needs_the_loop():
+    freqs = np.bincount(_fibonacci_stream(25))
+    assert _huffman_lengths_heap(freqs).max() > MAX_CODE_LEN
+    blob = HuffmanCodec().encode(_fibonacci_stream(25))
+    assert _parse_container(blob)[5][3] <= MAX_CODE_LEN
+
+
+def test_huffman_encode_rejects_negative_symbols(monkeypatch):
+    sym = np.array([0, 4, -1, 2])
+    with pytest.raises(ValueError, match="non-negative"):
+        HuffmanCodec().encode(sym)
+    with monkeypatch.context() as m:
+        m.setattr(kernels, "_lib", None)
+        with pytest.raises(ValueError, match="non-negative"):
+            HuffmanCodec().encode(sym)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_huffman_code_lengths_kernel(seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 5000))
+    # few distinct values: many (frequency) ties, broken by node id
+    freqs = rng.integers(1, 1 + 4 ** (seed % 4), m).astype(np.int64)
+    lens = _huffman_lengths_native(kernels.native(), freqs)
+    assert np.array_equal(lens, _huffman_lengths_heap(freqs))
+
+
+def _engine_views(q):
+    """``q`` and the moved-axis views the engine passes (interpolation axis
+    first, read through the strides of the untransposed array)."""
+    yield q
+    for axis in range(1, q.ndim):
+        yield np.moveaxis(np.ascontiguousarray(np.moveaxis(q, 0, axis)), axis, 0)
+    if q.ndim >= 2:
+        yield q[::-1, ..., ::2]  # negative and non-unit strides
+
+
+@pytest.mark.parametrize("shape", QP_SHAPES, ids=str)
+@pytest.mark.parametrize("wrap", [False, True], ids=["small", "wrapping"])
+def test_qp_forward(monkeypatch, shape, wrap):
+    for k, (dim, cond) in enumerate(itertools.product(QP_DIMENSIONS, QP_CONDITIONS)):
+        q = _sample(shape, 100 + k, wrap)
+        if wrap:
+            # neighbours right at the edges of int64
+            q.flat[::7] = np.iinfo(np.int64).max
+            q.flat[3::11] = np.iinfo(np.int64).min
+        cfg = QPConfig(dimension=dim, condition=cond)
+        for view in _engine_views(q):
+            out = assert_paths_agree(
+                monkeypatch, lambda: qp_forward(view, SENTINEL, cfg, level=1)
+            )
+            if out[0] is not view:  # QP applied at this rank
+                assert out[0].flags.c_contiguous
+                assert np.array_equal(
+                    qp_inverse(out[0], SENTINEL, cfg, level=1), view
+                ), (dim, cond)

@@ -9,10 +9,12 @@ an untyped exception or a per-decode deadline overrun is a violation and
 makes the script exit nonzero, printing the (target, injector, seed) triple
 so the failure replays exactly.
 
-Where the native decode library loads, every input is decoded twice: by
-the C kernels and by the numpy loops (forced by swapping the loader's
-handle, as the tests do).  Both must succeed with identical output, or
-both must raise a typed error; anything else is a violation too.
+Where the native kernel library loads, every pristine blob is built
+twice, by the C encode kernels and by the numpy loops (forced by swapping
+the loader's handle, as the tests do); differing bytes are an "encode
+paths disagree" violation.  Every corrupted input is then decoded twice,
+on the same two paths.  Both must succeed with identical output, or both
+must raise a typed error; anything else is a violation too.
 
 Usage::
 
@@ -21,6 +23,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import sys
 import time
@@ -113,12 +116,13 @@ def _decode(decode, data: bytes) -> tuple:
     return (*result, time.perf_counter() - t0)
 
 
-def _on_numpy(decode, data: bytes) -> tuple:
-    """:func:`_decode` with the numpy loops in place of the C kernels."""
+@contextlib.contextmanager
+def _numpy_path():
+    """Run the numpy loops in place of the C kernels inside the block."""
     saved = kernels._lib
     kernels._lib = None
     try:
-        return _decode(decode, data)
+        yield
     finally:
         kernels._lib = saved
 
@@ -140,6 +144,14 @@ def main(argv: list[str] | None = None) -> int:
     native = kernels.native() is not None
     paths = ("c", "numpy") if native else ("numpy",)
     violations = []
+    if native:
+        with _numpy_path():
+            numpy_targets = _build_targets(args.seed)
+        for (label, blob, _), (_, numpy_blob, _) in zip(targets, numpy_targets):
+            if blob != numpy_blob:
+                violations.append(
+                    (label, "pristine", args.seed, "encode paths disagree")
+                )
     cells = 0
     t_end = time.monotonic() + args.seconds
     for round_no in itertools.count():
@@ -156,7 +168,8 @@ def main(argv: list[str] | None = None) -> int:
                 cells += 1
                 runs = [_decode(decode, corrupted)]
                 if native:
-                    runs.append(_on_numpy(decode, corrupted))
+                    with _numpy_path():
+                        runs.append(_decode(decode, corrupted))
                 for path, (outcome, detail, elapsed) in zip(paths, runs):
                     where = f"[{path}] " if native else ""
                     if outcome == "untyped":
@@ -175,8 +188,8 @@ def main(argv: list[str] | None = None) -> int:
                             label, kind, seed,
                             f"paths disagree: c {c_out}, numpy {np_out}",
                         ))
-    print(f"fuzz smoke: {cells} corrupted decodes across "
-          f"{len(targets)} targets on the {' and '.join(paths)} decode "
+    print(f"fuzz smoke: {len(targets)} targets built and {cells} corrupted "
+          f"decodes on the {' and '.join(paths)} "
           f"path{'s' if native else ''}, {len(violations)} violations")
     for label, kind, seed, detail in violations:
         print(f"  VIOLATION {label} {kind} seed={seed}: {detail}")
