@@ -107,7 +107,17 @@ class CompressionState:
     ``index_volume``  per-point quantization index scattered back to the data
                       grid (anchors hold 0) — the array Figures 3-5 visualize.
     ``pred_volume``   per-point prediction (same layout), when collected.
-    ``extras``        free-form per-compressor diagnostics.
+    ``extras``        free-form per-compressor diagnostics; the engine
+                      compressors add ``index_volume_qp`` (the index after
+                      QP) and, outside HPEZ's block mode, ``pass_levels``
+                      (the level that coded each point).
+
+    Filled only when a caller passes one to ``Compressor.compress(data,
+    state=...)`` — the ``characterize`` CLI, the Figure 3-5 benchmarks and
+    tests: the compressor fills it during that one call, and the engine
+    (:func:`~repro.compressors.interp_engine.compress_volume`) allocates
+    and scatters the volumes only then.  The auto-tuners' trial runs pass
+    none.
     """
 
     index_volume: np.ndarray | None = None

@@ -174,7 +174,7 @@ class HPEZ(Compressor):
         self, data: np.ndarray, state: CompressionState | None
     ) -> tuple[dict[str, Any], dict[str, bytes]]:
         cfg = self._engine_config(data, with_selector=True)
-        meta, stream, literals, anchors = compress_volume(data, cfg, state)
+        meta, stream, literals, anchors, _ = compress_volume(data, cfg, state)
         if state is not None:
             state.extras["level_schemes"] = dict(cfg.level_schemes)
         sections = encode_engine_sections(
@@ -191,7 +191,7 @@ class HPEZ(Compressor):
             return self.compress(slab)
         slab = check_ndarray(slab)
         cfg = self._engine_config(slab, with_selector=True)
-        meta, stream, literals, anchors = compress_volume(slab, cfg, None)
+        meta, stream, literals, anchors, _ = compress_volume(slab, cfg, None)
         return EngineFront(
             slab.shape,
             slab.dtype,
@@ -216,7 +216,7 @@ class HPEZ(Compressor):
             block = np.ascontiguousarray(data[bslice])
             cfg = self._engine_config(block, with_selector=True)
             bstate = CompressionState() if state is not None else None
-            meta, stream, literals, anchors = compress_volume(block, cfg, bstate)
+            meta, stream, literals, anchors, _ = compress_volume(block, cfg, bstate)
             metas.append(meta)
             streams.append(stream)
             literal_parts.append(literals)

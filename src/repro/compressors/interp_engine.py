@@ -37,6 +37,7 @@ from ..utils.levels import (
     anchor_slices,
     level_passes,
     level_passes_multidim,
+    moveaxis_order,
     num_levels,
     pass_sizes,
 )
@@ -208,15 +209,21 @@ def compress_volume(
     cfg: EngineConfig,
     state: CompressionState | None = None,
     level_stats: "list[dict] | None" = None,
-) -> tuple[dict[str, Any], np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[dict[str, Any], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Run the interpolation pipeline over ``data``.
 
-    Returns ``(meta, index_stream, literals, anchors)``: ``meta`` holds
-    everything the decompressor needs (levels, chosen methods, transform
-    configs), ``index_stream`` is the concatenated (transform-applied)
-    quantization indices of every pass in schedule order, ``literals`` the
-    unpredictable values in the same order, and ``anchors`` the exact
-    coarsest-grid values.
+    Returns ``(meta, index_stream, literals, anchors, decoded)``: ``meta``
+    holds everything the decompressor needs (levels, chosen methods,
+    transform configs), ``index_stream`` is the concatenated
+    (transform-applied) quantization indices of every pass in schedule
+    order, ``literals`` the unpredictable values in the same order,
+    ``anchors`` the exact coarsest-grid values, and ``decoded`` the
+    working array after the closed loop — the values the decompressor
+    will reconstruct (the auto-tuner scores PSNR on it).
+
+    ``state``, when given, receives the characterization volumes
+    (``index_volume``, ``extras["index_volume_qp"]`` and
+    ``extras["pass_levels"]``); without it none of them is built.
 
     ``level_stats``, when a list, collects one dict per pass in schedule
     order — ``{"level", "indices", "literals", "max_residual"}`` — where
@@ -231,6 +238,7 @@ def compress_volume(
     """
     arr = data.copy()
     shape = arr.shape
+    ndim = arr.ndim
     levels = num_levels(shape)
     anchors = arr[anchor_slices(shape)].copy()
 
@@ -271,7 +279,7 @@ def compress_volume(
             target_view = arr[p.target]
             with stage("quantize"):
                 res = quantize.forward(ctx, (target_view, pred))
-            q_out = np.moveaxis(res.indices, p.axis, 0)
+            q_out = res.indices.transpose(moveaxis_order(ndim, p.axis, 0))
             if level_stats is not None:
                 # measured before the overwrite below: target_view still
                 # holds the working values the prediction was scored against
@@ -289,7 +297,9 @@ def compress_volume(
             literal_parts.append(res.literals)
             if state is not None:
                 state.index_volume[p.target] = res.indices
-                state.extras["index_volume_qp"][p.target] = np.moveaxis(q_out, 0, p.axis)
+                state.extras["index_volume_qp"][p.target] = q_out.transpose(
+                    moveaxis_order(ndim, 0, p.axis)
+                )
                 state.extras["pass_levels"][p.target] = level
 
     index_stream = (
@@ -319,9 +329,7 @@ def compress_volume(
         # only written when enabled: absence keeps every pre-adaptive blob
         # byte-identical (golden digests stay frozen)
         meta["adaptive"] = cfg.adaptive.to_dict()
-    if state is not None:
-        state.extras["decoded"] = arr
-    return meta, index_stream, literals, anchors
+    return meta, index_stream, literals, anchors, arr
 
 
 def decompress_volume(
@@ -371,7 +379,7 @@ def decompress_volume(
             spos += count
             for t in reversed(transforms):
                 q = t.inverse(ctx, q)
-            indices = np.moveaxis(q, 0, p.axis)
+            indices = q.transpose(moveaxis_order(q.ndim, 0, p.axis))
             n_lit = int((indices == quantize.sentinel).sum())
             lits = literals[lpos:lpos + n_lit]
             lpos += n_lit
@@ -541,7 +549,7 @@ def decompress_volumes(
                     )
                     spos[i] += count
                 q = _inverse_transforms_multi(ctx, transforms, q_views)
-                indices = np.moveaxis(q, 1, p.axis + 1)
+                indices = q.transpose(moveaxis_order(q.ndim, 1, p.axis + 1))
                 unpred = indices == quantize.sentinel
                 lit_counts = unpred.sum(axis=tuple(range(1, ndim + 1)))
                 lit_parts = []
@@ -586,7 +594,7 @@ def decompress_volumes(
             # sentinel depends only on the (shared) radius
             qs = _inverse_transforms_multi(ctx, transforms, q_outs)
             for i in range(n):
-                indices = np.moveaxis(qs[i], 0, p.axis)
+                indices = qs[i].transpose(moveaxis_order(ndim, 0, p.axis))
                 n_lit = int((indices == quants[i].sentinel).sum())
                 lits = items[i][2][lpos[i]:lpos[i] + n_lit]
                 lpos[i] += n_lit

@@ -103,7 +103,7 @@ class MGARD(Compressor):
         self, data: np.ndarray, state: CompressionState | None
     ) -> tuple[dict[str, Any], dict[str, bytes]]:
         cfg = self._engine_config(data.shape)
-        meta, stream, literals, anchors = compress_volume(data, cfg, state)
+        meta, stream, literals, anchors, _ = compress_volume(data, cfg, state)
         sections = encode_engine_sections(
             stream, literals, anchors,
             lossless_backend=self.lossless_backend, entropy=self.entropy,
@@ -115,7 +115,7 @@ class MGARD(Compressor):
         engine's entropy seam, so every slab streams through it."""
         slab = check_ndarray(slab)
         cfg = self._engine_config(slab.shape)
-        meta, stream, literals, anchors = compress_volume(slab, cfg, None)
+        meta, stream, literals, anchors, _ = compress_volume(slab, cfg, None)
         return EngineFront(
             slab.shape, slab.dtype, {"engine": meta}, stream, literals, anchors
         )

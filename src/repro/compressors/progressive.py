@@ -186,7 +186,7 @@ class SZ3Progressive(SZ3):
     ) -> tuple[dict[str, Any], dict[str, bytes]]:
         cfg = self._engine_config(data)
         stats: list[dict] = []
-        meta, stream, literals, anchors = compress_volume(
+        meta, stream, literals, anchors, _ = compress_volume(
             data, cfg, state, level_stats=stats
         )
         order: list[int] = []

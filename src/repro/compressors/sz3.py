@@ -217,7 +217,7 @@ class SZ3(Compressor):
         self, data: np.ndarray, state: CompressionState | None
     ) -> tuple[dict[str, Any], dict[str, bytes]]:
         cfg = self._engine_config(data)
-        meta, stream, literals, anchors = compress_volume(data, cfg, state)
+        meta, stream, literals, anchors, _ = compress_volume(data, cfg, state)
         sections = encode_engine_sections(
             stream, literals, anchors,
             lossless_backend=self.lossless_backend, entropy=self.entropy,
@@ -239,7 +239,7 @@ class SZ3(Compressor):
         if predictor != "interp":
             return self.compress(slab)
         cfg = self._engine_config(slab)
-        meta, stream, literals, anchors = compress_volume(slab, cfg, None)
+        meta, stream, literals, anchors, _ = compress_volume(slab, cfg, None)
         header: dict[str, Any] = {"predictor": "interp", "engine": meta}
         if self.entropy != "huffman":
             header["entropy"] = self.entropy

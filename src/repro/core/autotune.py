@@ -85,15 +85,17 @@ def score_run(
     mask, a saturated plateau) scores as an error at the dtype's
     resolution, ``-20 log10(eps)`` (138 dB for float32), not as ``+inf``,
     which would tie every trial.  ``level_stats`` is passed through to
-    :func:`~repro.compressors.interp_engine.compress_volume`.
+    :func:`~repro.compressors.interp_engine.compress_volume`; the run
+    builds no characterization volumes, since the score reads only the
+    stream, the literal count and the decoded array.
     """
-    from ..compressors.base import CompressionState
     from ..compressors.interp_engine import compress_volume
     from ..metrics.errors import mse
 
-    st = CompressionState()
-    _, stream, literals, _ = compress_volume(block, cfg, st, level_stats)
-    err = mse(block, st.extras["decoded"])
+    _, stream, literals, _, decoded = compress_volume(
+        block, cfg, None, level_stats
+    )
+    err = mse(block, decoded)
     if err:
         psnr = 20.0 * np.log10(value_range / np.sqrt(err))
     else:
@@ -322,11 +324,17 @@ def autotune(
                 {"axis_order": order}
                 for order in (None, tuple(reversed(range(ndim))))
             )
-        if factors_fn is None and "alpha" not in fixed:
+        if factors_fn is None:
+            # every factor is 1/min(alpha**(l-1), beta), so a step with
+            # alpha or beta at 1 leaves all of them at 1 — the incumbent's
+            # exact engine run (alpha and beta start at 1 unless pinned);
+            # a pinned knob keeps its value and only the other one varies
+            alphas = (current["alpha"],) if "alpha" in fixed else _ALPHA_GRID
+            betas = (current["beta"],) if "beta" in fixed else _BETA_GRID
             _descend(
                 {"alpha": a, "beta": b}
-                for a in _ALPHA_GRID
-                for b in (_BETA_GRID if a != 1.0 else _BETA_GRID[:1])
+                for a in alphas if a != 1.0
+                for b in betas if b != 1.0
             )
         if "adaptive_bits" not in fixed:
             _descend({"adaptive_bits": b} for b in _ADAPTIVE_BITS_GRID)

@@ -32,6 +32,7 @@ from ..obs import metric_count, span as obs_span
 from ..predictors.interpolation import predict_midpoints
 from ..quantize.adaptive import AdaptiveLinearQuantizer
 from ..quantize.linear import LinearQuantizer
+from ..utils.levels import moveaxis_order
 from .spec import register_stage
 
 __all__ = [
@@ -106,12 +107,15 @@ class InterpPredict:
         """Average of 1-D interpolations along each prediction axis, in the
         natural orientation of the pass's target subgrid."""
         shape = arr.shape
+        ndim = arr.ndim
         pred_sum: np.ndarray | None = None
         for a in p.axes:
             known = arr[p.known_for(a)]
             n_targets = len(range(*p.target[a].indices(shape[a])))
-            pred_a = predict_midpoints(np.moveaxis(known, a, 0), n_targets, method)
-            pred_a = np.moveaxis(pred_a, 0, a)
+            pred_a = predict_midpoints(
+                known.transpose(moveaxis_order(ndim, a, 0)), n_targets, method
+            )
+            pred_a = pred_a.transpose(moveaxis_order(ndim, 0, a))
             pred_sum = pred_a if pred_sum is None else pred_sum + pred_a
         assert pred_sum is not None
         if len(p.axes) > 1:
@@ -129,14 +133,15 @@ class InterpPredict:
         batch, which now includes the stack axis.
         """
         shape = arr_st.shape[1:]
+        ndim = arr_st.ndim
         pred_sum: np.ndarray | None = None
         for a in p.axes:
             known = arr_st[(slice(None),) + p.known_for(a)]
             n_targets = len(range(*p.target[a].indices(shape[a])))
             pred_a = predict_midpoints(
-                np.moveaxis(known, a + 1, 0), n_targets, method
+                known.transpose(moveaxis_order(ndim, a + 1, 0)), n_targets, method
             )
-            pred_a = np.moveaxis(pred_a, 0, a + 1)
+            pred_a = pred_a.transpose(moveaxis_order(ndim, 0, a + 1))
             pred_sum = pred_a if pred_sum is None else pred_sum + pred_a
         assert pred_sum is not None
         if len(p.axes) > 1:

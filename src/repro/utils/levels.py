@@ -37,6 +37,7 @@ __all__ = [
     "level_passes",
     "level_passes_multidim",
     "pass_sizes",
+    "moveaxis_order",
 ]
 
 
@@ -144,6 +145,20 @@ def _level_passes_cached(
 def pass_sizes(shape: tuple[int, ...], p: "Pass | MDPass") -> tuple[int, ...]:
     """Shape of the target subgrid selected by pass ``p``."""
     return tuple(_axis_len(shape[a], p.target[a]) for a in range(len(shape)))
+
+
+@lru_cache(maxsize=256)
+def moveaxis_order(ndim: int, source: int, destination: int) -> tuple[int, ...]:
+    """The axis permutation ``np.moveaxis(a, source, destination)`` builds
+    for an ``ndim``-axis array (both axes non-negative).
+
+    ``a.transpose(moveaxis_order(a.ndim, s, d))`` is the same view as
+    ``np.moveaxis(a, s, d)`` without re-validating and re-deriving the
+    order on every call — the pass loops make one such move per pass.
+    """
+    order = [n for n in range(ndim) if n != source]
+    order.insert(destination, source)
+    return tuple(order)
 
 
 @dataclass(frozen=True)

@@ -4,14 +4,21 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.compressors import SZ3, get_compressor, interp_engine
+from repro.compressors import SZ3, CompressionState, get_compressor, interp_engine
 from repro.compressors.base import decode_index_stream, encode_index_stream
 from repro.compressors.interp_engine import EngineConfig, compress_volume
+from repro.compressors.qoz import tune_level_eb
 from repro.core import QPConfig
-from repro.core.autotune import DEFAULT_CANDIDATES, autotune
+from repro.core.autotune import (
+    _ALPHA_GRID,
+    _BETA_GRID,
+    DEFAULT_CANDIDATES,
+    autotune,
+)
 from repro.datasets import generate
 from repro.pipeline.stages import QPTransform, StageContext
 from repro.temporal import TemporalCompressor
+from repro.utils.levels import num_levels
 
 #: every non-QP knob pinned to what ``SZ3(eb, predictor="interp")`` runs,
 #: so the tuner chooses only the QP config
@@ -52,14 +59,14 @@ class TestAutotune:
         block = smooth_field[:32, :32, :32].copy()
         stats: list[dict] = []
         cfg = EngineConfig(error_bound=1e-3, interp="cubic")
-        _, plain, _, _ = compress_volume(block, cfg, None, stats)
+        _, plain, _, _, _ = compress_volume(block, cfg, None, stats)
         assert np.array_equal(
             np.concatenate([s["indices"].ravel() for s in stats]), plain
         )
         ctx = StageContext(sentinel=-cfg.radius)
         for cand in DEFAULT_CANDIDATES[1:]:
             cfg.qp = cand
-            _, stream, _, _ = compress_volume(block, cfg)
+            _, stream, _, _, _ = compress_volume(block, cfg)
             parts = []
             for s in stats:
                 ctx.level = s["level"]
@@ -67,12 +74,13 @@ class TestAutotune:
             assert np.array_equal(np.concatenate(parts), stream), cand
 
     @pytest.mark.parametrize("base,runs,trials", [
-        ("sz3", 39, 18), ("qoz", 39, 18), ("hpez", 36, 17), ("mgard", 12, 9),
+        ("sz3", 36, 17), ("qoz", 36, 17), ("hpez", 33, 16), ("mgard", 12, 9),
     ])
     def test_engine_runs_per_call(self, monkeypatch, base, runs, trials):
         """The QP step runs no engine: 5 candidates x 3 blocks fewer engine
         runs per call, while ``autotune.trials`` still counts every
-        candidate scored."""
+        candidate scored; the alpha/beta step never re-runs the
+        incumbent (alpha = 1), one trial x 3 blocks fewer."""
         data = generate("miranda", shape=(48, 40, 44), seed=3)
         eb = 1e-3 * float(data.max() - data.min())
         calls = []
@@ -89,6 +97,49 @@ class TestAutotune:
         assert decision.n_blocks == 3
         assert len(calls) == runs
         assert ob.metrics.snapshot()["autotune.trials"]["value"] == trials
+
+    def _miranda(self):
+        data = generate("miranda", shape=(48, 40, 44), seed=3)
+        return data, 1e-3 * float(data.max() - data.min())
+
+    def _trials(self, data, eb, fixed):
+        ob = obs.Observation()
+        with obs.observe(ob):
+            decision = autotune(data, eb, fixed=fixed)
+        return decision, ob.metrics.snapshot()["autotune.trials"]["value"]
+
+    def test_pinned_beta_survives_alpha_step(self):
+        """A pinned beta stays: the alpha/beta step tries each other alpha
+        of the grid under it (3 trials), never a grid beta."""
+        d, trials = self._trials(*self._miranda(), {"beta": 4.0})
+        assert d.beta == 4.0
+        assert d.alpha in _ALPHA_GRID
+        assert trials == 14
+
+    def test_pinned_alpha_still_tunes_beta(self):
+        """A pinned alpha != 1 only scales the levels once beta leaves 1:
+        the step tries each beta of the grid under it (2 trials)."""
+        d, trials = self._trials(*self._miranda(), {"alpha": 1.5})
+        assert d.alpha == 1.5
+        assert d.beta in _BETA_GRID
+        assert trials == 13
+
+    def test_trials_build_no_compression_state(self, monkeypatch):
+        """Trials score the stream, the literal count and the decoded
+        block only: neither an autotune call nor QoZ's alpha/beta tuner
+        constructs the characterization volumes' holder."""
+        data, eb = self._miranda()
+        built = []
+        real = CompressionState.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(CompressionState, "__init__", counting)
+        autotune(data, eb)
+        tune_level_eb(data, eb, num_levels(data.shape))
+        assert built == []
 
     def test_exact_block_keeps_score_finite(self):
         """A sample block reconstructed exactly (a zeroed corner) must not

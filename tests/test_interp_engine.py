@@ -22,7 +22,7 @@ def field():
 
 
 def roundtrip(data, cfg):
-    meta, stream, literals, anchors = compress_volume(data, cfg)
+    meta, stream, literals, anchors, _ = compress_volume(data, cfg)
     return decompress_volume(
         meta, stream, literals, anchors, data.shape, data.dtype, cfg.error_bound
     )
@@ -76,7 +76,7 @@ class TestEngineRoundtrip:
 
     def test_anchors_exact(self, field):
         cfg = EngineConfig(error_bound=1e-2)
-        meta, stream, literals, anchors = compress_volume(field, cfg)
+        meta, stream, literals, anchors, _ = compress_volume(field, cfg)
         out = decompress_volume(
             meta, stream, literals, anchors, field.shape, field.dtype, 1e-2
         )
@@ -84,8 +84,8 @@ class TestEngineRoundtrip:
 
     def test_stream_sizes_deterministic(self, field):
         cfg = EngineConfig(error_bound=1e-3)
-        _, s1, _, _ = compress_volume(field, cfg)
-        _, s2, _, _ = compress_volume(field, cfg)
+        _, s1, _, _, _ = compress_volume(field, cfg)
+        _, s2, _, _, _ = compress_volume(field, cfg)
         assert np.array_equal(s1, s2)
 
     def test_qp_stream_differs_but_decodes_identically(self, field):
@@ -97,7 +97,7 @@ class TestEngineRoundtrip:
 
     def test_corrupt_stream_size_detected(self, field):
         cfg = EngineConfig(error_bound=1e-3)
-        meta, stream, literals, anchors = compress_volume(field, cfg)
+        meta, stream, literals, anchors, _ = compress_volume(field, cfg)
         with pytest.raises(ValueError):
             decompress_volume(
                 meta, stream[:-5], literals, anchors, field.shape, field.dtype, 1e-3

@@ -7,6 +7,7 @@ from repro.utils.levels import (
     anchor_slices,
     anchor_stride,
     level_passes,
+    moveaxis_order,
     num_levels,
     pass_sizes,
 )
@@ -95,3 +96,15 @@ def test_anchor_stride_exceeds_half_extent():
     for shape in [(16,), (100,), (31, 7)]:
         s = anchor_stride(shape)
         assert s >= (max(shape) - 1) / 2
+
+
+@pytest.mark.parametrize("ndim", [1, 2, 3, 4])
+def test_moveaxis_order_gives_moveaxis_view(ndim):
+    """``transpose(moveaxis_order(...))`` is ``np.moveaxis``'s very view."""
+    a = np.arange(np.prod(range(2, 2 + ndim))).reshape(range(2, 2 + ndim))
+    for src in range(ndim):
+        for dst in range(ndim):
+            want = np.moveaxis(a, src, dst)
+            got = a.transpose(moveaxis_order(ndim, src, dst))
+            assert got.shape == want.shape and got.strides == want.strides
+            assert np.shares_memory(got, a)

@@ -4,7 +4,9 @@ measuring").
 
 Prints the top functions by cumulative time for SZ3 compression and
 decompression, with and without QP — the view that motivated the vectorized
-Huffman lockstep decode and the wavefront QP inverse.
+Huffman lockstep decode and the wavefront QP inverse — and for
+``compress(auto=True)``, where the sampling auto-tuner's trial engine runs
+(``repro.core.autotune``) show up beside the compress they tune.
 
 Run:  python tools/profile_pipeline.py [dataset] [rel_eb]
 """
@@ -46,6 +48,7 @@ def main() -> None:
 
     profile_call("compress (base)", lambda: base.compress(data))
     profile_call("compress (+QP)", lambda: plus.compress(data))
+    profile_call("compress (auto=True)", lambda: plus.compress(data, auto=True))
     profile_call("decompress (base)", lambda: base.decompress(blob_base))
     profile_call("decompress (+QP)", lambda: plus.decompress(blob_plus))
 
