@@ -10,8 +10,10 @@ Layout (v1)::
 
 The v1 index is ``{"v": 1, "entries": {name: [offset, size, crc32]}}`` —
 every entry carries a CRC32 verified on read, and the index itself is
-covered by the footer CRC.  v0 archives (flat ``{name: [offset, size]}``
-index, 12-byte ``CRAR`` footer, no checksums) remain fully readable.
+covered by the footer CRC.  The retired v0 layout (flat ``{name: [offset,
+size]}`` index, 12-byte ``CRAR`` footer, no checksums) raises
+:class:`~repro.errors.CorruptArchiveError` naming it: read such a file with
+an earlier release and append its entries to a new archive.
 
 Appending rewrites only the tail (index + footer).  Because the new payload
 overwrites the *old* index, a crash mid-append used to leave an unreadable
@@ -143,7 +145,7 @@ class Archive:
         return list(self._read_index())
 
     def read(self, name: str, verify: bool = True) -> bytes:
-        """Read one entry; v1 entries get CRC32 verification by default."""
+        """Read one entry, verifying its CRC32 unless ``verify=False``."""
         index = self._read_index()
         if name not in index:
             raise KeyError(f"no entry {name!r}; have {list(index)}")
@@ -162,21 +164,19 @@ class Archive:
             raise TruncatedStreamError(
                 f"entry {name!r} declares {size} bytes, read {len(blob)}"
             )
-        if verify and len(entry) > 2 and _crc32(blob) != entry[2]:
+        if verify and _crc32(blob) != entry[2]:
             raise IntegrityError(f"entry {name!r} failed its CRC32 check")
         return blob
 
     def sizes(self) -> dict[str, int]:
         return {k: v[1] for k, v in self._read_index().items()}
 
-    def checksums(self) -> dict[str, int | None]:
-        """Per-entry CRC32 (``None`` for legacy v0 entries)."""
-        return {
-            k: (v[2] if len(v) > 2 else None) for k, v in self._read_index().items()
-        }
+    def checksums(self) -> dict[str, int]:
+        """Per-entry CRC32."""
+        return {k: v[2] for k, v in self._read_index().items()}
 
     def verify_all(self) -> dict[str, bool]:
-        """Re-read every entry and check its CRC (legacy entries pass)."""
+        """Re-read every entry and check its CRC."""
         results = {}
         for name in self.names():
             try:
@@ -191,15 +191,9 @@ class Archive:
 
     @property
     def version(self) -> int:
-        """On-disk format revision (0 for legacy, 1 for checksummed)."""
-        with open(self.path, "rb") as f:
-            f.seek(-4, 2)
-            tail = f.read(4)
-        if tail == _FOOT_V1:
-            return 1
-        if tail == _FOOT_V0:
-            return 0
-        raise CorruptArchiveError(f"{self.path}: unrecognized archive footer")
+        """On-disk format revision: 1 (a retired v0 archive raises)."""
+        self._load_tail(recover=False)
+        return ARCHIVE_FORMAT_VERSION
 
     # -- crash recovery ---------------------------------------------------------
 
@@ -295,10 +289,11 @@ class Archive:
                 raise CorruptArchiveError(f"{self.path}: index CRC32 mismatch")
             index = self._parse_index(raw)
         elif tail[12:] == _FOOT_V0:
-            (idx_off,) = struct.unpack("<Q", tail[4:12])
-            end = size - 12
-            raw = self._read_span(idx_off, end)
-            index = self._parse_index(raw)
+            raise CorruptArchiveError(
+                f"{self.path}: retired v0 archive format (CRAR footer, no "
+                "checksums); read it with an earlier release and append its "
+                "entries to a new archive"
+            )
         else:
             raise CorruptArchiveError(f"{self.path}: archive footer corrupt")
         return idx_off, index
@@ -319,13 +314,12 @@ class Archive:
             obj = json.loads(raw.decode())
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise CorruptArchiveError(f"{self.path}: index unreadable: {exc}") from None
+        entries = None
         if isinstance(obj, dict) and obj.get("v") == ARCHIVE_FORMAT_VERSION:
             entries = obj.get("entries")
-        else:
-            entries = obj  # legacy v0 flat index
         if not isinstance(entries, dict) or not all(
             isinstance(v, list)
-            and len(v) in (2, 3)
+            and len(v) == 3
             and all(isinstance(x, int) for x in v)
             for v in entries.values()
         ):

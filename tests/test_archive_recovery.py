@@ -1,5 +1,5 @@
 """Archive v1: integrity-checked entries, journaled appends, torn-write
-recovery, and v0 back-compat.
+recovery, and the typed error for the retired v0 format.
 
 ``Archive.append`` rewrites the tail (index + footer) in place, so a crash
 mid-append used to leave an unreadable file.  These tests drive the
@@ -116,39 +116,18 @@ class TestTornWriteRecovery:
         assert arch.recover() == "clean"
 
 
-class TestV0BackCompat:
-    def _write_v0(self, path, entries):
-        payload = b"".join(entries.values())
-        index = {}
-        off = 4
-        for name, blob in entries.items():
-            index[name] = [off, len(blob)]
-            off += len(blob)
-        raw = json.dumps(index).encode()
-        body = _MAGIC + payload + raw + struct.pack("<Q", off) + _FOOT_V0
-        path.write_bytes(body)
-
-    def test_v0_archive_still_reads(self, tmp_path):
-        path = tmp_path / "legacy.rarc"
-        entries = {"a": b"xx" * 10, "b": b"yo" * 33}
-        self._write_v0(path, entries)
-        arch = Archive(path)
-        assert arch.version == 0
-        assert set(arch.names()) == set(entries)
-        for name, blob in entries.items():
-            assert arch.read(name) == blob
-        assert arch.checksums() == {"a": None, "b": None}
-        assert arch.verify_all() == {"a": True, "b": True}
-
-    def test_append_upgrades_v0_to_v1(self, tmp_path):
-        path = tmp_path / "legacy.rarc"
-        self._write_v0(path, {"a": b"xx" * 10})
-        arch = Archive(path)
-        arch.append("b", b"new" * 5)
-        assert arch.version == 1
-        assert arch.read("a") == b"xx" * 10
-        assert arch.checksums()["b"] == _crc(b"new" * 5)
-        assert arch.checksums()["a"] is None  # legacy entry stays unhashed
+def test_retired_v0_archive_raises_typed_error(tmp_path):
+    # v0: flat {name: [offset, size]} index and a 12-byte CRAR footer
+    path = tmp_path / "legacy.rarc"
+    blob = b"xx" * 10
+    index = json.dumps({"a": [4, len(blob)]}).encode()
+    path.write_bytes(_MAGIC + blob + index + struct.pack("<Q", 4 + len(blob)) + _FOOT_V0)
+    arch = Archive(path)
+    for probe in (arch.names, lambda: arch.read("a"), lambda: arch.version,
+                  lambda: arch.append("b", b"new")):
+        with pytest.raises(CorruptArchiveError, match="retired v0 archive format"):
+            probe()
+    assert path.read_bytes().endswith(_FOOT_V0)  # the failed append wrote nothing
 
 
 def test_entry_bounds_validated(tmp_path):
