@@ -236,8 +236,8 @@ def clear_decode_table_cache() -> None:
 
 def _decode_tables(
     present: np.ndarray, present_lens: np.ndarray
-) -> tuple[bytes, np.ndarray, np.ndarray, int]:
-    """Flat (key, sym_table, len_table, max_len) for one sparse code table.
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Flat (sym_table, len_table, max_len) for one sparse code table.
 
     Memoized: the key is a digest of the raw header bytes describing the
     table, so byte-identical code tables (parallel slabs of one volume,
@@ -254,7 +254,7 @@ def _decode_tables(
         _DECODE_TABLE_CACHE.move_to_end(key)
         _DECODE_TABLE_STATS["hits"] += 1
         metric_count("huffman.table_cache", result="hit")
-        return (key, *cached)
+        return cached
     _DECODE_TABLE_STATS["misses"] += 1
     metric_count("huffman.table_cache", result="miss")
 
@@ -280,8 +280,7 @@ def _decode_tables(
     sym_table = np.zeros(1 << max_len, dtype=np.int64)
     # uint8 (code lengths are <= MAX_CODE_LEN): the per-step cursor advance
     # gathers randomly from this table, so an 8x smaller footprint keeps it
-    # cache-resident even for wide tables and concatenated multi-container
-    # tables (numpy upcasts the += to int64)
+    # cache-resident even for wide tables (numpy upcasts the += to int64)
     len_table = np.zeros(1 << max_len, dtype=np.uint8)
     sym_table[:covered] = np.repeat(psyms[order], spans)
     len_table[:covered] = np.repeat(plens[order], spans)
@@ -290,55 +289,7 @@ def _decode_tables(
 
     _DECODE_TABLE_CACHE[key] = (sym_table, len_table, max_len)
     _evict_decode_tables()
-    return key, sym_table, len_table, max_len
-
-
-#: LRU of width-expanded length tables for multi-container lockstep decodes,
-#: keyed by the tuple of member table digests.  Byte-capped rather than
-#: entry-capped: a deep (MAX_CODE_LEN) table is 1 MiB per container, so a
-#: handful of four-slab entries is the natural working set.
-_COMBINED_TABLE_CACHE: "OrderedDict[tuple, tuple]" = OrderedDict()
-_COMBINED_TABLE_CACHE_MAX_BYTES = 192 << 20
-
-
-def _combined_tables(
-    parts: list[tuple[bytes, np.ndarray, np.ndarray, int]]
-) -> tuple[np.ndarray, int, np.ndarray]:
-    """Per-container length tables expanded to one width for joint decode.
-
-    Returns ``(len_exp, M, norms)``: ``M = max(max_len)`` is the global
-    window width; ``len_exp`` is every container's length table expanded to
-    width ``M`` (its native table repeated ``2**(M - max_len_k)`` times, so
-    the junk low bits of a wide window are absorbed by construction) and
-    laid out contiguously, so ``len_exp[win + (k << M)]`` is container
-    ``k``'s code length for the full ``M``-bit window ``win``;
-    ``norms[k] = M - max_len_k`` converts stored windows back to native ones
-    for the final symbol gather.  Expanding up front keeps the per-step
-    cursor advance at one add plus one gather — no per-step normalization
-    shift, which at lockstep lane counts is pure ufunc-call overhead.
-    """
-    key = tuple(p[0] for p in parts)
-    cached = _COMBINED_TABLE_CACHE.get(key)
-    if cached is not None:
-        _COMBINED_TABLE_CACHE.move_to_end(key)
-        return cached
-    max_lens = [p[3] for p in parts]
-    M = max(max_lens)
-    len_exp = np.empty(len(parts) << M, dtype=np.uint8)
-    for k, p in enumerate(parts):
-        norm = M - max_lens[k]
-        len_exp[k << M:(k + 1) << M] = (
-            np.repeat(p[2], 1 << norm) if norm else p[2]
-        )
-    len_exp.setflags(write=False)
-    norms = np.asarray([M - ml for ml in max_lens], dtype=np.int64)
-    entry = (len_exp, M, norms)
-    _COMBINED_TABLE_CACHE[key] = entry
-    total = sum(e[0].nbytes for e in _COMBINED_TABLE_CACHE.values())
-    while total > _COMBINED_TABLE_CACHE_MAX_BYTES and len(_COMBINED_TABLE_CACHE) > 1:
-        _, dropped = _COMBINED_TABLE_CACHE.popitem(last=False)
-        total -= dropped[0].nbytes
-    return entry
+    return sym_table, len_table, max_len
 
 
 class HuffmanCodec:
@@ -415,36 +366,13 @@ class HuffmanCodec:
         :class:`~repro.errors.TruncatedStreamError` in bounded time — never
         a hang, never a silently mis-shaped array.
         """
-        parsed = _parse_container(data)
-        if parsed is None:
-            return np.empty(0, dtype=np.int64)
-        lib = kernels.native()
-        if lib is not None:
-            return _decode_native(lib, parsed)
-        return _decode_group([parsed])[0]
+        return _decode_one(data)
 
     def decode_many(self, datas: "list[bytes]") -> "list[np.ndarray]":
-        """Decode several containers; output and errors match ``decode``.
-
-        The native decoder takes one call per container.  On the numpy path
-        every container's blocks become lanes of a single cursor vector, so
-        the Python-level loop cost is paid once for the whole batch instead
-        of once per container — the win that makes decoding N slab streams
-        of one volume as cheap as decoding the volume's own stream.  Either
-        way the output and error behaviour match ``decode`` applied to each
-        container in order (the first corrupt member raises).
-        """
-        parsed = [_parse_container(d) for d in datas]
-        live = [p for p in parsed if p is not None]
-        lib = kernels.native()
-        if lib is not None:
-            decoded = iter([_decode_native(lib, p) for p in live])
-        else:
-            decoded = iter(_decode_group(live)) if live else iter(())
-        return [
-            np.empty(0, dtype=np.int64) if p is None else next(decoded)
-            for p in parsed
-        ]
+        """Decode several containers in order, one at a time: output and
+        errors match ``decode`` applied to each (the first corrupt member
+        raises)."""
+        return [_decode_one(d) for d in datas]
 
 
 def _encode_native(lib, symbols, freqs, lengths, codes, block_size: int):
@@ -550,6 +478,17 @@ def _check_block_ends(ends, block_offsets, total_bits: int) -> None:
         raise CorruptBlobError("Huffman blocks misaligned after decode")
 
 
+def _decode_one(data: bytes) -> np.ndarray:
+    """Parse and decode one container on whichever path is loaded."""
+    parsed = _parse_container(data)
+    if parsed is None:
+        return np.empty(0, dtype=np.int64)
+    lib = kernels.native()
+    if lib is not None:
+        return _decode_native(lib, parsed)
+    return _decode_lockstep(parsed)
+
+
 def _decode_native(lib, parsed: tuple) -> np.ndarray:
     """Decode one parsed container with the C block decoder.
 
@@ -558,7 +497,7 @@ def _decode_native(lib, parsed: tuple) -> np.ndarray:
     writes only inside the ``n``-symbol output.
     """
     n, block_size, block_offsets, total_bits, payload, tables = parsed
-    _, sym_table, len_table, max_len = tables
+    sym_table, len_table, max_len = tables
     out = np.empty(n, dtype=np.int64)
     ends = np.empty(block_offsets.size, dtype=np.int64)
     lib.repro_huffman_decode(
@@ -570,16 +509,24 @@ def _decode_native(lib, parsed: tuple) -> np.ndarray:
     return out
 
 
-def _decode_lockstep(buf, cur, stops, len_flat, lane_off, wins, M) -> None:
-    """Advance every lane one symbol per step, recording matched windows.
+def _decode_lockstep(parsed: tuple) -> np.ndarray:
+    """Decode one parsed container with numpy, all blocks in lockstep.
 
-    ``buf`` is the zero-padded concatenated payload, ``cur`` the per-lane
-    absolute bit cursors (advanced in place), ``stops`` the per-lane symbol
-    counts sorted descending, ``len_flat`` the window -> code-length table,
-    ``lane_off`` each lane's base offset into ``len_flat`` (``None`` when
-    all lanes share one table), ``wins`` the ``(max_steps, n_lanes)`` output
-    matrix of matched windows and ``M`` the window width in bits.
+    Every block is a *lane*: a bit cursor advanced one symbol per
+    Python-level step.  Only the last block can be short, so all lanes run
+    its length and the full blocks then run on without it.  Windows are
+    gathered from the zero-padded payload and stored row-major, so the
+    per-step store is contiguous.  The step count is fixed up front, so
+    decode time stays bounded for corrupt input, and every block must land
+    exactly on the next block's recorded bit offset.
     """
+    n, block_size, block_offsets, total_bits, payload, tables = parsed
+    sym_table, len_table, M = tables
+    steps = min(block_size, n)
+    # A cursor starts inside the payload (checked during parse) and advances
+    # at most M bits per step, so this padding bounds every window gather.
+    buf = np.zeros(payload.size + (steps * M + 7) // 8 + 8, dtype=np.uint8)
+    buf[:payload.size] = payload
     # Overlapping big-endian 32-bit window view: byte i starts the window
     # covering bits [8i, 8i+32); buf carries >=3 padding bytes at the end.
     allwin = np.ndarray(
@@ -587,119 +534,16 @@ def _decode_lockstep(buf, cur, stops, len_flat, lane_off, wins, M) -> None:
     ).astype(np.int64)
     mask = np.int64((1 << M) - 1)
     shift_base = np.int64(32 - M)
-    prev = 0
-    for b in [int(v) for v in np.unique(stops)]:
-        act = int(np.count_nonzero(stops >= b))
-        cur_v = cur[:act]
-        row = slice(0, act)
-        if lane_off is None:
-            for step in range(prev, b):
-                w = allwin[cur_v >> 3]
-                win = (w >> (shift_base - (cur_v & 7))) & mask
-                wins[step, row] = win
-                cur_v += len_flat[win]
-        else:
-            off_v = lane_off[:act]
-            for step in range(prev, b):
-                w = allwin[cur_v >> 3]
-                win = (w >> (shift_base - (cur_v & 7))) & mask
-                wins[step, row] = win
-                cur_v += len_flat[win + off_v]
-        prev = b
-
-
-def _decode_group(parsed: list) -> "list[np.ndarray]":
-    """Joint lockstep decode of one or more parsed containers.
-
-    Every block of every container is one *lane*: a cursor advanced one
-    symbol per Python-level step.  Lanes are sorted by their step count
-    (descending), so the active set is always a prefix and the lockstep
-    advance runs as one :func:`_decode_lockstep` call.  Windows are gathered
-    from the concatenated zero-padded payload buffer and matched windows are
-    stored row-major so the per-step store is contiguous.  The step count is
-    fixed up front, so decode time stays bounded for corrupt input; each
-    container's blocks are still checked to land exactly on the next block's
-    recorded bit offset.
-    """
-    single = len(parsed) == 1
-    if single:
-        key, sym_flat, len_flat, M = parsed[0][5]
-        norms = None
-    else:
-        len_flat, M, norms = _combined_tables([p[5] for p in parsed])
-
-    # Concatenate payloads into one zero-padded buffer.  Padding bounds every
-    # window gather: a cursor starts inside its container's payload (checked
-    # during parse) and advances at most max_len bits per active step, so the
-    # worst overrun past the final payload byte is steps * M bits.
-    pay_sizes = [p[4].size for p in parsed]
-    base_bytes = np.zeros(len(parsed) + 1, dtype=np.int64)
-    np.cumsum(np.asarray(pay_sizes, dtype=np.int64), out=base_bytes[1:])
-    max_steps = max(min(p[1], p[0]) for p in parsed)
-    pad = (max_steps * M + 7) // 8 + 8
-    buf = np.zeros(int(base_bytes[-1]) + pad, dtype=np.uint8)
-    for p, lo, size in zip(parsed, base_bytes, pay_sizes):
-        buf[int(lo):int(lo) + size] = p[4]
-
-    # Lane tables: cursors (absolute bit positions in the concatenated
-    # buffer), per-lane step counts, and — for multi-container groups — the
-    # per-lane window normalization shift and table base offset.
-    lane_cont: list[int] = []
-    cur_parts: list[np.ndarray] = []
-    stop_parts: list[np.ndarray] = []
-    for k, p in enumerate(parsed):
-        n, block_size, block_offsets, _, _, _ = p
-        nb = block_offsets.size
-        cur_parts.append(block_offsets + base_bytes[k] * 8)
-        stops = np.full(nb, block_size, dtype=np.int64)
-        stops[-1] = n - (nb - 1) * block_size
-        stop_parts.append(stops)
-        lane_cont.extend([k] * nb)
-    cur = np.concatenate(cur_parts)
-    stops = np.concatenate(stop_parts)
-    cont_ids = np.asarray(lane_cont, dtype=np.int64)
-    L = cur.size
-
-    # Sort lanes so longer-running ones come first: the active set during any
-    # step range is then a prefix slice.  (For a single container this is the
-    # identity permutation — all blocks are full except the last.)
-    perm = np.argsort(-stops, kind="stable")
-    inv = np.empty(L, dtype=np.int64)
-    inv[perm] = np.arange(L)
-    cur = np.ascontiguousarray(cur[perm])
-    stops_p = stops[perm]
-    # per-lane base offset into the width-expanded length table; the
-    # expansion absorbs the per-container normalization shift, so the
-    # advance is one add + one gather regardless of mixed table depths
-    lane_off = None if single else cont_ids[perm] << np.int64(M)
-
-    wins = np.empty((max_steps, L), dtype=np.int64)
-    _decode_lockstep(buf, cur, stops_p, len_flat, lane_off, wins, M)
-
-    # Validate and extract per container.
-    end_cur = cur[inv]
-    results: list[np.ndarray] = []
-    lane_lo = 0
-    for k, p in enumerate(parsed):
-        n, block_size, block_offsets, total_bits, _, _ = p
-        nb = block_offsets.size
-        _check_block_ends(
-            end_cur[lane_lo:lane_lo + nb] - base_bytes[k] * 8,
-            block_offsets, total_bits,
-        )
-        cols = inv[lane_lo:lane_lo + nb]
-        lane_lo += nb
-        c0 = int(cols[0])
-        if np.array_equal(cols, np.arange(c0, c0 + nb)):
-            blk = wins[:, c0:c0 + nb]  # contiguous lanes: keep the view
-        else:
-            blk = wins[:, cols]
-        flat = np.ascontiguousarray(blk.T[:, :block_size]).reshape(-1)[:n]
-        if single:
-            results.append(sym_flat[flat])
-        else:
-            # stored windows are full width: shift off the junk low bits to
-            # index this container's own (native-width) symbol table
-            nk = int(norms[k])
-            results.append(p[5][1][flat >> nk if nk else flat])
-    return results
+    nb = block_offsets.size
+    last = n - (nb - 1) * block_size  # symbols in the last block
+    cur = block_offsets.copy()
+    wins = np.empty((steps, nb), dtype=np.int64)
+    for lanes, first, stop in ((nb, 0, last), (nb - 1, last, steps)):
+        cur_v = cur[:lanes]
+        for step in range(first, stop):
+            w = allwin[cur_v >> 3]
+            win = (w >> (shift_base - (cur_v & 7))) & mask
+            wins[step, :lanes] = win
+            cur_v += len_table[win]
+    _check_block_ends(cur, block_offsets, total_bits)
+    return sym_table[np.ascontiguousarray(wins.T).reshape(-1)[:n]]

@@ -261,10 +261,10 @@ class Compressor(ABC):
     #: prediction+quantization compressors can support it)
     supports_qp: bool = False
     #: Huffman block size for the index-stream entropy stage; ``None`` keeps
-    #: the codec default.  Block-synchronous decode costs ``block_size``
-    #: Python-level steps however many lanes run in lockstep, so short slab
-    #: streams decode far faster with smaller blocks (at ~8 bytes of stored
-    #: offset per extra block) — the slab-parallel wrapper tunes this down
+    #: the codec default.  It is written into each container header (decode
+    #: reads it from there), so it sets container bytes: the slab-parallel
+    #: wrapper's smaller value (``parallel.SLAB_HUFFMAN_BLOCK``) stays for
+    #: that reason
     huffman_block_size: int | None = None
     #: entropy stage for the index streams — any key of
     #: :data:`repro.pipeline.stages.ENTROPY_STAGES` ("huffman", "range").
@@ -395,12 +395,15 @@ class Compressor(ABC):
         return out.reshape(shape).astype(dtype, copy=False)
 
     def decompress_many(self, blobs: "list[bytes]") -> "list[np.ndarray]":
-        """Decompress several blobs with shared decode stages batched.
+        """Decompress several blobs; output is identical to
+        ``[self.decompress(b) for b in blobs]``.
 
-        Output is identical to ``[self.decompress(b) for b in blobs]``, but
-        subclasses may override ``_decompress_many`` to amortize per-blob
-        Python dispatch (joint Huffman lockstep decode, stacked QP inverse)
-        — the hot path for slab-parallel containers.
+        Every index stream is entropy-decoded on its own.  Subclasses may
+        override ``_decompress_many`` to stack the later per-pass stages
+        across blobs of one geometry (SZ3 stacks prediction and
+        dequantization through
+        :func:`~repro.compressors.interp_engine.decompress_volumes`) — the
+        slab-parallel and streamed decode path.
         """
         parsed = [self._parse_own_blob(blob) for blob in blobs]
         with stage("decompress", compressor=self.name, batch=len(blobs)):
@@ -648,65 +651,34 @@ def encode_index_stream(
 
 
 def decode_index_stream(data: bytes) -> np.ndarray:
-    return decode_index_streams([data])[0]
-
-
-def decode_index_streams(datas: "list[bytes]") -> "list[np.ndarray]":
-    """Decode several index streams, batching the Huffman stage.
-
-    All Huffman-coded members go to one :meth:`HuffmanCodec.decode_many`
-    call.  On the numpy path that is one joint lockstep loop, so the
-    Python-level decode cost is paid once for the whole batch — the hot
-    path for slab-parallel containers, where N short streams would
-    otherwise cost far more than one long one.  Validation and output match
-    ``decode_index_stream`` applied per stream.
-    """
+    """Invert :func:`encode_index_stream`: undo the lossless backend,
+    decode the codes with the entropy stage the leading wire id names, and
+    put the escaped outliers back."""
     from ..codecs.fixed import decode_fixed
 
     head = struct.calcsize("<BqQ")
-    parsed = []
-    for data in datas:
-        if len(data) < head:
-            raise TruncatedStreamError(
-                f"index stream header needs {head} bytes, have {len(data)}"
-            )
-        entropy_id, offset, plen = struct.unpack_from("<BqQ", data, 0)
-        if head + plen > len(data):
-            raise TruncatedStreamError(
-                f"index stream declares {plen} payload bytes, only "
-                f"{len(data) - head} present"
-            )
-        parsed.append((entropy_id, offset, plen, data))
+    if len(data) < head:
+        raise TruncatedStreamError(
+            f"index stream header needs {head} bytes, have {len(data)}"
+        )
+    entropy_id, offset, plen = struct.unpack_from("<BqQ", data, 0)
+    if head + plen > len(data):
+        raise TruncatedStreamError(
+            f"index stream declares {plen} payload bytes, only "
+            f"{len(data) - head} present"
+        )
     with stage("lossless"):
-        payloads = [
-            lossless_decompress(data[head:head + plen])
-            for (_, _, plen, data) in parsed
-        ]
-    for (_, _, plen, _) in parsed:
-        add_bytes("lossless", plen)
-    codes_list: "list[np.ndarray | None]" = [None] * len(parsed)
+        payload = lossless_decompress(data[head:head + plen])
+    add_bytes("lossless", plen)
     with stage("huffman"):
-        # group by wire id and hand each group to its stage's batched decode
-        # (on the numpy path Huffman runs one joint lockstep loop per group)
-        by_wire_id: dict[int, list[int]] = {}
-        for i, (eid, _, _, _) in enumerate(parsed):
-            by_wire_id.setdefault(eid, []).append(i)
-        for eid, members in by_wire_id.items():
-            coder = entropy_stage_for_wire_id(eid)
-            decoded = coder.decode_many([payloads[i] for i in members])
-            for i, codes in zip(members, decoded):
-                codes_list[i] = codes
-    for payload in payloads:
-        add_bytes("huffman", len(payload))
-    out = []
-    esc = _STREAM_ALPHABET_CAP - 1
-    for (eid, offset, plen, data), codes in zip(parsed, codes_list):
-        escapes = decode_fixed(lossless_decompress(data[head + plen:]))
-        esc_mask = codes == esc
-        if int(esc_mask.sum()) != escapes.size:
-            raise CorruptBlobError("index stream escape count mismatch")
-        if escapes.size:
-            u = escapes.astype(np.int64)
-            codes[esc_mask] = np.where(u % 2 == 0, u // 2, -(u + 1) // 2)
-        out.append(codes + offset)
-    return out
+        coder = entropy_stage_for_wire_id(entropy_id)()
+        codes = coder.inverse(_FRAMING_CTX, payload)
+    add_bytes("huffman", len(payload))
+    escapes = decode_fixed(lossless_decompress(data[head + plen:]))
+    esc_mask = codes == _STREAM_ALPHABET_CAP - 1
+    if int(esc_mask.sum()) != escapes.size:
+        raise CorruptBlobError("index stream escape count mismatch")
+    if escapes.size:
+        u = escapes.astype(np.int64)
+        codes[esc_mask] = np.where(u % 2 == 0, u // 2, -(u + 1) // 2)
+    return codes + offset

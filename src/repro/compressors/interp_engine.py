@@ -433,180 +433,118 @@ def _stream_layout(
 
 # -- batched decompression ---------------------------------------------------
 
-#: meta keys that must match across volumes for them to share one pass
-#: schedule (methods and level_eb_factors may differ — they are only used
-#: per-volume, never inside the batched transform inverse).
-_SCHEDULE_KEYS = (
+#: meta keys that must match across volumes for them to stack: one pass
+#: schedule and one quantizer per level.  Interpolation methods may differ —
+#: they only steer prediction, which runs per volume where they diverge.
+_STACK_KEYS = (
     "levels", "structure", "axis_order", "level_schemes", "radius", "qp",
-    "adaptive",
+    "adaptive", "level_eb_factors",
 )
 
 
-def _inverse_transforms_multi(
+def _inverse_transforms_stacked(
     ctx: StageContext, transforms: tuple, q_views: "list[np.ndarray]"
 ) -> np.ndarray:
-    """Invert the index-transform chain across a batch of equal-schedule
-    pass views; returns the results stacked along a new leading axis.
-    Transforms exposing ``inverse_multi`` (QP's wavefront inverse) handle
-    the whole batch in one call; others fall back to per-view inversion."""
-    if not transforms:
-        return np.stack(q_views)
-    stacked: np.ndarray | None = None
+    """Invert the index-transform chain on every volume's view of one pass;
+    returns the results stacked along a new leading axis.  Transforms
+    exposing ``inverse_multi`` (QP) take all views in one call."""
+    q = q_views
     for t in reversed(transforms):
-        if stacked is None:
-            multi = getattr(t, "inverse_multi", None)
-            if multi is not None:
-                stacked = multi(ctx, q_views)
-            else:
-                stacked = np.stack([t.inverse(ctx, q) for q in q_views])
+        multi = getattr(t, "inverse_multi", None)
+        if multi is not None:
+            q = multi(ctx, q)
         else:
-            stacked = np.stack([
-                t.inverse(ctx, stacked[i]) for i in range(stacked.shape[0])
-            ])
-    return stacked
+            q = np.stack([t.inverse(ctx, v) for v in q])
+    return np.stack(q) if q is q_views else q
 
 
 def decompress_volumes(
     items: "list[tuple[dict[str, Any], np.ndarray, np.ndarray, np.ndarray, tuple[int, ...], np.dtype, float]]",
 ) -> "list[np.ndarray]":
-    """Decompress several volumes, batching the transform inverse across
-    them.
+    """Decompress several volumes, stacking the per-pass stages.
 
     ``items`` holds ``(meta, index_stream, literals, anchors, shape, dtype,
     error_bound)`` per volume — the :func:`decompress_volume` signature.
-    When every volume shares one geometry and pass schedule (the
-    slab-parallel case), the per-pass index-transform inverse runs *once*
-    over all volumes stacked along a new batch axis instead of once per
-    volume, collapsing N Python diagonal walks into one.  Output is
-    bit-identical to calling :func:`decompress_volume` per item;
-    mixed-geometry inputs silently fall back to the per-volume path.
+    When all volumes share shape, dtype, pass schedule, error bound and
+    level factors (the equal slabs of one SZ3 volume), each pass's
+    prediction and dequantization run once over the volumes stacked along a
+    new leading axis — one set of Python dispatches for the whole group.
+    Otherwise (QoZ slabs, whose tuned level factors differ, or mixed
+    geometries) every item goes to :func:`decompress_volume`.  Output is
+    bit-identical to calling :func:`decompress_volume` per item.
     """
     if not items:
         return []
-
-    def _single(it):
-        meta, stream, lits, anchors, shp, dt, eb = it
-        return decompress_volume(meta, stream, lits, anchors, tuple(shp), dt, eb)
-
-    if len(items) == 1:
-        return [_single(items[0])]
-    meta0, _, _, _, shape0, dtype0, _ = items[0]
+    meta0, _, _, _, shape0, dtype0, eb0 = items[0]
     shape = tuple(shape0)
-    batchable = all(
+    stackable = len(items) > 1 and all(
         tuple(it[4]) == shape
         and np.dtype(it[5]) == np.dtype(dtype0)
-        and all(it[0].get(k) == meta0.get(k) for k in _SCHEDULE_KEYS)
+        and it[6] == eb0
+        and all(it[0].get(k) == meta0.get(k) for k in _STACK_KEYS)
         for it in items[1:]
     )
-    if not batchable:
-        return [_single(it) for it in items]
+    if not stackable:
+        return [
+            decompress_volume(meta, stream, lits, anchors, tuple(shp), dt, eb)
+            for meta, stream, lits, anchors, shp, dt, eb in items
+        ]
 
     n = len(items)
-    cfgs: list[EngineConfig] = []
-    methods_list: list[dict[int, str]] = []
-    arrs: list[np.ndarray] = []
-    for meta, _, _, anchors, _, dt, eb in items:
-        cfg = EngineConfig.from_meta(meta, eb)
-        cfgs.append(cfg)
-        methods_list.append({int(k): v for k, v in meta["methods"].items()})
-        arr = np.zeros(shape, dtype=dt)
-        arr[anchor_slices(shape)] = anchors.reshape(arr[anchor_slices(shape)].shape)
-        arrs.append(arr)
-
-    levels = int(meta0["levels"])
+    cfg = EngineConfig.from_meta(meta0, eb0)
+    transforms = cfg.index_transforms()
+    quantize = cfg.quantize_stage()
+    ctx = StageContext(sentinel=quantize.sentinel, dtype=dtype0)
+    methods_list = [
+        {int(k): v for k, v in it[0]["methods"].items()} for it in items
+    ]
+    arr_st = np.zeros((n,) + shape, dtype=dtype0)
+    anchor_st = arr_st[(slice(None),) + anchor_slices(shape)]
+    for i, it in enumerate(items):
+        anchor_st[i] = it[3].reshape(anchor_st.shape[1:])
     spos = [0] * n
     lpos = [0] * n
     ndim = len(shape)
-    transforms = cfgs[0].index_transforms()  # schedule keys include configs
-    ctx = StageContext(sentinel=-cfgs[0].radius, dtype=dtype0)
-    # With identical error bounds too (methods may still differ — they only
-    # steer prediction, handled per level below), every per-pass stage
-    # (transform inverse, prediction, dequantization) runs once over all
-    # volumes stacked along a leading batch axis — one set of Python
-    # dispatches for the whole group instead of one per volume.
-    full_stack = all(
-        it[6] == items[0][6]
-        and it[0].get("level_eb_factors") == meta0.get("level_eb_factors")
-        for it in items[1:]
-    )
-    if full_stack:
-        cfg0 = cfgs[0]
-        quantize = cfg0.quantize_stage()
-        arr_st = np.stack(arrs)
-        for level in range(levels, 0, -1):
-            ctx.level = level
-            passes = _passes_for_level(shape, level, cfg0)
-            if not passes:
-                continue
-            level_methods = [m[level] for m in methods_list]
-            method = level_methods[0] if len(set(level_methods)) == 1 else None
-            for p in passes:
-                moved_shape, count = _stream_layout(shape, p)
-                q_views = []
-                for i, it in enumerate(items):
-                    q_views.append(
-                        it[1][spos[i]:spos[i] + count].reshape(moved_shape)
-                    )
-                    spos[i] += count
-                q = _inverse_transforms_multi(ctx, transforms, q_views)
-                indices = q.transpose(moveaxis_order(q.ndim, 1, p.axis + 1))
-                unpred = indices == quantize.sentinel
-                lit_counts = unpred.sum(axis=tuple(range(1, ndim + 1)))
-                lit_parts = []
-                for i in range(n):
-                    c = int(lit_counts[i])
-                    lit_parts.append(items[i][2][lpos[i]:lpos[i] + c])
-                    lpos[i] += c
-                # dequantize places literals in C order of the stacked
-                # indices, i.e. volume-major — exactly this concatenation
-                lits = np.concatenate(lit_parts)
-                with stage("predict"):
-                    if method is not None:
-                        pred = _pass_prediction_stacked(arr_st, p, method)
-                    else:  # methods diverge at this level: predict per volume
-                        pred = np.stack([
-                            _pass_prediction(arr_st[i], p, level_methods[i])
-                            for i in range(n)
-                        ])
-                with stage("quantize"):
-                    ctx.level = level
-                    arr_st[(slice(None),) + p.target] = quantize.inverse(
-                        ctx, (indices, pred, lits)
-                    )
-        for i, it in enumerate(items):
-            if spos[i] != it[1].size:
-                raise ValueError("index stream size mismatch")
-            if lpos[i] != it[2].size:
-                raise ValueError("literal stream size mismatch")
-        return [arr_st[i] for i in range(n)]
-    quants = [cfg.quantize_stage() for cfg in cfgs]
-    for level in range(levels, 0, -1):
+    for level in range(int(meta0["levels"]), 0, -1):
         ctx.level = level
-        passes = _passes_for_level(shape, level, cfgs[0])
+        passes = _passes_for_level(shape, level, cfg)
         if not passes:
             continue
+        level_methods = [m[level] for m in methods_list]
+        method = level_methods[0] if len(set(level_methods)) == 1 else None
         for p in passes:
             moved_shape, count = _stream_layout(shape, p)
-            q_outs = []
+            q_views = []
             for i, it in enumerate(items):
-                q_outs.append(it[1][spos[i]:spos[i] + count].reshape(moved_shape))
+                q_views.append(it[1][spos[i]:spos[i] + count].reshape(moved_shape))
                 spos[i] += count
-            # sentinel depends only on the (shared) radius
-            qs = _inverse_transforms_multi(ctx, transforms, q_outs)
+            q = _inverse_transforms_stacked(ctx, transforms, q_views)
+            indices = q.transpose(moveaxis_order(q.ndim, 1, p.axis + 1))
+            unpred = indices == quantize.sentinel
+            lit_counts = unpred.sum(axis=tuple(range(1, ndim + 1)))
+            lit_parts = []
             for i in range(n):
-                indices = qs[i].transpose(moveaxis_order(ndim, 0, p.axis))
-                n_lit = int((indices == quants[i].sentinel).sum())
-                lits = items[i][2][lpos[i]:lpos[i] + n_lit]
-                lpos[i] += n_lit
-                with stage("predict"):
-                    pred = _pass_prediction(arrs[i], p, methods_list[i][level])
-                with stage("quantize"):
-                    arrs[i][p.target] = quants[i].inverse(
-                        ctx, (indices, pred, lits)
-                    )
+                c = int(lit_counts[i])
+                lit_parts.append(items[i][2][lpos[i]:lpos[i] + c])
+                lpos[i] += c
+            # dequantize places literals in C order of the stacked
+            # indices, i.e. volume-major — exactly this concatenation
+            lits = np.concatenate(lit_parts)
+            with stage("predict"):
+                if method is not None:
+                    pred = _pass_prediction_stacked(arr_st, p, method)
+                else:  # methods diverge at this level: predict per volume
+                    pred = np.stack([
+                        _pass_prediction(arr_st[i], p, level_methods[i])
+                        for i in range(n)
+                    ])
+            with stage("quantize"):
+                arr_st[(slice(None),) + p.target] = quantize.inverse(
+                    ctx, (indices, pred, lits)
+                )
     for i, it in enumerate(items):
         if spos[i] != it[1].size:
             raise ValueError("index stream size mismatch")
         if lpos[i] != it[2].size:
             raise ValueError("literal stream size mismatch")
-    return arrs
+    return [arr_st[i] for i in range(n)]

@@ -49,7 +49,7 @@ from .base import (
     Blob,
     CompressionState,
     _validated_geometry,
-    decode_index_streams,
+    decode_index_stream,
     encode_index_stream,
 )
 from .interp_engine import compress_volume, decompress_volume, predict_fill
@@ -238,8 +238,7 @@ class SZ3Progressive(SZ3):
         return _decode_blob_to_level(blob, min(lvls) if lvls else 1)
 
     def _decompress_many(self, blobs: "list[Blob]") -> "list[np.ndarray]":
-        # per-level sections do not fit the monolithic joint-Huffman path;
-        # decode_index_streams still batches the levels inside each blob
+        # per-level sections do not fit SZ3's stacked path: one blob at a time
         return [self._decompress(b) for b in blobs]
 
     def decompress_prefix(self, prefix: bytes) -> "PrefixDecode":
@@ -356,8 +355,7 @@ def _decode_blob_to_level(blob: Blob, level: int) -> np.ndarray:
     shape, dtype = _validated_geometry(header)
     meta = header["engine"]
     lvls = [l for l in _section_levels(blob) if l >= level]
-    idx_secs = [blob.sections[f"indices:{l}"] for l in lvls]
-    streams = decode_index_streams(idx_secs) if idx_secs else []
+    streams = [decode_index_stream(blob.sections[f"indices:{l}"]) for l in lvls]
     stream = (
         np.concatenate(streams) if streams else np.empty(0, dtype=np.int64)
     )

@@ -83,30 +83,6 @@ def get_compressor(name: str, error_bound: float, **kwargs: Any) -> Compressor:
     return _lookup(name)(error_bound, **kwargs)
 
 
-def _decoder(
-    name: str,
-    error_bound: float,
-    lossless_backend: str | None,
-    huffman_block_size: int | None,
-    predictor: str | None,
-) -> Compressor:
-    """Build the decode-side compressor instance for header dispatch.
-
-    Each knob is forwarded only when it is not ``None`` *and* the target
-    constructor accepts it (:func:`constructor_accepts`), so one call
-    works across a mixed batch of compressor families.
-    """
-    kwargs: dict[str, Any] = {}
-    for key, val in (
-        ("lossless_backend", lossless_backend),
-        ("huffman_block_size", huffman_block_size),
-        ("predictor", predictor),
-    ):
-        if val is not None and constructor_accepts(name, key):
-            kwargs[key] = val
-    return _lookup(name)(error_bound, **kwargs)
-
-
 def _dispatch_key(blob: bytes) -> tuple[str, float]:
     """Validated ``(compressor, error_bound)`` from a blob header.
 
@@ -127,43 +103,23 @@ def _dispatch_key(blob: bytes) -> tuple[str, float]:
     return name, float(eb)
 
 
-def decompress_any(
-    blob: bytes,
-    *,
-    lossless_backend: str | None = None,
-    huffman_block_size: int | None = None,
-    predictor: str | None = None,
-) -> np.ndarray:
+def decompress_any(blob: bytes) -> np.ndarray:
     """Decompress any repro blob (v0 or sealed v1) by header dispatch.
 
-    The blob is self-describing; the keyword knobs only tune the decoder
-    instance that is constructed for dispatch (``None`` keeps each
-    compressor's default) and are forwarded per compressor via
-    :func:`constructor_accepts` filtering:
-
-    ``lossless_backend``     byte-stream backend name (``zlib``/``lz77``/...)
-    ``huffman_block_size``   entropy-stage block length override
-    ``predictor``            predictor choice for SZ3-family decoders
-
-    Header validation matches :func:`_dispatch_key`: tampered headers
-    raise :class:`~repro.errors.CorruptBlobError`.
+    The blob is self-describing: the decoder reads every setting it needs
+    (entropy stage, Huffman block size, lossless backend, predictor) from
+    the blob itself.  Header validation matches :func:`_dispatch_key`:
+    tampered headers raise :class:`~repro.errors.CorruptBlobError`.
     """
     name, eb = _dispatch_key(blob)
-    comp = _decoder(name, eb, lossless_backend, huffman_block_size, predictor)
-    return comp.decompress(blob)
+    return get_compressor(name, eb).decompress(blob)
 
 
-def decompress_many(
-    blobs: "list[bytes]",
-    *,
-    lossless_backend: str | None = None,
-    huffman_block_size: int | None = None,
-    predictor: str | None = None,
-) -> "list[np.ndarray]":
-    """Batched :func:`decompress_any` — same validation, knobs, and output,
-    but runs of consecutive blobs sharing one (compressor, error bound) go
-    through ``Compressor.decompress_many`` so shared decode stages
-    (Huffman tables, QP wavefronts) are amortized across the batch."""
+def decompress_many(blobs: "list[bytes]") -> "list[np.ndarray]":
+    """Batched :func:`decompress_any` — same validation and output, but
+    runs of consecutive blobs sharing one (compressor, error bound) go
+    through ``Compressor.decompress_many``, which stacks the per-pass
+    decode stages of equal slabs."""
     keys = [_dispatch_key(blob) for blob in blobs]
     out: "list[np.ndarray]" = []
     i = 0
@@ -171,9 +127,7 @@ def decompress_many(
         j = i
         while j < len(blobs) and keys[j] == keys[i]:
             j += 1
-        name, eb = keys[i]
-        comp = _decoder(name, eb, lossless_backend, huffman_block_size, predictor)
-        out.extend(comp.decompress_many(blobs[i:j]))
+        out.extend(get_compressor(*keys[i]).decompress_many(blobs[i:j]))
         i = j
     return out
 

@@ -32,7 +32,6 @@ from .base import (
     Compressor,
     EngineFront,
     decode_index_stream,
-    decode_index_streams,
     encode_index_stream,
 )
 from .interp_engine import (
@@ -360,10 +359,9 @@ class SZ3(Compressor):
 
     def _finish_decompress(self, blob: Blob, stream: np.ndarray) -> np.ndarray:
         """Spec-driven decode of one blob whose index stream is already
-        entropy-decoded (shared by the serial path and the batched path,
-        which decodes all streams in one joint Huffman pass): the blob's
-        header derives the producing :class:`PipelineSpec`, whose frontend
-        stage selects the finisher."""
+        entropy-decoded (shared by the serial and the batched path): the
+        blob's header derives the producing :class:`PipelineSpec`, whose
+        frontend stage selects the finisher."""
         spec = spec_for_blob(blob.header)
         finish = getattr(self, self._FRONTEND_DECODERS[spec.stages[0].stage])
         return finish(blob, stream)
@@ -388,16 +386,14 @@ class SZ3(Compressor):
         )
 
     def _decompress_many(self, blobs: "list[Blob]") -> "list[np.ndarray]":
-        """Batch decode: every blob's index stream — whatever its predictor —
-        goes through one joint Huffman lockstep pass (the per-container cost
-        of the block-synchronous decoder is a fixed ``block_size`` steps, so
-        N separate decodes cost ~N× one joint decode).  Interpolation-path
-        blobs additionally share a stacked QP inverse / predict / dequantize
-        via :func:`decompress_volumes`; regression and Lorenzo blobs finish
-        per-blob on their pre-decoded streams."""
+        """Batch decode: each blob's index stream is entropy-decoded on its
+        own; interpolation-path blobs of one geometry then share stacked
+        prediction and dequantization via :func:`decompress_volumes`, and
+        equal-geometry Lorenzo blobs one stacked prefix-sum inverse.  The
+        rest finish per blob on their decoded streams."""
         if len(blobs) <= 1:
             return [self._decompress(b) for b in blobs]
-        streams = decode_index_streams([b.sections["indices"] for b in blobs])
+        streams = [decode_index_stream(b.sections["indices"]) for b in blobs]
         fronts = [spec_for_blob(b.header).stages[0].stage for b in blobs]
         interp = [i for i, f in enumerate(fronts) if f == "interp_predict"]
         outs: "list[np.ndarray | None]" = [None] * len(blobs)

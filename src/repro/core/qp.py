@@ -141,41 +141,12 @@ def qp_inverse(
 def qp_inverse_multi(
     parts: "list[np.ndarray]", sentinel: int, config: QPConfig, level: int
 ) -> np.ndarray:
-    """Invert :func:`qp_forward` for N equal-shape pass arrays at once.
-
-    Returns the per-part results stacked along a new leading axis — always
-    bit-identical to ``np.stack([qp_inverse(p, ...) for p in parts])``, but
-    the Lorenzo wavefront walk runs *once* over all parts: each part is
-    scattered straight into the shared zero-padded work plane (a copy the
-    kernel performs anyway), so batching adds no extra passes over the data.
-    Dimensions whose kernel involves the parts' leading axis (``1d-back``,
-    and ``3d`` on rank > 3 arrays) cannot share a walk and fall back to the
-    per-part loop.
-    """
+    """Invert :func:`qp_forward` for N equal-shape pass arrays; returns the
+    results stacked along a new leading axis.  Each part is inverted on its
+    own (one C call each where the native library loads)."""
     shape = parts[0].shape
     if any(p.shape != shape for p in parts[1:]):
         raise ValueError("qp_inverse_multi requires equal-shape parts")
-    if len(parts) == 1:
-        return qp_inverse(parts[0], sentinel, config, level)[None]
-    if not config.applies_to_level(level):
-        return np.stack(parts)
-    ndim = len(shape)
-    dim = effective_dimension(config.dimension, ndim)
-    if dim is None:
-        return np.stack(parts)
-    if dim == "2d":
-        with span("qp.inverse", dim=dim, level=level, batch=len(parts)):
-            return _inverse_2d_multi(parts, sentinel, config.condition)
-    if dim == "3d" and ndim == 3:
-        with span("qp.inverse", dim=dim, level=level, batch=len(parts)):
-            return _inverse_3d_multi(parts, sentinel, config.condition)
-    if dim in ("1d-left", "1d-top"):
-        # scan axis is a trailing axis (these dims only survive
-        # ``effective_dimension`` at ranks where it is), so the stack is a
-        # pure batch; call the kernel directly with the resolved dim — the
-        # public entry would re-resolve against the stacked rank
-        with span("qp.inverse", dim=dim, level=level, batch=len(parts)):
-            return _inverse_1d(np.stack(parts), sentinel, config.condition, dim)
     return np.stack([qp_inverse(p, sentinel, config, level) for p in parts])
 
 
@@ -372,32 +343,6 @@ def _walk_2d(q, diags, sentinel: int, cond: str) -> None:
         q[:, ctr] += pred
 
 
-def _inverse_2d_multi(
-    parts: "list[np.ndarray]", sentinel: int, cond: str
-) -> np.ndarray:
-    """N equal-shape parts through one 2-D wavefront; stacked result.
-
-    Each part scatters into its own row block of the shared padded plane
-    batch, so the diagonal walk (the Python-level cost) is paid once for
-    all parts instead of once per part.
-    """
-    shape = parts[0].shape
-    if cond == "I":
-        q = np.cumsum(np.stack(parts), axis=-1)
-        return np.cumsum(q, axis=-2)
-    lib = _native_lib(np.result_type(*parts), sentinel)
-    if lib is not None:
-        return _walk_native(lib, np.stack(parts), sentinel, cond, "2d")
-    na, nb = shape[-2], shape[-1]
-    b = int(np.prod(shape[:-2], dtype=np.int64)) if len(shape) > 2 else 1
-    diags, interior = _diag_indices_2d(na, nb)
-    q = np.zeros((len(parts) * b, (na + 1) * (nb + 1)), dtype=parts[0].dtype)
-    for i, part in enumerate(parts):
-        q[i * b:(i + 1) * b, interior] = part.reshape(b, na * nb)
-    _walk_2d(q, diags, sentinel, cond)
-    return q[:, interior].reshape((len(parts),) + shape)
-
-
 @lru_cache(maxsize=8)
 def _diag_indices_3d(na: int, nb: int, nc: int):
     """Flat i+j+k wavefront gather/scatter tables for the 3-D inverse.
@@ -499,24 +444,3 @@ def _walk_3d(q, diags, sentinel: int, cond: str) -> None:
             )
         pred *= valid
         q[:, ctr] += pred
-
-
-def _inverse_3d_multi(
-    parts: "list[np.ndarray]", sentinel: int, cond: str
-) -> np.ndarray:
-    """N equal-shape rank-3 parts through one i+j+k wavefront; stacked."""
-    shape = parts[0].shape
-    if cond == "I":
-        q = np.cumsum(np.stack(parts), axis=-1)
-        q = np.cumsum(q, axis=-2)
-        return np.cumsum(q, axis=-3)
-    lib = _native_lib(np.result_type(*parts), sentinel)
-    if lib is not None:
-        return _walk_native(lib, np.stack(parts), sentinel, cond, "3d")
-    na, nb, nc = shape[-3], shape[-2], shape[-1]
-    diags, interior = _diag_indices_3d(na, nb, nc)
-    q = np.zeros((len(parts), (na + 1) * (nb + 1) * (nc + 1)), dtype=parts[0].dtype)
-    for i, part in enumerate(parts):
-        q[i, interior] = part.reshape(-1)
-    _walk_3d(q, diags, sentinel, cond)
-    return q[:, interior].reshape((len(parts),) + shape)

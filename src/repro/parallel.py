@@ -35,6 +35,7 @@ import numpy as np
 
 from . import obs
 from .core.config import QPConfig
+from .errors import CorruptBlobError, ReproError, TruncatedStreamError
 from .io.integrity import is_sealed, seal, unseal
 from .streaming import slab_slices
 
@@ -204,6 +205,31 @@ def _merge_consecutive_views(
     return base.reshape((rows,) + parts[0].shape[1:])
 
 
+def _slab_table(blob: bytes) -> tuple[int, list[bytes]]:
+    """``(axis, slab blobs)`` of an unsealed slab container."""
+    if blob[:4] != _MAGIC:
+        raise CorruptBlobError("not a parallel container")
+    if len(blob) < 9:
+        raise TruncatedStreamError("parallel container header truncated")
+    axis, n = struct.unpack_from("<BI", blob, 4)
+    off = 9
+    parts = []
+    for _ in range(n):
+        if off + 8 > len(blob):
+            raise TruncatedStreamError("parallel slab table truncated")
+        (size,) = struct.unpack_from("<Q", blob, off)
+        off += 8
+        if off + size > len(blob):
+            raise TruncatedStreamError(
+                f"parallel slab declares {size} bytes past the container end"
+            )
+        parts.append(blob[off:off + size])
+        off += size
+    if off != len(blob) or not parts:
+        raise CorruptBlobError("parallel container corrupt")
+    return axis, parts
+
+
 def _peek_blob_header(blob: bytes) -> dict:
     """Read a slab blob's JSON header (shape/dtype) without decompressing."""
     if blob[:4] != b"RPRC":
@@ -216,10 +242,11 @@ def _shutdown_pool(pool: ProcessPoolExecutor) -> None:
     pool.shutdown(wait=False, cancel_futures=True)
 
 
-#: Huffman block size for slab containers (vs the 4096 codec default).
-#: Decode cost per container batch is ~``block_size`` lockstep steps, so
-#: smaller blocks are the main lever for slab decode latency; 1024 cuts the
-#: joint decode 2–3.5× on the bench slabs for <2% compressed-size growth.
+#: Huffman block size for slab containers (vs the 4096 codec default).  The
+#: numpy decode of one container takes ``min(block_size, n)`` lockstep steps,
+#: so short slab streams decode faster with smaller blocks, for <2%
+#: compressed-size growth.  The value is written into every slab container,
+#: so changing it changes the bytes of parallel containers.
 SLAB_HUFFMAN_BLOCK = 1024
 
 
@@ -263,12 +290,11 @@ class ParallelCompressor:
         # only capable bases receive the config — others would reject (or
         # silently swallow) an unexpected keyword
         self._qp_dict = self.qp.to_dict() if supports_qp(base) else None
-        # slab streams are short: block-synchronous Huffman decode costs
-        # ``block_size`` Python-level steps regardless of lane count, so a
-        # smaller block decodes slabs several times faster for ~8 bytes of
-        # stored offset per extra block (<2% of a typical slab payload).
-        # Only offered to bases whose constructor understands the knob;
-        # explicit caller values (including None) win.
+        # slab streams are short: smaller Huffman blocks cut the numpy
+        # decode's step count for ~8 bytes of stored offset per extra block
+        # (<2% of a typical slab payload).  Only offered to bases whose
+        # constructor understands the knob; explicit caller values
+        # (including None) win.
         if "huffman_block_size" not in kwargs and constructor_accepts(
             base, "huffman_block_size"
         ):
@@ -415,46 +441,51 @@ class ParallelCompressor:
     # -- decompression ------------------------------------------------------
 
     def decompress(self, blob: bytes) -> np.ndarray:
+        """Reassemble the volume; a damaged container raises the typed
+        :mod:`repro.errors` family, as the registry decoders do."""
+        from .compressors.base import _DECODE_FAULTS
+
         if is_sealed(blob):
             blob = unseal(blob)
-        if blob[:4] != _MAGIC:
-            raise ValueError("not a parallel container")
-        axis, n = struct.unpack_from("<BI", blob, 4)
-        off = 9
-        parts_raw = []
-        for _ in range(n):
-            (size,) = struct.unpack_from("<Q", blob, off)
-            off += 8
-            parts_raw.append(blob[off:off + size])
-            off += size
-        if off != len(blob):
-            raise ValueError("parallel container corrupt")
+        axis, parts_raw = _slab_table(blob)
+        n = len(parts_raw)
         with obs.span("parallel.decompress", base=self.base, slabs=n, axis=axis):
-            if n > 1 and (self.workers == 1 or _effective_cores() < 2):
-                # No real CPU concurrency to exploit (or serial requested):
-                # N time-sliced worker processes each pay a full Python decode
-                # loop per slab, which is strictly slower than one in-process
-                # batched decode (joint Huffman lockstep + stacked QP inverse
-                # across all slabs).  Running in-process also keeps perf-stage
-                # accounting visible to the caller's profiler.
-                return self._decompress_batched(parts_raw, axis)
-            parallel = self.workers > 1 and n > 1
-            if parallel and _shm is not None:
-                out = self._decompress_shm(parts_raw, axis)
-                if out is not None:
-                    return out
-            parts = self._run_jobs("decompress", _decompress_one, parts_raw, parallel)
-            return np.concatenate(parts, axis=axis)
+            try:
+                return self._decompress_slabs(parts_raw, axis)
+            except ReproError:
+                raise
+            except _DECODE_FAULTS as exc:  # slabs that do not tile one volume
+                raise CorruptBlobError(
+                    f"{self.name} container failed to decode: "
+                    f"{type(exc).__name__}: {exc}"
+                ) from exc
+
+    def _decompress_slabs(self, parts_raw: list[bytes], axis: int) -> np.ndarray:
+        n = len(parts_raw)
+        if n > 1 and (self.workers == 1 or _effective_cores() < 2):
+            # No real CPU concurrency to exploit (or serial requested): N
+            # time-sliced worker processes each pay a full decode per slab
+            # plus the IPC, which is slower than one in-process batched
+            # decode.  Running in-process also keeps perf-stage accounting
+            # visible to the caller's profiler.
+            return self._decompress_batched(parts_raw, axis)
+        parallel = self.workers > 1 and n > 1
+        if parallel and _shm is not None:
+            out = self._decompress_shm(parts_raw, axis)
+            if out is not None:
+                return out
+        parts = self._run_jobs("decompress", _decompress_one, parts_raw, parallel)
+        return np.concatenate(parts, axis=axis)
 
     def _decompress_batched(self, parts_raw: list[bytes], axis: int) -> np.ndarray:
         """Decode every slab in one in-process batch and assemble in place.
 
         ``decompress_many`` groups the slab blobs by (compressor, error
-        bound) — always one group here — so all index streams go through a
-        single joint Huffman decode sharing one set of memoized tables, and
-        equal-geometry slabs share one stacked QP wavefront inverse.  Slab
-        arrays are written straight into the preallocated output; nothing
-        round-trips through pickle or shared memory.
+        bound) — always one group here.  Each slab's index stream is
+        entropy-decoded on its own (sharing the memoized Huffman tables);
+        equal SZ3 slabs then share stacked prediction and dequantization,
+        and come back as views of one array, so axis-0 reassembly is
+        copy-free.  Nothing round-trips through pickle or shared memory.
         """
         from .compressors.registry import decompress_many
 

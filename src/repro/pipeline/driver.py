@@ -133,7 +133,7 @@ def decode_engine_blob(
     """Decode a blob whose payload came from ``compress_volume``.
 
     ``stream`` may carry an already entropy-decoded index stream (the
-    batched path decodes all streams jointly first); ``stop_level``
+    batched path decodes every blob's stream first); ``stop_level``
     truncates the schedule for resolution reduction (MGARD).
     """
     from ..compressors.interp_engine import decompress_volume

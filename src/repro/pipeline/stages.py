@@ -326,8 +326,9 @@ class QPTransform:
     index-transform stages without knowing any is QP.  The wrapped kernels
     already no-op outside the configured case/levels, so the stage is
     always present in QP-capable pipelines and its config decides
-    activity.  ``inverse_multi`` batches the wavefront inverse across a
-    stack of equal-schedule volumes (the slab-parallel decode path).
+    activity.  ``inverse_multi`` inverts one pass of each volume in a
+    stacked decode (:func:`~repro.compressors.interp_engine.decompress_volumes`)
+    and returns the results stacked; each pass is inverted on its own.
     """
 
     #: engine-meta key this transform round-trips its config through
@@ -363,8 +364,7 @@ class HuffmanEncode:
     ``bounded_alphabet`` tells the index-stream framing to apply its
     median-centered offset window + escape mechanism before coding.
     Spans are owned by the framing layer (``compressors.base``), which
-    times the whole entropy group — including the joint multi-stream
-    lockstep decode — as one ``huffman`` stage.
+    times each stream's entropy decode as one ``huffman`` stage.
     """
 
     wire_id = 0
@@ -380,14 +380,8 @@ class HuffmanEncode:
         return self._codec().encode(codes)
 
     def inverse(self, ctx: StageContext, payload: bytes) -> np.ndarray:
-        return self._codec().decode_many([payload])[0]
-
-    @staticmethod
-    def decode_many(payloads: "list[bytes]") -> "list[np.ndarray]":
-        """Batched decode (headers carry each stream's own block size): the
-        C block decoder per stream, or on the numpy path one joint
-        lockstep loop for the whole batch."""
-        return HuffmanCodec().decode_many(payloads)
+        # the container header carries its own block size
+        return HuffmanCodec().decode(payload)
 
 
 @register_stage("range")
@@ -413,12 +407,6 @@ class RangeEncode:
         from ..codecs.rangecoder import RangeCodec
 
         return RangeCodec().decode(payload)
-
-    @staticmethod
-    def decode_many(payloads: "list[bytes]") -> "list[np.ndarray]":
-        from ..codecs.rangecoder import RangeCodec
-
-        return [RangeCodec().decode(p) for p in payloads]
 
 
 #: entropy stages by name — the only stages with a wire id, i.e. valid for

@@ -297,9 +297,9 @@ def stream_decompress(
 
     ``source`` is anything :class:`~repro.io.container.ContainerReader`
     accepts (bytes, path, seekable file).  Segments are decoded in
-    ``batch``-sized groups (joint entropy decode across the group) and
-    written straight into the preallocated output, so decode memory also
-    stays O(slab).  When ``compressor`` is None, each segment dispatches
+    ``batch``-sized groups through ``decompress_many`` (equal SZ3 slabs
+    share stacked prediction and dequantization) and written straight into
+    the preallocated output, so decode memory also stays O(slab).  When ``compressor`` is None, each segment dispatches
     through the registry on its own header.
     """
     reader = source if isinstance(source, ContainerReader) else ContainerReader(source)

@@ -1,8 +1,8 @@
 """Re-run the codec suites on the numpy fallback, encoders and decoders.
 
-Each module here star-imports one suite, so pytest collects its tests a
-second time under this directory, where the autouse fixture below forces
-the numpy path.  The suites themselves run on whichever path loads (the
+Each module here imports one suite (all of it, or named tests), so pytest
+collects those tests a second time under this directory, where the
+autouse fixture below forces the numpy path.  The suites themselves run on whichever path loads (the
 native library where a C compiler exists), so together they cover both.
 """
 import pytest

@@ -218,10 +218,11 @@ def test_decompress_any_rejects_unknown_knob(field):
     from repro.compressors import decompress_any
 
     blob = get_compressor("sz3", 1e-2).compress(field)
-    with pytest.raises(TypeError):
-        decompress_any(blob, workers=3)  # not one of the documented knobs
-    out = decompress_any(blob, lossless_backend=None, predictor=None)
-    assert out.shape == field.shape
+    # decode reads every setting from the blob: it takes no knobs at all,
+    # including the three it used to accept and ignore
+    for knob in ("workers", "lossless_backend", "huffman_block_size", "predictor"):
+        with pytest.raises(TypeError):
+            decompress_any(blob, **{knob: None})
 
 
 def test_decompress_any_validates_header():

@@ -25,6 +25,7 @@ from repro.codecs import huffman, lossless
 from repro.compressors import decompress_any, get_compressor, supports_qp
 from repro.core.config import AdaptiveConfig, QPConfig
 from repro.errors import CorruptBlobError, ReproError, TruncatedStreamError
+from repro.parallel import ParallelCompressor
 from repro.testing import INJECTORS, run_corruption_matrix
 
 pytestmark = pytest.mark.faults
@@ -143,6 +144,29 @@ def _codec_streams():
 def test_codec_streams_never_untyped(codec):
     stream, decode = _codec_streams()[codec]
     results = run_corruption_matrix(stream, decode, seeds=SEEDS, deadline_s=DEADLINE_S)
+    untyped = [r for r in results if r.outcome == "untyped"]
+    assert not untyped, [
+        f"{r.injector}/seed={r.seed}: {r.detail}" for r in untyped
+    ]
+    assert all(r.elapsed_s <= DEADLINE_S for r in results)
+
+
+@pytest.mark.parametrize("name", ["sz3", "qoz"])
+def test_parallel_containers_never_untyped(name):
+    """The slab table in front of the slab blobs is decode surface too:
+    four equal slabs, decoded in-process (stacked for SZ3, per volume for
+    QoZ)."""
+    data = _make_data(shape=(32, 12, 10))
+    par = ParallelCompressor(name, 1e-2, workers=1, n_slabs=4, qp=QPConfig())
+    container = par.compress(data)
+
+    def decode(b):
+        out = par.decompress(b)
+        assert out.shape == data.shape, f"wrong shape {out.shape}"
+        return out
+
+    results = run_corruption_matrix(container, decode, seeds=SEEDS,
+                                    deadline_s=DEADLINE_S)
     untyped = [r for r in results if r.outcome == "untyped"]
     assert not untyped, [
         f"{r.injector}/seed={r.seed}: {r.detail}" for r in untyped

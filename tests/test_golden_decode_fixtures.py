@@ -1,8 +1,8 @@
 """Golden decode fixtures: committed byte streams with pinned digests.
 
-The decode-path rewrite (on-demand window gathers, memoized decode tables,
-joint multi-container decode) must stay bit-compatible with streams written
-by earlier versions of the encoder.  These fixtures are *committed bytes* —
+Every decode-path rewrite (on-demand window gathers, memoized decode
+tables, the C kernel, one container at a time) must stay bit-compatible
+with streams written by earlier versions of the encoder.  These fixtures are *committed bytes* —
 they are never regenerated by the test — so any decode change that alters
 output is caught even if encode and decode drift together.
 
@@ -58,9 +58,9 @@ def test_huffman_fixture_decodes_to_golden_digest(name):
 
 
 def test_huffman_fixtures_decode_many_matches_golden_digests():
-    # the joint lockstep decode must produce byte-identical output to the
-    # per-container path; fixtures deliberately mix alphabet widths, block
-    # fill levels, and a degenerate single-symbol table in one batch
+    # decode_many must produce byte-identical output to decode; fixtures
+    # deliberately mix alphabet widths, block fill levels, and a degenerate
+    # single-symbol table in one batch
     default = [n for n in HUFFMAN_FIXTURES
                if "block_size" not in MANIFEST[n]]
     assert len(default) >= 2, "need several same-block-size fixtures"

@@ -1,5 +1,6 @@
 """Unit + property tests for the canonical length-limited Huffman codec."""
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +19,7 @@ from repro.codecs.huffman import (
     decode_table_cache_info,
     huffman_code_lengths,
 )
-from repro.errors import TruncatedStreamError
+from repro.errors import CorruptBlobError, TruncatedStreamError
 
 
 def kraft_sum(lengths):
@@ -287,6 +288,24 @@ class TestDecodeMany:
         good = c.encode(np.arange(100))
         with pytest.raises(TruncatedStreamError):
             c.decode_many([good, good[:10]])
+
+    def test_first_corrupt_member_raises_its_own_error(self):
+        # ``a`` parses, but its first block decodes out of alignment; ``b``
+        # is a truncated header.  The batch must fail on ``a`` with the
+        # error ``decode(a)`` raises, not on ``b``'s truncation.
+        c = HuffmanCodec(block_size=64)
+        good = c.encode(np.minimum(np.arange(1000) % 16, 3))
+        n_present = struct.unpack_from("<QII", good, 4)[2]
+        n_blocks = struct.unpack_from("<Q", good, 20 + 5 * n_present)[0]
+        a = bytearray(good)
+        a[20 + 5 * n_present + 16 + 8 * n_blocks] ^= 0xFF  # first payload byte
+        a = bytes(a)
+        with pytest.raises(CorruptBlobError) as single:
+            c.decode(a)
+        with pytest.raises(CorruptBlobError) as batch:
+            c.decode_many([a, good[:10]])
+        assert type(single.value) is type(batch.value) is CorruptBlobError
+        assert str(batch.value) == str(single.value)
 
 
 @given(

@@ -84,7 +84,7 @@ def test_huffman_20_bit_table(monkeypatch):
     sym = np.repeat(np.arange(len(counts)), counts)
     np.random.default_rng(0).shuffle(sym)
     blob = HuffmanCodec(block_size=509).encode(sym)
-    assert _parse_container(blob)[5][3] == 20
+    assert _parse_container(blob)[5][2] == 20
     out = assert_paths_agree(monkeypatch, lambda: HuffmanCodec().decode(blob))
     assert np.array_equal(out[0], sym)
 
@@ -234,7 +234,7 @@ def test_huffman_encode_halving_stream_needs_the_loop():
     freqs = np.bincount(_fibonacci_stream(25))
     assert _huffman_lengths_heap(freqs).max() > MAX_CODE_LEN
     blob = HuffmanCodec().encode(_fibonacci_stream(25))
-    assert _parse_container(blob)[5][3] <= MAX_CODE_LEN
+    assert _parse_container(blob)[5][2] <= MAX_CODE_LEN
 
 
 def test_huffman_encode_rejects_negative_symbols(monkeypatch):

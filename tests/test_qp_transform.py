@@ -1,13 +1,18 @@
 """Tests for the QP transform — above all the reversibility invariant
 ``qp_inverse(qp_forward(Q)) == Q`` for every configuration (the paper's
 guarantee that QP never changes decompressed data)."""
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import repro
+from repro.compressors import decompress_any, interp_engine
 from repro.core import QP_CONDITIONS, QP_DIMENSIONS, QPConfig, qp_forward, qp_inverse
+from repro.parallel import ParallelCompressor
 
 SENTINEL = -32
 
@@ -157,3 +162,43 @@ def test_property_reversibility(q, dimension, condition, with_sentinels):
     cfg = QPConfig(dimension=dimension, condition=condition)
     qp = qp_forward(q, SENTINEL, cfg, level=1)
     assert np.array_equal(qp_inverse(qp, SENTINEL, cfg, level=1), q)
+
+
+def _slab_blobs(container):
+    """``(axis, slab blobs)`` of a slab-parallel container."""
+    axis, n = struct.unpack_from("<BI", container, 4)
+    off, blobs = 9, []
+    for _ in range(n):
+        (size,) = struct.unpack_from("<Q", container, off)
+        blobs.append(container[off + 8:off + 8 + size])
+        off += 8 + size
+    return axis, blobs
+
+
+@pytest.mark.parametrize(
+    "name,stacked", [("sz3", True), ("qoz", False)],
+    ids=["sz3-stacked", "qoz-per-volume"],
+)
+def test_parallel_slabs_decode_like_per_slab_decompress(monkeypatch, name, stacked):
+    # four equal SZ3 slabs share one stacked decode; QoZ tunes per-level
+    # error bounds per slab, so its slabs decode one volume at a time
+    data = repro.generate("miranda", shape=(32, 24, 20), seed=5)
+    eb = 1e-3 * float(data.max() - data.min())
+    par = ParallelCompressor(name, eb, workers=1, n_slabs=4, qp=QPConfig())
+    try:
+        container = par.compress(data)
+        axis, blobs = _slab_blobs(container)
+        assert len(blobs) == 4
+        expected = np.concatenate([decompress_any(b) for b in blobs], axis=axis)
+        calls = []
+        real = interp_engine.decompress_volume
+        monkeypatch.setattr(
+            interp_engine, "decompress_volume",
+            lambda *a, **k: calls.append(1) or real(*a, **k),
+        )
+        out = par.decompress(container)
+    finally:
+        par.close()
+    assert len(calls) == (0 if stacked else 4)
+    assert out.dtype == expected.dtype
+    np.testing.assert_array_equal(out, expected)

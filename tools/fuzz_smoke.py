@@ -79,6 +79,15 @@ def _build_targets(seed: int):
         slab_bytes = (data.shape[0] // 3) * data[0].nbytes
         comp.compress_stream(data, sink, slab_bytes=slab_bytes)
         targets.append((f"stream[{name}]", sink.getvalue(), stream_decompress))
+    # slab-parallel container: the slab table in front of four slab blobs,
+    # decoded in-process (workers=1) through the batched decode, stacked
+    # for SZ3's equal slabs and per volume for QoZ's per-slab tuning
+    from repro.parallel import ParallelCompressor
+
+    tiled = np.tile(data, (3, 1, 1))
+    for name in ("sz3", "qoz"):
+        par = ParallelCompressor(name, 1e-2, workers=1, n_slabs=4, qp=QPConfig())
+        targets.append((f"parallel[{name}]", par.compress(tiled), par.decompress))
     symbols = rng.integers(0, 40, size=3000).astype(np.int64)
     # every registered entropy stage, enumerated from the pipeline registry
     # so a new wire format is fuzzed without touching this list
