@@ -16,6 +16,7 @@ replays the identical pass schedule with each stage inverted.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -465,31 +466,39 @@ def decompress_volumes(
 
     ``items`` holds ``(meta, index_stream, literals, anchors, shape, dtype,
     error_bound)`` per volume — the :func:`decompress_volume` signature.
-    When all volumes share shape, dtype, pass schedule, error bound and
-    level factors (the equal slabs of one SZ3 volume), each pass's
-    prediction and dequantization run once over the volumes stacked along a
-    new leading axis — one set of Python dispatches for the whole group.
-    Otherwise (QoZ slabs, whose tuned level factors differ, or mixed
-    geometries) every item goes to :func:`decompress_volume`.  Output is
-    bit-identical to calling :func:`decompress_volume` per item.
+    Items that share shape, dtype, pass schedule, error bound and level
+    factors (equal slabs of one SZ3 volume) stack: each pass's prediction
+    and dequantization run once over them along a new leading axis, one
+    set of Python dispatches for the group.  Every other item (a QoZ slab,
+    whose tuned level factors differ, or an odd-sized last slab) goes to
+    :func:`decompress_volume`.  Output is bit-identical to calling
+    :func:`decompress_volume` per item.
     """
-    if not items:
-        return []
+    groups: dict[tuple, list[int]] = {}
+    for i, (meta, _, _, _, shape, dtype, eb) in enumerate(items):
+        key = (tuple(shape), np.dtype(dtype).str, eb, json.dumps(
+            [meta.get(k) for k in _STACK_KEYS], sort_keys=True
+        ))
+        groups.setdefault(key, []).append(i)
+    out: "list[np.ndarray | None]" = [None] * len(items)
+    for members in groups.values():
+        if len(members) == 1:
+            meta, stream, lits, anchors, shape, dtype, eb = items[members[0]]
+            out[members[0]] = decompress_volume(
+                meta, stream, lits, anchors, tuple(shape), dtype, eb
+            )
+            continue
+        stacked = _decompress_stacked([items[i] for i in members])
+        for i, arr in zip(members, stacked):
+            out[i] = arr
+    return out
+
+
+def _decompress_stacked(items: list) -> "list[np.ndarray]":
+    """:func:`decompress_volumes` for items of one stack key; returns views
+    of one contiguous stacked array."""
     meta0, _, _, _, shape0, dtype0, eb0 = items[0]
     shape = tuple(shape0)
-    stackable = len(items) > 1 and all(
-        tuple(it[4]) == shape
-        and np.dtype(it[5]) == np.dtype(dtype0)
-        and it[6] == eb0
-        and all(it[0].get(k) == meta0.get(k) for k in _STACK_KEYS)
-        for it in items[1:]
-    )
-    if not stackable:
-        return [
-            decompress_volume(meta, stream, lits, anchors, tuple(shp), dt, eb)
-            for meta, stream, lits, anchors, shp, dt, eb in items
-        ]
-
     n = len(items)
     cfg = EngineConfig.from_meta(meta0, eb0)
     transforms = cfg.index_transforms()

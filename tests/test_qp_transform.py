@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import repro
-from repro.compressors import decompress_any, interp_engine
+from repro.compressors import SZ3, decompress_any, interp_engine
 from repro.core import QP_CONDITIONS, QP_DIMENSIONS, QPConfig, qp_forward, qp_inverse
 from repro.parallel import ParallelCompressor
 
@@ -181,8 +181,9 @@ def _slab_blobs(container):
 )
 def test_parallel_slabs_decode_like_per_slab_decompress(monkeypatch, name, stacked):
     # four equal SZ3 slabs share one stacked decode; QoZ tunes per-level
-    # error bounds per slab, so its slabs decode one volume at a time
-    data = repro.generate("miranda", shape=(32, 24, 20), seed=5)
+    # error bounds per slab (four distinct sets on this field), so its
+    # slabs decode one volume at a time
+    data = repro.generate("miranda", shape=(32, 32, 32), seed=5)
     eb = 1e-3 * float(data.max() - data.min())
     par = ParallelCompressor(name, eb, workers=1, n_slabs=4, qp=QPConfig())
     try:
@@ -202,3 +203,26 @@ def test_parallel_slabs_decode_like_per_slab_decompress(monkeypatch, name, stack
     assert len(calls) == (0 if stacked else 4)
     assert out.dtype == expected.dtype
     np.testing.assert_array_equal(out, expected)
+
+
+def test_decompress_many_stacks_each_geometry_group(monkeypatch):
+    # the two 8-row slabs share a stack key and stack; the 9-row slab
+    # between them in the batch decodes on its own
+    data = repro.generate("miranda", shape=(25, 24, 20), seed=6)
+    eb = 1e-3 * float(data.max() - data.min())
+    comp = SZ3(eb, predictor="interp", qp=QPConfig())
+    blobs = [
+        comp.compress(np.ascontiguousarray(data[lo:hi]))
+        for lo, hi in ((0, 8), (8, 17), (17, 25))
+    ]
+    expected = [comp.decompress(b) for b in blobs]
+    shapes = []
+    real = interp_engine.decompress_volume
+    monkeypatch.setattr(
+        interp_engine, "decompress_volume",
+        lambda *a, **k: shapes.append(a[4]) or real(*a, **k),
+    )
+    outs = comp.decompress_many(blobs)
+    assert shapes == [(9, 24, 20)]
+    for out, exp in zip(outs, expected):
+        np.testing.assert_array_equal(out, exp)
