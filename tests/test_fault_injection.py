@@ -154,8 +154,7 @@ def test_codec_streams_never_untyped(codec):
 @pytest.mark.parametrize("name", ["sz3", "qoz"])
 def test_parallel_containers_never_untyped(name):
     """The slab table in front of the slab blobs is decode surface too:
-    four equal slabs, decoded in-process (stacked for SZ3, per volume for
-    QoZ)."""
+    four equal slabs, decoded in-process through ``decompress_many``."""
     data = _make_data(shape=(32, 12, 10))
     par = ParallelCompressor(name, 1e-2, workers=1, n_slabs=4, qp=QPConfig())
     container = par.compress(data)

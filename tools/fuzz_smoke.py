@@ -80,8 +80,8 @@ def _build_targets(seed: int):
         comp.compress_stream(data, sink, slab_bytes=slab_bytes)
         targets.append((f"stream[{name}]", sink.getvalue(), stream_decompress))
     # slab-parallel container: the slab table in front of four slab blobs,
-    # decoded in-process (workers=1) through the batched decode, stacked
-    # for SZ3's equal slabs and per volume for QoZ's per-slab tuning
+    # decoded in-process (workers=1) through the batched decode: SZ3's
+    # equal slabs stack, QoZ's per-slab-tuned ones mostly decode alone
     from repro.parallel import ParallelCompressor
 
     tiled = np.tile(data, (3, 1, 1))
