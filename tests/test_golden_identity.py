@@ -15,7 +15,7 @@ import pytest
 
 import repro
 from repro import obs
-from repro.core.config import QPConfig
+from repro.core.config import AdaptiveConfig, QPConfig
 from repro.compressors import get_compressor
 
 GOLDEN = {
@@ -37,12 +37,35 @@ GOLDEN = {
     "cesm-33x26/mgard/qp=on": "41e919feb4a7ed261c02296907ba4e972738d3f3f877f3ff589ec95f0884ac89",
 }
 
+#: (blob sha256, decoded-array sha256) of a compress/decompress round trip
+#: on float64 input and with the adaptive quantizer at bits=3, threshold=2
+#: (``adaptive``, with ``QPConfig()``): every float dtype and quantizer
+#: variant the predict/quantize stages run in has a pin of its own
+GOLDEN_ROUNDTRIP = {
+    "miranda-24x20x22-f64/sz3/qp=off": ("af925d78b76b79400a3eca2bd4b89e24926d9d84bbe2a43a4742ff89fa40c47a", "109460ec3123703124f6fd2b643cf2b6121391969a676bb0d2cf81be1395cfbf"),
+    "miranda-24x20x22-f64/sz3/qp=on": ("2ac439701b49125fe89c2e7f9e3dd814cd57f3573da525e9dc43e46f69134d4c", "109460ec3123703124f6fd2b643cf2b6121391969a676bb0d2cf81be1395cfbf"),
+    "miranda-24x20x22-f64/qoz/qp=off": ("4ec496614406319e29af9f801bf1766495b9d27e368eee1aa9c2037e3f26c25e", "1a55be863655aeca213a72f4d652c13de2bb676d6f2ae69c63845469b96ee30d"),
+    "miranda-24x20x22-f64/qoz/qp=on": ("d790ab48b3a4ccb5fceb3c6e4370617989bd1a764ab9e7c47ec39b4a32b11c37", "1a55be863655aeca213a72f4d652c13de2bb676d6f2ae69c63845469b96ee30d"),
+    "miranda-24x20x22-f64/hpez/qp=off": ("6c37537dae997e5f909b15ed4fa57f3b4081e07f94b2b40642ad077a2e8bdc61", "3a8518ed05d257e234bbed19187472868ffa83f9e5ac75bd333db203d98a040f"),
+    "miranda-24x20x22-f64/hpez/qp=on": ("a148b8d8d9c7eb2e9c2abd9ac57d132f03550b2a7dd8333d7927c92cdeefbaed", "3a8518ed05d257e234bbed19187472868ffa83f9e5ac75bd333db203d98a040f"),
+    "miranda-24x20x22-f64/mgard/qp=off": ("6c8e68b13a6d0e52b3073fde16af5dcd83efa8ffe05240834df92bcd98a5626e", "52a975b10b0aadc508c2244094ac4f4bacb442631f1d6be5c860c1e7d67afb9d"),
+    "miranda-24x20x22-f64/mgard/qp=on": ("c16d7bb5c27b80cdb2275cb0635a59f8f5602d89bea10fe1ef9d43eb5d8a507f", "52a975b10b0aadc508c2244094ac4f4bacb442631f1d6be5c860c1e7d67afb9d"),
+    "miranda-24x20x22/sz3/adaptive": ("89be358a057063cf239758e4faa5a7f55927dd79b94897fe0cc8350607d36ad5", "2e72ed8c2ee7b6380a57ee826f034d49600505f7faefde81e725b645c0f887a9"),
+    "miranda-24x20x22/hpez/adaptive": ("d4631a1bfe01627efeae7dd0f44be68c6b1786d0041f2b2bbac494fcf48e6eae", "5594f2f581a9730b95c30c91e422817cb7ab4fa6518da03d7167bb10427f4ec0"),
+    "miranda-24x20x22-f64/sz3/adaptive": ("1885351b48ce2d32fe4f112e92e08512d81d102d5094ab5c24dc50dd32963c6a", "23a63a480aba3a41693f9a91241578b5c9105b0049dd5d176a37d05d5b87f767"),
+    "miranda-24x20x22-f64/hpez/adaptive": ("b5d720ca26c1e9df71ebfa0376f2aa9e1a76045b58198adc4fcbababfe44d0a9", "eb16801e534b1100ec392008a6aa8ce8a874a44db2b77d470a77452e2a22797d"),
+}
+
 
 @pytest.fixture(scope="module")
 def inputs():
     data3 = repro.generate("miranda", shape=(24, 20, 22), seed=0)
     data2 = np.ascontiguousarray(repro.generate("cesm", shape=(4, 33, 26), seed=1)[0])
-    return {"miranda-24x20x22": data3, "cesm-33x26": data2}
+    return {
+        "miranda-24x20x22": data3,
+        "miranda-24x20x22-f64": data3.astype(np.float64),
+        "cesm-33x26": data2,
+    }
 
 
 def _compress(data, base, qp_on):
@@ -56,6 +79,24 @@ def test_blob_matches_golden_digest(inputs, key):
     label, base, qp = key.split("/")
     blob = _compress(inputs[label], base, qp == "qp=on")
     assert hashlib.sha256(blob).hexdigest() == GOLDEN[key]
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_ROUNDTRIP))
+def test_roundtrip_matches_golden_digests(inputs, key):
+    label, base, mode = key.split("/")
+    data = inputs[label]
+    eb = 1e-3 * float(data.max() - data.min())
+    kw = {} if mode == "qp=off" else {"qp": QPConfig()}
+    if mode == "adaptive":
+        kw["adaptive"] = AdaptiveConfig(bits=3, threshold=2)
+    comp = get_compressor(base, eb, **kw)
+    blob = comp.compress(data)
+    out = comp.decompress(blob)
+    assert out.dtype == data.dtype
+    assert (
+        hashlib.sha256(blob).hexdigest(),
+        hashlib.sha256(out.tobytes()).hexdigest(),
+    ) == GOLDEN_ROUNDTRIP[key]
 
 
 def test_profiling_does_not_change_bytes(inputs):
