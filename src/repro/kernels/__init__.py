@@ -5,15 +5,21 @@ module that owns it: the Huffman code lengths, bit packing and lockstep
 decode in :mod:`repro.codecs.huffman`, the QP forward shifts and
 wavefront walks in :mod:`repro.core.qp`, the Lorenzo diff/cumsum pair in
 :mod:`repro.predictors.lorenzo`, the midpoint fills in
-:mod:`repro.predictors.interpolation`, and the reserved-index
-encode/decode in :mod:`repro.quantize.adaptive`.
+:mod:`repro.predictors.interpolation`, the linear quantizer in
+:mod:`repro.quantize.linear` and the reserved-index encode/decode in
+:mod:`repro.quantize.adaptive`.
 
-The integer loops of the Huffman and QP stages also exist in C
-(``native.c`` beside this file): on the decode side the Huffman block
-decode and the QP Case II-IV inverse, on the encode side the Huffman code
-lengths, the Huffman bit packing and the QP forward.  Integer arithmetic
-gives the same bytes on either path by construction; the float stages
-(interpolation, quantization) stay in numpy.  :func:`native` compiles the
+All of them but Lorenzo also exist in C (``native.c`` beside this file).
+The integer loops: on the decode side the Huffman block decode and the QP
+Case II-IV inverse, on the encode side the Huffman code lengths, the
+Huffman bit packing and the QP forward; integer arithmetic gives the same
+bytes on either path by construction.  The float loops, in float32 and
+float64: the linear and adaptive quantizers' encode and decode and the
+linear/cubic midpoint fill.  These repeat numpy's IEEE-754 operations in
+numpy's order, and the build forbids fused multiply-adds
+(``-ffp-contract=off``) and extended-precision intermediates (``native.c``
+refuses to compile unless ``FLT_EVAL_METHOD == 0``), so they give the same
+bytes too.  :func:`native` compiles the
 source with the system C compiler on first use, caches the shared library
 in this package's ``__pycache__`` under a digest of the source and the
 compiler command, and loads it through :mod:`ctypes`.  Nothing is built at
@@ -22,25 +28,39 @@ build or load fails, :func:`native` returns ``None`` for the life of the
 process and the numpy loops run; no option selects the path.  Reports
 record :func:`active_backends` so a run states which implementation
 produced its numbers.
+
+The float kernels walk one strided array per call through the rank-4
+geometry :func:`view_geometry` builds, and take the quantizers' constants
+as a :class:`QuantParams`; :func:`float_kernel` picks a kernel's float32
+or float64 instantiation.
 """
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import shutil
 import subprocess
 import threading
 
-__all__ = ["active_backends", "native"]
+import numpy as np
 
-_STAGES = ("adaptive_quantize", "huffman", "interp", "lorenzo", "qp")
-#: stages whose integer loops run in ``native.c`` when the library loads
-_NATIVE_STAGES = ("huffman", "qp")
+__all__ = [
+    "QuantParams", "active_backends", "address", "float_kernel", "native",
+    "view_geometry",
+]
+
+_STAGES = ("adaptive_quantize", "huffman", "interp", "lorenzo", "qp", "quantize")
+#: stages whose hot loops run in ``native.c`` when the library loads
+_NATIVE_STAGES = ("adaptive_quantize", "huffman", "interp", "qp", "quantize")
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "native.c")
 _CACHE_DIR = os.path.join(os.path.dirname(_SOURCE), "__pycache__")
-_CFLAGS = ("-O2", "-shared", "-fPIC")
+#: -ffp-contract=off: a fused multiply-add rounds once where numpy rounds
+#: twice, so contraction (GCC's default on aarch64, or with -mfma) would
+#: change the float kernels' bytes
+_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 _P = ctypes.c_void_p
 _I = ctypes.c_int64
@@ -55,6 +75,35 @@ _SIGNATURES = {
     "repro_qp_forward_2d": (_P, _P, _I, _I, _P),
     "repro_qp_forward_3d": (_P, _P, _I, _I, _P),
 }
+for _t in ("_f32", "_f64"):
+    _SIGNATURES.update({
+        "repro_quantize" + _t: (_P, _P, _P, _P, _P, _P),
+        "repro_adaptive_encode" + _t: (_P, _P, _P, _P, _P, _P),
+        "repro_dequantize" + _t: (_P, _P, _P, _P, _I, _P, _P),
+        "repro_adaptive_decode" + _t: (_P, _P, _P, _P, _I, _P, _P),
+        "repro_fill" + _t: (_P, _P, _P),
+    })
+#: kernels returning a literal count; the others return nothing
+_COUNTING = (
+    "repro_quantize", "repro_adaptive_encode", "repro_dequantize",
+    "repro_adaptive_decode",
+)
+_FLOAT_SUFFIX = {np.dtype(np.float32): "_f32", np.dtype(np.float64): "_f64"}
+
+
+class QuantParams(ctypes.Structure):
+    """A quantizer's constants as ``native.c``'s ``struct quant_params``."""
+
+    _fields_ = [
+        ("two_eb", ctypes.c_double),
+        ("eb", ctypes.c_double),
+        ("radius", ctypes.c_double),
+        ("sentinel", ctypes.c_int64),
+        ("two_tight", ctypes.c_double),
+        ("tight_eb", ctypes.c_double),
+        ("threshold", ctypes.c_double),
+        ("bias", ctypes.c_double),
+    ]
 
 _UNRESOLVED = object()
 #: the loaded library, ``None`` (numpy path) or not yet resolved; tests swap
@@ -95,6 +144,71 @@ def active_backends() -> dict[str, str]:
     return {s: path if s in _NATIVE_STAGES else "numpy" for s in _STAGES}
 
 
+_from_buffer = ctypes.c_char.from_buffer
+
+
+def address(a: np.ndarray) -> int:
+    """The address of ``a``'s first element, for a kernel argument.
+
+    ctypes' ``from_buffer`` reads it in 0.4 µs where ``a.ctypes`` takes
+    1.5 µs (2-vCPU Xeon VM), but only from a non-empty, writable,
+    C-contiguous array: the fresh outputs and predictions the float kernels
+    take.  Views of the working array go through ``a.ctypes``.
+    """
+    if a.flags.c_contiguous and a.flags.writeable and a.size:
+        return ctypes.addressof(_from_buffer(a))
+    return a.ctypes.data
+
+
+def float_kernel(name: str, dtype: np.dtype):
+    """The float32 or float64 instantiation of the float kernel ``name``
+    (``"repro_quantize"``, ...) for arrays of ``dtype``, or ``None`` when
+    the library did not load or ``dtype`` is neither."""
+    lib = native()
+    suffix = _FLOAT_SUFFIX.get(dtype)
+    if lib is None or suffix is None:
+        return None
+    return getattr(lib, name + suffix)
+
+
+@functools.lru_cache(maxsize=4096)
+def view_geometry(
+    shape: tuple[int, ...], strides: tuple[int, ...], itemsize: int,
+    keep: int = -1, tail: tuple[int, ...] = (),
+):
+    """The rank-4 view of a strided array that ``native.c``'s float kernels
+    walk: four extents, then four strides in elements, then ``tail``.
+
+    Adjacent axes merge where the strides allow and unit axes drop, so the
+    view visits the elements in the array's C order; axis ``keep`` (the
+    interpolation axis of a fill) neither merges nor drops, and its slot
+    in the view comes after the strides, before ``tail``.  ``None`` when
+    more than four axes remain or a stride is not a whole number of
+    elements: the caller then runs numpy.
+    """
+    dims: list[list[int]] = []  # [extent, stride in elements, kept]
+    for axis, (n, stride) in enumerate(zip(shape, strides)):
+        if stride % itemsize:
+            return None
+        kept = axis == keep
+        if n == 1 and not kept:
+            continue
+        step = stride // itemsize
+        if dims and not kept and not dims[-1][2] and dims[-1][1] == n * step:
+            dims[-1][0] *= n
+            dims[-1][1] = step
+        else:
+            dims.append([n, step, kept])
+    if len(dims) > 4:
+        return None
+    dims = [[1, 0, False]] * (4 - len(dims)) + dims
+    geom = [d[0] for d in dims] + [d[1] for d in dims]
+    if keep >= 0:
+        geom.append([d[2] for d in dims].index(True))
+    geom += tail
+    return (ctypes.c_int64 * len(geom))(*geom)
+
+
 def _library_path(compiler: str) -> str:
     with open(_SOURCE, "rb") as f:
         source = f.read()
@@ -124,7 +238,7 @@ def _open(path: str) -> ctypes.CDLL:
     for name, argtypes in _SIGNATURES.items():
         fn = getattr(lib, name)
         fn.argtypes = argtypes
-        fn.restype = None
+        fn.restype = _I if name.startswith(_COUNTING) else None
     return lib
 
 

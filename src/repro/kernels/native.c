@@ -1,16 +1,33 @@
-/* Native kernels for the integer stages of the codec.
+/* Native kernels for the codec's hot loops.
  *
- * Decode: the Huffman block decode and the QP Case II-IV inverse.
- * Encode: Huffman code lengths, Huffman bit packing and the QP forward.
+ * Integer stages.  Decode: the Huffman block decode and the QP Case II-IV
+ * inverse.  Encode: Huffman code lengths, Huffman bit packing and the QP
+ * forward.
  *
- * Compiled on first use by repro.kernels (cc -O2 -shared -fPIC) and called
- * through ctypes.  The numpy implementations in repro.codecs.huffman and
- * repro.core.qp are the fallback and the reference these must match bit
- * for bit.  There are no globals and nothing is allocated: the Python
- * caller owns, sizes and validates every buffer, scratch included, so
- * calls from several threads (ctypes releases the GIL) never share state.
+ * Float stages, each in float32 and float64: the linear quantizer's
+ * quantize and dequantize, the adaptive quantizer's encode and decode, and
+ * the linear/cubic midpoint fill of the interpolation predictor.
+ *
+ * Compiled on first use by repro.kernels (cc -O2 -ffp-contract=off -shared
+ * -fPIC) and called through ctypes.  The numpy implementations in
+ * repro.codecs.huffman, repro.core.qp, repro.quantize and
+ * repro.predictors.interpolation are the fallback and the reference these
+ * must match bit for bit.  There are no globals and nothing is allocated:
+ * the Python caller owns, sizes and validates every buffer, scratch
+ * included, so calls from several threads (ctypes releases the GIL) never
+ * share state.
  */
+#include <float.h>
+#include <math.h>
 #include <stdint.h>
+
+/* The float kernels repeat numpy's IEEE-754 operations one by one: each
+ * float or double expression must round at its own precision (no x87
+ * extended intermediates), and no multiply-add may fuse (the build passes
+ * -ffp-contract=off). */
+#if FLT_EVAL_METHOD != 0
+#error "the float kernels need FLT_EVAL_METHOD == 0"
+#endif
 
 /* Big-endian 32-bit window starting at byte i of buf.  Bytes outside
  * [0, nbytes) read as zero, like the numpy path's zero padding. */
@@ -323,7 +340,7 @@ static inline int keep_case(int cond, int ok, int64_t a, int64_t b, int64_t c)
            & (c != 0);
 }
 
-#define FORWARD_GEOMETRY                                                    \
+#define VIEW_GEOMETRY                                                       \
     const int64_t n0 = geom[0], n1 = geom[1], n2 = geom[2], n3 = geom[3];   \
     const int64_t s0 = geom[4], s1 = geom[5], s2 = geom[6], s3 = geom[7]
 
@@ -334,7 +351,7 @@ static inline void forward_1d(const int64_t *q, const int64_t *geom,
                               int64_t axis, int cond, int64_t sentinel,
                               int64_t *out)
 {
-    FORWARD_GEOMETRY;
+    VIEW_GEOMETRY;
     for (int64_t i0 = 0; i0 < n0; i0++)
         for (int64_t i1 = 0; i1 < n1; i1++)
             for (int64_t i2 = 0; i2 < n2; i2++) {
@@ -366,7 +383,7 @@ void repro_qp_forward_1d(const int64_t *q, const int64_t *geom, int64_t axis,
 static inline void forward_2d(const int64_t *q, const int64_t *geom,
                               int cond, int64_t sentinel, int64_t *out)
 {
-    FORWARD_GEOMETRY;
+    VIEW_GEOMETRY;
     for (int64_t i0 = 0; i0 < n0; i0++)
         for (int64_t i1 = 0; i1 < n1; i1++)
             for (int64_t i2 = 0; i2 < n2; i2++) {
@@ -402,7 +419,7 @@ void repro_qp_forward_2d(const int64_t *q, const int64_t *geom, int64_t cond,
 static inline void forward_3d(const int64_t *q, const int64_t *geom,
                               int cond, int64_t sentinel, int64_t *out)
 {
-    FORWARD_GEOMETRY;
+    VIEW_GEOMETRY;
     for (int64_t i0 = 0; i0 < n0; i0++)
         for (int64_t i1 = 0; i1 < n1; i1++)
             for (int64_t i2 = 0; i2 < n2; i2++) {
@@ -443,4 +460,341 @@ void repro_qp_forward_3d(const int64_t *q, const int64_t *geom, int64_t cond,
     case 3: forward_3d(q, geom, 3, sentinel, out); break;
     default: forward_3d(q, geom, 4, sentinel, out); break;
     }
+}
+
+
+/* ---- float stages ------------------------------------------------------ */
+
+/* Each kernel walks one strided array in C order as a rank-4 view, read
+ * through VIEW_GEOMETRY (repro.kernels merges and pads the caller's axes
+ * to four).  Every other array of a call is C-contiguous with the view's
+ * n0*n1*n2*n3 points, so point i of the walk sits at offset i there.
+ *
+ * Each body is written once and instantiated for float32 (single = 1) and
+ * float64; forcing it inline makes single a constant in each copy. */
+#define BODY static inline __attribute__((always_inline))
+
+/* The quantizers' constants, filled once per quantizer by the caller. */
+struct quant_params {
+    double two_eb;     /* 2e */
+    double eb;         /* e: a reconstruction further off is a literal */
+    double radius;     /* an index of magnitude >= radius is a literal */
+    int64_t sentinel;  /* -radius, a literal's index */
+    /* adaptive quantizer only */
+    double two_tight;  /* 2e / 2**bits */
+    double tight_eb;   /* e / 2**bits, a hard point's bound */
+    double threshold;  /* a coarse index of magnitude >= threshold is hard */
+    double bias;       /* reserved_bias(bits, threshold) */
+};
+
+/* np.rint: round half to even, keeping the sign of zero.  For |x| < 2**52,
+ * adding and subtracting 2**52 rounds to an integer in the default
+ * rounding mode, exactly; larger magnitudes are integers already and pass
+ * through, as do infinities and NaN. */
+static inline double round_even(double x)
+{
+    double a = fabs(x);
+    if (!(a < 0x1p52))
+        return x;
+    return copysign((a + 0x1p52) - 0x1p52, x);
+}
+
+/* np.sign */
+static inline double sign_of(double x)
+{
+    return x > 0 ? 1.0 : x < 0 ? -1.0 : x;
+}
+
+/* Element i of a float32 or float64 array, widened to double (exact). */
+static inline double load(const void *a, int64_t i, int single)
+{
+    return single ? (double)((const float *)a)[i] : ((const double *)a)[i];
+}
+
+/* (T)x, numpy's astype: round to the element type and back (exact). */
+static inline double round_to(double x, int single)
+{
+    return single ? (double)(float)x : x;
+}
+
+static inline void store(void *a, int64_t i, double x, int single)
+{
+    if (single)
+        ((float *)a)[i] = (float)x;
+    else
+        ((double *)a)[i] = x;
+}
+
+/* LinearQuantizer.quantize of the values v (geom) against the predictions
+ * p, in double as numpy computes it: q = rint((v - p) / 2e), dividing, and
+ * r = (T)(p + q * 2e).  |q| >= radius, or |r - v| > e, makes the point a
+ * literal: idx gets the sentinel and dec the value itself, from which the
+ * caller gathers the literals in C order.  Otherwise idx gets q (numpy's
+ * int64 cast) and dec gets r.  Returns the literal count. */
+BODY int64_t quantize_body(const void *v, const int64_t *geom,
+                                    const void *p,
+                                    const struct quant_params *par,
+                                    int64_t *idx, void *dec, int single)
+{
+    VIEW_GEOMETRY;
+    int64_t i = 0, n_lit = 0;
+    for (int64_t i0 = 0; i0 < n0; i0++)
+        for (int64_t i1 = 0; i1 < n1; i1++)
+            for (int64_t i2 = 0; i2 < n2; i2++) {
+                const int64_t row = i0 * s0 + i1 * s1 + i2 * s2;
+                for (int64_t k = 0; k < n3; k++, i++) {
+                    double x = load(v, row + k * s3, single);
+                    double pr = load(p, i, single);
+                    double q = round_even((x - pr) / par->two_eb);
+                    double r = 0;
+                    int lit = fabs(q) >= par->radius;
+                    if (!lit) {
+                        r = round_to(pr + q * par->two_eb, single);
+                        lit = fabs(r - x) > par->eb;
+                    }
+                    idx[i] = lit ? par->sentinel : (int64_t)q;
+                    store(dec, i, lit ? x : r, single);
+                    n_lit += lit;
+                }
+            }
+    idx[i] = 0;  /* no hard points: the slot adaptive_encode_body counts in */
+    return n_lit;
+}
+
+/* LinearQuantizer.dequantize of the indices w (geom): (T)(p + 2e * w),
+ * and at each sentinel the next of the n_lit literals, in C order.  Reads
+ * no literal past n_lit whatever w holds; returns the sentinel count, which
+ * the caller checks against n_lit. */
+BODY int64_t dequantize_body(const int64_t *w, const int64_t *geom,
+                                      const void *p, const void *lit,
+                                      int64_t n_lit,
+                                      const struct quant_params *par,
+                                      void *out, int single)
+{
+    VIEW_GEOMETRY;
+    int64_t i = 0, n = 0;
+    for (int64_t i0 = 0; i0 < n0; i0++)
+        for (int64_t i1 = 0; i1 < n1; i1++)
+            for (int64_t i2 = 0; i2 < n2; i2++) {
+                const int64_t row = i0 * s0 + i1 * s1 + i2 * s2;
+                for (int64_t k = 0; k < n3; k++, i++) {
+                    int64_t x = w[row + k * s3];
+                    if (x != par->sentinel)
+                        store(out, i, load(p, i, single)
+                              + par->two_eb * (double)x, single);
+                    else if (n++ < n_lit)
+                        store(out, i, load(lit, n - 1, single), single);
+                }
+            }
+    return n;
+}
+
+/* adaptive_encode, step for step: a point whose coarse index
+ * q = rint(d / 2e) reaches the threshold is hard and re-quantized at the
+ * tight scale, qt = rint(d / (2e / 2**bits)), shipping sign(qt) *
+ * (|qt| - bias).  Literals as in quantize_body, plus a hard index that
+ * falls below the threshold (the aliasing guard), each point checked
+ * against its own bound.  idx[n] (one past the indices) gets the count of
+ * hard points that are not literals.  Returns the literal count. */
+BODY int64_t adaptive_encode_body(const void *v, const int64_t *geom,
+                                           const void *p,
+                                           const struct quant_params *par,
+                                           int64_t *idx, void *dec,
+                                           int single)
+{
+    VIEW_GEOMETRY;
+    int64_t i = 0, n_lit = 0, n_hard = 0;
+    for (int64_t i0 = 0; i0 < n0; i0++)
+        for (int64_t i1 = 0; i1 < n1; i1++)
+            for (int64_t i2 = 0; i2 < n2; i2++) {
+                const int64_t row = i0 * s0 + i1 * s1 + i2 * s2;
+                for (int64_t k = 0; k < n3; k++, i++) {
+                    double x = load(v, row + k * s3, single);
+                    double pr = load(p, i, single);
+                    double d = x - pr;
+                    double q = round_even(d / par->two_eb);
+                    int hard = fabs(q) >= par->threshold;
+                    double wire = q, scale = par->two_eb, bound = par->eb;
+                    if (hard) {
+                        q = round_even(d / par->two_tight);
+                        wire = sign_of(q) * (fabs(q) - par->bias);
+                        scale = par->two_tight;
+                        bound = par->tight_eb;
+                    }
+                    double r = round_to(pr + scale * q, single);
+                    int lit = fabs(wire) >= par->radius
+                              || (hard && fabs(wire) < par->threshold)
+                              || fabs(r - x) > bound;
+                    idx[i] = lit ? par->sentinel : (int64_t)wire;
+                    store(dec, i, lit ? x : r, single);
+                    n_lit += lit;
+                    n_hard += hard && !lit;
+                }
+            }
+    idx[i] = n_hard;
+    return n_lit;
+}
+
+/* adaptive_decode: an index of magnitude >= threshold is hard and decodes
+ * at the tight scale as sign(w) * (|w| + bias); literals and the return
+ * value as in dequantize_body. */
+BODY int64_t adaptive_decode_body(const int64_t *w,
+                                           const int64_t *geom,
+                                           const void *p, const void *lit,
+                                           int64_t n_lit,
+                                           const struct quant_params *par,
+                                           void *out, int single)
+{
+    VIEW_GEOMETRY;
+    int64_t i = 0, n = 0;
+    for (int64_t i0 = 0; i0 < n0; i0++)
+        for (int64_t i1 = 0; i1 < n1; i1++)
+            for (int64_t i2 = 0; i2 < n2; i2++) {
+                const int64_t row = i0 * s0 + i1 * s1 + i2 * s2;
+                for (int64_t k = 0; k < n3; k++, i++) {
+                    int64_t x = w[row + k * s3];
+                    if (x == par->sentinel) {
+                        if (n++ < n_lit)
+                            store(out, i, load(lit, n - 1, single), single);
+                        continue;
+                    }
+                    double wd = (double)x;
+                    int hard = fabs(wd) >= par->threshold;
+                    double q = hard ? sign_of(wd) * (fabs(wd) + par->bias) : wd;
+                    double scale = hard ? par->two_tight : par->two_eb;
+                    store(out, i, load(p, i, single) + scale * q, single);
+                }
+            }
+    return n;
+}
+
+/* Midpoint fill rules, in the element type's own arithmetic as numpy
+ * computes them on float32 or float64 arrays (a Python scalar operand
+ * takes the array's type): the linear (b + c) / 2, the cubic
+ * (9 (b + c) - (a + d)) / 16, and the copy of b.  a, b, c, d are offsets
+ * of four consecutive known points along the axis. */
+enum { FILL_LINEAR, FILL_CUBIC, FILL_COPY };
+
+#define FILL_RULE(known, rule, a, b, c, d)                                  \
+    ((rule) == FILL_COPY ? (known)[b]                                       \
+     : (rule) == FILL_LINEAR ? ((known)[b] + (known)[c]) / 2                \
+     : (9 * ((known)[b] + (known)[c]) - ((known)[a] + (known)[d])) / 16)
+
+static inline void fill_one(const void *known, int rule, int64_t a,
+                            int64_t b, int64_t c, int64_t d, void *out,
+                            int64_t i, int single)
+{
+    if (single)
+        ((float *)out)[i] = FILL_RULE((const float *)known, rule, a, b, c, d);
+    else
+        ((double *)out)[i] = FILL_RULE((const double *)known, rule, a, b, c, d);
+}
+
+/* predict_midpoints: targets t = 0 .. nt-1 along the view axis ax of the
+ * known points (nk of them, nt = nk - 1 or nk), into out, C-contiguous in
+ * the view's orientation with nt in place of nk.  Target t sits between
+ * known t and t + 1.  With cubic set and nk >= 4, targets 1 .. n_inner-2
+ * are cubic; the first and last of the n_inner = min(nt, nk - 1) inner
+ * targets are linear, and a trailing target (t = nk - 1) copies its left
+ * neighbour.  geom is the view geometry followed by ax, nt and cubic. */
+BODY void fill_body(const void *known, const int64_t *geom,
+                             void *out, int single)
+{
+    VIEW_GEOMETRY;
+    const int64_t ax = geom[8], nt = geom[9];
+    const int64_t nk = geom[ax], sa = geom[4 + ax];
+    const int cubic = geom[10] && nk >= 4;
+    const int64_t n_inner = nt < nk - 1 ? nt : nk - 1;
+    /* the output's extents: nt targets along ax */
+    const int64_t e0 = ax == 0 ? nt : n0, e1 = ax == 1 ? nt : n1;
+    const int64_t e2 = ax == 2 ? nt : n2, e3 = ax == 3 ? nt : n3;
+    int64_t i = 0;
+    for (int64_t i0 = 0; i0 < e0; i0++)
+        for (int64_t i1 = 0; i1 < e1; i1++)
+            for (int64_t i2 = 0; i2 < e2; i2++) {
+                const int64_t row = i0 * s0 + i1 * s1 + i2 * s2;
+                const int64_t t = ax == 0 ? i0 : ax == 1 ? i1 : i2;
+                for (int64_t k = 0; k < e3; k++, i++) {
+                    int64_t tk = ax == 3 ? k : t;
+                    int rule = tk >= n_inner ? FILL_COPY
+                               : cubic && tk > 0 && tk < n_inner - 1
+                               ? FILL_CUBIC : FILL_LINEAR;
+                    /* known point t along ax: row + k * s3 holds it */
+                    int64_t b = row + k * s3;
+                    fill_one(known, rule, b - sa, b, b + sa, b + 2 * sa, out,
+                             i, single);
+                }
+            }
+}
+
+/* The exported instantiations: float32 (_f32) and float64 (_f64). */
+int64_t repro_quantize_f32(const float *v, const int64_t *geom,
+                           const float *p, const struct quant_params *par,
+                           int64_t *idx, float *dec)
+{
+    return quantize_body(v, geom, p, par, idx, dec, 1);
+}
+
+int64_t repro_quantize_f64(const double *v, const int64_t *geom,
+                           const double *p, const struct quant_params *par,
+                           int64_t *idx, double *dec)
+{
+    return quantize_body(v, geom, p, par, idx, dec, 0);
+}
+
+int64_t repro_dequantize_f32(const int64_t *w, const int64_t *geom,
+                             const float *p, const float *lit, int64_t n_lit,
+                             const struct quant_params *par, float *out)
+{
+    return dequantize_body(w, geom, p, lit, n_lit, par, out, 1);
+}
+
+int64_t repro_dequantize_f64(const int64_t *w, const int64_t *geom,
+                             const double *p, const double *lit,
+                             int64_t n_lit, const struct quant_params *par,
+                             double *out)
+{
+    return dequantize_body(w, geom, p, lit, n_lit, par, out, 0);
+}
+
+int64_t repro_adaptive_encode_f32(const float *v, const int64_t *geom,
+                                  const float *p,
+                                  const struct quant_params *par,
+                                  int64_t *idx, float *dec)
+{
+    return adaptive_encode_body(v, geom, p, par, idx, dec, 1);
+}
+
+int64_t repro_adaptive_encode_f64(const double *v, const int64_t *geom,
+                                  const double *p,
+                                  const struct quant_params *par,
+                                  int64_t *idx, double *dec)
+{
+    return adaptive_encode_body(v, geom, p, par, idx, dec, 0);
+}
+
+int64_t repro_adaptive_decode_f32(const int64_t *w, const int64_t *geom,
+                                  const float *p, const float *lit,
+                                  int64_t n_lit,
+                                  const struct quant_params *par, float *out)
+{
+    return adaptive_decode_body(w, geom, p, lit, n_lit, par, out, 1);
+}
+
+int64_t repro_adaptive_decode_f64(const int64_t *w, const int64_t *geom,
+                                  const double *p, const double *lit,
+                                  int64_t n_lit,
+                                  const struct quant_params *par, double *out)
+{
+    return adaptive_decode_body(w, geom, p, lit, n_lit, par, out, 0);
+}
+
+void repro_fill_f32(const float *known, const int64_t *geom, float *out)
+{
+    fill_body(known, geom, out, 1);
+}
+
+void repro_fill_f64(const double *known, const int64_t *geom, double *out)
+{
+    fill_body(known, geom, out, 0);
 }

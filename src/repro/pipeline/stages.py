@@ -32,7 +32,6 @@ from ..obs import metric_count, span as obs_span
 from ..predictors.interpolation import predict_midpoints
 from ..quantize.adaptive import AdaptiveLinearQuantizer
 from ..quantize.linear import LinearQuantizer
-from ..utils.levels import moveaxis_order
 from .spec import register_stage
 
 __all__ = [
@@ -105,17 +104,13 @@ class InterpPredict:
     @staticmethod
     def pass_prediction(arr: np.ndarray, p: Any, method: str) -> np.ndarray:
         """Average of 1-D interpolations along each prediction axis, in the
-        natural orientation of the pass's target subgrid."""
+        natural orientation of the pass's target subgrid (C-contiguous)."""
         shape = arr.shape
-        ndim = arr.ndim
         pred_sum: np.ndarray | None = None
         for a in p.axes:
             known = arr[p.known_for(a)]
             n_targets = len(range(*p.target[a].indices(shape[a])))
-            pred_a = predict_midpoints(
-                known.transpose(moveaxis_order(ndim, a, 0)), n_targets, method
-            )
-            pred_a = pred_a.transpose(moveaxis_order(ndim, 0, a))
+            pred_a = predict_midpoints(known, n_targets, method, a)
             pred_sum = pred_a if pred_sum is None else pred_sum + pred_a
         assert pred_sum is not None
         if len(p.axes) > 1:
@@ -129,19 +124,15 @@ class InterpPredict:
         """:meth:`pass_prediction` over a stack of volumes ``(N, *shape)``.
 
         The pass geometry addresses the per-volume axes, so every index is
-        lifted by one; ``predict_midpoints`` treats all trailing axes as
+        lifted by one; ``predict_midpoints`` treats every other axis as
         batch, which now includes the stack axis.
         """
         shape = arr_st.shape[1:]
-        ndim = arr_st.ndim
         pred_sum: np.ndarray | None = None
         for a in p.axes:
             known = arr_st[(slice(None),) + p.known_for(a)]
             n_targets = len(range(*p.target[a].indices(shape[a])))
-            pred_a = predict_midpoints(
-                known.transpose(moveaxis_order(ndim, a + 1, 0)), n_targets, method
-            )
-            pred_a = pred_a.transpose(moveaxis_order(ndim, 0, a + 1))
+            pred_a = predict_midpoints(known, n_targets, method, a + 1)
             pred_sum = pred_a if pred_sum is None else pred_sum + pred_a
         assert pred_sum is not None
         if len(p.axes) > 1:

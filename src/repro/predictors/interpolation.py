@@ -2,8 +2,11 @@
 
 Given the values already known on a coarse grid along one axis, these kernels
 predict the midpoints (the level's target points).  Everything operates on
-strided views of the working array, with the interpolation axis moved to the
-front, so a single vectorized expression predicts an entire pass.
+strided views of the working array, so a single vectorized expression
+predicts an entire pass; the prediction comes back C-contiguous in the
+orientation of the pass's target subgrid.  Where the native library loads,
+a C loop fills float32 and float64 passes in the same arithmetic
+(:mod:`repro.kernels`); the numpy code is the specification.
 
 ``linear``   midpoint average of the two stride-``s`` neighbours.
 ``cubic``    4-point spline weights (-1/16, 9/16, 9/16, -1/16), the kernel
@@ -13,7 +16,12 @@ Boundary handling matches SZ3: a target with only a left neighbour copies it.
 """
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
+
+from .. import kernels
+from ..utils.levels import moveaxis_order
 
 __all__ = ["predict_midpoints", "INTERP_METHODS"]
 
@@ -24,28 +32,43 @@ def predict_midpoints(
     known: np.ndarray,
     n_targets: int,
     method: str = "linear",
+    axis: int = 0,
 ) -> np.ndarray:
-    """Predict midpoint values along axis 0.
+    """Predict midpoint values along ``axis``.
 
     Parameters
     ----------
     known:
-        Array of already-decoded values on the coarse grid, axis 0 being the
-        interpolation axis (shape ``(nk, ...)``). Target ``i`` sits between
-        ``known[i]`` and ``known[i+1]``.
+        Array of already-decoded values on the coarse grid; ``axis`` is the
+        interpolation axis (``nk`` points long).  Target ``i`` sits between
+        ``known[i]`` and ``known[i+1]`` along it.
     n_targets:
         Number of midpoints to predict; either ``nk - 1`` (odd fine grid) or
         ``nk`` (even fine grid, whose last target has no right neighbour).
     method:
         ``"linear"`` or ``"cubic"``.
+    axis:
+        The interpolation axis (non-negative).
+
+    Returns a new C-contiguous array of ``known``'s shape with ``n_targets``
+    along ``axis``.
     """
-    nk = known.shape[0]
+    nk = known.shape[axis]
     if n_targets not in (nk - 1, nk):
         raise ValueError(f"n_targets must be nk-1 or nk, got {n_targets} for nk={nk}")
     if method not in INTERP_METHODS:
         raise ValueError(f"unknown method {method!r}")
-    out_shape = (n_targets,) + known.shape[1:]
-    pred = np.empty(out_shape, dtype=known.dtype)
+    fill = kernels.float_kernel("repro_fill", known.dtype)
+    if fill is not None and known.size:
+        out = _fill_native(fill, known, n_targets, method == "cubic", axis)
+        if out is not None:
+            return out
+    out_shape = known.shape[:axis] + (n_targets,) + known.shape[axis + 1:]
+    out = np.empty(out_shape, dtype=known.dtype)
+    # the fills below index the interpolation axis first
+    order = moveaxis_order(known.ndim, axis, 0)
+    known = known.transpose(order)
+    pred = out.transpose(order)
     n_inner = min(n_targets, nk - 1)  # targets with both neighbours
 
     if method == "linear" or nk < 4:
@@ -55,7 +78,7 @@ def predict_midpoints(
 
     if n_targets == nk:  # trailing boundary target: copy left neighbour
         pred[nk - 1] = known[nk - 1]
-    return pred
+    return out
 
 
 def _linear_fill(known: np.ndarray, pred: np.ndarray, n_inner: int) -> None:
@@ -79,3 +102,25 @@ def _cubic_fill(known: np.ndarray, pred: np.ndarray, n_inner: int) -> None:
         pred[0] = (known[0] + known[1]) / 2
     if n_inner > 1:
         pred[n_inner - 1] = (known[n_inner - 1] + known[n_inner]) / 2
+
+
+@lru_cache(maxsize=4096)
+def _fill_plan(shape, strides, itemsize, axis, n_targets, cubic):
+    """(kernel geometry, output shape) of one fill, or ``None`` for numpy."""
+    geom = kernels.view_geometry(shape, strides, itemsize, axis, (n_targets, cubic))
+    if geom is None:
+        return None
+    return geom, shape[:axis] + (n_targets,) + shape[axis + 1:]
+
+
+def _fill_native(fill, known, n_targets, cubic, axis):
+    plan = _fill_plan(
+        known.shape, known.strides, known.itemsize, axis, n_targets, cubic
+    )
+    at = kernels.address(known)
+    if plan is None or at % known.itemsize:
+        return None
+    geom, out_shape = plan
+    out = np.empty(out_shape, dtype=known.dtype)
+    fill(at, geom, kernels.address(out))
+    return out

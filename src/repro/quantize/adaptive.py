@@ -32,13 +32,18 @@ LinearQuantizer`.
 Both directions run the same ufunc structure (``p + scale * q`` in float64,
 one final cast), so encode-side ``decoded`` is bit-identical to the
 decompressor's output.
+
+:func:`adaptive_encode` and :func:`adaptive_decode` are the specification;
+where the native library loads, :class:`AdaptiveLinearQuantizer` runs C
+loops over float32 and float64 passes that repeat them step for step
+(:mod:`repro.kernels`).
 """
 from __future__ import annotations
 
 import numpy as np
 
 from ..core.config import ADAPTIVE_MAX_BITS
-from .linear import QuantResult
+from .linear import QuantResult, native_decode, native_encode, native_params
 
 __all__ = [
     "AdaptiveLinearQuantizer",
@@ -163,6 +168,10 @@ class AdaptiveLinearQuantizer:
         self.threshold = int(threshold)
         #: adaptive-point count of the most recent :meth:`quantize` call
         self.last_adaptive = 0
+        self._params = native_params(
+            self.error_bound, self.radius, self.bits, self.threshold,
+            reserved_bias(self.bits, self.threshold),
+        )
 
     @property
     def sentinel(self) -> int:
@@ -174,6 +183,14 @@ class AdaptiveLinearQuantizer:
         return self.error_bound / float(1 << self.bits)
 
     def quantize(self, values: np.ndarray, preds: np.ndarray) -> QuantResult:
+        values = np.asarray(values)
+        preds = np.asarray(preds, dtype=values.dtype)
+        native = native_encode(
+            "repro_adaptive_encode", values, preds, self._params
+        )
+        if native is not None:
+            result, self.last_adaptive = native
+            return result
         wire, decoded, literals, n_adaptive = adaptive_encode(
             values, preds, self.error_bound, self.bits, self.threshold, self.radius
         )
@@ -183,10 +200,14 @@ class AdaptiveLinearQuantizer:
     def dequantize(
         self, indices: np.ndarray, preds: np.ndarray, literals: np.ndarray
     ) -> np.ndarray:
+        indices = np.asarray(indices)
+        preds = np.asarray(preds)
+        native = native_decode(
+            "repro_adaptive_decode", indices, preds, literals, self._params
+        )
+        if native is not None:
+            return native
         return adaptive_decode(
             indices, preds, literals, self.error_bound, self.bits,
             self.threshold, self.radius,
         )
-
-    def split_literals(self, indices, literals, counts_done):
-        return int((indices == self.sentinel).sum())

@@ -7,16 +7,25 @@ to floating-point rounding — are *unpredictable*: they receive the sentinel
 index ``UNPREDICTABLE`` and their original values are stored losslessly in a
 side stream, exactly as SZ3 does.
 
-All operations are vectorized over whole pass arrays; the quantizer never
-loops over data points.
+The numpy code below vectorizes over whole pass arrays and is the
+specification: where the native library loads (:mod:`repro.kernels`), a C
+loop over the points of float32 and float64 passes repeats its IEEE-754
+operations in the same order and gives the same bytes.
 """
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
 
+from .. import kernels
+
 __all__ = ["LinearQuantizer", "QuantResult"]
+
+#: the C kernels' sentinel and index casts are int64; larger radii (which
+#: no wire format writes) stay on numpy
+_NATIVE_MAX_RADIUS = 1 << 62
 
 
 @dataclass
@@ -54,6 +63,7 @@ class LinearQuantizer:
             raise ValueError("radius must be >= 2")
         self.error_bound = float(error_bound)
         self.radius = int(radius)
+        self._params = native_params(self.error_bound, self.radius)
 
     @property
     def sentinel(self) -> int:
@@ -64,6 +74,14 @@ class LinearQuantizer:
         """Quantize ``values`` against predictions; both may be any shape."""
         values = np.asarray(values)
         preds = np.asarray(preds, dtype=values.dtype)
+        native = native_encode("repro_quantize", values, preds, self._params)
+        if native is not None:
+            return native[0]
+        return self._quantize_numpy(values, preds)
+
+    def _quantize_numpy(self, values: np.ndarray, preds: np.ndarray) -> QuantResult:
+        """:meth:`quantize` in numpy: the fallback, and the specification
+        of the C kernel."""
         two_eb = 2.0 * self.error_bound
         # the float64 pipeline below matches q = rint((d - p) / 2e) and
         # d' = p + 2e*q bit-for-bit; casts are folded into the ufuncs and
@@ -97,6 +115,17 @@ class LinearQuantizer:
         """
         indices = np.asarray(indices)
         preds = np.asarray(preds)
+        native = native_decode(
+            "repro_dequantize", indices, preds, literals, self._params
+        )
+        if native is not None:
+            return native
+        return self._dequantize_numpy(indices, preds, literals)
+
+    def _dequantize_numpy(
+        self, indices: np.ndarray, preds: np.ndarray, literals: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`dequantize` in numpy (see :meth:`_quantize_numpy`)."""
         unpred = indices == self.sentinel
         n_unpred = int(unpred.sum())
         if n_unpred != literals.size:
@@ -111,6 +140,96 @@ class LinearQuantizer:
             out[unpred] = literals.astype(preds.dtype)
         return out
 
-    def split_literals(self, indices: np.ndarray, literals: np.ndarray, counts_done: int) -> np.ndarray:
-        """Helper: how many literals the given index block consumes."""
-        return int((indices == self.sentinel).sum())
+
+# -- native kernels ----------------------------------------------------------
+
+
+def native_params(
+    error_bound: float, radius: int, bits: int = 0, threshold: int = 0,
+    bias: int = 0,
+) -> "kernels.QuantParams | None":
+    """A quantizer's constants for the C kernels (``bits``, ``threshold``
+    and ``bias`` for the adaptive one), computed as the numpy code computes
+    them; ``None`` keeps the quantizer on numpy."""
+    if radius >= _NATIVE_MAX_RADIUS:
+        return None
+    two_eb = 2.0 * error_bound
+    return kernels.QuantParams(
+        two_eb=two_eb, eb=error_bound, radius=float(radius), sentinel=-radius,
+        two_tight=two_eb / float(1 << bits), tight_eb=error_bound / float(1 << bits),
+        threshold=float(threshold), bias=float(bias),
+    )
+
+
+def native_encode(
+    name: str, values: np.ndarray, preds: np.ndarray,
+    params: "kernels.QuantParams | None",
+) -> "tuple[QuantResult, int] | None":
+    """Run the C encode kernel ``name`` (``"repro_quantize"`` or
+    ``"repro_adaptive_encode"``) over ``values`` against ``preds`` (already
+    of ``values``' dtype); returns the result and the kernel's hard-point
+    count, or ``None`` where numpy must run: no library, another dtype or
+    shape, an empty pass or a view the kernels cannot walk.
+
+    The kernel writes each literal's value into ``decoded``, so the
+    literals are gathered from there in C order.
+    """
+    fn = kernels.float_kernel(name, values.dtype)
+    if fn is None or params is None or not values.size or preds.shape != values.shape:
+        return None
+    geom = kernels.view_geometry(values.shape, values.strides, values.itemsize)
+    at = kernels.address(values)
+    if geom is None or at % values.itemsize:
+        return None
+    if not preds.flags.c_contiguous:
+        preds = np.ascontiguousarray(preds)
+    # one slot past the indices takes the adaptive kernel's hard-point count
+    flat = np.empty(values.size + 1, dtype=np.int64)
+    decoded = np.empty(values.shape, dtype=values.dtype)
+    n_lit = fn(
+        at, geom, kernels.address(preds), ctypes.addressof(params),
+        kernels.address(flat), kernels.address(decoded),
+    )
+    indices = flat[:-1].reshape(values.shape)
+    if n_lit:
+        literals = decoded[indices == params.sentinel]
+    else:
+        literals = np.empty(0, dtype=values.dtype)
+    return QuantResult(indices, decoded, literals), int(flat[-1])
+
+
+def native_decode(
+    name: str, indices: np.ndarray, preds: np.ndarray, literals: np.ndarray,
+    params: "kernels.QuantParams | None",
+) -> "np.ndarray | None":
+    """Run the C decode kernel ``name`` (``"repro_dequantize"`` or
+    ``"repro_adaptive_decode"``); ``None`` where numpy must run, as in
+    :func:`native_encode`.  The kernel never reads past ``literals``, and
+    a sentinel count other than ``literals.size`` raises the numpy path's
+    error."""
+    fn = kernels.float_kernel(name, preds.dtype)
+    if (
+        fn is None or params is None or not preds.size
+        or indices.dtype != np.int64 or indices.shape != preds.shape
+    ):
+        return None
+    geom = kernels.view_geometry(indices.shape, indices.strides, 8)
+    at = kernels.address(indices)
+    if geom is None or at % 8:
+        return None
+    if not preds.flags.c_contiguous:
+        preds = np.ascontiguousarray(preds)
+    lit_at = None
+    if literals.size:
+        literals = np.ascontiguousarray(literals, dtype=preds.dtype)
+        lit_at = kernels.address(literals)
+    out = np.empty(preds.shape, dtype=preds.dtype)
+    n_unpred = fn(
+        at, geom, kernels.address(preds), lit_at, literals.size,
+        ctypes.addressof(params), kernels.address(out),
+    )
+    if n_unpred != literals.size:
+        raise ValueError(
+            f"literal count mismatch: mask has {n_unpred}, stream has {literals.size}"
+        )
+    return out

@@ -51,5 +51,5 @@ def test_trace_hooks_install_and_envelope_names_kernel_stages():
 
     env = common.envelope(ROOT, "codec-qp", 1, 1, False)
     assert set(env["kernel_backends"]) == {
-        "adaptive_quantize", "huffman", "interp", "lorenzo", "qp"
+        "adaptive_quantize", "huffman", "interp", "lorenzo", "qp", "quantize"
     }

@@ -69,3 +69,17 @@ def test_cubic_matches_sz3_weights():
     assert pred[1] == pytest.approx(9 / 16)
     # target 2 (between known[2], known[3]) sees known[1..4] -> weight -1/16
     assert pred[2] == pytest.approx(-1 / 16)
+
+
+@pytest.mark.parametrize("method", ["linear", "cubic"])
+def test_axis_predicts_in_the_natural_orientation(method):
+    field = (np.arange(3 * 9 * 11, dtype=np.float32).reshape(3, 9, 11) % 7) ** 1.5
+    known = field[:, ::2, 1::2]  # a strided view, as the engine passes
+    for axis in range(known.ndim):
+        nk = known.shape[axis]
+        for n_targets in (nk - 1, nk):
+            pred = predict_midpoints(known, n_targets, method, axis)
+            moved = predict_midpoints(np.moveaxis(known, axis, 0), n_targets, method)
+            assert pred.flags.c_contiguous
+            assert pred.dtype == known.dtype
+            assert np.array_equal(pred, np.moveaxis(moved, 0, axis))

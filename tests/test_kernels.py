@@ -15,7 +15,7 @@ from repro import kernels
 from repro.codecs.huffman import HuffmanCodec
 from repro.core import QPConfig, qp_forward, qp_inverse
 
-STAGES = ("adaptive_quantize", "huffman", "interp", "lorenzo", "qp")
+STAGES = ("adaptive_quantize", "huffman", "interp", "lorenzo", "qp", "quantize")
 CC = shutil.which("cc")
 needs_cc = pytest.mark.skipif(CC is None, reason="no C compiler on PATH")
 
@@ -33,10 +33,12 @@ def _roundtrips():
 def test_active_backends_maps_every_stage():
     path = "numpy" if kernels.native() is None else "c"
     assert kernels.active_backends() == {
-        stage: path if stage in ("huffman", "qp") else "numpy"
-        for stage in STAGES
+        stage: "numpy" if stage == "lorenzo" else path for stage in STAGES
     }
-    assert kernels.__all__ == ["active_backends", "native"]
+    assert kernels.__all__ == [
+        "QuantParams", "active_backends", "address", "float_kernel", "native",
+        "view_geometry",
+    ]
 
 
 def test_import_builds_nothing():

@@ -3,8 +3,12 @@
 Every case runs on both paths: the C library and the numpy loops (forced
 by swapping the loader's handle).  Decodes must return identical arrays,
 or both must raise a typed :class:`~repro.errors.ReproError` of the same
-class; encodes must return identical bytes or arrays.
+class; encodes must return identical bytes or arrays.  The float stages
+(quantizers and midpoint fill) must agree byte for byte, NaN payloads
+and signed zeros included, over float32 and float64, ranks 1-4 and
+contiguous, strided and transposed views.
 """
+import ctypes
 import itertools
 import struct
 
@@ -22,6 +26,11 @@ from repro.codecs.huffman import (
 from repro.core import QP_CONDITIONS, QP_DIMENSIONS, QPConfig, qp_forward, qp_inverse
 from repro.core.qp import qp_inverse_multi
 from repro.errors import ReproError
+from repro.predictors import interpolation
+from repro.predictors.interpolation import predict_midpoints
+from repro.quantize import adaptive
+from repro.quantize.adaptive import AdaptiveLinearQuantizer
+from repro.quantize.linear import LinearQuantizer, QuantResult
 from repro.testing import INJECTORS
 
 pytestmark = pytest.mark.skipif(
@@ -286,3 +295,250 @@ def test_qp_forward(monkeypatch, shape, wrap):
                 assert np.array_equal(
                     qp_inverse(out[0], SENTINEL, cfg, level=1), view
                 ), (dim, cond)
+
+
+# -- float stages --------------------------------------------------------------
+
+FLOAT_DTYPES = [np.float32, np.float64]
+RANKS = [1, 2, 3, 4]
+LAYOUTS = ["contiguous", "strided", "transposed"]
+
+#: the numpy code each float kernel replaces; the native run must reach
+#: none of it, the forced-numpy run must reach it
+NUMPY_FLOAT_CODE = [
+    (LinearQuantizer, "_quantize_numpy"),
+    (LinearQuantizer, "_dequantize_numpy"),
+    (adaptive, "adaptive_encode"),
+    (adaptive, "adaptive_decode"),
+    (interpolation, "_linear_fill"),
+    (interpolation, "_cubic_fill"),
+]
+
+
+def float_paths(monkeypatch, fn):
+    """``fn()`` on the C kernels, then on numpy; returns both results."""
+    calls = []
+    with monkeypatch.context() as m:
+        for owner, name in NUMPY_FLOAT_CODE:
+            real = getattr(owner, name)
+
+            def spy(*args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            m.setattr(owner, name, spy)
+        with np.errstate(all="ignore"):
+            native = fn()
+            assert not calls, f"the native run reached {calls}"
+            m.setattr(kernels, "_lib", None)
+            fallback = fn()
+        assert calls
+    return native, fallback
+
+
+def assert_same_bytes(a, b):
+    if isinstance(a, (tuple, list)):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_same_bytes(x, y)
+        return
+    if isinstance(a, QuantResult):
+        assert_same_bytes((a.indices, a.decoded, a.literals),
+                          (b.indices, b.decoded, b.literals))
+        return
+    if not isinstance(a, np.ndarray):
+        assert a == b
+        return
+    # bytes, so NaN payloads and the sign of zero count too
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def _view(rng, dtype, rank, layout, scale):
+    """Random finite values in (-scale, scale), ``rank`` axes of 1 to 6
+    points in ``layout``: C-contiguous, every other element of a larger
+    array, or the transpose of a C-contiguous array."""
+    shape = tuple(int(n) for n in rng.integers(1, 7, rank))
+    big = (rng.uniform(-1, 1, tuple(2 * n + 1 for n in shape)) * scale).astype(dtype)
+    if layout == "contiguous":
+        return np.ascontiguousarray(big[tuple(slice(0, n) for n in shape)])
+    if layout == "strided":
+        return big[tuple(slice(1, None, 2) for _ in shape)]
+    return np.ascontiguousarray(big[tuple(slice(0, n) for n in shape[::-1])]).T
+
+
+def _scales(dtype):
+    """Magnitudes: ordinary, and near the float maximum, where sums
+    overflow to inf and the cubic fill makes NaN."""
+    return (1.0, float(np.finfo(dtype).max) / 1.5)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("rank", RANKS)
+@pytest.mark.parametrize("dtype", FLOAT_DTYPES, ids=["f32", "f64"])
+def test_fill(monkeypatch, dtype, rank, layout):
+    rng = np.random.default_rng(rank * 10 + LAYOUTS.index(layout))
+    for scale in _scales(dtype):
+        for _ in range(3):
+            known = _view(rng, dtype, rank, layout, scale)
+            for axis, method in itertools.product(range(rank), ("linear", "cubic")):
+                nk = known.shape[axis]
+                for n_targets in {max(nk - 1, 0), nk}:
+                    native, fallback = float_paths(
+                        monkeypatch,
+                        lambda: predict_midpoints(known, n_targets, method, axis),
+                    )
+                    assert_same_bytes(native, fallback)
+                    assert native.flags.c_contiguous
+
+
+def _predictions(rng, values, scale):
+    """Predictions off by up to a few hundred bounds, some exact and a
+    few infinite or NaN (an overflowed fill)."""
+    preds = (values + rng.standard_normal(values.shape) * scale).astype(values.dtype)
+    flat = preds.reshape(-1)  # a copy: preds is C-contiguous, values need not be
+    flat[::3] = values.reshape(-1)[::3]  # exact predictions
+    if flat.size > 7:
+        flat[5] = np.inf
+        flat[7] = np.nan
+    return flat.reshape(values.shape)
+
+
+def _quantizer_cases(dtype):
+    """(error bound, radius) pairs, literal-heavy ones included: radius
+    2-4, and a bound so small every inexact point is a literal."""
+    tiny = float(np.finfo(dtype).tiny) * 8
+    return [(1e-2, 32768), (1e-3, 2), (1e-1, 3), (1e-2, 4), (tiny, 32768)]
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("rank", RANKS)
+@pytest.mark.parametrize("dtype", FLOAT_DTYPES, ids=["f32", "f64"])
+def test_linear_quantizer(monkeypatch, dtype, rank, layout):
+    rng = np.random.default_rng(100 + rank * 10 + LAYOUTS.index(layout))
+    for scale in _scales(dtype):
+        for eb, radius in _quantizer_cases(dtype):
+            values = _view(rng, dtype, rank, layout, scale)
+            preds = _predictions(rng, values, eb * 300)
+            quant = LinearQuantizer(eb, radius)
+            native, fallback = float_paths(
+                monkeypatch, lambda: quant.quantize(values, preds)
+            )
+            assert_same_bytes(native, fallback)
+            # decode the result, and its indices read as the engine reads
+            # them: through the moved-axis view of a contiguous stream
+            indices = np.moveaxis(
+                np.ascontiguousarray(np.moveaxis(native.indices, -1, 0)), 0, -1
+            )
+            decoded, again = float_paths(
+                monkeypatch,
+                lambda: quant.dequantize(indices, preds, native.literals),
+            )
+            assert_same_bytes(decoded, again)
+            assert_same_bytes(decoded, native.decoded)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("rank", RANKS)
+@pytest.mark.parametrize("dtype", FLOAT_DTYPES, ids=["f32", "f64"])
+def test_adaptive_quantizer(monkeypatch, dtype, rank, layout):
+    rng = np.random.default_rng(200 + rank * 10 + LAYOUTS.index(layout))
+    for scale in _scales(dtype):
+        for (eb, radius), (bits, threshold) in zip(
+            _quantizer_cases(dtype), [(2, 4), (1, 1), (3, 2), (8, 16), (3, 2)]
+        ):
+            radius = max(radius, 4 << bits)
+            values = _view(rng, dtype, rank, layout, scale)
+            preds = _predictions(rng, values, eb * 30)
+            quant = AdaptiveLinearQuantizer(
+                eb, radius, bits=bits, threshold=threshold
+            )
+
+            def encode():
+                res = quant.quantize(values, preds)
+                return res, quant.last_adaptive
+
+            native, fallback = float_paths(monkeypatch, encode)
+            assert_same_bytes(native, fallback)
+            res = native[0]
+            decoded, again = float_paths(
+                monkeypatch,
+                lambda: quant.dequantize(res.indices.T.copy().T, preds, res.literals),
+            )
+            assert_same_bytes(decoded, again)
+            assert_same_bytes(decoded, res.decoded)
+
+
+@pytest.mark.parametrize("dtype", FLOAT_DTYPES, ids=["f32", "f64"])
+@pytest.mark.parametrize("quantizer", [LinearQuantizer, AdaptiveLinearQuantizer])
+def test_decode_of_untrusted_indices(monkeypatch, dtype, quantizer):
+    # any int64 may arrive from a corrupt stream: huge magnitudes, each
+    # reserved band, the sentinel
+    rng = np.random.default_rng(3)
+    quant = quantizer(1e-3, 64)
+    indices = rng.integers(-80, 80, (5, 6, 7))
+    indices.flat[::5] = rng.integers(
+        np.iinfo(np.int64).min, np.iinfo(np.int64).max, indices.size, endpoint=True
+    )[::5]
+    preds = rng.standard_normal(indices.shape).astype(dtype)
+    literals = rng.standard_normal(int((indices == quant.sentinel).sum())).astype(dtype)
+    native, fallback = float_paths(
+        monkeypatch, lambda: quant.dequantize(indices, preds, literals)
+    )
+    assert_same_bytes(native, fallback)
+
+
+@pytest.mark.parametrize("dtype", FLOAT_DTYPES, ids=["f32", "f64"])
+@pytest.mark.parametrize("quantizer", [LinearQuantizer, AdaptiveLinearQuantizer])
+def test_decode_with_more_sentinels_than_literals(monkeypatch, dtype, quantizer):
+    quant = quantizer(1e-2, 16)
+    indices = np.zeros((6, 7), dtype=np.int64)
+    indices[::2, ::3] = quant.sentinel  # 9 sentinels
+    preds = np.zeros(indices.shape, dtype=dtype)
+    errors = []
+    for forced in (False, True):
+        with monkeypatch.context() as m:
+            if forced:
+                m.setattr(kernels, "_lib", None)
+            with pytest.raises(ValueError, match="literal count mismatch") as err:
+                quant.dequantize(indices, preds, np.arange(4, dtype=dtype))
+        errors.append(str(err.value))
+    assert errors[0] == errors[1]
+
+    # the kernel itself: past the 4 literals lie canaries it must not read
+    name = "repro_dequantize" if quantizer is LinearQuantizer else "repro_adaptive_decode"
+    fn = kernels.float_kernel(name, np.dtype(dtype))
+    buf = np.full(9, -7.0, dtype=dtype)
+    buf[:4] = np.arange(1, 5)
+    out = np.full(indices.shape, 99.0, dtype=dtype)
+    count = fn(
+        kernels.address(indices),
+        kernels.view_geometry(indices.shape, indices.strides, 8),
+        kernels.address(preds), kernels.address(buf), 4,
+        ctypes.addressof(quant._params), kernels.address(out),
+    )
+    assert count == 9
+    assert not (out == -7.0).any()
+    assert out[indices == quant.sentinel].tolist() == [1, 2, 3, 4] + [99] * 5
+
+
+def test_float_kernels_fall_back_on_views_they_cannot_walk(monkeypatch):
+    # five axes that cannot merge into four, and a misaligned buffer: the
+    # numpy code runs on both sides, with the same results
+    rng = np.random.default_rng(4)
+    five = rng.standard_normal((3, 5, 4, 5, 6)).astype(np.float32)[:, ::2, :, ::2, ::2]
+    assert kernels.view_geometry(five.shape, five.strides, 4) is None
+    raw = np.zeros(4 * 30 + 1, dtype=np.uint8)
+    misaligned = np.ndarray((30,), np.float32, raw.data, offset=1)
+    assert not misaligned.flags.aligned
+    quant = LinearQuantizer(1e-2, 64)
+    for values in (five, misaligned):
+        preds = values + np.float32(0.03)
+        for fn in (
+            lambda: quant.quantize(values, preds),
+            lambda: predict_midpoints(values, values.shape[0] - 1, "cubic", 0),
+        ):
+            native = fn()
+            with monkeypatch.context() as m:
+                m.setattr(kernels, "_lib", None)
+                assert_same_bytes(native, fn())
