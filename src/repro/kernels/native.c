@@ -537,6 +537,8 @@ BODY int64_t quantize_body(const void *v, const int64_t *geom,
                                     int64_t *idx, void *dec, int single)
 {
     VIEW_GEOMETRY;
+    const double two_eb = par->two_eb, eb = par->eb, radius = par->radius;
+    const int64_t sentinel = par->sentinel;
     int64_t i = 0, n_lit = 0;
     for (int64_t i0 = 0; i0 < n0; i0++)
         for (int64_t i1 = 0; i1 < n1; i1++)
@@ -545,14 +547,14 @@ BODY int64_t quantize_body(const void *v, const int64_t *geom,
                 for (int64_t k = 0; k < n3; k++, i++) {
                     double x = load(v, row + k * s3, single);
                     double pr = load(p, i, single);
-                    double q = round_even((x - pr) / par->two_eb);
+                    double q = round_even((x - pr) / two_eb);
                     double r = 0;
-                    int lit = fabs(q) >= par->radius;
+                    int lit = fabs(q) >= radius;
                     if (!lit) {
-                        r = round_to(pr + q * par->two_eb, single);
-                        lit = fabs(r - x) > par->eb;
+                        r = round_to(pr + q * two_eb, single);
+                        lit = fabs(r - x) > eb;
                     }
-                    idx[i] = lit ? par->sentinel : (int64_t)q;
+                    idx[i] = lit ? sentinel : (int64_t)q;
                     store(dec, i, lit ? x : r, single);
                     n_lit += lit;
                 }
@@ -572,6 +574,8 @@ BODY int64_t dequantize_body(const int64_t *w, const int64_t *geom,
                                       void *out, int single)
 {
     VIEW_GEOMETRY;
+    const double two_eb = par->two_eb;
+    const int64_t sentinel = par->sentinel;
     int64_t i = 0, n = 0;
     for (int64_t i0 = 0; i0 < n0; i0++)
         for (int64_t i1 = 0; i1 < n1; i1++)
@@ -579,9 +583,9 @@ BODY int64_t dequantize_body(const int64_t *w, const int64_t *geom,
                 const int64_t row = i0 * s0 + i1 * s1 + i2 * s2;
                 for (int64_t k = 0; k < n3; k++, i++) {
                     int64_t x = w[row + k * s3];
-                    if (x != par->sentinel)
-                        store(out, i, load(p, i, single)
-                              + par->two_eb * (double)x, single);
+                    if (x != sentinel)
+                        store(out, i, load(p, i, single) + two_eb * (double)x,
+                              single);
                     else if (n++ < n_lit)
                         store(out, i, load(lit, n - 1, single), single);
                 }
@@ -603,6 +607,10 @@ BODY int64_t adaptive_encode_body(const void *v, const int64_t *geom,
                                            int single)
 {
     VIEW_GEOMETRY;
+    const double two_eb = par->two_eb, eb = par->eb, radius = par->radius;
+    const double two_tight = par->two_tight, tight_eb = par->tight_eb;
+    const double threshold = par->threshold, bias = par->bias;
+    const int64_t sentinel = par->sentinel;
     int64_t i = 0, n_lit = 0, n_hard = 0;
     for (int64_t i0 = 0; i0 < n0; i0++)
         for (int64_t i1 = 0; i1 < n1; i1++)
@@ -612,20 +620,20 @@ BODY int64_t adaptive_encode_body(const void *v, const int64_t *geom,
                     double x = load(v, row + k * s3, single);
                     double pr = load(p, i, single);
                     double d = x - pr;
-                    double q = round_even(d / par->two_eb);
-                    int hard = fabs(q) >= par->threshold;
-                    double wire = q, scale = par->two_eb, bound = par->eb;
+                    double q = round_even(d / two_eb);
+                    int hard = fabs(q) >= threshold;
+                    double wire = q, scale = two_eb, bound = eb;
                     if (hard) {
-                        q = round_even(d / par->two_tight);
-                        wire = sign_of(q) * (fabs(q) - par->bias);
-                        scale = par->two_tight;
-                        bound = par->tight_eb;
+                        q = round_even(d / two_tight);
+                        wire = sign_of(q) * (fabs(q) - bias);
+                        scale = two_tight;
+                        bound = tight_eb;
                     }
                     double r = round_to(pr + scale * q, single);
-                    int lit = fabs(wire) >= par->radius
-                              || (hard && fabs(wire) < par->threshold)
+                    int lit = fabs(wire) >= radius
+                              || (hard && fabs(wire) < threshold)
                               || fabs(r - x) > bound;
-                    idx[i] = lit ? par->sentinel : (int64_t)wire;
+                    idx[i] = lit ? sentinel : (int64_t)wire;
                     store(dec, i, lit ? x : r, single);
                     n_lit += lit;
                     n_hard += hard && !lit;
@@ -646,6 +654,9 @@ BODY int64_t adaptive_decode_body(const int64_t *w,
                                            void *out, int single)
 {
     VIEW_GEOMETRY;
+    const double two_eb = par->two_eb, two_tight = par->two_tight;
+    const double threshold = par->threshold, bias = par->bias;
+    const int64_t sentinel = par->sentinel;
     int64_t i = 0, n = 0;
     for (int64_t i0 = 0; i0 < n0; i0++)
         for (int64_t i1 = 0; i1 < n1; i1++)
@@ -653,15 +664,15 @@ BODY int64_t adaptive_decode_body(const int64_t *w,
                 const int64_t row = i0 * s0 + i1 * s1 + i2 * s2;
                 for (int64_t k = 0; k < n3; k++, i++) {
                     int64_t x = w[row + k * s3];
-                    if (x == par->sentinel) {
+                    if (x == sentinel) {
                         if (n++ < n_lit)
                             store(out, i, load(lit, n - 1, single), single);
                         continue;
                     }
                     double wd = (double)x;
-                    int hard = fabs(wd) >= par->threshold;
-                    double q = hard ? sign_of(wd) * (fabs(wd) + par->bias) : wd;
-                    double scale = hard ? par->two_tight : par->two_eb;
+                    int hard = fabs(wd) >= threshold;
+                    double q = hard ? sign_of(wd) * (fabs(wd) + bias) : wd;
+                    double scale = hard ? two_tight : two_eb;
                     store(out, i, load(p, i, single) + scale * q, single);
                 }
             }
@@ -671,23 +682,36 @@ BODY int64_t adaptive_decode_body(const int64_t *w,
 /* Midpoint fill rules, in the element type's own arithmetic as numpy
  * computes them on float32 or float64 arrays (a Python scalar operand
  * takes the array's type): the linear (b + c) / 2, the cubic
- * (9 (b + c) - (a + d)) / 16, and the copy of b.  a, b, c, d are offsets
- * of four consecutive known points along the axis. */
+ * (9 (b + c) - (a + d)) / 16, and the copy of b, where a, b, c, d are
+ * four consecutive known points along the axis. */
 enum { FILL_LINEAR, FILL_CUBIC, FILL_COPY };
 
-#define FILL_RULE(known, rule, a, b, c, d)                                  \
-    ((rule) == FILL_COPY ? (known)[b]                                       \
-     : (rule) == FILL_LINEAR ? ((known)[b] + (known)[c]) / 2                \
-     : (9 * ((known)[b] + (known)[c]) - ((known)[a] + (known)[d])) / 16)
+#define FILL_RUN(T)                                                         \
+    do {                                                                    \
+        const T *kn = known;                                                \
+        T *o = (T *)out + i;                                                \
+        if (rule == FILL_COPY)                                              \
+            for (int64_t k = 0; k < n; k++, b += s)                         \
+                o[k] = kn[b];                                               \
+        else if (rule == FILL_LINEAR)                                       \
+            for (int64_t k = 0; k < n; k++, b += s)                         \
+                o[k] = (kn[b] + kn[b + sa]) / 2;                            \
+        else                                                                \
+            for (int64_t k = 0; k < n; k++, b += s)                         \
+                o[k] = (9 * (kn[b] + kn[b + sa])                            \
+                        - (kn[b - sa] + kn[b + 2 * sa])) / 16;              \
+    } while (0)
 
-static inline void fill_one(const void *known, int rule, int64_t a,
-                            int64_t b, int64_t c, int64_t d, void *out,
+/* n targets of one rule into out[i ..): target k's left neighbour b (the
+ * known point at offset b + k * s) and the other three sit sa apart. */
+static inline void fill_run(const void *known, int rule, int64_t b,
+                            int64_t sa, int64_t s, int64_t n, void *out,
                             int64_t i, int single)
 {
     if (single)
-        ((float *)out)[i] = FILL_RULE((const float *)known, rule, a, b, c, d);
+        FILL_RUN(float);
     else
-        ((double *)out)[i] = FILL_RULE((const double *)known, rule, a, b, c, d);
+        FILL_RUN(double);
 }
 
 /* predict_midpoints: targets t = 0 .. nt-1 along the view axis ax of the
@@ -697,8 +721,8 @@ static inline void fill_one(const void *known, int rule, int64_t a,
  * are cubic; the first and last of the n_inner = min(nt, nk - 1) inner
  * targets are linear, and a trailing target (t = nk - 1) copies its left
  * neighbour.  geom is the view geometry followed by ax, nt and cubic. */
-BODY void fill_body(const void *known, const int64_t *geom,
-                             void *out, int single)
+BODY void fill_body(const void *known, const int64_t *geom, void *out,
+                    int single)
 {
     VIEW_GEOMETRY;
     const int64_t ax = geom[8], nt = geom[9];
@@ -707,23 +731,34 @@ BODY void fill_body(const void *known, const int64_t *geom,
     const int64_t n_inner = nt < nk - 1 ? nt : nk - 1;
     /* the output's extents: nt targets along ax */
     const int64_t e0 = ax == 0 ? nt : n0, e1 = ax == 1 ? nt : n1;
-    const int64_t e2 = ax == 2 ? nt : n2, e3 = ax == 3 ? nt : n3;
+    const int64_t e2 = ax == 2 ? nt : n2;
     int64_t i = 0;
     for (int64_t i0 = 0; i0 < e0; i0++)
         for (int64_t i1 = 0; i1 < e1; i1++)
             for (int64_t i2 = 0; i2 < e2; i2++) {
                 const int64_t row = i0 * s0 + i1 * s1 + i2 * s2;
-                const int64_t t = ax == 0 ? i0 : ax == 1 ? i1 : i2;
-                for (int64_t k = 0; k < e3; k++, i++) {
-                    int64_t tk = ax == 3 ? k : t;
-                    int rule = tk >= n_inner ? FILL_COPY
-                               : cubic && tk > 0 && tk < n_inner - 1
-                               ? FILL_CUBIC : FILL_LINEAR;
-                    /* known point t along ax: row + k * s3 holds it */
-                    int64_t b = row + k * s3;
-                    fill_one(known, rule, b - sa, b, b + sa, b + 2 * sa, out,
-                             i, single);
+                if (ax == 3) {  /* the row is one line of targets */
+                    int mid = cubic ? FILL_CUBIC : FILL_LINEAR;
+                    int64_t n_mid = n_inner > 2 ? n_inner - 2 : 0;
+                    fill_run(known, FILL_LINEAR, row, s3, s3,
+                             n_inner < 1 ? n_inner : 1, out, i, single);
+                    fill_run(known, mid, row + s3, s3, s3, n_mid, out, i + 1,
+                             single);
+                    if (n_inner > 1)
+                        fill_run(known, FILL_LINEAR, row + (n_inner - 1) * s3,
+                                 s3, s3, 1, out, i + n_inner - 1, single);
+                    fill_run(known, FILL_COPY, row + n_inner * s3, s3, s3,
+                             nt - n_inner, out, i + n_inner, single);
+                    i += nt;
+                    continue;
                 }
+                /* the row is n3 targets, all at t along ax */
+                const int64_t t = ax == 0 ? i0 : ax == 1 ? i1 : i2;
+                int rule = t >= n_inner ? FILL_COPY
+                           : cubic && t > 0 && t < n_inner - 1 ? FILL_CUBIC
+                           : FILL_LINEAR;
+                fill_run(known, rule, row, sa, s3, n3, out, i, single);
+                i += n3;
             }
 }
 

@@ -10,9 +10,10 @@ makes the script exit nonzero, printing the (target, injector, seed) triple
 so the failure replays exactly.
 
 Where the native kernel library loads, every pristine blob is built
-twice, by the C encode kernels and by the numpy loops (forced by swapping
-the loader's handle, as the tests do); differing bytes are an "encode
-paths disagree" violation.  Every corrupted input is then decoded twice,
+twice, by the C kernels (the integer stages, and the quantizers and
+midpoint fill in float32 and float64) and by the numpy loops (forced by
+swapping the loader's handle, as the tests do); differing bytes are an
+"encode paths disagree" violation.  Every corrupted input is then decoded twice,
 on the same two paths.  Both must succeed with identical output, or both
 must raise a typed error; anything else is a violation too.
 
@@ -67,6 +68,19 @@ def _build_targets(seed: int):
         )
         blob = comp.compress(data)
         targets.append((f"{name}+adaptive", blob, decompress_any))
+    # float64 input runs the other instantiation of the float kernels
+    data64 = data.astype(np.float64)
+    for label, name, extra in (
+        ("sz3", "sz3", {}),
+        ("hpez", "hpez", {}),
+        ("sz3+adaptive", "sz3", {"adaptive": AdaptiveConfig(bits=2, threshold=3)}),
+    ):
+        comp = get_compressor(name, 1e-2, qp=QPConfig(), **extra)
+        targets.append((f"{label}[f64]", comp.compress(data64), decompress_any))
+    # radius 8: most indices reach the radius, so literals dominate the
+    # quantizer's output and the decode's literal stream
+    comp = get_compressor("sz3", 1e-2, qp=QPConfig(), radius=8)
+    targets.append(("sz3[radius=8]", comp.compress(data), decompress_any))
     # streamed slab container: the offset-framed wire format (header,
     # segment table, CRC-guarded index/footer) is its own decode surface
     import io
