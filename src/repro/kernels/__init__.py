@@ -75,19 +75,15 @@ _SIGNATURES = {
     "repro_qp_forward_2d": (_P, _P, _I, _I, _P),
     "repro_qp_forward_3d": (_P, _P, _I, _I, _P),
 }
-for _t in ("_f32", "_f64"):
-    _SIGNATURES.update({
-        "repro_quantize" + _t: (_P, _P, _P, _P, _P, _P),
-        "repro_adaptive_encode" + _t: (_P, _P, _P, _P, _P, _P),
-        "repro_dequantize" + _t: (_P, _P, _P, _P, _I, _P, _P),
-        "repro_adaptive_decode" + _t: (_P, _P, _P, _P, _I, _P, _P),
-        "repro_fill" + _t: (_P, _P, _P),
-    })
-#: kernels returning a literal count; the others return nothing
-_COUNTING = (
-    "repro_quantize", "repro_adaptive_encode", "repro_dequantize",
-    "repro_adaptive_decode",
-)
+#: the float kernels, each exported as ``<name>_f32`` and ``<name>_f64``:
+#: (argtypes, restype); the quantizers return their literal count
+_FLOAT_SIGNATURES = {
+    "repro_quantize": ((_P, _P, _P, _P, _P, _P), _I),
+    "repro_adaptive_encode": ((_P, _P, _P, _P, _P, _P), _I),
+    "repro_dequantize": ((_P, _P, _P, _P, _I, _P, _P), _I),
+    "repro_adaptive_decode": ((_P, _P, _P, _P, _I, _P, _P), _I),
+    "repro_fill": ((_P, _P, _P), None),
+}
 _FLOAT_SUFFIX = {np.dtype(np.float32): "_f32", np.dtype(np.float64): "_f64"}
 
 
@@ -155,7 +151,8 @@ def address(a: np.ndarray) -> int:
     C-contiguous array: the fresh outputs and predictions the float kernels
     take.  Views of the working array go through ``a.ctypes``.
     """
-    if a.flags.c_contiguous and a.flags.writeable and a.size:
+    flags = a.flags
+    if flags.c_contiguous and flags.writeable and a.size:
         return ctypes.addressof(_from_buffer(a))
     return a.ctypes.data
 
@@ -235,10 +232,14 @@ def _build(compiler: str, path: str) -> None:
 
 def _open(path: str) -> ctypes.CDLL:
     lib = ctypes.CDLL(path)
-    for name, argtypes in _SIGNATURES.items():
+    signatures = {name: (args, None) for name, args in _SIGNATURES.items()}
+    for name, signature in _FLOAT_SIGNATURES.items():
+        for suffix in _FLOAT_SUFFIX.values():
+            signatures[name + suffix] = signature
+    for name, (argtypes, restype) in signatures.items():
         fn = getattr(lib, name)
         fn.argtypes = argtypes
-        fn.restype = _I if name.startswith(_COUNTING) else None
+        fn.restype = restype
     return lib
 
 

@@ -178,16 +178,16 @@ def native_encode(
     if fn is None or params is None or not values.size or preds.shape != values.shape:
         return None
     geom = kernels.view_geometry(values.shape, values.strides, values.itemsize)
-    at = kernels.address(values)
-    if geom is None or at % values.itemsize:
-        return None
     if not preds.flags.c_contiguous:
         preds = np.ascontiguousarray(preds)
+    at, pred_at = kernels.address(values), kernels.address(preds)
+    if geom is None or at % values.itemsize or pred_at % values.itemsize:
+        return None
     # one slot past the indices takes the adaptive kernel's hard-point count
     flat = np.empty(values.size + 1, dtype=np.int64)
     decoded = np.empty(values.shape, dtype=values.dtype)
     n_lit = fn(
-        at, geom, kernels.address(preds), ctypes.addressof(params),
+        at, geom, pred_at, ctypes.addressof(params),
         kernels.address(flat), kernels.address(decoded),
     )
     indices = flat[:-1].reshape(values.shape)
@@ -214,18 +214,19 @@ def native_decode(
     ):
         return None
     geom = kernels.view_geometry(indices.shape, indices.strides, 8)
-    at = kernels.address(indices)
-    if geom is None or at % 8:
-        return None
     if not preds.flags.c_contiguous:
         preds = np.ascontiguousarray(preds)
     lit_at = None
     if literals.size:
         literals = np.ascontiguousarray(literals, dtype=preds.dtype)
         lit_at = kernels.address(literals)
+    at, pred_at = kernels.address(indices), kernels.address(preds)
+    size = preds.itemsize
+    if geom is None or at % 8 or pred_at % size or (lit_at or 0) % size:
+        return None
     out = np.empty(preds.shape, dtype=preds.dtype)
     n_unpred = fn(
-        at, geom, kernels.address(preds), lit_at, literals.size,
+        at, geom, pred_at, lit_at, literals.size,
         ctypes.addressof(params), kernels.address(out),
     )
     if n_unpred != literals.size:

@@ -522,23 +522,41 @@ def test_decode_with_more_sentinels_than_literals(monkeypatch, dtype, quantizer)
     assert out[indices == quant.sentinel].tolist() == [1, 2, 3, 4] + [99] * 5
 
 
-def test_float_kernels_fall_back_on_views_they_cannot_walk(monkeypatch):
-    # five axes that cannot merge into four, and a misaligned buffer: the
-    # numpy code runs on both sides, with the same results
+def _misaligned(values):
+    """A copy of the 1-D float32 ``values`` one byte off alignment."""
+    raw = np.zeros(values.nbytes + 1, dtype=np.uint8)
+    out = np.ndarray(values.shape, np.float32, raw.data, offset=1)
+    out[...] = values
+    assert not out.flags.aligned
+    return out
+
+
+def test_float_kernels_fall_back_on_arrays_they_cannot_walk(monkeypatch):
+    # five axes that cannot merge into four, and misaligned values,
+    # predictions or literals: the numpy code runs on both sides, with the
+    # same results
     rng = np.random.default_rng(4)
     five = rng.standard_normal((3, 5, 4, 5, 6)).astype(np.float32)[:, ::2, :, ::2, ::2]
     assert kernels.view_geometry(five.shape, five.strides, 4) is None
-    raw = np.zeros(4 * 30 + 1, dtype=np.uint8)
-    misaligned = np.ndarray((30,), np.float32, raw.data, offset=1)
-    assert not misaligned.flags.aligned
-    quant = LinearQuantizer(1e-2, 64)
-    for values in (five, misaligned):
-        preds = values + np.float32(0.03)
-        for fn in (
-            lambda: quant.quantize(values, preds),
-            lambda: predict_midpoints(values, values.shape[0] - 1, "cubic", 0),
-        ):
-            native = fn()
-            with monkeypatch.context() as m:
-                m.setattr(kernels, "_lib", None)
-                assert_same_bytes(native, fn())
+    flat = rng.standard_normal(30).astype(np.float32)
+    quant = LinearQuantizer(1e-2, 4)
+    cases = [
+        lambda: quant.quantize(five, five + np.float32(0.03)),
+        lambda: predict_midpoints(five, 2, "cubic", 0),
+        lambda: quant.quantize(_misaligned(flat), flat + np.float32(0.03)),
+        lambda: quant.quantize(flat, _misaligned(flat + np.float32(0.03))),
+        lambda: predict_midpoints(_misaligned(flat), 29, "cubic", 0),
+    ]
+    res = quant.quantize(flat, np.zeros_like(flat))
+    assert res.literals.size
+    cases += [
+        lambda: quant.dequantize(res.indices, _misaligned(np.zeros_like(flat)),
+                                 res.literals),
+        lambda: quant.dequantize(res.indices, np.zeros_like(flat),
+                                 _misaligned(res.literals)),
+    ]
+    for fn in cases:
+        native = fn()
+        with monkeypatch.context() as m:
+            m.setattr(kernels, "_lib", None)
+            assert_same_bytes(native, fn())
