@@ -530,11 +530,12 @@ static inline void store(void *a, int64_t i, double x, int single)
  * r = (T)(p + q * 2e).  |q| >= radius, or |r - v| > e, makes the point a
  * literal: idx gets the sentinel and dec the value itself, from which the
  * caller gathers the literals in C order.  Otherwise idx gets q (numpy's
- * int64 cast) and dec gets r.  Returns the literal count. */
-BODY int64_t quantize_body(const void *v, const int64_t *geom,
-                                    const void *p,
-                                    const struct quant_params *par,
-                                    int64_t *idx, void *dec, int single)
+ * int64 cast) and dec gets r.  idx[n], one past the indices, gets 0 (the
+ * slot adaptive_encode_body counts hard points in).  Returns the literal
+ * count. */
+BODY int64_t quantize_body(const void *v, const int64_t *geom, const void *p,
+                           const struct quant_params *par, int64_t *idx,
+                           void *dec, int single)
 {
     VIEW_GEOMETRY;
     const double two_eb = par->two_eb, eb = par->eb, radius = par->radius;
@@ -559,7 +560,7 @@ BODY int64_t quantize_body(const void *v, const int64_t *geom,
                     n_lit += lit;
                 }
             }
-    idx[i] = 0;  /* no hard points: the slot adaptive_encode_body counts in */
+    idx[i] = 0;
     return n_lit;
 }
 
@@ -568,10 +569,9 @@ BODY int64_t quantize_body(const void *v, const int64_t *geom,
  * no literal past n_lit whatever w holds; returns the sentinel count, which
  * the caller checks against n_lit. */
 BODY int64_t dequantize_body(const int64_t *w, const int64_t *geom,
-                                      const void *p, const void *lit,
-                                      int64_t n_lit,
-                                      const struct quant_params *par,
-                                      void *out, int single)
+                             const void *p, const void *lit, int64_t n_lit,
+                             const struct quant_params *par, void *out,
+                             int single)
 {
     VIEW_GEOMETRY;
     const double two_eb = par->two_eb;
@@ -601,10 +601,9 @@ BODY int64_t dequantize_body(const int64_t *w, const int64_t *geom,
  * against its own bound.  idx[n] (one past the indices) gets the count of
  * hard points that are not literals.  Returns the literal count. */
 BODY int64_t adaptive_encode_body(const void *v, const int64_t *geom,
-                                           const void *p,
-                                           const struct quant_params *par,
-                                           int64_t *idx, void *dec,
-                                           int single)
+                                  const void *p,
+                                  const struct quant_params *par, int64_t *idx,
+                                  void *dec, int single)
 {
     VIEW_GEOMETRY;
     const double two_eb = par->two_eb, eb = par->eb, radius = par->radius;
@@ -646,12 +645,11 @@ BODY int64_t adaptive_encode_body(const void *v, const int64_t *geom,
 /* adaptive_decode: an index of magnitude >= threshold is hard and decodes
  * at the tight scale as sign(w) * (|w| + bias); literals and the return
  * value as in dequantize_body. */
-BODY int64_t adaptive_decode_body(const int64_t *w,
-                                           const int64_t *geom,
-                                           const void *p, const void *lit,
-                                           int64_t n_lit,
-                                           const struct quant_params *par,
-                                           void *out, int single)
+BODY int64_t adaptive_decode_body(const int64_t *w, const int64_t *geom,
+                                  const void *p, const void *lit,
+                                  int64_t n_lit,
+                                  const struct quant_params *par, void *out,
+                                  int single)
 {
     VIEW_GEOMETRY;
     const double two_eb = par->two_eb, two_tight = par->two_tight;

@@ -16,8 +16,6 @@ Boundary handling matches SZ3: a target with only a left neighbour copies it.
 """
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .. import kernels
@@ -104,23 +102,16 @@ def _cubic_fill(known: np.ndarray, pred: np.ndarray, n_inner: int) -> None:
         pred[n_inner - 1] = (known[n_inner - 1] + known[n_inner]) / 2
 
 
-@lru_cache(maxsize=4096)
-def _fill_plan(shape, strides, itemsize, axis, n_targets, cubic):
-    """(kernel geometry, output shape) of one fill, or ``None`` for numpy."""
-    geom = kernels.view_geometry(shape, strides, itemsize, axis, (n_targets, cubic))
-    if geom is None:
-        return None
-    return geom, shape[:axis] + (n_targets,) + shape[axis + 1:]
-
-
 def _fill_native(fill, known, n_targets, cubic, axis):
-    plan = _fill_plan(
-        known.shape, known.strides, known.itemsize, axis, n_targets, cubic
+    """The C fill of :func:`predict_midpoints`, or ``None`` where numpy
+    must run (a view the kernel cannot walk)."""
+    shape = known.shape
+    geom = kernels.view_geometry(
+        shape, known.strides, known.itemsize, axis, (n_targets, cubic)
     )
     at = kernels.address(known)
-    if plan is None or at % known.itemsize:
+    if geom is None or at % known.itemsize:
         return None
-    geom, out_shape = plan
-    out = np.empty(out_shape, dtype=known.dtype)
+    out = np.empty(shape[:axis] + (n_targets,) + shape[axis + 1:], dtype=known.dtype)
     fill(at, geom, kernels.address(out))
     return out
