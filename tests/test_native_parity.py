@@ -392,10 +392,13 @@ def test_fill(monkeypatch, dtype, rank, layout):
                     assert native.flags.c_contiguous
 
 
-def _predictions(rng, values, scale):
-    """Predictions off by up to a few hundred bounds, some exact and a
-    few infinite or NaN (an overflowed fill)."""
-    preds = (values + rng.standard_normal(values.shape) * scale).astype(values.dtype)
+def _predictions(rng, values, eb, bounds):
+    """Predictions off by about ``bounds`` error bounds plus 0.1% of the
+    value, so a tiny bound or a huge value makes every inexact point a
+    literal; a third of them exact and a few infinite or NaN (an
+    overflowed fill)."""
+    spread = np.abs(values) * 1e-3 + eb * bounds
+    preds = (values + spread * rng.standard_normal(values.shape)).astype(values.dtype)
     flat = preds.reshape(-1)  # a copy: preds is C-contiguous, values need not be
     flat[::3] = values.reshape(-1)[::3]  # exact predictions
     if flat.size > 7:
@@ -419,7 +422,7 @@ def test_linear_quantizer(monkeypatch, dtype, rank, layout):
     for scale in _scales(dtype):
         for eb, radius in _quantizer_cases(dtype):
             values = _view(rng, dtype, rank, layout, scale)
-            preds = _predictions(rng, values, eb * 300)
+            preds = _predictions(rng, values, eb, 300)
             quant = LinearQuantizer(eb, radius)
             native, fallback = float_paths(
                 monkeypatch, lambda: quant.quantize(values, preds)
@@ -449,7 +452,7 @@ def test_adaptive_quantizer(monkeypatch, dtype, rank, layout):
         ):
             radius = max(radius, 4 << bits)
             values = _view(rng, dtype, rank, layout, scale)
-            preds = _predictions(rng, values, eb * 30)
+            preds = _predictions(rng, values, eb, 30)
             quant = AdaptiveLinearQuantizer(
                 eb, radius, bits=bits, threshold=threshold
             )

@@ -13,9 +13,10 @@ Where the native kernel library loads, every pristine blob is built
 twice, by the C kernels (the integer stages, and the quantizers and
 midpoint fill in float32 and float64) and by the numpy loops (forced by
 swapping the loader's handle, as the tests do); differing bytes are an
-"encode paths disagree" violation.  Every corrupted input is then decoded twice,
-on the same two paths.  Both must succeed with identical output, or both
-must raise a typed error; anything else is a violation too.
+"encode paths disagree" violation.  Every corrupted input is then
+decoded twice, on the same two paths.  Both must succeed with identical
+output, or both must raise a typed error; anything else is a violation
+too.
 
 Usage::
 
