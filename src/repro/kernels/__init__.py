@@ -181,7 +181,8 @@ def view_geometry(
     interpolation axis of a fill) neither merges nor drops, and its slot
     in the view comes after the strides, before ``tail``.  ``None`` when
     more than four axes remain or a stride is not a whole number of
-    elements: the caller then runs numpy.
+    elements: the caller then runs numpy.  The result is cached and shared
+    by every caller; the kernels only read it.
     """
     dims: list[list[int]] = []  # [extent, stride in elements, kept]
     for axis, (n, stride) in enumerate(zip(shape, strides)):
