@@ -1,11 +1,9 @@
-"""Ablation benchmarks for the design choices DESIGN.md calls out, plus the
-paper's future-work extensions implemented in this repo.
+"""Benchmarks for the paper's future-work extensions implemented in this
+repo.
 
-1. Lossless backend ablation — validates the zlib-for-ZSTD substitution by
-   measuring what each backend adds on top of Huffman.
-2. SPERR+QP — future-work item 1: QP generalized to a transform-based
+1. SPERR+QP — future-work item 1: QP generalized to a transform-based
    compressor (per-subband prediction on wavelet indices).
-3. Case-I fast inverse — future-work item 3: the unconditional QP decode is
+2. Case-I fast inverse — future-work item 3: the unconditional QP decode is
    a prefix sum; measure the speedup over the wavefront decode Case III
    requires.
 """
@@ -17,35 +15,6 @@ from conftest import write_result
 import repro
 from repro.analysis import format_table
 from repro.core import QPConfig, qp_forward, qp_inverse
-
-
-def test_ablation_lossless_backend(benchmark, bench_field):
-    data = bench_field("miranda", "velocityx")
-    eb = 1e-4 * float(data.max() - data.min())
-
-    def sweep():
-        rows = []
-        for backend in ("raw", "rle", "lz77", "zlib"):
-            comp = repro.SZ3(eb, predictor="interp", lossless_backend=backend)
-            t0 = time.perf_counter()
-            blob = comp.compress(data)
-            dt = time.perf_counter() - t0
-            rows.append({
-                "backend": backend,
-                "CR": round(data.nbytes / len(blob), 2),
-                "compress s": round(dt, 3),
-            })
-        return rows
-
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    by = {r["backend"]: r["CR"] for r in rows}
-    # every real backend must at least match raw; zlib is the default choice
-    assert by["zlib"] >= by["raw"]
-    assert by["lz77"] >= by["raw"] * 0.99
-    write_result(
-        "ablation_lossless",
-        format_table(rows, "Ablation: lossless backend after Huffman (SZ3)"),
-    )
 
 
 def test_extension_sperr_qp(benchmark, bench_field):

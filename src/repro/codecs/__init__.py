@@ -2,7 +2,7 @@
 from .bitstream import BitReader, BitWriter, pack_bits, unpack_bits
 from .fixed import decode_fixed, encode_fixed
 from .huffman import HuffmanCodec, canonical_codes, huffman_code_lengths
-from .lossless import BACKENDS, compress, decompress
+from .lossless import compress, decompress
 from .rangecoder import RangeCodec
 
 __all__ = [
@@ -16,7 +16,6 @@ __all__ = [
     "RangeCodec",
     "compress",
     "decompress",
-    "BACKENDS",
     "encode_fixed",
     "decode_fixed",
 ]

@@ -51,7 +51,6 @@ __all__ = [
     "huffman_code_lengths",
     "canonical_codes",
     "decode_table_cache_info",
-    "set_decode_table_cache_max",
     "clear_decode_table_cache",
 ]
 
@@ -204,28 +203,6 @@ def decode_table_cache_info() -> dict:
     }
 
 
-def set_decode_table_cache_max(max_entries: int) -> int:
-    """Re-bound the decode-table LRU (returns the previous cap).
-
-    Service workloads churning many distinct code tables can lower the cap
-    to bound memory, or raise it to keep a hot spec set resident; shrinking
-    evicts oldest-first immediately."""
-    global _DECODE_TABLE_CACHE_MAX
-    if int(max_entries) < 1:
-        raise ValueError(f"cache cap must be >= 1, got {max_entries!r}")
-    prev = _DECODE_TABLE_CACHE_MAX
-    _DECODE_TABLE_CACHE_MAX = int(max_entries)
-    _evict_decode_tables()
-    return prev
-
-
-def _evict_decode_tables() -> None:
-    while len(_DECODE_TABLE_CACHE) > _DECODE_TABLE_CACHE_MAX:
-        _DECODE_TABLE_CACHE.popitem(last=False)
-        _DECODE_TABLE_STATS["evictions"] += 1
-        metric_count("huffman.table_cache", result="evict")
-
-
 def clear_decode_table_cache() -> None:
     """Drop all memoized decode tables and reset the hit/miss/evict counters."""
     _DECODE_TABLE_CACHE.clear()
@@ -288,7 +265,10 @@ def _decode_tables(
     len_table.setflags(write=False)
 
     _DECODE_TABLE_CACHE[key] = (sym_table, len_table, max_len)
-    _evict_decode_tables()
+    if len(_DECODE_TABLE_CACHE) > _DECODE_TABLE_CACHE_MAX:
+        _DECODE_TABLE_CACHE.popitem(last=False)
+        _DECODE_TABLE_STATS["evictions"] += 1
+        metric_count("huffman.table_cache", result="evict")
     return sym_table, len_table, max_len
 
 

@@ -1,230 +1,73 @@
-"""Lossless byte-stream backends (the paper's ZSTD stage).
+"""The lossless byte-stream stage (the paper's ZSTD stage).
 
-Three interchangeable backends sit behind one container format:
-
-* ``zlib``  — stdlib DEFLATE; the default (same LZ77+entropy family as ZSTD).
-* ``lz77``  — from-scratch greedy hash-chain LZ77 with byte-aligned token
-  format; exercises the full match-find/copy path in pure Python.
-* ``rle``   — from-scratch run-length coder, vectorized run detection.
-* ``raw``   — store (used when a backend would expand the data).
-
-All backends are self-framing: ``compress`` prepends a one-byte backend id and
-the original size, and ``decompress`` dispatches on it, so a blob compressed
-with any backend decompresses with the module-level ``decompress``.
+``compress`` deflates with stdlib zlib at level 6 (the same LZ77+entropy
+family as ZSTD) and stores the input raw whenever deflate would not
+shrink it.  The container is self-framing: a one-byte id (0 raw, 1 zlib)
+and the original size lead the payload, so ``decompress`` needs no
+arguments.  Ids 2 (RLE) and 3 (LZ77) belonged to retired from-scratch
+coders; they raise :class:`~repro.errors.CorruptBlobError` with a
+migration hint.
 """
 from __future__ import annotations
 
 import struct
+import sys
 import zlib
-
-import numpy as np
 
 from ..errors import CorruptBlobError, TruncatedStreamError
 
-__all__ = ["compress", "decompress", "BACKENDS"]
+__all__ = ["compress", "decompress"]
 
 _ID_RAW = 0
 _ID_ZLIB = 1
-_ID_RLE = 2
-_ID_LZ77 = 3
+_LEVEL = 6
+_HEADER = struct.Struct("<BQ")
 
-_NAME_TO_ID = {"raw": _ID_RAW, "zlib": _ID_ZLIB, "rle": _ID_RLE, "lz77": _ID_LZ77}
-BACKENDS = tuple(_NAME_TO_ID)
+#: ids of the retired from-scratch coders: a container led by one fails
+#: with a migration hint rather than as an unknown id
+_RETIRED = {2: "RLE", 3: "LZ77"}
 
 
-def compress(data: bytes, backend: str = "zlib", level: int = 6) -> bytes:
-    """Compress ``data`` with the named backend (falling back to raw storage
-    whenever the backend output would be larger than the input)."""
-    if backend not in _NAME_TO_ID:
-        raise ValueError(f"unknown backend {backend!r}; choose from {BACKENDS}")
-    if backend == "zlib":
-        payload = zlib.compress(data, level)
-    elif backend == "rle":
-        payload = _rle_encode(data)
-    elif backend == "lz77":
-        payload = _lz77_encode(data)
-    else:
-        payload = data
-    if backend != "raw" and len(payload) >= len(data):
-        backend, payload = "raw", data
-    header = struct.pack("<BQ", _NAME_TO_ID[backend], len(data))
-    return header + payload
+def compress(data: bytes) -> bytes:
+    """Deflate ``data``, or store it raw when deflate would not shrink it."""
+    payload = zlib.compress(data, _LEVEL)
+    wire_id = _ID_ZLIB
+    if len(payload) >= len(data):
+        wire_id, payload = _ID_RAW, data
+    return _HEADER.pack(wire_id, len(data)) + payload
 
 
 def decompress(blob: bytes) -> bytes:
-    if len(blob) < 9:
+    if len(blob) < _HEADER.size:
         raise TruncatedStreamError("lossless container header truncated")
-    backend_id, orig_size = struct.unpack_from("<BQ", blob, 0)
-    payload = blob[9:]
-    try:
-        if backend_id == _ID_RAW:
-            out = payload
-        elif backend_id == _ID_ZLIB:
-            out = zlib.decompress(payload)
-        elif backend_id == _ID_RLE:
-            out = _rle_decode(payload)
-        elif backend_id == _ID_LZ77:
-            out = _lz77_decode(payload)
-        else:
-            raise CorruptBlobError(f"unknown backend id {backend_id}")
-    except zlib.error as exc:
-        raise CorruptBlobError(f"zlib payload corrupt: {exc}") from None
-    except (IndexError, struct.error):
-        raise TruncatedStreamError("lossless token stream truncated") from None
-    if len(out) != orig_size:
+    wire_id, size = _HEADER.unpack_from(blob, 0)
+    payload = blob[_HEADER.size:]
+    if wire_id == _ID_RAW:
+        out = payload
+    elif wire_id == _ID_ZLIB:
+        out = _inflate(payload, size)
+    elif wire_id in _RETIRED:
+        raise CorruptBlobError(
+            f"lossless section uses the retired {_RETIRED[wire_id]} coder "
+            f"(id {wire_id}); decode it with an earlier release and re-compress"
+        )
+    else:
+        raise CorruptBlobError(f"unknown lossless coder id {wire_id}")
+    if len(out) != size:
         raise CorruptBlobError("lossless payload corrupt: size mismatch")
     return out
 
 
-# -- RLE --------------------------------------------------------------------
-#
-# Token format: (count:u8, byte) for runs >= 4 introduced by escape 0x00,
-# literal spans prefixed by (0x01, span_len:u16). Run detection is vectorized.
-
-def _rle_encode(data: bytes) -> bytes:
-    if not data:
-        return b""
-    arr = np.frombuffer(data, dtype=np.uint8)
-    # boundaries of equal-value runs
-    change = np.nonzero(np.diff(arr))[0] + 1
-    starts = np.concatenate(([0], change))
-    ends = np.concatenate((change, [arr.size]))
-    run_lens = ends - starts
-    out = bytearray()
-    lit_start = 0  # start of pending literal span (in original array)
-    for s, ln in zip(starts.tolist(), run_lens.tolist()):
-        if ln >= 4:
-            _flush_literals(out, arr, lit_start, s)
-            lit_start = s + ln
-            remaining = ln
-            while remaining > 0:
-                take = min(remaining, 255)
-                out += bytes((0x00, take, int(arr[s])))
-                remaining -= take
-        # short runs stay inside the literal span
-    _flush_literals(out, arr, lit_start, arr.size)
-    return bytes(out)
-
-
-def _flush_literals(out: bytearray, arr: np.ndarray, start: int, end: int) -> None:
-    pos = start
-    while pos < end:
-        take = min(end - pos, 0xFFFF)
-        out += struct.pack("<BH", 0x01, take)
-        out += arr[pos:pos + take].tobytes()
-        pos += take
-
-
-def _rle_decode(data: bytes) -> bytes:
-    out = bytearray()
-    pos = 0
-    n = len(data)
-    while pos < n:
-        tag = data[pos]
-        if tag == 0x00:
-            count, value = data[pos + 1], data[pos + 2]
-            out += bytes([value]) * count
-            pos += 3
-        elif tag == 0x01:
-            (span,) = struct.unpack_from("<H", data, pos + 1)
-            out += data[pos + 3:pos + 3 + span]
-            pos += 3 + span
-        else:
-            raise CorruptBlobError("corrupt RLE stream")
-    return bytes(out)
-
-
-# -- LZ77 ---------------------------------------------------------------------
-#
-# Greedy hash-chain matcher over 4-byte prefixes, 64 KiB window.  Token
-# stream: 0x00 <u16 len> <literals...> | 0x01 <u16 dist> <u16 len>.
-
-_LZ_WINDOW = 1 << 16
-_LZ_MIN_MATCH = 4
-_LZ_MAX_MATCH = 0xFFFF
-_LZ_MAX_CHAIN = 16
-
-
-def _lz77_encode(data: bytes) -> bytes:
-    n = len(data)
-    if n < _LZ_MIN_MATCH:
-        return struct.pack("<BH", 0x00, n) + data if n else b""
-    out = bytearray()
-    head: dict[int, int] = {}
-    prev = [0] * n  # hash chain links
-    lit_start = 0
-    pos = 0
-    mv = memoryview(data)
-    while pos + _LZ_MIN_MATCH <= n:
-        key = data[pos] | (data[pos + 1] << 8) | (data[pos + 2] << 16) | (data[pos + 3] << 24)
-        cand = head.get(key, -1)
-        best_len = 0
-        best_dist = 0
-        chain = 0
-        while cand >= 0 and pos - cand <= _LZ_WINDOW and chain < _LZ_MAX_CHAIN:
-            length = _match_len(mv, cand, pos, n)
-            if length > best_len:
-                best_len = length
-                best_dist = pos - cand
-                if length >= 128:  # good enough; stop searching
-                    break
-            cand = prev[cand] if prev[cand] != cand else -1
-            chain += 1
-        prev[pos] = head.get(key, pos)
-        head[key] = pos
-        if best_len >= _LZ_MIN_MATCH:
-            if lit_start < pos:
-                _emit_literals(out, data, lit_start, pos)
-            best_len = min(best_len, _LZ_MAX_MATCH)
-            out += struct.pack("<BHH", 0x01, best_dist, best_len)
-            pos += best_len
-            lit_start = pos
-        else:
-            pos += 1
-    if lit_start < n:
-        _emit_literals(out, data, lit_start, n)
-    return bytes(out)
-
-
-def _match_len(mv: memoryview, a: int, b: int, n: int) -> int:
-    limit = min(n - b, _LZ_MAX_MATCH)
-    length = 0
-    # compare 8 bytes at a time via slices, then byte-wise tail
-    while length + 8 <= limit and mv[a + length:a + length + 8] == mv[b + length:b + length + 8]:
-        length += 8
-    while length < limit and mv[a + length] == mv[b + length]:
-        length += 1
-    return length
-
-
-def _emit_literals(out: bytearray, data: bytes, start: int, end: int) -> None:
-    pos = start
-    while pos < end:
-        take = min(end - pos, 0xFFFF)
-        out += struct.pack("<BH", 0x00, take)
-        out += data[pos:pos + take]
-        pos += take
-
-
-def _lz77_decode(data: bytes) -> bytes:
-    out = bytearray()
-    pos = 0
-    n = len(data)
-    while pos < n:
-        tag = data[pos]
-        if tag == 0x00:
-            (span,) = struct.unpack_from("<H", data, pos + 1)
-            out += data[pos + 3:pos + 3 + span]
-            pos += 3 + span
-        elif tag == 0x01:
-            dist, length = struct.unpack_from("<HH", data, pos + 1)
-            start = len(out) - dist
-            if start < 0:
-                raise CorruptBlobError("corrupt LZ77 stream: bad distance")
-            # overlapping copies must proceed byte-wise from the source
-            for i in range(length):
-                out.append(out[start + i])
-            pos += 5
-        else:
-            raise CorruptBlobError("corrupt LZ77 stream")
-    return bytes(out)
+def _inflate(payload: bytes, size: int) -> bytes:
+    """Inflate at most ``size + 1`` bytes, so a section that declares a
+    small size but inflates to a large one costs no more than it declares."""
+    if size >= sys.maxsize:
+        raise CorruptBlobError(f"lossless section declares {size} bytes")
+    inflater = zlib.decompressobj()
+    try:
+        out = inflater.decompress(payload, size + 1)
+    except zlib.error as exc:
+        raise CorruptBlobError(f"zlib payload corrupt: {exc}") from None
+    if len(out) == size and not inflater.eof:
+        raise CorruptBlobError("zlib payload corrupt: stream does not end")
+    return out

@@ -280,9 +280,8 @@ class Compressor(ABC):
     #: the last call was untuned or the compressor has no tuner)
     last_tuning: Any = None
 
-    def __init__(self, error_bound: float, lossless_backend: str = "zlib") -> None:
+    def __init__(self, error_bound: float) -> None:
         self.error_bound = check_error_bound(error_bound)
-        self.lossless_backend = lossless_backend
 
     # -- public API ---------------------------------------------------------
 
@@ -490,7 +489,6 @@ class Compressor(ABC):
                 front.stream,
                 front.literals,
                 front.anchors,
-                lossless_backend=self.lossless_backend,
                 entropy=self.entropy,
                 block_size=self.huffman_block_size,
             )
@@ -585,13 +583,12 @@ def _int_median(values: np.ndarray, lo: int, hi: int) -> float:
 
 def encode_index_stream(
     indices: np.ndarray,
-    backend: str = "zlib",
     entropy: str = "huffman",
     block_size: int | None = None,
 ) -> bytes:
     """Entropy stage shared by the SZ-family ports: offset-shift the signed
     index stream to non-negative codes, entropy-code, then apply the
-    lossless backend (the paper's Huffman + ZSTD pipeline; ``entropy="range"``
+    lossless stage (the paper's Huffman + ZSTD pipeline; ``entropy="range"``
     selects the adaptive range coder, mirroring SZ3's arithmetic option).
 
     Codes beyond a 2^16 alphabet (possible for extreme outlier indices) are
@@ -640,18 +637,18 @@ def encode_index_stream(
     with stage("huffman"):
         coded = coder.forward(_FRAMING_CTX, codes)
     with stage("lossless"):
-        payload = lossless_compress(coded, backend)
+        payload = lossless_compress(coded)
     add_bytes("huffman", len(coded))
     add_bytes("lossless", len(payload))
     return (
         struct.pack("<BqQ", coder.wire_id, offset, len(payload))
         + payload
-        + lossless_compress(escapes, backend)
+        + lossless_compress(escapes)
     )
 
 
 def decode_index_stream(data: bytes) -> np.ndarray:
-    """Invert :func:`encode_index_stream`: undo the lossless backend,
+    """Invert :func:`encode_index_stream`: undo the lossless stage,
     decode the codes with the entropy stage the leading wire id names, and
     put the escaped outliers back."""
     from ..codecs.fixed import decode_fixed

@@ -86,10 +86,9 @@ class HPEZ(Compressor):
         interp: str = "auto",
         radius: int = 32768,
         block_side: int | None = None,
-        lossless_backend: str = "zlib",
         adaptive: AdaptiveConfig | None = None,
     ) -> None:
-        super().__init__(error_bound, lossless_backend)
+        super().__init__(error_bound)
         self.qp = qp or QPConfig.disabled()
         self.alpha = alpha
         self.beta = beta
@@ -178,8 +177,7 @@ class HPEZ(Compressor):
         if state is not None:
             state.extras["level_schemes"] = dict(cfg.level_schemes)
         sections = encode_engine_sections(
-            stream, literals, anchors,
-            lossless_backend=self.lossless_backend, entropy=self.entropy,
+            stream, literals, anchors, entropy=self.entropy
         )
         return {"mode": "global", "engine": meta}, sections
 
@@ -238,8 +236,7 @@ class HPEZ(Compressor):
             "block_metas": metas,
         }
         sections = encode_engine_sections(
-            index_stream, literals, anchors,
-            lossless_backend=self.lossless_backend, entropy=self.entropy,
+            index_stream, literals, anchors, entropy=self.entropy
         )
         return header, sections
 

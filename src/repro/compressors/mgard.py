@@ -50,10 +50,9 @@ class MGARD(Compressor):
         error_bound: float,
         qp: QPConfig | None = None,
         radius: int = 32768,
-        lossless_backend: str = "zlib",
         adaptive: AdaptiveConfig | None = None,
     ) -> None:
-        super().__init__(error_bound, lossless_backend)
+        super().__init__(error_bound)
         self.qp = qp or QPConfig.disabled()
         self.radius = radius
         if isinstance(adaptive, dict):
@@ -105,8 +104,7 @@ class MGARD(Compressor):
         cfg = self._engine_config(data.shape)
         meta, stream, literals, anchors, _ = compress_volume(data, cfg, state)
         sections = encode_engine_sections(
-            stream, literals, anchors,
-            lossless_backend=self.lossless_backend, entropy=self.entropy,
+            stream, literals, anchors, entropy=self.entropy
         )
         return {"engine": meta}, sections
 

@@ -157,7 +157,6 @@ class SZ3Progressive(SZ3):
         predictor: str = "interp",
         interp: str = "auto",
         radius: int = 32768,
-        lossless_backend: str = "zlib",
         huffman_block_size: int | None = None,
         entropy: str = "huffman",
         adaptive=None,
@@ -173,7 +172,6 @@ class SZ3Progressive(SZ3):
             predictor="interp",
             interp=interp,
             radius=radius,
-            lossless_backend=lossless_backend,
             huffman_block_size=huffman_block_size,
             entropy=entropy,
             adaptive=adaptive,
@@ -204,12 +202,10 @@ class SZ3Progressive(SZ3):
             n_idx = sum(s["indices"].size for s in stats if s["level"] == lvl)
             n_lit = sum(s["literals"] for s in stats if s["level"] == lvl)
             idx_sec = encode_index_stream(
-                stream[spos:spos + n_idx], self.lossless_backend,
+                stream[spos:spos + n_idx],
                 entropy=self.entropy, block_size=self.huffman_block_size,
             )
-            lit_sec = lossless_compress(
-                literals[lpos:lpos + n_lit].tobytes(), self.lossless_backend
-            )
+            lit_sec = lossless_compress(literals[lpos:lpos + n_lit].tobytes())
             spos += n_idx
             lpos += n_lit
             sections[f"indices:{lvl}"] = idx_sec

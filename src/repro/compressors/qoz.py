@@ -43,7 +43,6 @@ class QoZ(SZ3):
         beta: float | str = "auto",
         interp: str = "auto",
         radius: int = 32768,
-        lossless_backend: str = "zlib",
         adaptive: AdaptiveConfig | None = None,
     ) -> None:
         super().__init__(
@@ -52,7 +51,6 @@ class QoZ(SZ3):
             predictor="interp",  # QoZ does not make the Lorenzo switch
             interp=interp,
             radius=radius,
-            lossless_backend=lossless_backend,
             adaptive=adaptive,
         )
         self.alpha = alpha

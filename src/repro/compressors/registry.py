@@ -107,7 +107,7 @@ def decompress_any(blob: bytes) -> np.ndarray:
     """Decompress any repro blob (v0 or sealed v1) by header dispatch.
 
     The blob is self-describing: the decoder reads every setting it needs
-    (entropy stage, Huffman block size, lossless backend, predictor) from
+    (entropy stage, Huffman block size, lossless framing, predictor) from
     the blob itself.  Header validation matches :func:`_dispatch_key`:
     tampered headers raise :class:`~repro.errors.CorruptBlobError`.
     """

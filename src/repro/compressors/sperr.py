@@ -170,11 +170,10 @@ class SPERR(Compressor):
         error_bound: float,
         levels: int = _LEVELS,
         qp=None,
-        lossless_backend: str = "zlib",
     ) -> None:
         from ..core.config import QPConfig
 
-        super().__init__(error_bound, lossless_backend)
+        super().__init__(error_bound)
         self.levels = levels
         self.qp = qp or QPConfig.disabled()
 
@@ -232,13 +231,9 @@ class SPERR(Compressor):
             "qp": self.qp.to_dict(),
         }
         sections = {
-            "coeffs": encode_index_stream(
-                q.ravel(), self.lossless_backend, entropy=self.entropy
-            ),
-            "outlier_pos": lossless_compress(
-                encode_fixed(positions), self.lossless_backend
-            ),
-            "outlier_val": lossless_compress(literals.tobytes(), self.lossless_backend),
+            "coeffs": encode_index_stream(q.ravel(), entropy=self.entropy),
+            "outlier_pos": lossless_compress(encode_fixed(positions)),
+            "outlier_val": lossless_compress(literals.tobytes()),
         }
         if state is not None:
             state.extras["outliers"] = int(positions.size)

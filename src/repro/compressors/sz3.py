@@ -89,12 +89,11 @@ class SZ3(Compressor):
         predictor: str = "auto",
         interp: str = "auto",
         radius: int = 32768,
-        lossless_backend: str = "zlib",
         huffman_block_size: int | None = None,
         entropy: str = "huffman",
         adaptive: AdaptiveConfig | None = None,
     ) -> None:
-        super().__init__(error_bound, lossless_backend)
+        super().__init__(error_bound)
         if predictor not in ("auto", "interp", "lorenzo", "regression"):
             raise ValueError("predictor must be auto|interp|lorenzo|regression")
         self.qp = qp or QPConfig.disabled()
@@ -219,8 +218,7 @@ class SZ3(Compressor):
         meta, stream, literals, anchors, _ = compress_volume(data, cfg, state)
         sections = encode_engine_sections(
             stream, literals, anchors,
-            lossless_backend=self.lossless_backend, entropy=self.entropy,
-            block_size=self.huffman_block_size,
+            entropy=self.entropy, block_size=self.huffman_block_size,
         )
         header: dict[str, Any] = {"predictor": "interp", "engine": meta}
         if self.entropy != "huffman":  # default stays off-header: bytes frozen
@@ -258,12 +256,10 @@ class SZ3(Compressor):
             state.extras["predictor"] = "lorenzo"
         sections = {
             "indices": encode_index_stream(
-                result.indices, self.lossless_backend, entropy=self.entropy,
+                result.indices, entropy=self.entropy,
                 block_size=self.huffman_block_size,
             ),
-            "escapes": lossless_compress(
-                encode_fixed(_zigzag(result.escapes)), self.lossless_backend
-            ),
+            "escapes": lossless_compress(encode_fixed(_zigzag(result.escapes))),
         }
         return {
             "predictor": "lorenzo",
@@ -298,16 +294,13 @@ class SZ3(Compressor):
                 state.index_volume[bslice] = res.indices
         sections = {
             "indices": encode_index_stream(
-                np.concatenate(index_parts), self.lossless_backend, entropy=self.entropy,
+                np.concatenate(index_parts), entropy=self.entropy,
                 block_size=self.huffman_block_size,
             ),
             "literals": lossless_compress(
-                np.concatenate(literal_parts).tobytes() if literal_parts else b"",
-                self.lossless_backend,
+                np.concatenate(literal_parts).tobytes() if literal_parts else b""
             ),
-            "coeffs": lossless_compress(
-                np.concatenate(coeff_parts).tobytes(), self.lossless_backend
-            ),
+            "coeffs": lossless_compress(np.concatenate(coeff_parts).tobytes()),
         }
         return {"predictor": "regression", "radius": self.radius}, sections
 

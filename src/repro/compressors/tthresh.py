@@ -60,9 +60,6 @@ class TTHRESH(Compressor):
     name = "tthresh"
     traits = {"speed": "low", "ratio": "high", "transform": True}
 
-    def __init__(self, error_bound: float, lossless_backend: str = "zlib") -> None:
-        super().__init__(error_bound, lossless_backend)
-
     def _compress(
         self, data: np.ndarray, state: CompressionState | None
     ) -> tuple[dict[str, Any], dict[str, bytes]]:
@@ -141,10 +138,8 @@ class TTHRESH(Compressor):
         fact_q = np.concatenate([f.ravel() for f in fq_list])
         fact_blob = encode_fixed(_zigzag(fact_q))
         sections = {
-            "core": encode_index_stream(
-                q.ravel(), self.lossless_backend, entropy=self.entropy
-            ),
-            "factors": lossless_compress(fact_blob, self.lossless_backend),
+            "core": encode_index_stream(q.ravel(), entropy=self.entropy),
+            "factors": lossless_compress(fact_blob),
         }
         if state is not None:
             state.extras["core_nonzero"] = int((q != 0).sum())

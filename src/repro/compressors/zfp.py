@@ -47,9 +47,6 @@ class ZFP(Compressor):
     name = "zfp"
     traits = {"speed": "very high", "ratio": "low", "transform": True}
 
-    def __init__(self, error_bound: float, lossless_backend: str = "zlib") -> None:
-        super().__init__(error_bound, lossless_backend)
-
     # -- compression -------------------------------------------------------
 
     def _compress(
@@ -89,12 +86,8 @@ class ZFP(Compressor):
             "guard": guard,
         }
         sections = {
-            "coeffs": encode_index_stream(
-                truncated.ravel(), self.lossless_backend, entropy=self.entropy
-            ),
-            "exponents": lossless_compress(
-                encode_fixed(e - e.min()), self.lossless_backend
-            ),
+            "coeffs": encode_index_stream(truncated.ravel(), entropy=self.entropy),
+            "exponents": lossless_compress(encode_fixed(e - e.min())),
         }
         header["e_min"] = int(e.min())
         if state is not None:

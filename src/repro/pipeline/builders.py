@@ -115,7 +115,6 @@ def _interp_stack(
     qp: dict | None = None,
     adaptive: dict | None = None,
     entropy: str = "huffman",
-    backend: str = "zlib",
 ) -> tuple[StageSpec, ...]:
     """The shared engine's stage chain: predict → quantize → index
     transforms → entropy → lossless (Algorithm 1's insertion point for QP
@@ -125,7 +124,7 @@ def _interp_stack(
         _quantize_spec(adaptive),
         StageSpec("qp", _qp_params(qp)),
         StageSpec(entropy, {}),
-        StageSpec("lossless", {"backend": backend}),
+        StageSpec("lossless", {}),
     )
 
 

@@ -35,7 +35,6 @@ def encode_engine_sections(
     literals: np.ndarray,
     anchors: np.ndarray,
     *,
-    lossless_backend: str,
     entropy: str = "huffman",
     block_size: int | None = None,
 ) -> dict[str, bytes]:
@@ -52,9 +51,9 @@ def encode_engine_sections(
 
     return {
         "indices": encode_index_stream(
-            stream, lossless_backend, entropy=entropy, block_size=block_size
+            stream, entropy=entropy, block_size=block_size
         ),
-        "literals": lossless_compress(literals.tobytes(), lossless_backend),
+        "literals": lossless_compress(literals.tobytes()),
         "anchors": anchors.tobytes(),
     }
 

@@ -461,18 +461,15 @@ STREAM_STAGE_GROUPS: dict[str, frozenset[str]] = {
 }
 
 
-# -- byte-stream backend ------------------------------------------------------
+# -- lossless byte stream -----------------------------------------------------
 
 
 @register_stage("lossless")
 class LosslessBackend:
-    """Named lossless byte-stream backend (zlib/lz77/raw/...)."""
-
-    def __init__(self, backend: str = "zlib") -> None:
-        self.backend = backend
+    """The lossless byte-stream stage: zlib, or raw when that is smaller."""
 
     def forward(self, ctx: StageContext, data: bytes) -> bytes:
-        return lossless_compress(data, self.backend)
+        return lossless_compress(data)
 
     def inverse(self, ctx: StageContext, data: bytes) -> bytes:
         return lossless_decompress(data)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.codecs import HuffmanCodec, RangeCodec
 from repro.compressors import SZ3, CompressionState, get_compressor, interp_engine
 from repro.compressors.base import decode_index_stream, encode_index_stream
 from repro.compressors.interp_engine import EngineConfig, compress_volume
@@ -223,8 +224,10 @@ class TestEntropyStageOption:
             encode_index_stream(np.zeros(4, dtype=np.int64), entropy="golomb")
 
     def test_range_wins_on_sparse(self):
+        # the coders alone: after the zlib stage the Huffman stream is the
+        # smaller one (149 B against 282 B), so the framing cannot show it
         v = np.zeros(30000, dtype=np.int64)
         v[::37] = 1
-        h = encode_index_stream(v, entropy="huffman", backend="raw")
-        r = encode_index_stream(v, entropy="range", backend="raw")
+        h = HuffmanCodec().encode(v)
+        r = RangeCodec().encode(v)
         assert len(r) < len(h)

@@ -133,12 +133,6 @@ class TestIndexStream:
         out = decode_index_stream(encode_index_stream(np.empty(0, dtype=np.int64)))
         assert out.size == 0
 
-    def test_all_backends(self):
-        v = np.arange(-50, 50)
-        for backend in ("zlib", "rle", "lz77", "raw"):
-            blob = encode_index_stream(v, backend)
-            assert np.array_equal(decode_index_stream(blob), v)
-
     def test_compresses_low_entropy(self):
         v = np.zeros(100000, dtype=np.int64)
         v[::97] = 1

@@ -225,6 +225,16 @@ def test_decompress_any_rejects_unknown_knob(field):
             decompress_any(blob, **{knob: None})
 
 
+def test_lossless_backend_knob_retired():
+    # one lossless stage: no constructor selects a coder any more
+    from repro.compressors import SZ3
+
+    with pytest.raises(TypeError):
+        SZ3(1e-2, lossless_backend="zlib")
+    with pytest.raises(TypeError):
+        get_compressor("hpez", 1e-2, lossless_backend="zlib")
+
+
 def test_decompress_any_validates_header():
     from repro.compressors import decompress_any
 

@@ -133,9 +133,7 @@ def _codec_streams():
             fixed_codec.encode_fixed(symbols.astype(np.uint64)),
             fixed_codec.decode_fixed,
         ),
-        "lossless-zlib": (lossless.compress(compressible, "zlib"), lossless.decompress),
-        "lossless-rle": (lossless.compress(b"\x07" * 5000, "rle"), lossless.decompress),
-        "lossless-lz77": (lossless.compress(compressible, "lz77"), lossless.decompress),
+        "lossless-zlib": (lossless.compress(compressible), lossless.decompress),
     })
     return streams
 

@@ -256,6 +256,21 @@ class TestDecodeEdgeCases:
         assert out_a.tobytes() == a.tobytes()
         assert out_b.tobytes() == b.tobytes()
 
+    def test_decode_table_cache_evicts_past_its_cap(self):
+        # 65 containers with distinct code tables: the 64-entry LRU holds
+        # the last 64 and has evicted the first
+        c = HuffmanCodec()
+        streams = [np.arange(2 + i, dtype=np.int64) for i in range(65)]
+        blobs = [c.encode(s) for s in streams]
+        clear_decode_table_cache()
+        for s, blob in zip(streams, blobs):
+            assert np.array_equal(c.decode(blob), s)
+        info = decode_table_cache_info()
+        assert info["max_entries"] == 64
+        assert (info["size"], info["evictions"], info["misses"]) == (64, 1, 65)
+        c.decode(blobs[-1])
+        assert decode_table_cache_info()["hits"] == 1
+
 
 class TestDecodeMany:
     def test_matches_decode_per_container(self):
