@@ -34,7 +34,7 @@ def test_ablation_entropy_stage(benchmark, bench_field):
             H = shannon_entropy(codes)
 
             t0 = time.perf_counter()
-            hblob = lossless(HuffmanCodec().encode(codes), "zlib")
+            hblob = lossless(HuffmanCodec().encode(codes))
             t_h = time.perf_counter() - t0
             t0 = time.perf_counter()
             rblob = RangeCodec().encode(q)
