@@ -60,7 +60,9 @@ def decompress(blob: bytes) -> bytes:
 
 def _inflate(payload: bytes, size: int) -> bytes:
     """Inflate at most ``size + 1`` bytes, so a section that declares a
-    small size but inflates to a large one costs no more than it declares."""
+    small size but inflates to a large one costs no more than it declares.
+    Bytes after the end of the deflate stream are corruption: a valid
+    section never carries them."""
     if size >= sys.maxsize:
         raise CorruptBlobError(f"lossless section declares {size} bytes")
     inflater = zlib.decompressobj()
@@ -70,4 +72,6 @@ def _inflate(payload: bytes, size: int) -> bytes:
         raise CorruptBlobError(f"zlib payload corrupt: {exc}") from None
     if len(out) == size and not inflater.eof:
         raise CorruptBlobError("zlib payload corrupt: stream does not end")
+    if inflater.unused_data:
+        raise CorruptBlobError("zlib payload corrupt: bytes after the stream end")
     return out

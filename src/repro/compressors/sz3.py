@@ -14,9 +14,10 @@ from typing import Any
 
 import numpy as np
 
+from .. import kernels
 from ..codecs import compress as lossless_compress, decompress as lossless_decompress
 from ..codecs.fixed import decode_fixed, encode_fixed
-from ..core.characterize import shannon_entropy
+from ..core.characterize import counts_entropy, shannon_entropy
 from ..core.config import AdaptiveConfig, QPConfig
 from ..pipeline.driver import (
     decode_engine_blob,
@@ -24,7 +25,14 @@ from ..pipeline.driver import (
     engine_decode_item,
     spec_for_blob,
 )
-from ..predictors.lorenzo import LorenzoResult, lorenzo_decode, lorenzo_encode
+from ..obs import span as stage
+from ..predictors.lorenzo import (
+    LorenzoResult,
+    lorenzo_decode,
+    lorenzo_encode,
+    lorenzo_histogram,
+    lorenzo_integrate,
+)
 from ..utils.validation import check_ndarray
 from .base import (
     Blob,
@@ -42,8 +50,6 @@ from .interp_engine import (
 )
 
 __all__ = ["SZ3"]
-
-_SAMPLE_SIDE = 32
 
 
 def _zigzag(v: np.ndarray) -> np.ndarray:
@@ -155,8 +161,10 @@ class SZ3(Compressor):
         return self._select_predictor_with_trial(data)[0]
 
     def _select_predictor_with_trial(self, data: np.ndarray):
-        """Pick the predictor; also return the Lorenzo trial encoding when it
-        won, so the compression path reuses it instead of encoding twice."""
+        """Pick the predictor; also return the Lorenzo trial encoding when
+        the numpy path made one and Lorenzo won, so the compression path
+        reuses it instead of encoding twice.  Runs under the ``select``
+        span."""
         if self.predictor != "auto":
             return self.predictor, None
         if self.adaptive is not None:
@@ -164,24 +172,42 @@ class SZ3(Compressor):
             # quantizer only; an explicit adaptive config would be silently
             # dropped on the Lorenzo/regression paths, so pin the engine
             return "interp", None
-        try:
-            lres, _ = lorenzo_encode(
+        with stage("select"):
+            table = _IndexHistogram.for_radius(self.radius)
+            try:
+                lorenzo_bpp, trial = self._estimate_lorenzo_bpp(data, table)
+            except ValueError:  # eb too small for dual quantization
+                return "interp", None
+            if lorenzo_bpp < self._estimate_interp_bpp(data, table):
+                return "lorenzo", trial
+            return "interp", None
+
+    def _estimate_lorenzo_bpp(self, data: np.ndarray, table=None):
+        """Bits/point of the Lorenzo path (index entropy plus 64 bits per
+        escape), and the trial encoding the numpy path computed it from
+        (None when the C histogram in ``table``, an
+        :class:`_IndexHistogram`, gave it without encoding).  Raises
+        ``ValueError`` where the bound is too small."""
+        n_escapes = None
+        if table is not None:
+            n_escapes = lorenzo_histogram(
+                data, self.error_bound, self.radius, table.bins, table.bounds
+            )
+            counts = table.take()
+        if n_escapes is not None:
+            entropy, trial = counts_entropy(counts, data.size), None
+        else:
+            trial, _ = lorenzo_encode(
                 data, self.error_bound, self.radius, want_recon=False
             )
-        except ValueError:  # eb too small for dual quantization
-            return "interp", None
-        lorenzo_bpp = shannon_entropy(lres.indices) + (
-            64.0 * lres.escapes.size / data.size
-        )
-        interp_bpp = self._estimate_interp_bpp(data)
-        if lorenzo_bpp < interp_bpp:
-            return "lorenzo", lres
-        return "interp", None
+            entropy, n_escapes = shannon_entropy(trial.indices), trial.escapes.size
+        return entropy + (64.0 * n_escapes / data.size), trial
 
-    def _estimate_interp_bpp(self, data: np.ndarray) -> float:
+    def _estimate_interp_bpp(self, data: np.ndarray, table=None) -> float:
         """Estimated bits/point of the interpolation path, computed on the
         finest two levels (>98% of points) with original values standing in
-        for decoded neighbours — cheap, vectorized, no crop bias."""
+        for decoded neighbours — cheap, vectorized, no crop bias.  With a
+        ``table`` each pass is quantized and binned in C."""
         from ..utils.levels import level_passes, num_levels
 
         two_eb = 2.0 * self.error_bound
@@ -193,10 +219,16 @@ class SZ3(Compressor):
                 break
             for p in level_passes(data.shape, level):
                 pred = _engine_pass_prediction(data, p, method)
-                q = np.rint((data[p.target] - pred) / two_eb)
-                np.clip(q, -self.radius, self.radius, out=q)
-                bits += shannon_entropy(q.astype(np.int64)) * q.size
-                count += q.size
+                values = data[p.target]
+                counts = None
+                if table is not None:
+                    counts = table.bin_residuals(values, pred, two_eb)
+                if counts is None:
+                    entropy = _pass_entropy(values, pred, two_eb, self.radius)
+                else:
+                    entropy = counts_entropy(counts, pred.size)
+                bits += entropy * pred.size
+                count += pred.size
         return bits / max(count, 1)
 
     # -- compression ----------------------------------------------------------
@@ -415,17 +447,18 @@ class SZ3(Compressor):
     ) -> "list[np.ndarray] | None":
         """Stacked Lorenzo inverse for equal-geometry blobs.
 
-        The prefix-sum inverse treats leading axes as batch, so N slabs
-        integrate in one set of cumsums instead of N; escapes reinstate with
-        a single slab-major scatter (C order matches the per-slab streams
-        concatenated), and the per-slab quantization steps broadcast over
-        the stack, so values are bit-identical to per-blob
+        The slabs' indices fill one contiguous stack.  Where the native
+        library loads, each slab integrates in place with one C call
+        (every axis but the stack's batch axis); on numpy the prefix-sum
+        inverse treats leading axes as batch, so N slabs integrate in one
+        set of cumsums instead of N, and escapes reinstate with a single
+        slab-major scatter (C order matches the per-slab streams
+        concatenated).  The per-slab quantization steps broadcast over the
+        stack, so values are bit-identical to per-blob
         :func:`lorenzo_decode`.  Returns views of one contiguous stacked
         array — slab reassembly upstream can then skip its copy.  ``None``
         when geometries differ (caller falls back to the per-blob path).
         """
-        from ..obs import span as stage
-
         h0 = blobs[0].header
         shape = tuple(h0["shape"])
         dtype = np.dtype(h0["dtype"])
@@ -445,16 +478,13 @@ class SZ3(Compressor):
             esc_parts.append(
                 _unzigzag(decode_fixed(lossless_decompress(b.sections["escapes"])))
             )
-        mask = q == sentinel
-        counts = mask.sum(axis=tuple(range(1, q.ndim)))
-        for row, esc in enumerate(esc_parts):
-            if int(counts[row]) != esc.size:
-                raise ValueError("escape count mismatch")
-        if any(esc.size for esc in esc_parts):
-            q[mask] = np.concatenate(esc_parts)
-        with stage("predict"):
-            for ax in range(1, q.ndim):
-                q = np.cumsum(q, axis=ax)
+        # the slabs share shape, sentinel and escape dtype, so the C kernel
+        # takes all of them or none
+        if lorenzo_integrate(q[0], esc_parts[0], sentinel):
+            for row in range(1, len(blobs)):
+                lorenzo_integrate(q[row], esc_parts[row], sentinel)
+        else:
+            q = _integrate_stack_numpy(q, esc_parts, sentinel)
         steps = np.asarray([
             float(b.header.get("step", 0.0)) or 2.0 * float(b.header["error_bound"])
             for b in blobs
@@ -462,6 +492,93 @@ class SZ3(Compressor):
         with stage("quantize"):
             out = (q * steps.reshape((-1,) + (1,) * len(shape))).astype(dtype)
         return [out[row] for row in range(len(blobs))]
+
+
+def _integrate_stack_numpy(
+    q: np.ndarray, esc_parts: "list[np.ndarray]", sentinel: int
+) -> np.ndarray:
+    """The numpy inverse of a stack of Lorenzo slabs: reinstate each slab's
+    escapes and prefix-sum every axis but the first."""
+    mask = q == sentinel
+    counts = mask.sum(axis=tuple(range(1, q.ndim)))
+    for row, esc in enumerate(esc_parts):
+        if int(counts[row]) != esc.size:
+            raise ValueError("escape count mismatch")
+    if any(esc.size for esc in esc_parts):
+        q[mask] = np.concatenate(esc_parts)
+    with stage("predict"):
+        for ax in range(1, q.ndim):
+            q = np.cumsum(q, axis=ax)
+    return q
+
+
+def _pass_entropy(
+    values: np.ndarray, pred: np.ndarray, two_eb: float, radius: int
+) -> float:
+    """Entropy of one pass's clipped quantization indices in numpy: the
+    fallback, and the specification of the C binning kernel."""
+    q = np.rint((values - pred) / two_eb)
+    np.clip(q, -radius, radius, out=q)
+    return shannon_entropy(q.astype(np.int64))
+
+
+class _IndexHistogram:
+    """One table of ``2*radius + 1`` bins for the selection's C kernels;
+    ``bins[b]`` counts index ``b - radius`` and ``bounds`` holds the
+    lowest and highest bin touched.  :meth:`take` reads the counts and
+    zeroes only that range, so a call's passes reuse one table at a cost
+    that scales with the bins touched, not with the radius."""
+
+    #: keeps the table within 16 MiB
+    MAX_RADIUS = 1 << 20
+
+    def __init__(self, radius: int) -> None:
+        self.radius = radius
+        self.bins = np.zeros(2 * radius + 1, dtype=np.int64)
+        self.bounds = np.array([self.bins.size, -1], dtype=np.int64)
+
+    @classmethod
+    def for_radius(cls, radius: int) -> "_IndexHistogram | None":
+        """A table, or None where the selection must run numpy (no
+        library, or a radius the table should not hold)."""
+        if kernels.native() is None or not 2 <= radius <= cls.MAX_RADIUS:
+            return None
+        return cls(radius)
+
+    def take(self) -> np.ndarray:
+        """The nonzero counts in ascending index order (the order
+        :func:`~repro.core.characterize.shannon_entropy` reads them in);
+        leaves the table empty."""
+        lo, hi = int(self.bounds[0]), int(self.bounds[1])
+        touched = self.bins[lo:hi + 1]
+        counts = touched[touched > 0]
+        touched[...] = 0
+        self.bounds[:] = (self.bins.size, -1)
+        return counts
+
+    def bin_residuals(
+        self, values: np.ndarray, pred: np.ndarray, two_eb: float
+    ) -> "np.ndarray | None":
+        """:func:`_pass_entropy`'s clipped indices of ``values`` against
+        ``pred`` (C-contiguous, of ``values``' shape and dtype), binned in C
+        and returned as :meth:`take` returns them; None where numpy must
+        run (another dtype, a view the kernel cannot walk, NaN)."""
+        fn = kernels.float_kernel("repro_bin_residuals", values.dtype)
+        if (
+            fn is None or not values.size or pred.dtype != values.dtype
+            or pred.shape != values.shape or not pred.flags.c_contiguous
+        ):
+            return None
+        geom = kernels.view_geometry(values.shape, values.strides, values.itemsize)
+        if geom is None or values.ctypes.data % values.itemsize:
+            return None
+        n_nan = fn(
+            values.ctypes.data, geom, kernels.address(pred), two_eb,
+            self.radius, kernels.address(self.bins),
+            kernels.address(self.bounds),
+        )
+        counts = self.take()
+        return None if n_nan else counts
 
 
 def _center_sample(data: np.ndarray, side: int) -> np.ndarray:

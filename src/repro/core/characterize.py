@@ -13,6 +13,7 @@ import numpy as np
 
 __all__ = [
     "shannon_entropy",
+    "counts_entropy",
     "slice_entropy",
     "plane_slice",
     "regional_entropy",
@@ -41,11 +42,16 @@ def shannon_entropy(values: np.ndarray) -> float:
             # leaves the exact count sequence unique would produce (ascending
             # value order), so the float result is bit-identical
             counts = np.bincount(values - lo)
-            counts = counts[counts > 0]
-            p = counts / values.size
-            return float(-(p * np.log2(p)).sum())
+            return counts_entropy(counts[counts > 0], values.size)
     _, counts = np.unique(values, return_counts=True)
-    p = counts / values.size
+    return counts_entropy(counts, values.size)
+
+
+def counts_entropy(counts: np.ndarray, total: int) -> float:
+    """Shannon entropy (bits/symbol) of ``total`` symbols from their
+    nonzero ``counts`` in ascending symbol order: the arithmetic
+    :func:`shannon_entropy` runs, so equal counts give a bit-equal result."""
+    p = counts / total
     return float(-(p * np.log2(p)).sum())
 
 

@@ -18,8 +18,9 @@ Vectorization strategy (DESIGN.md §7): when the native kernel library loads
 reads the pass array through its strides and writes ``Q'`` C-contiguous,
 and the Case II-IV inverse is a plain raster scan in C, because C order
 visits every left, top and back neighbour (and their diagonals) before the
-point itself.  The Case I inverse is prefix sums on either path.  The
-numpy fallback, also the reference the tests compare against, computes the
+point itself.  The Case I inverse is prefix sums on either path; in C it
+is the prefix-sum kernel that also inverts Lorenzo.  The numpy fallback,
+also the reference the tests compare against, computes the
 forward as a handful of whole-array shifts fed to
 :func:`~repro.core.conditions.compensation`, and walks the inverse in
 anti-diagonal wavefronts so each Python iteration recovers a whole diagonal
@@ -234,6 +235,23 @@ def _walk_native(lib, q: np.ndarray, sentinel: int, cond: str, dim: str) -> np.n
     return q
 
 
+def _prefix_sums_native(qp: np.ndarray, dims: tuple[int, ...], axes: int):
+    """Case I's inverse in C: a new array of the prefix sums of ``qp``,
+    seen as the rank-4 C-order array ``dims``, along the axes whose bits
+    are set in ``axes`` (``native.c``'s ``repro_prefix_sums``).  None
+    where numpy must run."""
+    lib = _native_lib(qp.dtype, 0)
+    if lib is None:
+        return None
+    src = np.ascontiguousarray(qp)
+    q = np.empty(qp.shape, dtype=np.int64)
+    lib.repro_prefix_sums(
+        q.ctypes.data, src.ctypes.data, (ctypes.c_int64 * 4)(*dims), axes, 0,
+        None, -1,
+    )
+    return q
+
+
 def _axis_1d(dim: str, ndim: int) -> int:
     return {"1d-back": 0, "1d-top": ndim - 2, "1d-left": ndim - 1}[dim]
 
@@ -244,7 +262,13 @@ def _inverse_1d(qp: np.ndarray, sentinel: int, cond: str, dim: str) -> np.ndarra
         # Unconditional 1-D Lorenzo is a first difference along ``axis``; its
         # inverse is a prefix sum — O(N) fully vectorized, no line walk
         # (same fast path _inverse_2d has for the separable 2-D case).
-        return np.cumsum(qp, axis=axis)
+        shape = qp.shape
+        outer, n, inner = _prod(shape[:axis]), shape[axis], _prod(shape[axis + 1:])
+        if inner == 1:  # the last axis: sum along the kernel's rows
+            q = _prefix_sums_native(qp, (1, 1, outer, n), 8)
+        else:
+            q = _prefix_sums_native(qp, (1, outer, n, inner), 4)
+        return np.cumsum(qp, axis=axis) if q is None else q
     lib = _native_lib(qp.dtype, sentinel)
     if lib is not None:
         return _walk_native(lib, np.array(qp, order="C"), sentinel, cond, dim)
@@ -304,6 +328,9 @@ def _inverse_2d(qp: np.ndarray, sentinel: int, cond: str) -> np.ndarray:
         # inverse is two prefix sums — O(N) fully vectorized, no wavefront.
         # (This implements the paper's future-work item on reducing QP's
         # computational overhead for the unconditional case.)
+        q = _prefix_sums_native(qp, (1, _prod(qp.shape[:-2]), *qp.shape[-2:]), 12)
+        if q is not None:
+            return q
         q = np.cumsum(qp, axis=-1)
         return np.cumsum(q, axis=-2)
     lib = _native_lib(qp.dtype, sentinel)
@@ -391,6 +418,12 @@ def _inverse_3d(qp: np.ndarray, sentinel: int, cond: str) -> np.ndarray:
     if cond == "I":
         # The unconditional 3-D Lorenzo difference is separable too: its
         # inverse is one prefix sum per axis (back, top, left).
+        shape = qp.shape
+        q = _prefix_sums_native(
+            qp, (shape[0], _prod(shape[1:-2]), *shape[-2:]), 13
+        )
+        if q is not None:
+            return q
         q = np.cumsum(qp, axis=-1)
         q = np.cumsum(q, axis=-2)
         return np.cumsum(q, axis=0)

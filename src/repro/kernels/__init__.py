@@ -4,35 +4,40 @@ Every hot loop has a plain numpy implementation, called directly in the
 module that owns it: the Huffman code lengths, bit packing and lockstep
 decode in :mod:`repro.codecs.huffman`, the QP forward shifts and
 wavefront walks in :mod:`repro.core.qp`, the Lorenzo diff/cumsum pair in
-:mod:`repro.predictors.lorenzo`, the midpoint fills in
+:mod:`repro.predictors.lorenzo`, SZ3's predictor-selection estimates in
+:mod:`repro.compressors.sz3`, the midpoint fills in
 :mod:`repro.predictors.interpolation`, the linear quantizer in
 :mod:`repro.quantize.linear` and the reserved-index encode/decode in
 :mod:`repro.quantize.adaptive`.
 
-All of them but Lorenzo also exist in C (``native.c`` beside this file).
-The integer loops: on the decode side the Huffman block decode and the QP
-Case II-IV inverse, on the encode side the Huffman code lengths, the
-Huffman bit packing and the QP forward; integer arithmetic gives the same
+All of them also exist in C (``native.c`` beside this file).  The
+integer loops: on the decode side the Huffman block decode, the QP Case
+II-IV inverse and the prefix sums that invert Lorenzo and QP Case I, on
+the encode side the Huffman code lengths, the Huffman bit packing, the
+QP forward and Lorenzo's differences; integer arithmetic gives the same
 bytes on either path by construction.  The float loops, in float32 and
-float64: the linear and adaptive quantizers' encode and decode and the
-linear/cubic midpoint fill.  These repeat numpy's IEEE-754 operations in
-numpy's order, and the build forbids fused multiply-adds
-(``-ffp-contract=off``) and extended-precision intermediates (``native.c``
-refuses to compile unless ``FLT_EVAL_METHOD == 0``), so they give the same
-bytes too.  :func:`native` compiles the
-source with the system C compiler on first use, caches the shared library
-in this package's ``__pycache__`` under a digest of the source and the
-compiler command, and loads it through :mod:`ctypes`.  Nothing is built at
-import.  When there is no compiler, the directory is not writable or the
+float64: the linear and adaptive quantizers' encode and decode, the
+linear/cubic midpoint fill, Lorenzo's pre-quantization and the two
+histograms SZ3's predictor selection compares (the Lorenzo indices,
+without writing them, and each interpolation pass's clipped indices).
+These repeat numpy's IEEE-754 operations in numpy's order, and the build
+forbids fused multiply-adds (``-ffp-contract=off``) and extended-precision
+intermediates (``native.c`` refuses to compile unless
+``FLT_EVAL_METHOD == 0``), so they give the same bytes too.
+:func:`native` compiles the source with the system C compiler on first
+use, caches the shared library in this package's ``__pycache__`` under a
+digest of the source and the compiler command, and loads it through
+:mod:`ctypes`.  Nothing is built at import.  When there is no compiler, the directory is not writable or the
 build or load fails, :func:`native` returns ``None`` for the life of the
 process and the numpy loops run; no option selects the path.  Reports
 record :func:`active_backends` so a run states which implementation
 produced its numbers.
 
 The float kernels walk one strided array per call through the rank-4
-geometry :func:`view_geometry` builds, and take the quantizers' constants
-as a :class:`QuantParams`; :func:`float_kernel` picks a kernel's float32
-or float64 instantiation.
+geometry :func:`view_geometry` builds (the Lorenzo kernels with no axes
+merged), and the quantizers take their constants as a
+:class:`QuantParams`; :func:`float_kernel` picks a kernel's float32 or
+float64 instantiation.
 """
 from __future__ import annotations
 
@@ -52,8 +57,6 @@ __all__ = [
 ]
 
 _STAGES = ("adaptive_quantize", "huffman", "interp", "lorenzo", "qp", "quantize")
-#: stages whose hot loops run in ``native.c`` when the library loads
-_NATIVE_STAGES = ("adaptive_quantize", "huffman", "interp", "qp", "quantize")
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "native.c")
 _CACHE_DIR = os.path.join(os.path.dirname(_SOURCE), "__pycache__")
@@ -64,25 +67,33 @@ _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 _P = ctypes.c_void_p
 _I = ctypes.c_int64
+_D = ctypes.c_double
+#: name -> (argtypes, restype)
 _SIGNATURES = {
-    "repro_huffman_decode": (_P, _I, _P, _P, _I, _P, _I, _I, _I, _P, _P),
-    "repro_huffman_lengths": (_P, _I, _P, _P),
-    "repro_huffman_encode": (_P, _I, _P, _P, _I, _P, _P),
-    "repro_qp_inverse_1d": (_P, _I, _I, _I, _I),
-    "repro_qp_inverse_2d": (_P, _I, _I, _I, _I, _I),
-    "repro_qp_inverse_3d": (_P, _I, _I, _I, _I, _I, _I),
-    "repro_qp_forward_1d": (_P, _P, _I, _I, _I, _P),
-    "repro_qp_forward_2d": (_P, _P, _I, _I, _P),
-    "repro_qp_forward_3d": (_P, _P, _I, _I, _P),
+    "repro_huffman_decode": ((_P, _I, _P, _P, _I, _P, _I, _I, _I, _P, _P), None),
+    "repro_huffman_lengths": ((_P, _I, _P, _P), None),
+    "repro_huffman_encode": ((_P, _I, _P, _P, _I, _P, _P), None),
+    "repro_qp_inverse_1d": ((_P, _I, _I, _I, _I), None),
+    "repro_qp_inverse_2d": ((_P, _I, _I, _I, _I, _I), None),
+    "repro_qp_inverse_3d": ((_P, _I, _I, _I, _I, _I, _I), None),
+    "repro_qp_forward_1d": ((_P, _P, _I, _I, _I, _P), None),
+    "repro_qp_forward_2d": ((_P, _P, _I, _I, _P), None),
+    "repro_qp_forward_3d": ((_P, _P, _I, _I, _P), None),
+    "repro_prefix_sums": ((_P, _P, _P, _I, _I, _P, _I), _I),
+    "repro_lorenzo_encode": ((_P, _P, _I, _P, _P), _I),
 }
 #: the float kernels, each exported as ``<name>_f32`` and ``<name>_f64``:
-#: (argtypes, restype); the quantizers return their literal count
+#: (argtypes, restype); the quantizers return their literal count, the
+#: Lorenzo histogram its escape count and the binning kernel its NaN count
 _FLOAT_SIGNATURES = {
     "repro_quantize": ((_P, _P, _P, _P, _P, _P), _I),
     "repro_adaptive_encode": ((_P, _P, _P, _P, _P, _P), _I),
     "repro_dequantize": ((_P, _P, _P, _P, _I, _P, _P), _I),
     "repro_adaptive_decode": ((_P, _P, _P, _P, _I, _P, _P), _I),
     "repro_fill": ((_P, _P, _P), None),
+    "repro_lorenzo_prequantize": ((_P, _P, _D, _P, _P), None),
+    "repro_lorenzo_hist": ((_P, _P, _D, _I, _P, _P, _P), _I),
+    "repro_bin_residuals": ((_P, _P, _P, _D, _I, _P, _P), _I),
 }
 _FLOAT_SUFFIX = {np.dtype(np.float32): "_f32", np.dtype(np.float64): "_f64"}
 
@@ -137,7 +148,7 @@ def native():
 def active_backends() -> dict[str, str]:
     """stage -> implementation of its hot loop (``"c"`` or ``"numpy"``)."""
     path = "numpy" if native() is None else "c"
-    return {s: path if s in _NATIVE_STAGES else "numpy" for s in _STAGES}
+    return dict.fromkeys(_STAGES, path)
 
 
 _from_buffer = ctypes.c_char.from_buffer
@@ -171,7 +182,7 @@ def float_kernel(name: str, dtype: np.dtype):
 @functools.lru_cache(maxsize=4096)
 def view_geometry(
     shape: tuple[int, ...], strides: tuple[int, ...], itemsize: int,
-    keep: int = -1, tail: tuple[int, ...] = (),
+    keep: int = -1, tail: tuple[int, ...] = (), merge: bool = True,
 ):
     """The rank-4 view of a strided array that ``native.c``'s float kernels
     walk: four extents, then four strides in elements, then ``tail``.
@@ -179,10 +190,12 @@ def view_geometry(
     Adjacent axes merge where the strides allow and unit axes drop, so the
     view visits the elements in the array's C order; axis ``keep`` (the
     interpolation axis of a fill) neither merges nor drops, and its slot
-    in the view comes after the strides, before ``tail``.  ``None`` when
-    more than four axes remain or a stride is not a whole number of
-    elements: the caller then runs numpy.  The result is cached and shared
-    by every caller; the kernels only read it.
+    in the view comes after the strides, before ``tail``.  ``merge=False``
+    merges no axes (the Lorenzo kernels difference along each of the
+    array's own axes).  ``None`` when more than four axes remain or a
+    stride is not a whole number of elements: the caller then runs numpy.
+    The result is cached and shared by every caller; the kernels only
+    read it.
     """
     dims: list[list[int]] = []  # [extent, stride in elements, kept]
     for axis, (n, stride) in enumerate(zip(shape, strides)):
@@ -192,7 +205,8 @@ def view_geometry(
         if n == 1 and not kept:
             continue
         step = stride // itemsize
-        if dims and not kept and not dims[-1][2] and dims[-1][1] == n * step:
+        if (merge and dims and not kept and not dims[-1][2]
+                and dims[-1][1] == n * step):
             dims[-1][0] *= n
             dims[-1][1] = step
         else:
@@ -233,7 +247,7 @@ def _build(compiler: str, path: str) -> None:
 
 def _open(path: str) -> ctypes.CDLL:
     lib = ctypes.CDLL(path)
-    signatures = {name: (args, None) for name, args in _SIGNATURES.items()}
+    signatures = dict(_SIGNATURES)
     for name, signature in _FLOAT_SIGNATURES.items():
         for suffix in _FLOAT_SUFFIX.values():
             signatures[name + suffix] = signature

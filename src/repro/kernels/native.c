@@ -1,18 +1,22 @@
 /* Native kernels for the codec's hot loops.
  *
- * Integer stages.  Decode: the Huffman block decode and the QP Case II-IV
- * inverse.  Encode: Huffman code lengths, Huffman bit packing and the QP
- * forward.
+ * Integer stages.  Decode: the Huffman block decode, the QP Case II-IV
+ * inverse and the prefix sums that invert Lorenzo and QP Case I.  Encode:
+ * Huffman code lengths, Huffman bit packing, the QP forward and Lorenzo's
+ * differences.
  *
  * Float stages, each in float32 and float64: the linear quantizer's
- * quantize and dequantize, the adaptive quantizer's encode and decode, and
- * the linear/cubic midpoint fill of the interpolation predictor.
+ * quantize and dequantize, the adaptive quantizer's encode and decode, the
+ * linear/cubic midpoint fill of the interpolation predictor, Lorenzo's
+ * pre-quantization, and the two histograms SZ3's predictor selection
+ * compares.
  *
  * Compiled on first use by repro.kernels (cc -O2 -ffp-contract=off -shared
  * -fPIC) and called through ctypes.  The numpy implementations in
- * repro.codecs.huffman, repro.core.qp, repro.quantize and
- * repro.predictors.interpolation are the fallback and the reference these
- * must match bit for bit.  There are no globals and nothing is allocated:
+ * repro.codecs.huffman, repro.core.qp, repro.quantize,
+ * repro.predictors.interpolation, repro.predictors.lorenzo and
+ * repro.compressors.sz3 are the fallback and the reference these must
+ * match bit for bit.  There are no globals and nothing is allocated:
  * the Python caller owns, sizes and validates every buffer, scratch
  * included, so calls from several threads (ctypes releases the GIL) never
  * share state.
@@ -20,6 +24,7 @@
 #include <float.h>
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 /* The float kernels repeat numpy's IEEE-754 operations one by one: each
  * float or double expression must round at its own precision (no x87
@@ -101,7 +106,7 @@ void repro_huffman_decode(const uint8_t *payload, int64_t nbytes,
 #define WRAP_ADD(a, b) ((int64_t)((uint64_t)(a) + (uint64_t)(b)))
 
 /* QP inverse: q += prediction where the condition holds, in place.  cond is
- * 2, 3 or 4 for Cases II-IV (Case I stays on numpy's prefix sums).  Case II
+ * 2, 3 or 4 for Cases II-IV (Case I is repro_prefix_sums).  Case II
  * needs every involved neighbour to differ from the sentinel; III also needs
  * left and top to share a nonzero sign; IV needs that of left, top and
  * top-left in 2-D, and of left, top and back in 3-D.  A raster scan in C
@@ -202,6 +207,62 @@ void repro_qp_inverse_3d(int64_t *q, int64_t batch, int64_t na, int64_t nb,
             }
         }
     }
+}
+
+/* Prefix sums of the C-contiguous array src of extents dims[0..3] into
+ * q, of the same layout (src == q sums in place), along every axis a
+ * whose bit 1 << a is set in axes, wrapping like numpy's int64 cumsum
+ * (sums along different axes commute).  This inverts Lorenzo's
+ * differences and QP's Case I.  With n_esc >= 0 it first reinstates
+ * Lorenzo's escapes: each sentinel met in C order takes the next of the
+ * n_esc values in esc, and none past n_esc is read.  Returns the number
+ * of sentinels met (0 when n_esc < 0); the caller checks it against
+ * n_esc.  Indexes only by loop counters over dims. */
+int64_t repro_prefix_sums(int64_t *q, const int64_t *src, const int64_t *dims,
+                          int64_t axes, int64_t sentinel, const int64_t *esc,
+                          int64_t n_esc)
+{
+    const int64_t n0 = dims[0], n1 = dims[1], n2 = dims[2], n3 = dims[3];
+    const int64_t plane = n2 * n3, block = n1 * plane;
+    uint64_t *u = (uint64_t *)q;
+    int64_t n = 0;
+    /* The copy, the escapes and axes 3 and 2 row by row in C order: the
+     * row above is final along both when a row adds it. */
+    if ((axes & 12) || n_esc >= 0 || src != q) {
+        for (int64_t r = 0; r < n0 * n1 * n2; r++) {
+            uint64_t *x = u + r * n3;
+            const int64_t *from = src + r * n3;
+            if (n_esc >= 0)
+                for (int64_t k = 0; k < n3; k++)
+                    x[k] = from[k] == sentinel && n++ < n_esc
+                           ? (uint64_t)esc[n - 1] : (uint64_t)from[k];
+            else if (from != q + r * n3)
+                for (int64_t k = 0; k < n3; k++)
+                    x[k] = (uint64_t)from[k];
+            if (axes & 8) {
+                uint64_t s = 0;
+                for (int64_t k = 0; k < n3; k++)
+                    x[k] = s += x[k];
+            }
+            if ((axes & 4) && r % n2)
+                for (int64_t k = 0; k < n3; k++)
+                    x[k] += x[k - n3];
+        }
+    }
+    if (axes & 2)  /* axis 1: add the previous plane */
+        for (int64_t i0 = 0; i0 < n0; i0++)
+            for (int64_t i1 = 1; i1 < n1; i1++) {
+                uint64_t *x = u + i0 * block + i1 * plane;
+                for (int64_t k = 0; k < plane; k++)
+                    x[k] += x[k - plane];
+            }
+    if (axes & 1)  /* axis 0: add the previous block */
+        for (int64_t i0 = 1; i0 < n0; i0++) {
+            uint64_t *x = u + i0 * block;
+            for (int64_t k = 0; k < block; k++)
+                x[k] += x[k - block];
+        }
+    return n;
 }
 
 /* ---- encode side ------------------------------------------------------ */
@@ -760,6 +821,183 @@ BODY void fill_body(const void *known, const int64_t *geom, void *out,
             }
 }
 
+/* ---- Lorenzo and SZ3's predictor selection ------------------------------ */
+
+/* dq -= prev and prev = the old dq, over n elements; with has_prev clear
+ * (the first row, plane or block) only prev = dq, as a missing neighbour
+ * reads as 0. */
+static inline void difference(uint64_t *dq, uint64_t *prev, int64_t n,
+                              int has_prev)
+{
+    if (has_prev)
+        for (int64_t k = 0; k < n; k++) {
+            uint64_t d = dq[k];
+            dq[k] = d - prev[k];
+            prev[k] = d;
+        }
+    else
+        for (int64_t k = 0; k < n; k++)
+            prev[k] = dq[k];
+}
+
+/* repro.predictors.lorenzo's pre-quantization: t = rint(v / 2e) in double
+ * (numpy's float64 divide and ties-to-even rint; the caller's guard keeps
+ * |t| <= 2**60, so the int64 cast is exact). */
+BODY int64_t prequantize(const void *v, int64_t at, double two_eb, int single)
+{
+    return (int64_t)round_even(load(v, at, single) / two_eb);
+}
+
+/* Lorenzo's pre-quantization of the values v (geom) into t, C-contiguous,
+ * and when rec is set the reconstruction (T)(t * 2e) into rec. */
+BODY void prequantize_body(const void *v, const int64_t *geom, double two_eb,
+                           int64_t *t, void *rec, int single)
+{
+    VIEW_GEOMETRY;
+    int64_t i = 0;
+    for (int64_t i0 = 0; i0 < n0; i0++)
+        for (int64_t i1 = 0; i1 < n1; i1++)
+            for (int64_t i2 = 0; i2 < n2; i2++) {
+                const int64_t row = i0 * s0 + i1 * s1 + i2 * s2;
+                for (int64_t k = 0; k < n3; k++, i++) {
+                    t[i] = prequantize(v, row + k * s3, two_eb, single);
+                    if (rec)
+                        store(rec, i, round_to((double)t[i] * two_eb, single),
+                              single);
+                }
+            }
+}
+
+/* Lorenzo's residuals: the first difference of t along every axis of the
+ * view, a missing neighbour reading as 0, in int64 that wraps like
+ * numpy's.  The view keeps the array's own axes (repro.kernels merges
+ * none), unit axes dropped: differencing along them changes nothing.
+ * Differences along different axes commute, so each row is differenced
+ * along axis 3 into dq, then along axes 2, 1 and 0 against the previous
+ * row's, plane's and block's partial differences.  scratch holds dq (n3
+ * int64s), then those three (n3, n2*n3 and n1*n2*n3, each only for an
+ * axis longer than 1).  A residual q with |q| >= radius escapes; |q| is
+ * numpy's int64 abs, so INT64_MIN stays negative and does not escape.
+ *
+ * With q set (encode): t is q itself, C-contiguous, pre-quantized by
+ * prequantize_body; each row is overwritten with its residuals, -radius
+ * where one escapes, and esc gets the escaping residuals in C order (room
+ * for every point).  Returns the escape count.  Without q (histogram): t
+ * is pre-quantized from the values v (geom) on the fly and nothing is
+ * written but hist, where bin 0 counts escapes (the sentinel -radius) and
+ * bin q + radius every other residual, and bounds[0..1], which widen to
+ * the lowest and highest bin touched.  Returns the escape count, or -1
+ * when some residual is INT64_MIN, which the table cannot hold (hist is
+ * then incomplete). */
+BODY int64_t lorenzo_body(const void *v, const int64_t *geom, double two_eb,
+                          int64_t radius, int64_t *scratch, int64_t *q,
+                          int64_t *esc, int64_t *hist, int64_t *bounds,
+                          int single)
+{
+    VIEW_GEOMETRY;
+    uint64_t *dq = (uint64_t *)scratch;
+    uint64_t *row = dq + n3;
+    uint64_t *plane = row + (n2 > 1 ? n3 : 0);
+    uint64_t *block = plane + (n1 > 1 ? n2 * n3 : 0);
+    int64_t i = 0, n_esc = 0, n_bad = 0;
+    int64_t lo = q ? 0 : bounds[0], hi = q ? 0 : bounds[1];
+    for (int64_t i0 = 0; i0 < n0; i0++)
+        for (int64_t i1 = 0; i1 < n1; i1++)
+            for (int64_t i2 = 0; i2 < n2; i2++) {
+                const int64_t at = i0 * s0 + i1 * s1 + i2 * s2;
+                uint64_t left = 0;
+                for (int64_t k = 0; k < n3; k++) {
+                    uint64_t t = (uint64_t)(q ? q[i + k]
+                        : prequantize(v, at + k * s3, two_eb, single));
+                    dq[k] = t - left;
+                    left = t;
+                }
+                if (n2 > 1)
+                    difference(dq, row, n3, i2 > 0);
+                if (n1 > 1)
+                    difference(dq, plane + i2 * n3, n3, i1 > 0);
+                if (n0 > 1)
+                    difference(dq, block + (i1 * n2 + i2) * n3, n3, i0 > 0);
+                for (int64_t k = 0; k < n3; k++, i++) {
+                    int64_t r = (int64_t)dq[k];
+                    uint64_t neg = (uint64_t)(r >> 63);
+                    int64_t mag = (int64_t)((dq[k] ^ neg) - neg);
+                    int64_t escape = mag >= radius;
+                    if (q) {
+                        q[i] = escape ? -radius : r;
+                        if (escape)
+                            esc[n_esc] = r;
+                    } else if (mag < 0) {
+                        n_bad++;
+                        continue;
+                    } else {
+                        int64_t b = (r + radius) & (escape - 1);
+                        hist[b]++;
+                        lo = b < lo ? b : lo;
+                        hi = b > hi ? b : hi;
+                    }
+                    n_esc += escape;
+                }
+            }
+    if (!q) {
+        bounds[0] = lo;
+        bounds[1] = hi;
+    }
+    return n_bad ? -1 : n_esc;
+}
+
+/* SZ3's interpolation estimate for one pass: the values v (geom) against
+ * the predictions p give q = rint((v - p) / 2e) in the element type's
+ * arithmetic, as numpy computes it on float32 or float64 arrays (2e
+ * rounded to that type), clipped to [-radius, radius] and binned into
+ * hist at q + radius; bounds widen as in lorenzo_body.  Clipping to
+ * integer bounds before rounding gives the same index, and leaves |q| <=
+ * radius <= 2**51, where adding 1.5 * 2**52 rounds q ties-to-even into
+ * the low bits of the sum.  Returns the count of NaN residuals, which
+ * are left out (hist is then incomplete). */
+BODY int64_t bin_residuals_body(const void *v, const int64_t *geom,
+                                const void *p, double two_eb, int64_t radius,
+                                int64_t *hist, int64_t *bounds, int single)
+{
+    VIEW_GEOMETRY;
+    const float two_eb_f = (float)two_eb;
+    const double lim = (double)radius, shift = 0x1.8p52;
+    int64_t zero;
+    memcpy(&zero, &shift, sizeof zero);
+    int64_t i = 0, n_nan = 0, lo = bounds[0], hi = bounds[1];
+    for (int64_t i0 = 0; i0 < n0; i0++)
+        for (int64_t i1 = 0; i1 < n1; i1++)
+            for (int64_t i2 = 0; i2 < n2; i2++) {
+                const int64_t row = i0 * s0 + i1 * s1 + i2 * s2;
+                for (int64_t k = 0; k < n3; k++, i++) {
+                    double q;
+                    if (single) {
+                        float d = ((const float *)v)[row + k * s3]
+                                  - ((const float *)p)[i];
+                        q = (double)(d / two_eb_f);
+                    } else {
+                        double d = ((const double *)v)[row + k * s3]
+                                   - ((const double *)p)[i];
+                        q = d / two_eb;
+                    }
+                    if (q != q) {
+                        n_nan++;
+                        continue;
+                    }
+                    double y = (q < -lim ? -lim : q > lim ? lim : q) + shift;
+                    int64_t b;
+                    memcpy(&b, &y, sizeof b);
+                    b += radius - zero;
+                    hist[b]++;
+                    lo = b < lo ? b : lo;
+                    hi = b > hi ? b : hi;
+                }
+            }
+    bounds[0] = lo;
+    bounds[1] = hi;
+    return n_nan;
+}
+
 /* The exported instantiations: float32 (_f32) and float64 (_f64). */
 int64_t repro_quantize_f32(const float *v, const int64_t *geom,
                            const float *p, const struct quant_params *par,
@@ -830,4 +1068,53 @@ void repro_fill_f32(const float *known, const int64_t *geom, float *out)
 void repro_fill_f64(const double *known, const int64_t *geom, double *out)
 {
     fill_body(known, geom, out, 0);
+}
+
+void repro_lorenzo_prequantize_f32(const float *v, const int64_t *geom,
+                                   double two_eb, int64_t *t, float *rec)
+{
+    prequantize_body(v, geom, two_eb, t, rec, 1);
+}
+
+void repro_lorenzo_prequantize_f64(const double *v, const int64_t *geom,
+                                   double two_eb, int64_t *t, double *rec)
+{
+    prequantize_body(v, geom, two_eb, t, rec, 0);
+}
+
+/* The integer half of the Lorenzo encode (lorenzo_body with q set). */
+int64_t repro_lorenzo_encode(int64_t *q, const int64_t *geom, int64_t radius,
+                             int64_t *scratch, int64_t *esc)
+{
+    return lorenzo_body(0, geom, 0, radius, scratch, q, esc, 0, 0, 0);
+}
+
+int64_t repro_lorenzo_hist_f32(const float *v, const int64_t *geom,
+                               double two_eb, int64_t radius, int64_t *scratch,
+                               int64_t *hist, int64_t *bounds)
+{
+    return lorenzo_body(v, geom, two_eb, radius, scratch, 0, 0, hist, bounds,
+                        1);
+}
+
+int64_t repro_lorenzo_hist_f64(const double *v, const int64_t *geom,
+                               double two_eb, int64_t radius, int64_t *scratch,
+                               int64_t *hist, int64_t *bounds)
+{
+    return lorenzo_body(v, geom, two_eb, radius, scratch, 0, 0, hist, bounds,
+                        0);
+}
+
+int64_t repro_bin_residuals_f32(const float *v, const int64_t *geom,
+                                const float *p, double two_eb, int64_t radius,
+                                int64_t *hist, int64_t *bounds)
+{
+    return bin_residuals_body(v, geom, p, two_eb, radius, hist, bounds, 1);
+}
+
+int64_t repro_bin_residuals_f64(const double *v, const int64_t *geom,
+                                const double *p, double two_eb,
+                                int64_t radius, int64_t *hist, int64_t *bounds)
+{
+    return bin_residuals_body(v, geom, p, two_eb, radius, hist, bounds, 0);
 }

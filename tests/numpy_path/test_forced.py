@@ -3,8 +3,9 @@ import numpy as np
 
 from repro import kernels
 from repro.codecs import huffman
+from repro.compressors import sz3
 from repro.core import QPConfig, qp
-from repro.predictors import interpolation
+from repro.predictors import interpolation, lorenzo
 from repro.quantize import adaptive
 from repro.quantize.linear import LinearQuantizer
 
@@ -59,3 +60,21 @@ def test_float_stages_run_the_numpy_code(monkeypatch):
         "_quantize_numpy", "_dequantize_numpy", "adaptive_encode",
         "adaptive_decode", "_linear_fill", "_cubic_fill",
     ]
+
+
+def test_lorenzo_and_selection_run_the_numpy_code(monkeypatch):
+    # the re-run Lorenzo and selection suites go through lorenzo_encode,
+    # lorenzo_decode and SZ3's two estimates, which under the fixture must
+    # take the numpy specification, not the C kernels; QP's Case I
+    # inverse takes numpy's cumsums
+    calls = []
+    _spy(monkeypatch, calls, lorenzo, "_encode_numpy")
+    _spy(monkeypatch, calls, lorenzo, "_integrate_numpy")
+    _spy(monkeypatch, calls, sz3, "_pass_entropy")
+    data = np.cumsum(np.linspace(-1, 1, 6 * 7 * 8).reshape(6, 7, 8), axis=0)
+    result, _ = lorenzo.lorenzo_encode(data, 1e-3, radius=8)
+    lorenzo.lorenzo_decode(result, 1e-3)
+    sz3.SZ3(1e-3)._select_predictor(data.astype(np.float32))
+    assert calls[:3] == ["_encode_numpy", "_integrate_numpy", "_encode_numpy"]
+    assert set(calls[3:]) == {"_pass_entropy"}
+    assert qp._prefix_sums_native(result.indices, (1, 6, 7, 8), 12) is None

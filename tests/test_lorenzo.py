@@ -81,3 +81,22 @@ def test_property_roundtrip(data, eb):
     result, recon = lorenzo_encode(data, eb, radius=64)
     assert np.abs(recon - data).max() <= eb * (1 + 1e-9)
     assert np.array_equal(lorenzo_decode(result, eb), recon)
+
+
+def test_kernel_buffers_are_checked_before_use():
+    # the C kernels write every bin the radius allows and integrate in
+    # place, so a short table or a foreign array must not reach them
+    from repro.predictors.lorenzo import lorenzo_histogram, lorenzo_integrate
+
+    data = np.random.default_rng(3).normal(0, 1, (6, 7)).astype(np.float32)
+    bounds = np.array([17, -1], dtype=np.int64)
+    for bins in (np.zeros(16, np.int64), np.zeros(17, np.int32),
+                 np.zeros(34, np.int64)[::2]):
+        with pytest.raises(ValueError, match="17 writable int64s"):
+            lorenzo_histogram(data, 0.01, 8, bins, bounds)
+    with pytest.raises(ValueError, match="2 writable int64s"):
+        lorenzo_histogram(data, 0.01, 8, np.zeros(17, np.int64), bounds[:1])
+    escapes = np.zeros(0, dtype=np.int64)
+    for q in (np.zeros((6, 7), np.int32), np.zeros((7, 6), np.int64).T):
+        with pytest.raises(ValueError, match="C-contiguous int64"):
+            lorenzo_integrate(q, escapes, -8)

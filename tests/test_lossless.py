@@ -115,6 +115,16 @@ def test_unended_zlib_stream_is_typed():
         decompress(frame[:-3])
 
 
+def test_bytes_after_the_zlib_stream_are_typed():
+    # a garbage tail after the stream's end must not decode: with it two
+    # different sections would decode to the same bytes
+    frame = _frame(b"hello" * 10, "zlib")
+    assert decompress(frame) == b"hello" * 10
+    for tail in (b"\x00", b"garbage", frame[9:]):
+        with pytest.raises(CorruptBlobError, match="after the stream end"):
+            decompress(frame + tail)
+
+
 def test_huge_declared_size_is_typed():
     frame = struct.pack("<BQ", 1, 2**64 - 1) + zlib.compress(b"x")
     with pytest.raises(CorruptBlobError, match="declares"):

@@ -4,9 +4,10 @@ Every case runs on both paths: the C library and the numpy loops (forced
 by swapping the loader's handle).  Decodes must return identical arrays,
 or both must raise a typed :class:`~repro.errors.ReproError` of the same
 class; encodes must return identical bytes or arrays.  The float stages
-(quantizers and midpoint fill) must agree byte for byte, NaN payloads
-and signed zeros included, over float32 and float64, ranks 1-4 and
-contiguous, strided and transposed views.
+(quantizers, midpoint fill, Lorenzo and SZ3's predictor-selection
+estimates) must agree byte for byte, NaN payloads and signed zeros
+included, over float32 and float64, ranks 1-4 and contiguous, strided
+and transposed views.
 """
 import ctypes
 import itertools
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro import kernels
+from repro.codecs import lossless
 from repro.codecs.huffman import (
     MAX_CODE_LEN,
     HuffmanCodec,
@@ -23,11 +25,15 @@ from repro.codecs.huffman import (
     _huffman_lengths_native,
     _parse_container,
 )
+from repro.compressors import sz3
+from repro.compressors.base import Blob
+from repro.compressors.sz3 import SZ3
 from repro.core import QP_CONDITIONS, QP_DIMENSIONS, QPConfig, qp_forward, qp_inverse
 from repro.core.qp import qp_inverse_multi
 from repro.errors import ReproError
-from repro.predictors import interpolation
+from repro.predictors import interpolation, lorenzo
 from repro.predictors.interpolation import predict_midpoints
+from repro.predictors.lorenzo import LorenzoResult, lorenzo_decode, lorenzo_encode
 from repro.quantize import adaptive
 from repro.quantize.adaptive import AdaptiveLinearQuantizer
 from repro.quantize.linear import LinearQuantizer, QuantResult
@@ -303,7 +309,8 @@ FLOAT_DTYPES = [np.float32, np.float64]
 RANKS = [1, 2, 3, 4]
 LAYOUTS = ["contiguous", "strided", "transposed"]
 
-#: the numpy code each float kernel replaces; the native run must reach
+#: the numpy code each float-stage kernel replaces (Lorenzo's integer half
+#: and the stacked Lorenzo decode included); the native run must reach
 #: none of it, the forced-numpy run must reach it
 NUMPY_FLOAT_CODE = [
     (LinearQuantizer, "_quantize_numpy"),
@@ -312,6 +319,10 @@ NUMPY_FLOAT_CODE = [
     (adaptive, "adaptive_decode"),
     (interpolation, "_linear_fill"),
     (interpolation, "_cubic_fill"),
+    (lorenzo, "_encode_numpy"),
+    (lorenzo, "_integrate_numpy"),
+    (sz3, "_integrate_stack_numpy"),
+    (sz3, "_pass_entropy"),
 ]
 
 
@@ -345,6 +356,13 @@ def assert_same_bytes(a, b):
     if isinstance(a, QuantResult):
         assert_same_bytes((a.indices, a.decoded, a.literals),
                           (b.indices, b.decoded, b.literals))
+        return
+    if isinstance(a, LorenzoResult):
+        assert_same_bytes((a.indices, a.escapes, a.sentinel, a.step),
+                          (b.indices, b.escapes, b.sentinel, b.step))
+        return
+    if isinstance(a, float):  # bit for bit
+        assert struct.pack("<d", a) == struct.pack("<d", b)
         return
     if not isinstance(a, np.ndarray):
         assert a == b
@@ -563,3 +581,167 @@ def test_float_kernels_fall_back_on_arrays_they_cannot_walk(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(kernels, "_lib", None)
             assert_same_bytes(native, fn())
+
+
+# -- Lorenzo and SZ3's predictor selection ---------------------------------------
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("rank", RANKS)
+@pytest.mark.parametrize("dtype", FLOAT_DTYPES, ids=["f32", "f64"])
+def test_lorenzo(monkeypatch, dtype, rank, layout):
+    # radius 2-8 at a small bound makes most residuals escape
+    rng = np.random.default_rng(300 + rank * 10 + LAYOUTS.index(layout))
+    for radius, eb in itertools.product((2, 3, 8, 32768), (1e-3, 0.3)):
+        data = _view(rng, dtype, rank, layout, 1.0)
+        native, fallback = float_paths(
+            monkeypatch, lambda: lorenzo_encode(data, eb, radius)
+        )
+        assert_same_bytes(native, fallback)
+        result, recon = native
+        decoded, again = float_paths(
+            monkeypatch, lambda: lorenzo_decode(result, eb, dtype)
+        )
+        assert_same_bytes(decoded, again)
+        assert_same_bytes(decoded, recon)
+
+
+def _estimates(comp, data):
+    """SZ3's two selection estimates, each path as the selection runs it."""
+    table = sz3._IndexHistogram.for_radius(comp.radius)
+    lorenzo_bpp, _ = comp._estimate_lorenzo_bpp(data, table)
+    return lorenzo_bpp, comp._estimate_interp_bpp(data, table)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("rank", RANKS)
+@pytest.mark.parametrize("dtype", FLOAT_DTYPES, ids=["f32", "f64"])
+def test_selection_estimates(monkeypatch, dtype, rank, layout):
+    rng = np.random.default_rng(400 + rank * 10 + LAYOUTS.index(layout))
+    for radius, eb in itertools.product((2, 5, 8, 32768), (1e-3, 0.3)):
+        data = _view(rng, dtype, rank, layout, 1.0)
+        comp = SZ3(eb, radius=radius)
+        native, fallback = float_paths(monkeypatch, lambda: _estimates(comp, data))
+        assert_same_bytes(native, fallback)
+
+
+@pytest.mark.parametrize(
+    "field,eb,winner",
+    [("layered_field", 1e-5, "lorenzo"), ("smooth_field", 1e-3, "interp")],
+)
+def test_selection_decisions_and_blobs(monkeypatch, request, field, eb, winner):
+    data = request.getfixturevalue(field)
+    comp = SZ3(eb)
+    native, fallback = float_paths(monkeypatch, lambda: _estimates(comp, data))
+    assert_same_bytes(native, fallback)
+    assert ("lorenzo" if native[0] < native[1] else "interp") == winner
+    blob, again = float_paths(monkeypatch, lambda: comp.compress(data))
+    assert blob == again
+    # float64 input takes the other instantiation of every kernel
+    wide = data.astype(np.float64)
+    native, fallback = float_paths(monkeypatch, lambda: _estimates(comp, wide))
+    assert_same_bytes(native, fallback)
+
+
+def test_lorenzo_scale_just_under_the_guard():
+    # the public bound check stops at scales near 2**48 (float64); the
+    # kernels' int64 arithmetic must still wrap like numpy's up to the
+    # 2**60 guard, where rank-4 differences overflow
+    rng = np.random.default_rng(5)
+    shapes = [(40,), (6, 7, 8), (3, 4, 5, 6)]
+    for dtype, shape in itertools.product(FLOAT_DTYPES, shapes):
+        data = rng.uniform(-1, 1, shape).astype(dtype)
+        step = float(np.abs(data).max()) / (2.0**60 * (1 - 1e-9))
+        for radius in (2, 8, 32768):
+            native = lorenzo._encode_native(data, step, radius, True)
+            fallback = lorenzo._encode_numpy(data, step, radius, True)
+            assert_same_bytes(native, fallback)
+            assert native[0].escapes.size
+
+
+def test_lorenzo_residual_of_int64_min(monkeypatch):
+    # a rank-4 checkerboard of +-2**59 steps differences to 16 * 2**59,
+    # which wraps to INT64_MIN: numpy's abs keeps it negative, so it is no
+    # escape, and the histogram cannot bin it; the selection then falls
+    # back to numpy's trial encoding, with the same estimate
+    parity = np.indices((2, 2, 2, 2)).sum(axis=0) % 2
+    data = np.where(parity, -1.0, 1.0)
+    monkeypatch.setattr(lorenzo, "lorenzo_step", lambda d, eb: 2.0 ** -59)
+    comp = SZ3(1e-3, radius=8)
+    table = sz3._IndexHistogram.for_radius(comp.radius)
+    assert lorenzo.lorenzo_histogram(data, 1e-3, 8, table.bins, table.bounds) is None
+    table.take()
+    result, _ = lorenzo_encode(data, 1e-3, 8)
+    assert result.indices[1, 1, 1, 1] == np.iinfo(np.int64).min
+    native = _estimates(comp, data)
+    with monkeypatch.context() as m:
+        m.setattr(kernels, "_lib", None)
+        assert_same_bytes(native, _estimates(comp, data))
+
+
+def test_too_small_a_bound_raises_on_both_paths(monkeypatch):
+    data = np.linspace(1e3, 2e3, 64, dtype=np.float32).reshape(4, 16)
+    for forced in (False, True):
+        with monkeypatch.context() as m:
+            if forced:
+                m.setattr(kernels, "_lib", None)
+            with pytest.raises(ValueError, match="representable resolution"):
+                lorenzo_encode(data, 1e-6)
+            with pytest.raises(ValueError, match="representable resolution"):
+                SZ3(1e-6)._estimate_lorenzo_bpp(data)
+            assert SZ3(1e-6)._select_predictor(data) == "interp"
+
+
+@pytest.mark.parametrize("dtype", FLOAT_DTYPES, ids=["f32", "f64"])
+def test_lorenzo_decode_of_untrusted_indices(monkeypatch, dtype):
+    # any int64 may arrive from a corrupt stream; sums wrap alike, and a
+    # sentinel count other than the escape count raises the same error
+    rng = np.random.default_rng(6)
+    indices = rng.integers(-80, 80, (5, 6, 7))
+    indices.flat[::5] = rng.integers(
+        np.iinfo(np.int64).min, np.iinfo(np.int64).max, indices.size, endpoint=True
+    )[::5]
+    indices.flat[::9] = -8
+    n = int((indices == -8).sum())
+    for n_esc in (n, n - 1, n + 1, 0):
+        escapes = rng.integers(-(1 << 62), 1 << 62, n_esc)
+        result = LorenzoResult(indices, escapes, sentinel=-8, step=0.01)
+        errors = []
+        for forced in (False, True):
+            with monkeypatch.context() as m:
+                if forced:
+                    m.setattr(kernels, "_lib", None)
+                try:
+                    errors.append(lorenzo_decode(result, 0.01, dtype))
+                except ValueError as exc:
+                    errors.append(str(exc))
+        if n_esc == n:
+            assert_same_bytes(errors[0], errors[1])
+        else:
+            assert errors == ["escape count mismatch"] * 2
+
+
+def _lorenzo_blobs(n, radius, seed):
+    rng = np.random.default_rng(seed)
+    comp = SZ3(1e-3, predictor="lorenzo", radius=radius)
+    data = np.cumsum(rng.normal(0, 0.05, (n, 6, 7, 8)), axis=1).astype(np.float32)
+    return comp, [comp.compress(d) for d in data]
+
+
+def test_stacked_lorenzo_decode(monkeypatch):
+    # equal-geometry Lorenzo blobs decode as one stack; a slab whose
+    # escape stream is one short must fail alike on both paths
+    comp, blobs = _lorenzo_blobs(3, 4, 7)
+    out = assert_paths_agree(monkeypatch, lambda: comp.decompress_many(blobs))
+    for blob, arr in zip(blobs, out):
+        assert_same_bytes(arr, comp.decompress(blob))
+    blob = Blob.from_bytes(blobs[1])
+    escapes = sz3._unzigzag(
+        sz3.decode_fixed(lossless.decompress(blob.sections["escapes"]))
+    )
+    assert escapes.size
+    blob.sections["escapes"] = lossless.compress(
+        sz3.encode_fixed(sz3._zigzag(escapes[:-1]))
+    )
+    bad = [blobs[0], blob.to_bytes(), blobs[2]]
+    assert assert_paths_agree(monkeypatch, lambda: comp.decompress_many(bad)) is None

@@ -10,8 +10,9 @@ makes the script exit nonzero, printing the (target, injector, seed) triple
 so the failure replays exactly.
 
 Where the native kernel library loads, every pristine blob is built
-twice, by the C kernels (the integer stages, and the quantizers and
-midpoint fill in float32 and float64) and by the numpy loops (forced by
+twice, by the C kernels (the integer stages, and the quantizers, midpoint
+fill, Lorenzo encode and SZ3's selection estimates in float32 and
+float64) and by the numpy loops (forced by
 swapping the loader's handle, as the tests do); differing bytes are an
 "encode paths disagree" violation.  Every corrupted input is then
 decoded twice, on the same two paths.  Both must succeed with identical
@@ -82,6 +83,13 @@ def _build_targets(seed: int):
     # quantizer's output and the decode's literal stream
     comp = get_compressor("sz3", 1e-2, qp=QPConfig(), radius=8)
     targets.append(("sz3[radius=8]", comp.compress(data), decompress_any))
+    # the Lorenzo path, chosen explicitly: its encode and prefix-sum decode
+    # kernels in both float types, radius 8 for an escape stream
+    for label, payload, radius in (
+        ("sz3[lorenzo]", data, 8), ("sz3[lorenzo,f64]", data64, 32768),
+    ):
+        comp = get_compressor("sz3", 1e-2, predictor="lorenzo", radius=radius)
+        targets.append((label, comp.compress(payload), decompress_any))
     # streamed slab container: the offset-framed wire format (header,
     # segment table, CRC-guarded index/footer) is its own decode surface
     import io
@@ -94,6 +102,11 @@ def _build_targets(seed: int):
         slab_bytes = (data.shape[0] // 3) * data[0].nbytes
         comp.compress_stream(data, sink, slab_bytes=slab_bytes)
         targets.append((f"stream[{name}]", sink.getvalue(), stream_decompress))
+    # three equal Lorenzo slabs, which decode as one stack
+    comp = get_compressor("sz3", 1e-2, predictor="lorenzo", radius=8)
+    sink = io.BytesIO()
+    comp.compress_stream(np.tile(data, (2, 1, 1)), sink, slab_bytes=8 * data[0].nbytes)
+    targets.append(("stream[sz3-lorenzo]", sink.getvalue(), stream_decompress))
     # slab-parallel container: the slab table in front of four slab blobs,
     # decoded in-process (workers=1) through the batched decode: SZ3's
     # equal slabs stack, QoZ's per-slab-tuned ones mostly decode alone
