@@ -332,7 +332,7 @@ class HuffmanCodec:
 
     # -- decoding ---------------------------------------------------------
 
-    def decode(self, data: bytes) -> np.ndarray:
+    def decode(self, data: bytes, out: "np.ndarray | None" = None) -> np.ndarray:
         """Decode a Huffman container.
 
         Strict-validating: every header field is bounds-checked against the
@@ -345,8 +345,13 @@ class HuffmanCodec:
         :class:`~repro.errors.CorruptBlobError` /
         :class:`~repro.errors.TruncatedStreamError` in bounded time — never
         a hang, never a silently mis-shaped array.
+
+        With ``out`` (a writable C-contiguous int64 array) the symbols are
+        decoded into it and it is returned; a container holding another
+        number of symbols raises :class:`~repro.errors.CorruptBlobError`
+        before anything is written.
         """
-        return _decode_one(data)
+        return _decode_one(data, out)
 
     def decode_many(self, datas: "list[bytes]") -> "list[np.ndarray]":
         """Decode several containers in order, one at a time: output and
@@ -458,19 +463,33 @@ def _check_block_ends(ends, block_offsets, total_bits: int) -> None:
         raise CorruptBlobError("Huffman blocks misaligned after decode")
 
 
-def _decode_one(data: bytes) -> np.ndarray:
-    """Parse and decode one container on whichever path is loaded."""
+def _decode_one(data: bytes, out: "np.ndarray | None" = None) -> np.ndarray:
+    """Parse and decode one container on whichever path is loaded, into
+    ``out`` when given (see :meth:`HuffmanCodec.decode`)."""
     parsed = _parse_container(data)
-    if parsed is None:
-        return np.empty(0, dtype=np.int64)
-    lib = kernels.native()
-    if lib is not None:
-        return _decode_native(lib, parsed)
-    return _decode_lockstep(parsed)
+    n = 0 if parsed is None else parsed[0]
+    if out is None:
+        out = np.empty(n, dtype=np.int64)
+    elif (
+        out.dtype != np.int64 or not out.flags.c_contiguous
+        or not out.flags.writeable
+    ):
+        raise ValueError("Huffman decode needs a writable C-contiguous int64 out")
+    elif out.size != n:
+        raise CorruptBlobError(
+            f"Huffman container holds {n} symbols, {out.size} expected"
+        )
+    if parsed is not None:
+        lib = kernels.native()
+        if lib is not None:
+            _decode_native(lib, parsed, out)
+        else:
+            _decode_lockstep(parsed, out)
+    return out
 
 
-def _decode_native(lib, parsed: tuple) -> np.ndarray:
-    """Decode one parsed container with the C block decoder.
+def _decode_native(lib, parsed: tuple, out: np.ndarray) -> None:
+    """Decode one parsed container into ``out`` with the C block decoder.
 
     The kernel walks the memoized flat tables block by block, reading
     bits past the payload end as zeros (the numpy path's padding), and
@@ -478,7 +497,6 @@ def _decode_native(lib, parsed: tuple) -> np.ndarray:
     """
     n, block_size, block_offsets, total_bits, payload, tables = parsed
     sym_table, len_table, max_len = tables
-    out = np.empty(n, dtype=np.int64)
     ends = np.empty(block_offsets.size, dtype=np.int64)
     lib.repro_huffman_decode(
         payload.ctypes.data, payload.size, sym_table.ctypes.data,
@@ -486,11 +504,11 @@ def _decode_native(lib, parsed: tuple) -> np.ndarray:
         block_offsets.size, block_size, n, out.ctypes.data, ends.ctypes.data,
     )
     _check_block_ends(ends, block_offsets, total_bits)
-    return out
 
 
-def _decode_lockstep(parsed: tuple) -> np.ndarray:
-    """Decode one parsed container with numpy, all blocks in lockstep.
+def _decode_lockstep(parsed: tuple, out: np.ndarray) -> None:
+    """Decode one parsed container into ``out`` with numpy, all blocks in
+    lockstep.
 
     Every block is a *lane*: a bit cursor advanced one symbol per
     Python-level step.  Only the last block can be short, so all lanes run
@@ -526,4 +544,8 @@ def _decode_lockstep(parsed: tuple) -> np.ndarray:
             wins[step, :lanes] = win
             cur_v += len_table[win]
     _check_block_ends(cur, block_offsets, total_bits)
-    return sym_table[np.ascontiguousarray(wins.T).reshape(-1)[:n]]
+    # every window is below 2**M, the table's size: no index is clipped
+    np.take(
+        sym_table, np.ascontiguousarray(wins.T).reshape(-1)[:n], out=out,
+        mode="clip",
+    )

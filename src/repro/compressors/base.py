@@ -397,10 +397,9 @@ class Compressor(ABC):
         """Decompress several blobs; output is identical to
         ``[self.decompress(b) for b in blobs]``.
 
-        Every index stream is entropy-decoded on its own.  Subclasses may
-        override ``_decompress_many`` to stack the later per-pass stages
-        across blobs of one geometry (SZ3 stacks prediction and
-        dequantization through
+        Subclasses may override ``_decompress_many`` to decode blobs of one
+        geometry as a stack (SZ3 decodes their index streams into one
+        buffer and inverts it in place through
         :func:`~repro.compressors.interp_engine.decompress_volumes`) — the
         slab-parallel and streamed decode path.
         """
@@ -647,10 +646,17 @@ def encode_index_stream(
     )
 
 
-def decode_index_stream(data: bytes) -> np.ndarray:
+def decode_index_stream(data: bytes, out: "np.ndarray | None" = None) -> np.ndarray:
     """Invert :func:`encode_index_stream`: undo the lossless stage,
     decode the codes with the entropy stage the leading wire id names, and
-    put the escaped outliers back."""
+    put the escaped outliers back.
+
+    With ``out`` (a writable C-contiguous int64 array, e.g. one row of a
+    stacked decode's index buffer) the codes decode straight into it and
+    the escapes and the offset are applied there in place; a stream of
+    another length raises :class:`~repro.errors.CorruptBlobError` before
+    anything is written.
+    """
     from ..codecs.fixed import decode_fixed
 
     head = struct.calcsize("<BqQ")
@@ -669,13 +675,18 @@ def decode_index_stream(data: bytes) -> np.ndarray:
     add_bytes("lossless", plen)
     with stage("huffman"):
         coder = entropy_stage_for_wire_id(entropy_id)()
-        codes = coder.inverse(_FRAMING_CTX, payload)
+        codes = coder.inverse(_FRAMING_CTX, payload, out=out)
     add_bytes("huffman", len(payload))
     escapes = decode_fixed(lossless_decompress(data[head + plen:]))
-    esc_mask = codes == _STREAM_ALPHABET_CAP - 1
-    if int(esc_mask.sum()) != escapes.size:
+    n_esc = 0  # an unbounded coder writes no escapes: its 65535 is an index
+    if coder.bounded_alphabet:
+        esc_mask = codes == _STREAM_ALPHABET_CAP - 1
+        n_esc = int(np.count_nonzero(esc_mask))
+    if n_esc != escapes.size:
         raise CorruptBlobError("index stream escape count mismatch")
     if escapes.size:
         u = escapes.astype(np.int64)
         codes[esc_mask] = np.where(u % 2 == 0, u // 2, -(u + 1) // 2)
-    return codes + offset
+    if offset:
+        np.add(codes, offset, out=codes)
+    return codes

@@ -31,6 +31,7 @@ import numpy as np
 
 from ..codecs import decompress as lossless_decompress
 from ..core.config import AdaptiveConfig, QPConfig
+from ..obs import span as stage
 from ..pipeline.driver import decode_engine_blob, encode_engine_sections, spec_for_blob
 from ..utils.blocks import iter_blocks
 from ..utils.levels import num_levels
@@ -154,7 +155,8 @@ class HPEZ(Compressor):
             candidates = _candidate_schemes(len(shape))
 
             def selector(arr: np.ndarray, level: int, c: EngineConfig) -> dict:
-                costs = [trial_level_bits(arr, level, c, s) for s in candidates]
+                with stage("scheme"):
+                    costs = [trial_level_bits(arr, level, c, s) for s in candidates]
                 return dict(candidates[int(np.argmin(costs))])
 
             cfg.scheme_selector = selector

@@ -51,6 +51,8 @@ __all__ = [
     "decompress_volumes",
     "level_error_bounds",
     "predict_fill",
+    "stack_key",
+    "stream_length",
 ]
 
 # thin aliases: the prediction kernels moved into the InterpPredict stage
@@ -368,11 +370,8 @@ def decompress_volume(
 
     spos = 0
     lpos = 0
-    for level in range(levels, stop_level, -1):
+    for level, passes in _schedule(shape, cfg, levels, stop_level):
         ctx.level = level
-        passes = _passes_for_level(shape, level, cfg)
-        if not passes:
-            continue
         ctx.method = methods[level]
         for p in passes:
             moved_shape, count = _stream_layout(shape, p)
@@ -381,14 +380,17 @@ def decompress_volume(
             for t in reversed(transforms):
                 q = t.inverse(ctx, q)
             indices = q.transpose(moveaxis_order(q.ndim, 0, p.axis))
-            # counted on the contiguous stream layout, twice as fast
-            n_lit = int(np.count_nonzero(q == quantize.sentinel))
+            # counted on the contiguous stream layout, twice as fast; with
+            # the literals used up a sentinel fails dequantization's check
+            n_lit = 0 if lpos == literals.size else int(
+                np.count_nonzero(q == quantize.sentinel)
+            )
             lits = literals[lpos:lpos + n_lit]
             lpos += n_lit
             with stage("predict"):
                 pred = predictor.forward(ctx, (arr, p))
             with stage("quantize"):
-                arr[p.target] = quantize.inverse(ctx, (indices, pred, lits))
+                quantize.inverse(ctx, (indices, pred, lits), out=arr[p.target])
     if stop_level or not exact_streams:
         if exact_streams:
             return arr
@@ -416,8 +418,8 @@ def predict_fill(
     """
     cfg = EngineConfig.from_meta(meta, error_bound=1.0)
     methods = {int(k): v for k, v in meta["methods"].items()}
-    for level in range(stop_level, 0, -1):
-        for p in _passes_for_level(arr.shape, level, cfg):
+    for level, passes in _schedule(arr.shape, cfg, stop_level):
+        for p in passes:
             with stage("predict"):
                 arr[p.target] = _pass_prediction(arr, p, methods[level])
     return arr
@@ -444,117 +446,116 @@ _STACK_KEYS = (
 )
 
 
-def _inverse_transforms_stacked(
-    ctx: StageContext, transforms: tuple, q_views: "list[np.ndarray]"
-) -> np.ndarray:
-    """Invert the index-transform chain on every volume's view of one pass;
-    returns the results stacked along a new leading axis.  Transforms
-    exposing ``inverse_multi`` (QP) take all views in one call."""
-    q = q_views
-    for t in reversed(transforms):
-        multi = getattr(t, "inverse_multi", None)
-        if multi is not None:
-            q = multi(ctx, q)
-        else:
-            q = np.stack([t.inverse(ctx, v) for v in q])
-    return np.stack(q) if q is q_views else q
+def stack_key(
+    meta: dict[str, Any], shape: "tuple[int, ...] | list[int]", dtype: Any,
+    error_bound: float,
+) -> tuple:
+    """Volumes with equal keys — equal shape, dtype, error bound, pass
+    schedule and quantizer (the equal slabs of one SZ3 volume) — decode as
+    one stack through :func:`decompress_volumes`."""
+    return (tuple(shape), np.dtype(dtype).str, error_bound, json.dumps(
+        [meta.get(k) for k in _STACK_KEYS], sort_keys=True
+    ))
+
+
+def stream_length(meta: dict[str, Any], shape: tuple[int, ...]) -> int:
+    """Length of the index stream the pass schedule of ``meta`` over
+    ``shape`` reads: the row length of a stack's index buffer."""
+    cfg = EngineConfig.from_meta(meta, error_bound=1.0)
+    return sum(
+        _stream_layout(shape, p)[1]
+        for _, passes in _schedule(shape, cfg, int(meta["levels"]))
+        for p in passes
+    )
+
+
+def _schedule(
+    shape: tuple[int, ...], cfg: EngineConfig, levels: int, stop_level: int = 0
+):
+    """``(level, passes)`` from the coarsest level down to ``stop_level +
+    1``, levels without passes skipped: the order every decode walk reads
+    the streams in."""
+    for level in range(levels, stop_level, -1):
+        passes = _passes_for_level(shape, level, cfg)
+        if passes:
+            yield level, passes
 
 
 def decompress_volumes(
     items: "list[tuple[dict[str, Any], np.ndarray, np.ndarray, np.ndarray, tuple[int, ...], np.dtype, float]]",
+    streams: np.ndarray,
 ) -> "list[np.ndarray]":
-    """Decompress several volumes, stacking the per-pass stages.
+    """Decompress volumes of one :func:`stack_key` as one stack, in place.
 
-    ``items`` holds ``(meta, index_stream, literals, anchors, shape, dtype,
-    error_bound)`` per volume — the :func:`decompress_volume` signature.
-    Items that share shape, dtype, pass schedule, error bound and level
-    factors (equal slabs of one SZ3 volume) stack: each pass's prediction
-    and dequantization run once over them along a new leading axis, one
-    set of Python dispatches for the group.  Every other item (a QoZ slab,
-    whose tuned level factors differ, or an odd-sized last slab) goes to
-    :func:`decompress_volume`.  Output is bit-identical to calling
-    :func:`decompress_volume` per item.
+    ``items`` holds ``(meta, index_stream, literals, anchors, shape,
+    dtype, error_bound)`` per volume — the :func:`decompress_volume`
+    signature — and ``streams`` is the ``(k, L)`` int64 buffer whose row
+    ``i`` holds item ``i``'s index stream (``L`` =
+    :func:`stream_length`); the walk overwrites it.  Each pass reads the
+    view ``streams[:, s:s + count]`` reshaped to ``(k,) + layout``: the
+    index transforms invert it in place (``inverse_multi``), literal
+    counts come from its contiguous rows, one prediction runs over the
+    stack of decoded volumes, and dequantization writes through the
+    pass's target view of the stacked output — no per-pass copy of
+    indices or values.  Returns views of one contiguous ``(k, *shape)``
+    array, bit-identical to :func:`decompress_volume` per item.
     """
-    groups: dict[tuple, list[int]] = {}
-    for i, (meta, _, _, _, shape, dtype, eb) in enumerate(items):
-        key = (tuple(shape), np.dtype(dtype).str, eb, json.dumps(
-            [meta.get(k) for k in _STACK_KEYS], sort_keys=True
-        ))
-        groups.setdefault(key, []).append(i)
-    out: "list[np.ndarray | None]" = [None] * len(items)
-    for members in groups.values():
-        if len(members) == 1:
-            meta, stream, lits, anchors, shape, dtype, eb = items[members[0]]
-            out[members[0]] = decompress_volume(
-                meta, stream, lits, anchors, tuple(shape), dtype, eb
-            )
-            continue
-        stacked = _decompress_stacked([items[i] for i in members])
-        for i, arr in zip(members, stacked):
-            out[i] = arr
-    return out
-
-
-def _decompress_stacked(items: list) -> "list[np.ndarray]":
-    """:func:`decompress_volumes` for items of one stack key; returns views
-    of one contiguous stacked array."""
-    meta0, _, _, _, shape0, dtype0, eb0 = items[0]
-    shape = tuple(shape0)
-    n = len(items)
-    cfg = EngineConfig.from_meta(meta0, eb0)
+    meta0, _, _, _, shape, dtype, eb = items[0]
+    shape = tuple(shape)
+    k = len(items)
+    cfg = EngineConfig.from_meta(meta0, eb)
     transforms = cfg.index_transforms()
     quantize = cfg.quantize_stage()
-    ctx = StageContext(sentinel=quantize.sentinel, dtype=dtype0)
+    sentinel = quantize.sentinel
+    ctx = StageContext(sentinel=sentinel, dtype=dtype)
     methods_list = [
-        {int(k): v for k, v in it[0]["methods"].items()} for it in items
+        {int(m): v for m, v in it[0]["methods"].items()} for it in items
     ]
-    arr_st = np.zeros((n,) + shape, dtype=dtype0)
+    arr_st = np.zeros((k,) + shape, dtype=dtype)
     anchor_st = arr_st[(slice(None),) + anchor_slices(shape)]
     for i, it in enumerate(items):
         anchor_st[i] = it[3].reshape(anchor_st.shape[1:])
-    spos = [0] * n
-    lpos = [0] * n
-    ndim = len(shape)
-    for level in range(int(meta0["levels"]), 0, -1):
+    literals = [it[2] for it in items]
+    lpos = [0] * k
+    spos = 0
+    for level, passes in _schedule(shape, cfg, int(meta0["levels"])):
         ctx.level = level
-        passes = _passes_for_level(shape, level, cfg)
-        if not passes:
-            continue
         level_methods = [m[level] for m in methods_list]
         method = level_methods[0] if len(set(level_methods)) == 1 else None
         for p in passes:
             moved_shape, count = _stream_layout(shape, p)
-            q_views = []
-            for i, it in enumerate(items):
-                q_views.append(it[1][spos[i]:spos[i] + count].reshape(moved_shape))
-                spos[i] += count
-            q = _inverse_transforms_stacked(ctx, transforms, q_views)
-            indices = q.transpose(moveaxis_order(q.ndim, 1, p.axis + 1))
-            unpred = indices == quantize.sentinel
-            lit_counts = unpred.sum(axis=tuple(range(1, ndim + 1)))
+            rows = streams[:, spos:spos + count]
+            spos += count
+            q = rows.reshape((k,) + moved_shape)
+            for t in reversed(transforms):
+                t.inverse_multi(ctx, q)
+            # each volume's literals, counted on its contiguous row;
+            # dequantize takes them in C order of the stacked indices, i.e.
+            # volume-major — exactly this concatenation.  A volume whose
+            # literals are used up takes none: its sentinels, if any, fail
+            # dequantization's count check
             lit_parts = []
-            for i in range(n):
-                c = int(lit_counts[i])
-                lit_parts.append(items[i][2][lpos[i]:lpos[i] + c])
-                lpos[i] += c
-            # dequantize places literals in C order of the stacked
-            # indices, i.e. volume-major — exactly this concatenation
-            lits = np.concatenate(lit_parts)
+            for i, row in enumerate(rows):
+                if lpos[i] < literals[i].size:
+                    c = int(np.count_nonzero(row == sentinel))
+                    lit_parts.append(literals[i][lpos[i]:lpos[i] + c])
+                    lpos[i] += c
+            lits = np.concatenate(lit_parts) if lit_parts else literals[0][:0]
             with stage("predict"):
                 if method is not None:
                     pred = _pass_prediction_stacked(arr_st, p, method)
                 else:  # methods diverge at this level: predict per volume
                     pred = np.stack([
                         _pass_prediction(arr_st[i], p, level_methods[i])
-                        for i in range(n)
+                        for i in range(k)
                     ])
+            indices = q.transpose(moveaxis_order(q.ndim, 1, p.axis + 1))
             with stage("quantize"):
-                arr_st[(slice(None),) + p.target] = quantize.inverse(
-                    ctx, (indices, pred, lits)
+                quantize.inverse(
+                    ctx, (indices, pred, lits),
+                    out=arr_st[(slice(None),) + p.target],
                 )
-    for i, it in enumerate(items):
-        if spos[i] != it[1].size:
-            raise ValueError("index stream size mismatch")
-        if lpos[i] != it[2].size:
+    for i, lits in enumerate(literals):
+        if lpos[i] != lits.size:
             raise ValueError("literal stream size mismatch")
-    return [arr_st[i] for i in range(n)]
+    return [arr_st[i] for i in range(k)]

@@ -13,6 +13,7 @@ import numpy as np
 
 from ..core.autotune import score_run
 from ..core.config import AdaptiveConfig, QPConfig
+from ..obs import span as stage
 from .interp_engine import EngineConfig, level_error_bounds
 from .sz3 import SZ3, _center_sample
 
@@ -95,26 +96,28 @@ def tune_level_eb(
     """Pick (alpha, beta) maximizing ``psnr - 6.02 * bits_per_point`` on a
     central sample (QoZ's quality-metric-oriented auto-tuner, also inherited
     by HPEZ), scored by the joint tuner's
-    :func:`~repro.core.autotune.score_run`."""
+    :func:`~repro.core.autotune.score_run`.  The trials run under the
+    ``tune`` span; fixed ``alpha`` and ``beta`` run none."""
     if alpha != "auto" and beta != "auto":
         return float(alpha), float(beta)
     alphas = _ALPHA_CANDIDATES if alpha == "auto" else (float(alpha),)
     betas = _BETA_CANDIDATES if beta == "auto" else (float(beta),)
-    sample = _center_sample(data, 32)
-    value_range = float(sample.max() - sample.min()) or 1.0
-    best, best_score = (alphas[0], betas[0]), -np.inf
-    for a in alphas:
-        for b in betas:
-            if a == 1.0 and b != betas[0]:
-                continue  # alpha=1 makes beta irrelevant
-            cfg = EngineConfig(
-                error_bound=error_bound,
-                radius=radius,
-                interp=interp,
-                level_eb_factors=level_error_bounds(error_bound, levels, a, b),
-                qp=QPConfig.disabled(),
-            )
-            score = score_run(sample, cfg, value_range)[0]
-            if score > best_score:
-                best, best_score = (a, b), score
+    with stage("tune"):
+        sample = _center_sample(data, 32)
+        value_range = float(sample.max() - sample.min()) or 1.0
+        best, best_score = (alphas[0], betas[0]), -np.inf
+        for a in alphas:
+            for b in betas:
+                if a == 1.0 and b != betas[0]:
+                    continue  # alpha=1 makes beta irrelevant
+                cfg = EngineConfig(
+                    error_bound=error_bound,
+                    radius=radius,
+                    interp=interp,
+                    level_eb_factors=level_error_bounds(error_bound, levels, a, b),
+                    qp=QPConfig.disabled(),
+                )
+                score = score_run(sample, cfg, value_range)[0]
+                if score > best_score:
+                    best, best_score = (a, b), score
     return best

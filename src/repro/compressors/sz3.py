@@ -10,6 +10,7 @@ inactive on the Lorenzo path.
 """
 from __future__ import annotations
 
+import math
 from typing import Any
 
 import numpy as np
@@ -47,6 +48,8 @@ from .interp_engine import (
     _pass_prediction as _engine_pass_prediction,
     compress_volume,
     decompress_volumes,
+    stack_key,
+    stream_length,
 )
 
 __all__ = ["SZ3"]
@@ -237,6 +240,14 @@ class SZ3(Compressor):
         self, data: np.ndarray, state: CompressionState | None
     ) -> tuple[dict[str, Any], dict[str, bytes]]:
         predictor, trial = self._select_predictor_with_trial(data)
+        return self._compress_as(predictor, trial, data, state)
+
+    def _compress_as(
+        self, predictor: str, trial, data: np.ndarray,
+        state: CompressionState | None,
+    ) -> tuple[dict[str, Any], dict[str, bytes]]:
+        """Header and sections of ``data`` on the chosen predictor's path
+        (``trial``: the selection's Lorenzo encoding, or None)."""
         if predictor == "lorenzo":
             return self._compress_lorenzo(data, state, trial)
         if predictor == "regression":
@@ -261,12 +272,13 @@ class SZ3(Compressor):
         """Streaming front split: interp slabs stop before entropy coding.
 
         Lorenzo/regression wins have no separable entropy seam, so those
-        slabs fall back to the whole-blob default (still byte-identical
-        to ``compress(slab)``)."""
+        slabs are framed whole here, from the selection already made
+        (byte-identical to ``compress(slab)``)."""
         slab = check_ndarray(slab)
-        predictor, _trial = self._select_predictor_with_trial(slab)
+        predictor, trial = self._select_predictor_with_trial(slab)
         if predictor != "interp":
-            return self.compress(slab)
+            header, sections = self._compress_as(predictor, trial, slab, None)
+            return self._frame_blob(slab.shape, slab.dtype, header, sections)
         cfg = self._engine_config(slab)
         meta, stream, literals, anchors, _ = compress_volume(slab, cfg, None)
         header: dict[str, Any] = {"predictor": "interp", "engine": meta}
@@ -411,73 +423,73 @@ class SZ3(Compressor):
         )
 
     def _decompress_many(self, blobs: "list[Blob]") -> "list[np.ndarray]":
-        """Batch decode: each blob's index stream is entropy-decoded on its
-        own; interpolation-path blobs of one geometry then share stacked
-        prediction and dequantization via :func:`decompress_volumes`, and
-        equal-geometry Lorenzo blobs one stacked prefix-sum inverse.  The
-        rest finish per blob on their decoded streams."""
-        if len(blobs) <= 1:
-            return [self._decompress(b) for b in blobs]
-        streams = [decode_index_stream(b.sections["indices"]) for b in blobs]
-        fronts = [spec_for_blob(b.header).stages[0].stage for b in blobs]
-        interp = [i for i, f in enumerate(fronts) if f == "interp_predict"]
-        outs: "list[np.ndarray | None]" = [None] * len(blobs)
-        if len(interp) > 1:
-            items = [engine_decode_item(blobs[i], streams[i]) for i in interp]
-            for i, arr in zip(interp, decompress_volumes(items)):
-                outs[i] = arr
-        lorenzo = [
-            i for i, f in enumerate(fronts)
-            if outs[i] is None and f == "lorenzo_predict"
-        ]
-        if len(lorenzo) > 1:
-            batched = self._decompress_lorenzo_many(
-                [blobs[i] for i in lorenzo], [streams[i] for i in lorenzo]
-            )
-            if batched is not None:
-                for i, arr in zip(lorenzo, batched):
-                    outs[i] = arr
+        """Batch decode.  Blobs are grouped by their headers before any
+        index stream is decoded: interpolation blobs of one
+        :func:`~repro.compressors.interp_engine.stack_key`, and Lorenzo
+        blobs of one geometry.  Each group of two or more gets one
+        ``(k, L)`` int64 buffer; every member's index stream decodes
+        straight into its row, and the stacked walk
+        (:func:`decompress_volumes`, :meth:`_decompress_lorenzo_many`)
+        inverts the buffer in place.  Every other blob decodes alone."""
+        groups: dict[tuple, list[int]] = {}
         for i, b in enumerate(blobs):
-            if outs[i] is None:
-                outs[i] = self._finish_decompress(b, streams[i])
-        return outs
+            key = _stack_group(b.header)
+            if key is not None:
+                groups.setdefault(key, []).append(i)
+        outs: "list[np.ndarray | None]" = [None] * len(blobs)
+        for (front, *_), members in groups.items():
+            if len(members) < 2:
+                continue
+            group = [blobs[i] for i in members]
+            header = group[0].header
+            shape = tuple(header["shape"])
+            length = (
+                stream_length(header["engine"], shape)
+                if front == "interp_predict" else math.prod(shape)
+            )
+            buf = np.empty((len(group), length), dtype=np.int64)
+            for b, row in zip(group, buf):
+                decode_index_stream(b.sections["indices"], out=row)
+            if front == "interp_predict":
+                arrs = decompress_volumes(
+                    [engine_decode_item(b, row) for b, row in zip(group, buf)],
+                    buf,
+                )
+            else:
+                arrs = self._decompress_lorenzo_many(group, buf)
+            for i, arr in zip(members, arrs):
+                outs[i] = arr
+        return [
+            self._decompress(b) if out is None else out
+            for b, out in zip(blobs, outs)
+        ]
 
     def _decompress_lorenzo_many(
-        self, blobs: "list[Blob]", streams: "list[np.ndarray]"
-    ) -> "list[np.ndarray] | None":
-        """Stacked Lorenzo inverse for equal-geometry blobs.
+        self, blobs: "list[Blob]", q: np.ndarray
+    ) -> "list[np.ndarray]":
+        """Stacked Lorenzo inverse for equal-geometry blobs whose index
+        streams are the rows of ``q`` (``(k, prod(shape))`` int64,
+        overwritten).
 
-        The slabs' indices fill one contiguous stack.  Where the native
-        library loads, each slab integrates in place with one C call
-        (every axis but the stack's batch axis); on numpy the prefix-sum
-        inverse treats leading axes as batch, so N slabs integrate in one
-        set of cumsums instead of N, and escapes reinstate with a single
-        slab-major scatter (C order matches the per-slab streams
-        concatenated).  The per-slab quantization steps broadcast over the
-        stack, so values are bit-identical to per-blob
+        Where the native library loads, each slab integrates in place with
+        one C call (every axis but the stack's batch axis); on numpy the
+        prefix-sum inverse treats leading axes as batch, so N slabs
+        integrate in one set of cumsums instead of N, and escapes reinstate
+        with a single slab-major scatter (C order matches the per-slab
+        streams concatenated).  The per-slab quantization steps broadcast
+        over the stack, so values are bit-identical to per-blob
         :func:`lorenzo_decode`.  Returns views of one contiguous stacked
-        array — slab reassembly upstream can then skip its copy.  ``None``
-        when geometries differ (caller falls back to the per-blob path).
+        array — slab reassembly upstream can then skip its copy.
         """
         h0 = blobs[0].header
         shape = tuple(h0["shape"])
         dtype = np.dtype(h0["dtype"])
         sentinel = int(h0["sentinel"])
-        for b in blobs[1:]:
-            h = b.header
-            if (
-                tuple(h["shape"]) != shape
-                or np.dtype(h["dtype"]) != dtype
-                or int(h["sentinel"]) != sentinel
-            ):
-                return None
-        q = np.empty((len(blobs),) + shape, dtype=np.int64)
-        esc_parts = []
-        for row, (b, stream) in enumerate(zip(blobs, streams)):
-            q[row] = stream.reshape(shape)
-            esc_parts.append(
-                _unzigzag(decode_fixed(lossless_decompress(b.sections["escapes"])))
-            )
+        q = q.reshape((len(blobs),) + shape)
+        esc_parts = [
+            _unzigzag(decode_fixed(lossless_decompress(b.sections["escapes"])))
+            for b in blobs
+        ]
         # the slabs share shape, sentinel and escape dtype, so the C kernel
         # takes all of them or none
         if lorenzo_integrate(q[0], esc_parts[0], sentinel):
@@ -492,6 +504,24 @@ class SZ3(Compressor):
         with stage("quantize"):
             out = (q * steps.reshape((-1,) + (1,) * len(shape))).astype(dtype)
         return [out[row] for row in range(len(blobs))]
+
+
+def _stack_group(header: dict) -> "tuple | None":
+    """The batch decode's group of a blob, from its validated header: the
+    frontend stage id, then what must match for blobs to share a stack;
+    None for a blob that always decodes alone (regression)."""
+    front = spec_for_blob(header).stages[0].stage
+    if front == "interp_predict":
+        return (front, stack_key(
+            header["engine"], header["shape"], header["dtype"],
+            header["error_bound"],
+        ))
+    if front == "lorenzo_predict":
+        return (
+            front, tuple(header["shape"]), np.dtype(header["dtype"]).str,
+            int(header["sentinel"]),
+        )
+    return None
 
 
 def _integrate_stack_numpy(

@@ -132,23 +132,57 @@ def qp_inverse(
     if dim is None:
         return qp
     with span("qp.inverse", dim=dim, level=level):
-        if dim in ("1d-back", "1d-top", "1d-left"):
-            return _inverse_1d(qp, sentinel, config.condition, dim)
-        if dim == "2d":
-            return _inverse_2d(qp, sentinel, config.condition)
-        return _inverse_3d(qp, sentinel, config.condition)
+        return _inverse(qp, sentinel, config.condition, dim)
 
 
 def qp_inverse_multi(
-    parts: "list[np.ndarray]", sentinel: int, config: QPConfig, level: int
+    qs: np.ndarray, sentinel: int, config: QPConfig, level: int
 ) -> np.ndarray:
-    """Invert :func:`qp_forward` for N equal-shape pass arrays; returns the
-    results stacked along a new leading axis.  Each part is inverted on its
-    own (one C call each where the native library loads)."""
-    shape = parts[0].shape
-    if any(p.shape != shape for p in parts[1:]):
-        raise ValueError("qp_inverse_multi requires equal-shape parts")
-    return np.stack([qp_inverse(p, sentinel, config, level) for p in parts])
+    """Invert :func:`qp_forward` in place on every part ``qs[i]`` of a
+    stack of equal pass arrays; returns ``qs``.
+
+    Each part must be C-contiguous, as the rows of a stacked decode's
+    index buffer are (``qs`` itself need not be).  Where the native
+    library loads, the C walks and Case I's prefix sums run on each part
+    itself; the 3-D walk of a part of rank 4 or more (its back axis moves
+    beside the plane) and the numpy path invert into scratch and copy
+    back.
+    """
+    if not config.applies_to_level(level):
+        return qs
+    dim = effective_dimension(config.dimension, qs.ndim - 1)
+    if dim is None:
+        return qs
+    cond = config.condition
+    with span("qp.inverse", dim=dim, level=level, batch=len(qs)):
+        lib = _native_lib(qs.dtype, sentinel)
+        for part in qs:
+            if not part.flags.c_contiguous or not part.flags.writeable:
+                raise ValueError("qp_inverse_multi needs writable C-contiguous parts")
+            if lib is None or not _inverse_in_place(lib, part, sentinel, cond, dim):
+                part[...] = _inverse(part, sentinel, cond, dim)
+    return qs
+
+
+def _inverse(qp: np.ndarray, sentinel: int, cond: str, dim: str) -> np.ndarray:
+    if dim in ("1d-back", "1d-top", "1d-left"):
+        return _inverse_1d(qp, sentinel, cond, dim)
+    if dim == "2d":
+        return _inverse_2d(qp, sentinel, cond)
+    return _inverse_3d(qp, sentinel, cond)
+
+
+def _inverse_in_place(lib, q: np.ndarray, sentinel: int, cond: str, dim: str) -> bool:
+    """Invert the C-contiguous int64 ``q`` in place with one C call; False,
+    with ``q`` untouched, where the walk needs another layout (3-D at rank
+    4 or more)."""
+    if cond == "I":
+        _prefix_sums(lib, q, q, *_case1_sums(q.shape, dim))
+        return True
+    if dim == "3d" and q.ndim != 3:
+        return False
+    _walk_native(lib, q, sentinel, cond, dim)
+    return True
 
 
 # -- native kernels ----------------------------------------------------------
@@ -235,20 +269,43 @@ def _walk_native(lib, q: np.ndarray, sentinel: int, cond: str, dim: str) -> np.n
     return q
 
 
-def _prefix_sums_native(qp: np.ndarray, dims: tuple[int, ...], axes: int):
-    """Case I's inverse in C: a new array of the prefix sums of ``qp``,
-    seen as the rank-4 C-order array ``dims``, along the axes whose bits
-    are set in ``axes`` (``native.c``'s ``repro_prefix_sums``).  None
-    where numpy must run."""
-    lib = _native_lib(qp.dtype, 0)
-    if lib is None:
-        return None
-    src = np.ascontiguousarray(qp)
-    q = np.empty(qp.shape, dtype=np.int64)
+def _case1_sums(shape: tuple[int, ...], dim: str) -> tuple[tuple[int, ...], int]:
+    """Case I's inverse as ``native.c``'s ``repro_prefix_sums`` runs it on
+    a pass array of ``shape``: the rank-4 C-order extents it sees the
+    array as, and the bits of the axes it sums along.  Unconditional
+    Lorenzo is a first difference along each of its axes, so the inverse
+    is one prefix sum per axis."""
+    if dim == "2d":
+        return (1, _prod(shape[:-2]), *shape[-2:]), 12
+    if dim == "3d":  # back, top, left
+        return (shape[0], _prod(shape[1:-2]), *shape[-2:]), 13
+    axis = _axis_1d(dim, len(shape))
+    outer, n, inner = _prod(shape[:axis]), shape[axis], _prod(shape[axis + 1:])
+    if inner == 1:  # the last axis: sum along the kernel's rows
+        return (1, 1, outer, n), 8
+    return (1, outer, n, inner), 4
+
+
+def _prefix_sums(lib, q: np.ndarray, src: np.ndarray, dims, axes: int) -> None:
+    """The prefix sums of the C-contiguous ``src``, seen as the rank-4
+    C-order array ``dims``, along the axes whose bits are set in ``axes``,
+    into ``q`` of its layout (``src is q`` sums in place; otherwise the
+    kernel copies as it sums)."""
     lib.repro_prefix_sums(
         q.ctypes.data, src.ctypes.data, (ctypes.c_int64 * 4)(*dims), axes, 0,
         None, -1,
     )
+
+
+def _prefix_sums_native(qp: np.ndarray, dims: tuple[int, ...], axes: int):
+    """Case I's inverse in C: a new array of the prefix sums of ``qp``
+    (:func:`_prefix_sums`; :func:`_case1_sums` gives ``dims`` and
+    ``axes``).  None where numpy must run."""
+    lib = _native_lib(qp.dtype, 0)
+    if lib is None:
+        return None
+    q = np.empty(qp.shape, dtype=np.int64)
+    _prefix_sums(lib, q, np.ascontiguousarray(qp), dims, axes)
     return q
 
 
@@ -262,12 +319,7 @@ def _inverse_1d(qp: np.ndarray, sentinel: int, cond: str, dim: str) -> np.ndarra
         # Unconditional 1-D Lorenzo is a first difference along ``axis``; its
         # inverse is a prefix sum — O(N) fully vectorized, no line walk
         # (same fast path _inverse_2d has for the separable 2-D case).
-        shape = qp.shape
-        outer, n, inner = _prod(shape[:axis]), shape[axis], _prod(shape[axis + 1:])
-        if inner == 1:  # the last axis: sum along the kernel's rows
-            q = _prefix_sums_native(qp, (1, 1, outer, n), 8)
-        else:
-            q = _prefix_sums_native(qp, (1, outer, n, inner), 4)
+        q = _prefix_sums_native(qp, *_case1_sums(qp.shape, dim))
         return np.cumsum(qp, axis=axis) if q is None else q
     lib = _native_lib(qp.dtype, sentinel)
     if lib is not None:
@@ -328,7 +380,7 @@ def _inverse_2d(qp: np.ndarray, sentinel: int, cond: str) -> np.ndarray:
         # inverse is two prefix sums — O(N) fully vectorized, no wavefront.
         # (This implements the paper's future-work item on reducing QP's
         # computational overhead for the unconditional case.)
-        q = _prefix_sums_native(qp, (1, _prod(qp.shape[:-2]), *qp.shape[-2:]), 12)
+        q = _prefix_sums_native(qp, *_case1_sums(qp.shape, "2d"))
         if q is not None:
             return q
         q = np.cumsum(qp, axis=-1)
@@ -418,10 +470,7 @@ def _inverse_3d(qp: np.ndarray, sentinel: int, cond: str) -> np.ndarray:
     if cond == "I":
         # The unconditional 3-D Lorenzo difference is separable too: its
         # inverse is one prefix sum per axis (back, top, left).
-        shape = qp.shape
-        q = _prefix_sums_native(
-            qp, (shape[0], _prod(shape[1:-2]), *shape[-2:]), 13
-        )
+        q = _prefix_sums_native(qp, *_case1_sums(qp.shape, "3d"))
         if q is not None:
             return q
         q = np.cumsum(qp, axis=-1)

@@ -35,9 +35,9 @@ produced its numbers.
 
 The float kernels walk one strided array per call through the rank-4
 geometry :func:`view_geometry` builds (the Lorenzo kernels with no axes
-merged), and the quantizers take their constants as a
-:class:`QuantParams`; :func:`float_kernel` picks a kernel's float32 or
-float64 instantiation.
+merged; the decode kernels also write their output through it), and the
+quantizers take their constants as a :class:`QuantParams`;
+:func:`float_kernel` picks a kernel's float32 or float64 instantiation.
 """
 from __future__ import annotations
 
@@ -183,6 +183,7 @@ def float_kernel(name: str, dtype: np.dtype):
 def view_geometry(
     shape: tuple[int, ...], strides: tuple[int, ...], itemsize: int,
     keep: int = -1, tail: tuple[int, ...] = (), merge: bool = True,
+    out: "tuple[tuple[int, ...], int] | None" = None,
 ):
     """The rank-4 view of a strided array that ``native.c``'s float kernels
     walk: four extents, then four strides in elements, then ``tail``.
@@ -192,31 +193,37 @@ def view_geometry(
     interpolation axis of a fill) neither merges nor drops, and its slot
     in the view comes after the strides, before ``tail``.  ``merge=False``
     merges no axes (the Lorenzo kernels difference along each of the
-    array's own axes).  ``None`` when more than four axes remain or a
-    stride is not a whole number of elements: the caller then runs numpy.
-    The result is cached and shared by every caller; the kernels only
-    read it.
+    array's own axes).  ``out`` is ``(strides, itemsize)`` of a second
+    array of the same shape that the kernel writes alongside (the decode
+    kernels' output): axes then merge only where both arrays allow, and
+    its four strides follow the first array's.  ``None`` when more than
+    four axes remain or a stride is not a whole number of elements: the
+    caller then runs numpy.  The result is cached and shared by every
+    caller; the kernels only read it.
     """
-    dims: list[list[int]] = []  # [extent, stride in elements, kept]
-    for axis, (n, stride) in enumerate(zip(shape, strides)):
-        if stride % itemsize:
+    arrays = ((strides, itemsize),) + ((out,) if out else ())
+    dims: list[list] = []  # [extent, kept, stride in elements per array]
+    for axis, n in enumerate(shape):
+        if any(st[axis] % size for st, size in arrays):
             return None
+        steps = [st[axis] // size for st, size in arrays]
         kept = axis == keep
         if n == 1 and not kept:
             continue
-        step = stride // itemsize
-        if (merge and dims and not kept and not dims[-1][2]
-                and dims[-1][1] == n * step):
+        if (merge and dims and not kept and not dims[-1][1]
+                and all(a == n * b for a, b in zip(dims[-1][2], steps))):
             dims[-1][0] *= n
-            dims[-1][1] = step
+            dims[-1][2] = steps
         else:
-            dims.append([n, step, kept])
+            dims.append([n, kept, steps])
     if len(dims) > 4:
         return None
-    dims = [[1, 0, False]] * (4 - len(dims)) + dims
-    geom = [d[0] for d in dims] + [d[1] for d in dims]
+    dims = [[1, False, [0] * len(arrays)]] * (4 - len(dims)) + dims
+    geom = [d[0] for d in dims]
+    for a in range(len(arrays)):
+        geom += [d[2][a] for d in dims]
     if keep >= 0:
-        geom.append([d[2] for d in dims].index(True))
+        geom.append([d[1] for d in dims].index(True))
     geom += tail
     return (ctypes.c_int64 * len(geom))(*geom)
 

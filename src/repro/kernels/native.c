@@ -405,6 +405,11 @@ static inline int keep_case(int cond, int ok, int64_t a, int64_t b, int64_t c)
     const int64_t n0 = geom[0], n1 = geom[1], n2 = geom[2], n3 = geom[3];   \
     const int64_t s0 = geom[4], s1 = geom[5], s2 = geom[6], s3 = geom[7]
 
+/* The strides of a second array walked alongside the view, in elements,
+ * following the view's in geom. */
+#define OUT_STRIDES                                                         \
+    const int64_t t0 = geom[8], t1 = geom[9], t2 = geom[10], t3 = geom[11]
+
 /* 1-D: the neighbour is the previous element along axis (0, 2 or 3).  As
  * in the inverse, the sign tests of III and IV only skip subtracting zero,
  * so Cases II-IV reduce to the sentinel test. */
@@ -529,7 +534,10 @@ void repro_qp_forward_3d(const int64_t *q, const int64_t *geom, int64_t cond,
 /* Each kernel walks one strided array in C order as a rank-4 view, read
  * through VIEW_GEOMETRY (repro.kernels merges and pads the caller's axes
  * to four).  Every other array of a call is C-contiguous with the view's
- * n0*n1*n2*n3 points, so point i of the walk sits at offset i there.
+ * n0*n1*n2*n3 points, so point i of the walk sits at offset i there, but
+ * for the decode kernels' output: they write it through four more strides
+ * (OUT_STRIDES), so a pass decodes straight into its target view of the
+ * working array.
  *
  * Each body is written once and instantiated for float32 (single = 1) and
  * float64; forcing it inline makes single a constant in each copy. */
@@ -626,15 +634,17 @@ BODY int64_t quantize_body(const void *v, const int64_t *geom, const void *p,
 }
 
 /* LinearQuantizer.dequantize of the indices w (geom): (T)(p + 2e * w),
- * and at each sentinel the next of the n_lit literals, in C order.  Reads
- * no literal past n_lit whatever w holds; returns the sentinel count, which
- * the caller checks against n_lit. */
+ * and at each sentinel the next of the n_lit literals, in C order, into
+ * out through its strides (OUT_STRIDES).  Reads no literal past n_lit
+ * whatever w holds, and leaves a sentinel past them unwritten; returns the
+ * sentinel count, which the caller checks against n_lit. */
 BODY int64_t dequantize_body(const int64_t *w, const int64_t *geom,
                              const void *p, const void *lit, int64_t n_lit,
                              const struct quant_params *par, void *out,
                              int single)
 {
     VIEW_GEOMETRY;
+    OUT_STRIDES;
     const double two_eb = par->two_eb;
     const int64_t sentinel = par->sentinel;
     int64_t i = 0, n = 0;
@@ -642,13 +652,15 @@ BODY int64_t dequantize_body(const int64_t *w, const int64_t *geom,
         for (int64_t i1 = 0; i1 < n1; i1++)
             for (int64_t i2 = 0; i2 < n2; i2++) {
                 const int64_t row = i0 * s0 + i1 * s1 + i2 * s2;
+                const int64_t to = i0 * t0 + i1 * t1 + i2 * t2;
                 for (int64_t k = 0; k < n3; k++, i++) {
                     int64_t x = w[row + k * s3];
                     if (x != sentinel)
-                        store(out, i, load(p, i, single) + two_eb * (double)x,
-                              single);
+                        store(out, to + k * t3,
+                              load(p, i, single) + two_eb * (double)x, single);
                     else if (n++ < n_lit)
-                        store(out, i, load(lit, n - 1, single), single);
+                        store(out, to + k * t3, load(lit, n - 1, single),
+                              single);
                 }
             }
     return n;
@@ -704,8 +716,8 @@ BODY int64_t adaptive_encode_body(const void *v, const int64_t *geom,
 }
 
 /* adaptive_decode: an index of magnitude >= threshold is hard and decodes
- * at the tight scale as sign(w) * (|w| + bias); literals and the return
- * value as in dequantize_body. */
+ * at the tight scale as sign(w) * (|w| + bias); the output, literals and
+ * the return value as in dequantize_body. */
 BODY int64_t adaptive_decode_body(const int64_t *w, const int64_t *geom,
                                   const void *p, const void *lit,
                                   int64_t n_lit,
@@ -713,6 +725,7 @@ BODY int64_t adaptive_decode_body(const int64_t *w, const int64_t *geom,
                                   int single)
 {
     VIEW_GEOMETRY;
+    OUT_STRIDES;
     const double two_eb = par->two_eb, two_tight = par->two_tight;
     const double threshold = par->threshold, bias = par->bias;
     const int64_t sentinel = par->sentinel;
@@ -721,18 +734,21 @@ BODY int64_t adaptive_decode_body(const int64_t *w, const int64_t *geom,
         for (int64_t i1 = 0; i1 < n1; i1++)
             for (int64_t i2 = 0; i2 < n2; i2++) {
                 const int64_t row = i0 * s0 + i1 * s1 + i2 * s2;
+                const int64_t to = i0 * t0 + i1 * t1 + i2 * t2;
                 for (int64_t k = 0; k < n3; k++, i++) {
                     int64_t x = w[row + k * s3];
                     if (x == sentinel) {
                         if (n++ < n_lit)
-                            store(out, i, load(lit, n - 1, single), single);
+                            store(out, to + k * t3, load(lit, n - 1, single),
+                                  single);
                         continue;
                     }
                     double wd = (double)x;
                     int hard = fabs(wd) >= threshold;
                     double q = hard ? sign_of(wd) * (fabs(wd) + bias) : wd;
                     double scale = hard ? two_tight : two_eb;
-                    store(out, i, load(p, i, single) + scale * q, single);
+                    store(out, to + k * t3, load(p, i, single) + scale * q,
+                          single);
                 }
             }
     return n;

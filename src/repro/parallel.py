@@ -481,11 +481,11 @@ class ParallelCompressor:
         """Decode every slab in one in-process batch and assemble in place.
 
         ``decompress_many`` groups the slab blobs by (compressor, error
-        bound) — always one group here.  Each slab's index stream is
-        entropy-decoded on its own (sharing the memoized Huffman tables);
-        equal SZ3 slabs then share stacked prediction and dequantization,
-        and come back as views of one array, so axis-0 reassembly is
-        copy-free.  Nothing round-trips through pickle or shared memory.
+        bound) — always one group here.  Equal SZ3 slabs decode their
+        index streams (sharing the memoized Huffman tables) into one
+        buffer, decode as one stack in place, and come back as views of
+        one array, so axis-0 reassembly is copy-free.  Nothing
+        round-trips through pickle or shared memory.
         """
         from .compressors.registry import decompress_many
 

@@ -242,9 +242,13 @@ class LinearQuantize:
         values, pred = payload
         return self.for_level(ctx.level).quantize(values, pred)
 
-    def inverse(self, ctx: StageContext, payload: Any) -> np.ndarray:
+    def inverse(
+        self, ctx: StageContext, payload: Any, out: "np.ndarray | None" = None
+    ) -> np.ndarray:
+        """Dequantize ``(indices, pred, literals)``; with ``out`` (the
+        pass's target view of the working array) the values land there."""
         indices, pred, literals = payload
-        return self.for_level(ctx.level).dequantize(indices, pred, literals)
+        return self.for_level(ctx.level).dequantize(indices, pred, literals, out)
 
 
 @register_stage("adaptive_quantize")
@@ -301,9 +305,11 @@ class AdaptiveLinearQuantize:
         metric_count("quantize.points", int(np.asarray(values).size))
         return result
 
-    def inverse(self, ctx: StageContext, payload: Any) -> np.ndarray:
+    def inverse(
+        self, ctx: StageContext, payload: Any, out: "np.ndarray | None" = None
+    ) -> np.ndarray:
         indices, pred, literals = payload
-        return self.for_level(ctx.level).dequantize(indices, pred, literals)
+        return self.for_level(ctx.level).dequantize(indices, pred, literals, out)
 
 
 # -- index-stream transforms --------------------------------------------------
@@ -317,9 +323,10 @@ class QPTransform:
     index-transform stages without knowing any is QP.  The wrapped kernels
     already no-op outside the configured case/levels, so the stage is
     always present in QP-capable pipelines and its config decides
-    activity.  ``inverse_multi`` inverts one pass of each volume in a
+    activity.  ``inverse_multi`` inverts one pass of every volume of a
     stacked decode (:func:`~repro.compressors.interp_engine.decompress_volumes`)
-    and returns the results stacked; each pass is inverted on its own.
+    in place: it takes the ``(k,) + layout`` view of the stack's index
+    buffer, whose parts are C-contiguous, and returns it.
     """
 
     #: engine-meta key this transform round-trips its config through
@@ -338,9 +345,7 @@ class QPTransform:
         with obs_span("qp"):
             return qp_inverse(q, ctx.sentinel, self.config, ctx.level)
 
-    def inverse_multi(
-        self, ctx: StageContext, qs: "list[np.ndarray]"
-    ) -> np.ndarray:
+    def inverse_multi(self, ctx: StageContext, qs: np.ndarray) -> np.ndarray:
         with obs_span("qp"):
             return qp_inverse_multi(qs, ctx.sentinel, self.config, ctx.level)
 
@@ -370,9 +375,11 @@ class HuffmanEncode:
     def forward(self, ctx: StageContext, codes: np.ndarray) -> bytes:
         return self._codec().encode(codes)
 
-    def inverse(self, ctx: StageContext, payload: bytes) -> np.ndarray:
+    def inverse(
+        self, ctx: StageContext, payload: bytes, out: "np.ndarray | None" = None
+    ) -> np.ndarray:
         # the container header carries its own block size
-        return HuffmanCodec().decode(payload)
+        return HuffmanCodec().decode(payload, out)
 
 
 @register_stage("range")
@@ -394,10 +401,20 @@ class RangeEncode:
 
         return RangeCodec().encode(codes)
 
-    def inverse(self, ctx: StageContext, payload: bytes) -> np.ndarray:
+    def inverse(
+        self, ctx: StageContext, payload: bytes, out: "np.ndarray | None" = None
+    ) -> np.ndarray:
         from ..codecs.rangecoder import RangeCodec
 
-        return RangeCodec().decode(payload)
+        values = RangeCodec().decode(payload)
+        if out is None:
+            return values
+        if values.size != out.size:
+            raise CorruptBlobError(
+                f"range stream holds {values.size} symbols, {out.size} expected"
+            )
+        out[...] = values
+        return out
 
 
 #: entropy stages by name — the only stages with a wire id, i.e. valid for

@@ -43,7 +43,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.config import ADAPTIVE_MAX_BITS
-from .linear import QuantResult, native_decode, native_encode, native_params
+from .linear import (
+    QuantResult, assign, native_decode, native_encode, native_params,
+)
 
 __all__ = [
     "AdaptiveLinearQuantizer",
@@ -198,16 +200,19 @@ class AdaptiveLinearQuantizer:
         return QuantResult(indices=wire, decoded=decoded, literals=literals)
 
     def dequantize(
-        self, indices: np.ndarray, preds: np.ndarray, literals: np.ndarray
+        self, indices: np.ndarray, preds: np.ndarray, literals: np.ndarray,
+        out: "np.ndarray | None" = None,
     ) -> np.ndarray:
+        """Invert :meth:`quantize`; ``out`` as in
+        :meth:`~repro.quantize.linear.LinearQuantizer.dequantize`."""
         indices = np.asarray(indices)
         preds = np.asarray(preds)
         native = native_decode(
-            "repro_adaptive_decode", indices, preds, literals, self._params
+            "repro_adaptive_decode", indices, preds, literals, self._params, out
         )
         if native is not None:
             return native
-        return adaptive_decode(
+        return assign(adaptive_decode(
             indices, preds, literals, self.error_bound, self.bits,
             self.threshold, self.radius,
-        )
+        ), out)

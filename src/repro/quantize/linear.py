@@ -106,21 +106,24 @@ class LinearQuantizer:
         return QuantResult(indices=qi, decoded=decoded, literals=literals)
 
     def dequantize(
-        self, indices: np.ndarray, preds: np.ndarray, literals: np.ndarray
+        self, indices: np.ndarray, preds: np.ndarray, literals: np.ndarray,
+        out: "np.ndarray | None" = None,
     ) -> np.ndarray:
         """Invert :meth:`quantize` for one pass.
 
         ``literals`` must contain exactly the unpredictable values of this
-        pass, in C order; a mismatch raises.
+        pass, in C order; a mismatch raises.  With ``out`` (an array of the
+        indices' shape, typically a strided view of the working array) the
+        values are written into it and it is returned.
         """
         indices = np.asarray(indices)
         preds = np.asarray(preds)
         native = native_decode(
-            "repro_dequantize", indices, preds, literals, self._params
+            "repro_dequantize", indices, preds, literals, self._params, out
         )
         if native is not None:
             return native
-        return self._dequantize_numpy(indices, preds, literals)
+        return assign(self._dequantize_numpy(indices, preds, literals), out)
 
     def _dequantize_numpy(
         self, indices: np.ndarray, preds: np.ndarray, literals: np.ndarray
@@ -198,14 +201,24 @@ def native_encode(
     return QuantResult(indices, decoded, literals), int(flat[-1])
 
 
+def assign(values: np.ndarray, out: "np.ndarray | None") -> np.ndarray:
+    """``values``, or ``out`` holding them: the numpy decodes' ``out=``."""
+    if out is None:
+        return values
+    out[...] = values
+    return out
+
+
 def native_decode(
     name: str, indices: np.ndarray, preds: np.ndarray, literals: np.ndarray,
-    params: "kernels.QuantParams | None",
+    params: "kernels.QuantParams | None", out: "np.ndarray | None" = None,
 ) -> "np.ndarray | None":
     """Run the C decode kernel ``name`` (``"repro_dequantize"`` or
-    ``"repro_adaptive_decode"``); ``None`` where numpy must run, as in
-    :func:`native_encode`.  The kernel never reads past ``literals``, and
-    a sentinel count other than ``literals.size`` raises the numpy path's
+    ``"repro_adaptive_decode"``) into ``out`` (a new array when None),
+    written through its strides; ``None`` where numpy must run, as in
+    :func:`native_encode`, and where ``out`` is not of the predictions'
+    shape and dtype.  The kernel never reads past ``literals``, and a
+    sentinel count other than ``literals.size`` raises the numpy path's
     error."""
     fn = kernels.float_kernel(name, preds.dtype)
     if (
@@ -213,7 +226,13 @@ def native_decode(
         or indices.dtype != np.int64 or indices.shape != preds.shape
     ):
         return None
-    geom = kernels.view_geometry(indices.shape, indices.strides, 8)
+    if out is None:
+        out = np.empty(preds.shape, dtype=preds.dtype)
+    elif out.shape != preds.shape or out.dtype != preds.dtype:
+        return None
+    geom = kernels.view_geometry(
+        indices.shape, indices.strides, 8, out=(out.strides, out.itemsize)
+    )
     if not preds.flags.c_contiguous:
         preds = np.ascontiguousarray(preds)
     lit_at = None
@@ -221,13 +240,16 @@ def native_decode(
         literals = np.ascontiguousarray(literals, dtype=preds.dtype)
         lit_at = kernels.address(literals)
     at, pred_at = kernels.address(indices), kernels.address(preds)
+    out_at = kernels.address(out)
     size = preds.itemsize
-    if geom is None or at % 8 or pred_at % size or (lit_at or 0) % size:
+    if (
+        geom is None or at % 8 or pred_at % size or (lit_at or 0) % size
+        or out_at % size or not out.flags.writeable
+    ):
         return None
-    out = np.empty(preds.shape, dtype=preds.dtype)
     n_unpred = fn(
         at, geom, pred_at, lit_at, literals.size,
-        ctypes.addressof(params), kernels.address(out),
+        ctypes.addressof(params), out_at,
     )
     if n_unpred != literals.size:
         raise ValueError(

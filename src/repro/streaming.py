@@ -298,7 +298,7 @@ def stream_decompress(
     ``source`` is anything :class:`~repro.io.container.ContainerReader`
     accepts (bytes, path, seekable file).  Segments are decoded in
     ``batch``-sized groups through ``decompress_many`` (equal SZ3 slabs
-    share stacked prediction and dequantization) and written straight into
+    decode as one stack, in place) and written straight into
     the preallocated output, so decode memory also stays O(slab).  When ``compressor`` is None, each segment dispatches
     through the registry on its own header.
     """

@@ -182,14 +182,25 @@ def test_qp_inverse(monkeypatch, shape, wrap):
 
 @pytest.mark.parametrize("shape", [(9, 11), (6, 7, 8), (3, 4, 5, 6)], ids=str)
 def test_qp_inverse_multi(monkeypatch, shape):
+    # the parts sit in the rows of a wider buffer, as a stacked decode
+    # hands them over; they are inverted in place and nothing beside them
+    # in the buffer changes
+    n = int(np.prod(shape))
     for k, (dim, cond) in enumerate(itertools.product(QP_DIMENSIONS, QP_CONDITIONS)):
         cfg = QPConfig(dimension=dim, condition=cond)
-        qs = [_sample(shape, 10 * k + i) for i in range(3)]
-        parts = [qp_forward(q, SENTINEL, cfg, level=1) for q in qs]
-        out = assert_paths_agree(
-            monkeypatch, lambda: qp_inverse_multi(parts, SENTINEL, cfg, level=1)
-        )
-        assert np.array_equal(out[0], np.stack(qs)), (dim, cond)
+        qs = np.stack([_sample(shape, 10 * k + i) for i in range(3)])
+        coded = np.stack([qp_forward(q, SENTINEL, cfg, level=1) for q in qs])
+
+        def invert():
+            buf = np.full((3, n + 5), 7, dtype=np.int64)
+            view = buf[:, 2:2 + n].reshape(coded.shape)
+            view[...] = coded
+            assert qp_inverse_multi(view, SENTINEL, cfg, level=1) is view
+            return buf
+
+        out = assert_paths_agree(monkeypatch, invert)
+        assert np.array_equal(out[0][:, 2:2 + n].reshape(qs.shape), qs), (dim, cond)
+        assert (out[0][:, :2] == 7).all() and (out[0][:, 2 + n:] == 7).all()
 
 
 # -- encode side ---------------------------------------------------------------
@@ -534,7 +545,9 @@ def test_decode_with_more_sentinels_than_literals(monkeypatch, dtype, quantizer)
     out = np.full(indices.shape, 99.0, dtype=dtype)
     count = fn(
         kernels.address(indices),
-        kernels.view_geometry(indices.shape, indices.strides, 8),
+        kernels.view_geometry(
+            indices.shape, indices.strides, 8, out=(out.strides, out.itemsize)
+        ),
         kernels.address(preds), kernels.address(buf), 4,
         ctypes.addressof(quant._params), kernels.address(out),
     )

@@ -341,6 +341,25 @@ def test_observation_never_changes_compressed_bytes():
     assert observed == plain
 
 
+def test_tuning_loops_run_under_their_spans():
+    from repro.compressors import get_compressor
+
+    x = np.linspace(0, 3, 20)
+    data = (np.sin(x)[:, None, None] * np.cos(x)[None, :, None]
+            + x[None, None, :]).astype(np.float32)
+
+    def span_names(comp):
+        ob = Observation()
+        with obs.observe(ob):
+            comp.compress(data)
+        return {s.name for s in ob.tracer.spans}
+
+    assert "tune" in span_names(get_compressor("qoz", 1e-3))
+    assert {"tune", "scheme"} <= span_names(get_compressor("hpez", 1e-3))
+    fixed = span_names(get_compressor("qoz", 1e-3, alpha=1.5, beta=3.0))
+    assert "tune" not in fixed and "compress" in fixed
+
+
 def test_stage_report_shape():
     ob = _sample_observation()
     rep = ob.stage_report(nbytes=4096)

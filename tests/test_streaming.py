@@ -278,6 +278,36 @@ def test_single_slab_stream_is_bit_identical_to_compress(name):
                                   comp.decompress(blob))
 
 
+def test_lorenzo_slabs_select_once_and_match_compress(monkeypatch):
+    # a random walk at rel 1e-4 picks Lorenzo on each of its three slabs;
+    # each streamed slab runs the selection once and frames its segment
+    # from that decision
+    from repro.compressors.sz3 import SZ3
+
+    rng = np.random.default_rng(5)
+    data = rng.standard_normal((48, 24, 24))
+    for axis in range(3):
+        data = np.cumsum(data, axis=axis)
+    data = data.astype(np.float32)
+    comp = get_compressor("sz3", 1e-4 * float(data.max() - data.min()))
+    chosen = []
+    real = SZ3._select_predictor_with_trial
+
+    def spy(self, slab):
+        out = real(self, slab)
+        chosen.append(out[0])
+        return out
+
+    monkeypatch.setattr(SZ3, "_select_predictor_with_trial", spy)
+    slab_bytes = _slab_bytes_for(data, 3)
+    sink = io.BytesIO()
+    comp.compress_stream(data, sink, slab_bytes=slab_bytes)
+    assert chosen == ["lorenzo"] * 3
+    slices = plan_slabs(data.shape, data.dtype, slab_bytes=slab_bytes)
+    for seg, sl in zip(ContainerReader(sink.getvalue()), slices):
+        assert seg == comp.compress(np.ascontiguousarray(data[sl]))
+
+
 def test_stream_checksum_mode_round_trips():
     data = _small_field()
     comp = get_compressor("sz3", 1e-2, qp=QPConfig())

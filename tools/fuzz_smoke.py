@@ -102,6 +102,18 @@ def _build_targets(seed: int):
         slab_bytes = (data.shape[0] // 3) * data[0].nbytes
         comp.compress_stream(data, sink, slab_bytes=slab_bytes)
         targets.append((f"stream[{name}]", sink.getvalue(), stream_decompress))
+    # equal slabs decode as one stack, inverted in place: QP's 3-D walk
+    # over each slab's part of the stack's index buffer, and float64
+    # values dequantized through the strided pass views
+    for label, payload, qp in (
+        ("sz3,qp=3d", data, QPConfig(dimension="3d")),
+        ("sz3,f64", data64, QPConfig()),
+    ):
+        comp = get_compressor("sz3", 1e-2, qp=qp)
+        sink = io.BytesIO()
+        slab_bytes = (payload.shape[0] // 3) * payload[0].nbytes
+        comp.compress_stream(payload, sink, slab_bytes=slab_bytes)
+        targets.append((f"stream[{label}]", sink.getvalue(), stream_decompress))
     # three equal Lorenzo slabs, which decode as one stack
     comp = get_compressor("sz3", 1e-2, predictor="lorenzo", radius=8)
     sink = io.BytesIO()
