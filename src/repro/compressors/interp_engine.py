@@ -17,12 +17,14 @@ replays the identical pass schedule with each stage inverted.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
 from ..core.config import AdaptiveConfig, QPConfig
+from ..errors import CorruptBlobError
 from ..obs import span as stage
 from ..pipeline.stages import (
     AdaptiveLinearQuantize,
@@ -47,6 +49,7 @@ from .base import CompressionState
 __all__ = [
     "EngineConfig",
     "compress_volume",
+    "compress_volumes",
     "decompress_volume",
     "decompress_volumes",
     "level_error_bounds",
@@ -222,7 +225,8 @@ def compress_volume(
     order, ``literals`` the unpredictable values in the same order,
     ``anchors`` the exact coarsest-grid values, and ``decoded`` the
     working array after the closed loop — the values the decompressor
-    will reconstruct (the auto-tuner scores PSNR on it).
+    will reconstruct.  (The auto-tuner's trials run through
+    :func:`compress_volumes`, which builds no blob.)
 
     ``state``, when given, receives the characterization volumes
     (``index_volume``, ``extras["index_volume_qp"]`` and
@@ -235,9 +239,8 @@ def compress_volume(
     ``literals`` the pass's literal count, and ``max_residual`` the largest
     |original - prediction| of the pass in float64.  The progressive
     compressor uses these to split the streams at level boundaries and to
-    derive per-level achievable error bounds; the auto-tuner re-scores
-    index transforms on ``indices`` without another engine run.  The wire
-    bytes are unaffected.
+    derive per-level achievable error bounds.  The wire bytes are
+    unaffected.
     """
     arr = data.copy()
     shape = arr.shape
@@ -335,6 +338,89 @@ def compress_volume(
     return meta, index_stream, literals, anchors, arr
 
 
+def compress_volumes(
+    stack: np.ndarray, cfg: EngineConfig
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[int, np.ndarray]]]":
+    """Run the engine once over the equal volumes ``stack[i]``.
+
+    The compress-side twin of :func:`decompress_volumes`: ``stack`` is
+    ``(k, *shape)``, and no pass interpolates along its leading axis.  Each
+    pass runs one prediction over the stack
+    (:meth:`InterpPredict.pass_prediction_stacked`) and one quantization
+    over the ``(k,) + target`` view.  The index transforms run per volume
+    on row views, because QP's dimension degrades with the per-volume
+    rank.  With ``interp="auto"`` every volume chooses its own method per
+    level, and where the choices diverge the level predicts per volume.
+
+    Returns ``(streams, n_literals, decoded, passes)``: the ``(k, L)``
+    int64 array whose row ``i`` is the index stream
+    :func:`compress_volume` gives ``stack[i]``, the ``(k,)`` literal
+    counts, the decoded ``(k, *shape)`` stack, and one ``(level,
+    indices)`` per pass in schedule order, where ``indices`` is the
+    ``(k,) + layout`` view of the pass's indices before the transforms
+    (``level_stats``' ``indices`` of every volume).  Nothing here goes
+    into a blob — no meta, literal values or anchors; the auto-tuner
+    scores trials with it, and :func:`compress_volume` writes blobs.
+    """
+    if cfg.scheme_selector is not None:
+        raise ValueError("compress_volumes runs fixed level schemes only")
+    arr = stack.copy()
+    k, shape = arr.shape[0], arr.shape[1:]
+    ndim = len(shape)
+    quantize = cfg.quantize_stage()
+    transforms = cfg.index_transforms()
+    sentinel = quantize.sentinel
+    ctx = StageContext(sentinel=sentinel, dtype=stack.dtype)
+    # every point but the anchors is predicted by exactly one pass
+    length = arr[0].size - arr[0][anchor_slices(shape)].size
+    streams = np.empty((k, length), dtype=np.int64)
+    n_literals = np.zeros(k, dtype=np.int64)
+    views: list[tuple[int, np.ndarray]] = []
+    spos = 0
+    for level, passes in _schedule(shape, cfg, num_levels(shape)):
+        ctx.level = level
+        first = passes[0]
+        first_pred: np.ndarray | None = None
+        if cfg.interp == "auto":
+            with stage("predict"):
+                chosen = [InterpPredict.choose(arr[i], first) for i in range(k)]
+            level_methods = [m for m, _ in chosen]
+            preds = [pred for _, pred in chosen]
+            first_pred = np.stack(preds) if k > 1 else preds[0][None]
+        else:
+            level_methods = [cfg.interp] * k
+        method = level_methods[0] if len(set(level_methods)) == 1 else None
+        for p in passes:
+            with stage("predict"):
+                if first_pred is not None and p is first:
+                    pred = first_pred
+                elif method is not None:
+                    pred = _pass_prediction_stacked(arr, p, method)
+                else:  # methods diverge at this level: predict per volume
+                    pred = np.stack([
+                        _pass_prediction(arr[i], p, level_methods[i])
+                        for i in range(k)
+                    ])
+            target_view = arr[(slice(None),) + p.target]
+            with stage("quantize"):
+                res = quantize.forward(ctx, (target_view, pred))
+            target_view[...] = res.decoded
+            if res.literals.size:
+                n_literals += np.count_nonzero(
+                    res.indices.reshape(k, -1) == sentinel, axis=1
+                )
+            q = res.indices.transpose(moveaxis_order(ndim + 1, p.axis + 1, 1))
+            views.append((level, q))
+            count = q.size // k
+            rows = streams[:, spos:spos + count].reshape(q.shape)
+            spos += count
+            for row, q_i in zip(rows, q):
+                for t in transforms:
+                    q_i = t.forward(ctx, q_i)
+                row[...] = q_i
+    return streams, n_literals, arr, views
+
+
 def decompress_volume(
     meta: dict[str, Any],
     index_stream: np.ndarray,
@@ -418,7 +504,10 @@ def predict_fill(
     """
     cfg = EngineConfig.from_meta(meta, error_bound=1.0)
     methods = {int(k): v for k, v in meta["methods"].items()}
-    for level, passes in _schedule(arr.shape, cfg, stop_level):
+    schedule = _schedule(
+        arr.shape, cfg, int(meta["levels"]), from_level=stop_level
+    )
+    for level, passes in schedule:
         for p in passes:
             with stage("predict"):
                 arr[p.target] = _pass_prediction(arr, p, methods[level])
@@ -432,7 +521,7 @@ def _stream_layout(
     interpolation axis first, the other axes in order (``compress_volume``
     moves it so before the index transforms)."""
     size = pass_sizes(shape, p)
-    return (size[p.axis],) + size[:p.axis] + size[p.axis + 1:], int(np.prod(size))
+    return (size[p.axis],) + size[:p.axis] + size[p.axis + 1:], math.prod(size)
 
 
 # -- batched decompression ---------------------------------------------------
@@ -470,15 +559,32 @@ def stream_length(meta: dict[str, Any], shape: tuple[int, ...]) -> int:
 
 
 def _schedule(
-    shape: tuple[int, ...], cfg: EngineConfig, levels: int, stop_level: int = 0
-):
-    """``(level, passes)`` from the coarsest level down to ``stop_level +
-    1``, levels without passes skipped: the order every decode walk reads
-    the streams in."""
-    for level in range(levels, stop_level, -1):
+    shape: tuple[int, ...], cfg: EngineConfig, levels: int, stop_level: int = 0,
+    from_level: "int | None" = None,
+) -> "list[tuple[int, list[Pass | MDPass]]]":
+    """``(level, passes)`` from ``from_level`` (default: the coarsest
+    level) down to ``stop_level + 1``, levels without passes skipped: the
+    order every walk reads the streams in.
+
+    ``levels`` is the count a blob header declares.  It must be the
+    shape's own :func:`num_levels`, and neither ``stop_level`` nor
+    ``from_level`` may pass it; otherwise :class:`CorruptBlobError` is
+    raised before any pass runs — an untrusted count would set the
+    walk's length.
+    """
+    real = num_levels(shape)
+    top = real if from_level is None else from_level
+    if levels != real or not 0 <= stop_level <= real or not 0 <= top <= real:
+        raise CorruptBlobError(
+            f"engine walk over levels {top}..{stop_level + 1} of a header "
+            f"declaring {levels!r}; shape {tuple(shape)} has {real} levels"
+        )
+    schedule = []
+    for level in range(top, stop_level, -1):
         passes = _passes_for_level(shape, level, cfg)
         if passes:
-            yield level, passes
+            schedule.append((level, passes))
+    return schedule
 
 
 def decompress_volumes(

@@ -124,7 +124,9 @@ class MGARD(Compressor):
     def decompress_resolution(self, blob: bytes, level: int) -> np.ndarray:
         """Reconstruct only down to interpolation level ``level`` (resolution
         reduction): returns the stride-``2**level`` subgrid of the data.
-        ``level=0`` is full resolution.
+        ``level=0`` is full resolution; a level past the blob's level
+        count raises :class:`~repro.errors.CorruptBlobError` (a
+        ``ValueError``).
 
         Routes through the same envelope/CRC unwrap, header validation, and
         typed-fault conversion as :meth:`decompress`, so sealed (v1 RPR1)

@@ -96,8 +96,9 @@ def tune_level_eb(
     """Pick (alpha, beta) maximizing ``psnr - 6.02 * bits_per_point`` on a
     central sample (QoZ's quality-metric-oriented auto-tuner, also inherited
     by HPEZ), scored by the joint tuner's
-    :func:`~repro.core.autotune.score_run`.  The trials run under the
-    ``tune`` span; fixed ``alpha`` and ``beta`` run none."""
+    :func:`~repro.core.autotune.score_run` as a stack of one block.  The
+    trials run under the ``tune`` span; fixed ``alpha`` and ``beta`` run
+    none."""
     if alpha != "auto" and beta != "auto":
         return float(alpha), float(beta)
     alphas = _ALPHA_CANDIDATES if alpha == "auto" else (float(alpha),)
@@ -117,7 +118,7 @@ def tune_level_eb(
                     level_eb_factors=level_error_bounds(error_bound, levels, a, b),
                     qp=QPConfig.disabled(),
                 )
-                score = score_run(sample, cfg, value_range)[0]
+                score = score_run(sample[None], cfg, value_range)[0][0]
                 if score > best_score:
                     best, best_score = (a, b), score
     return best

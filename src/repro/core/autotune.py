@@ -15,9 +15,11 @@ which QoZ's own alpha/beta tuner calls too.
 QP is lossless on the quantization indices, so a QP candidate changes
 neither the decoded values nor the literals: the QP step scores each
 candidate by running the QP stage over the incumbent trial's per-pass
-index arrays (the engine's ``level_stats`` view) instead of compressing
-the blocks again.  The winner is returned as a :class:`TuningDecision`;
-compressors apply it via their ``auto=True`` compress knob.
+index arrays (the pass views of
+:func:`~repro.compressors.interp_engine.compress_volumes`) instead of
+compressing the blocks again.  The winner is returned as a
+:class:`TuningDecision`; compressors apply it via their ``auto=True``
+compress knob.
 """
 from __future__ import annotations
 
@@ -70,44 +72,44 @@ class BlockRun:
         return self.psnr - _RD_SLOPE * (bits / self.n_points)
 
 
-def score_run(
-    block: np.ndarray,
-    cfg,
-    value_range: float,
-    level_stats: "list[dict] | None" = None,
-):
-    """Compress ``block`` with engine config ``cfg`` and score the result.
+def score_run(stack: np.ndarray, cfg, value_range: float):
+    """Compress the equal blocks ``stack[i]`` with engine config ``cfg`` in
+    one engine run and score each block.
 
-    Returns ``(score, run)``: the RD score and the :class:`BlockRun` it
-    came from.  PSNR is measured
-    against ``value_range`` (:func:`autotune` passes the whole field's
-    range, not the block's).  An exactly reconstructed block (a flat land
-    mask, a saturated plateau) scores as an error at the dtype's
-    resolution, ``-20 log10(eps)`` (138 dB for float32), not as ``+inf``,
-    which would tie every trial.  ``level_stats`` is passed through to
-    :func:`~repro.compressors.interp_engine.compress_volume`; the run
-    builds no characterization volumes, since the score reads only the
-    stream, the literal count and the decoded array.
+    Returns ``(scores, runs, passes)``: per block the RD score and the
+    :class:`BlockRun` it came from, and the run's ``(level, indices)``
+    pass views (:func:`~repro.compressors.interp_engine.compress_volumes`;
+    ``indices[i]`` is block ``i``'s pass before the index transforms).
+    PSNR is measured against ``value_range`` (:func:`autotune` passes the
+    whole field's range, not the block's), from the block's
+    :func:`~repro.metrics.errors.mse_rows` entry, bit-equal to its own
+    ``mse``.  An exactly reconstructed block (a flat land mask, a
+    saturated plateau) scores as an error at the dtype's resolution,
+    ``-20 log10(eps)`` (138 dB for float32), not as ``+inf``, which would
+    tie every trial.
     """
-    from ..compressors.interp_engine import compress_volume
-    from ..metrics.errors import mse
+    from ..compressors.interp_engine import compress_volumes
+    from ..metrics.errors import mse_rows
 
-    _, stream, literals, _, decoded = compress_volume(
-        block, cfg, None, level_stats
-    )
-    err = mse(block, decoded)
-    if err:
-        psnr = 20.0 * np.log10(value_range / np.sqrt(err))
-    else:
-        psnr = -20.0 * np.log10(np.finfo(block.dtype).eps)
-    run = BlockRun(psnr, literals.size, block.size)
-    return run.score(stream), run
+    streams, n_literals, decoded, passes = compress_volumes(stack, cfg)
+    errs = mse_rows(stack, decoded).tolist()
+    n_points = stack[0].size
+    scores, runs = [], []
+    for err, n_lit, stream in zip(errs, n_literals.tolist(), streams):
+        if err:
+            psnr = 20.0 * np.log10(value_range / np.sqrt(err))
+        else:
+            psnr = -20.0 * np.log10(np.finfo(stack.dtype).eps)
+        run = BlockRun(psnr, n_lit, n_points)
+        scores.append(run.score(stream))
+        runs.append(run)
+    return scores, runs, passes
 
 
 # -- joint sampling tuner -----------------------------------------------------
 
-#: coordinate-descent grids (kept small: the tuner's cost model is
-#: ``trials x blocks`` engine runs over ``block_side**ndim`` points)
+#: coordinate-descent grids (kept small: the tuner's cost model is one
+#: engine run per trial over ``blocks x block_side**ndim`` points)
 _INTERP_GRID = ("linear", "cubic")
 _ALPHA_GRID = (1.0, 1.25, 1.5, 2.0)
 _BETA_GRID = (2.0, 3.0)
@@ -210,7 +212,7 @@ def autotune(
     """Jointly tune interp / axis order / per-level eb / adaptive_bits / QP.
 
     Coordinate descent over one knob at a time.  Each trial compresses
-    every sample block with the engine and sums the blocks'
+    the stacked sample blocks in one engine run and sums the blocks'
     :func:`score_run` scores — except in the QP step, which scores each
     candidate by running the QP stage over the incumbent's per-pass index
     arrays: that gives the index stream, and so the score, a full engine
@@ -226,6 +228,9 @@ def autotune(
     fixed = dict(fixed or {})
     blocks = sample_blocks(data, block_side, max_blocks, rng)
     metric_count("autotune.blocks", len(blocks))
+    # every block takes the same extent per axis, so they stack
+    stack = np.stack(blocks)
+    levels = num_levels(stack.shape[1:])
     value_range = float(data.max() - data.min()) or 1.0
     factors_fn = fixed.get("level_eb_factors")
 
@@ -239,65 +244,59 @@ def autotune(
         "qp": fixed.get("qp", QPConfig.disabled()),
     }
 
-    def _trial(params: dict) -> tuple[float, float, list]:
-        """Engine run of one parameter set over all blocks: the RD score,
-        the fraction of points the adaptive quantizer tightened, and each
-        block's :class:`BlockRun` with its ``(level, indices)`` passes."""
+    def _trial(params: dict) -> tuple[float, float, tuple]:
+        """One engine run of a parameter set over the stacked blocks: the
+        summed RD score, the fraction of points the adaptive quantizer
+        tightened, and the view the QP step re-scores — each block's
+        :class:`BlockRun` and the run's ``(level, indices)`` passes."""
         metric_count("autotune.trials")
-        score = 0.0
-        adaptive_pts = 0
-        total_pts = 0
-        view = []
         bits = int(params["adaptive_bits"])
-        for block in blocks:
-            levels = num_levels(block.shape)
-            if factors_fn is not None:
-                factors = factors_fn(levels)
-            else:
-                factors = level_error_bounds(
-                    error_bound, levels, params["alpha"], params["beta"]
-                )
-            cfg = EngineConfig(
-                error_bound=error_bound,
-                radius=radius,
-                interp=params["interp"],
-                structure=params["structure"],
-                axis_order=params["axis_order"],
-                level_eb_factors=factors,
-                qp=params["qp"],
-                adaptive=(
-                    AdaptiveConfig(bits=bits, threshold=adaptive_threshold)
-                    if bits else None
-                ),
+        if factors_fn is not None:
+            factors = factors_fn(levels)
+        else:
+            factors = level_error_bounds(
+                error_bound, levels, params["alpha"], params["beta"]
             )
-            stats: list[dict] = []
-            block_score, run = score_run(block, cfg, value_range, stats)
+        cfg = EngineConfig(
+            error_bound=error_bound,
+            radius=radius,
+            interp=params["interp"],
+            structure=params["structure"],
+            axis_order=params["axis_order"],
+            level_eb_factors=factors,
+            qp=params["qp"],
+            adaptive=(
+                AdaptiveConfig(bits=bits, threshold=adaptive_threshold)
+                if bits else None
+            ),
+        )
+        scores, runs, passes = score_run(stack, cfg, value_range)
+        score = 0.0
+        for block_score in scores:  # one fixed order: the sum is compared
             score += block_score
-            passes = [(s["level"], s["indices"]) for s in stats]
-            view.append((run, passes))
-            if bits:
-                adaptive_pts += sum(
-                    int(np.count_nonzero(
-                        (np.abs(q) >= adaptive_threshold) & (q != -radius)
-                    ))
-                    for _, q in passes
-                )
-            total_pts += block.size
-        return score, (adaptive_pts / total_pts if total_pts else 0.0), view
+        adaptive_pts = sum(
+            int(np.count_nonzero(
+                (np.abs(q) >= adaptive_threshold) & (q != -radius)
+            ))
+            for _, q in passes
+        ) if bits else 0
+        fraction = adaptive_pts / stack.size if stack.size else 0.0
+        return score, fraction, (runs, passes)
 
-    def _qp_trial(params: dict) -> tuple[float, float, list]:
+    def _qp_trial(params: dict) -> tuple[float, float, tuple]:
         """Score ``params["qp"]`` on the incumbent's view: QP is lossless
         on the indices, so PSNR, literals and the adaptive fraction stay
         the incumbent's and only the index stream changes."""
         metric_count("autotune.trials")
         transform = QPTransform(params["qp"])
         ctx = StageContext(sentinel=-radius)
+        runs, passes = best_view
         score = 0.0
-        for run, passes in best_view:
+        for i, run in enumerate(runs):
             parts = [np.empty(0, dtype=np.int64)]  # a block may have no passes
             for level, q in passes:
                 ctx.level = level
-                parts.append(transform.forward(ctx, q).ravel())
+                parts.append(transform.forward(ctx, q[i]).ravel())
             score += run.score(np.concatenate(parts))
         return score, best_fraction, best_view
 

@@ -3,7 +3,9 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["mse", "psnr", "max_abs_error", "max_rel_error", "nrmse"]
+__all__ = [
+    "mse", "mse_rows", "psnr", "max_abs_error", "max_rel_error", "nrmse",
+]
 
 
 def mse(original: np.ndarray, decoded: np.ndarray) -> float:
@@ -12,6 +14,18 @@ def mse(original: np.ndarray, decoded: np.ndarray) -> float:
     if a.shape != b.shape:
         raise ValueError("shape mismatch")
     return float(np.mean((a - b) ** 2))
+
+
+def mse_rows(original: np.ndarray, decoded: np.ndarray) -> np.ndarray:
+    """:func:`mse` of every volume of two C-contiguous ``(k, ...)`` stacks,
+    from one float64 difference of the stacks.  Each row is summed as
+    :func:`mse` sums a whole volume, so ``mse_rows(a, b)[i] == mse(a[i],
+    b[i])`` holds bit for bit."""
+    if original.shape != decoded.shape:
+        raise ValueError("shape mismatch")
+    sq = np.subtract(original, decoded, dtype=np.float64)
+    sq = sq.reshape(len(sq), -1)
+    return np.square(sq, out=sq).mean(axis=1)
 
 
 def psnr(original: np.ndarray, decoded: np.ndarray) -> float:

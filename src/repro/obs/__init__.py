@@ -131,13 +131,20 @@ class Observation:
         }
 
     def stage_report(self, nbytes: int | None = None) -> dict[str, Any]:
-        """Flat per-stage seconds/bytes/throughput (the bench/perf schema)."""
+        """Flat per-stage seconds/bytes/throughput (the bench/perf schema).
+
+        ``seconds`` is every span of the name, nested ones included;
+        ``self_s`` is the same time net of child spans
+        (:meth:`Tracer.self_seconds`), so no stage is counted twice."""
         totals = self.tracer.stage_seconds()
+        own = self.tracer.self_seconds()
         seen = self.bytes_seen()
         stages: dict[str, Any] = {}
         for name in sorted(set(totals) | set(seen)):
             seconds = totals.get(name, 0.0)
-            entry: dict[str, Any] = {"seconds": seconds}
+            entry: dict[str, Any] = {
+                "seconds": seconds, "self_s": own.get(name, 0.0),
+            }
             if name in seen:
                 entry["bytes"] = seen[name]
             if nbytes is not None and seconds > 0:

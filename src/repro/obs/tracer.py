@@ -219,6 +219,28 @@ class Tracer:
                 totals[s.name] = totals.get(s.name, 0.0) + s.seconds
         return totals
 
+    def self_seconds(self) -> dict[str, float]:
+        """Seconds per span name net of its children: each span's time
+        minus that of the spans opened directly inside it on the same
+        worker (a merged worker's spans ran beside the span they hang
+        under, not inside its time).  Nested stages are counted once — a
+        tuner's trial ``predict``/``quantize`` spans under ``autotune``,
+        ``tune``, ``scheme`` or ``select`` leave those spans' own time as
+        the tuning loop's overhead — and ``compress``'s self time is the
+        part of a compress no stage names."""
+        spans = self.spans
+        inner: dict[int, float] = {}
+        for s in spans:
+            if s.end is not None and s.parent >= 0:
+                if spans[s.parent].worker == s.worker:
+                    inner[s.parent] = inner.get(s.parent, 0.0) + s.seconds
+        totals: dict[str, float] = {}
+        for s in spans:
+            if s.end is not None:
+                own = s.seconds - inner.get(s.index, 0.0)
+                totals[s.name] = totals.get(s.name, 0.0) + own
+        return totals
+
     def span_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
         for s in self.spans:

@@ -74,29 +74,30 @@ class TestAutotune:
                 parts.append(QPTransform(cand).forward(ctx, s["indices"]).ravel())
             assert np.array_equal(np.concatenate(parts), stream), cand
 
-    @pytest.mark.parametrize("base,runs,trials", [
+    @pytest.mark.parametrize("base,volumes,trials", [
         ("sz3", 36, 17), ("qoz", 36, 17), ("hpez", 33, 16), ("mgard", 12, 9),
     ])
-    def test_engine_runs_per_call(self, monkeypatch, base, runs, trials):
-        """The QP step runs no engine: 5 candidates x 3 blocks fewer engine
-        runs per call, while ``autotune.trials`` still counts every
-        candidate scored; the alpha/beta step never re-runs the
-        incumbent (alpha = 1), one trial x 3 blocks fewer."""
+    def test_engine_runs_per_call(self, monkeypatch, base, volumes, trials):
+        """One stacked engine run per trial over all three sample blocks:
+        12/12/11/4 runs compress 36/36/33/12 block volumes.  The QP step
+        runs no engine, so 5 candidates fewer runs per call, while
+        ``autotune.trials`` still counts every candidate scored; the
+        alpha/beta step never re-runs the incumbent (alpha = 1)."""
         data = generate("miranda", shape=(48, 40, 44), seed=3)
         eb = 1e-3 * float(data.max() - data.min())
-        calls = []
-        real = interp_engine.compress_volume
+        stacks = []
+        real = interp_engine.compress_volumes
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def counting(stack, *args, **kwargs):
+            stacks.append(len(stack))
+            return real(stack, *args, **kwargs)
 
-        monkeypatch.setattr(interp_engine, "compress_volume", counting)
+        monkeypatch.setattr(interp_engine, "compress_volumes", counting)
         ob = obs.Observation()
         with obs.observe(ob):
             decision = get_compressor(base, eb)._tuned_for(data).tuning_decision
         assert decision.n_blocks == 3
-        assert len(calls) == runs
+        assert stacks == [decision.n_blocks] * (volumes // decision.n_blocks)
         assert ob.metrics.snapshot()["autotune.trials"]["value"] == trials
 
     def _miranda(self):

@@ -76,6 +76,50 @@ def test_stage_seconds_and_counts_aggregate_by_name():
     assert totals["a"] >= totals["b"] >= 0
 
 
+def _timed(t, spans):
+    """Give the recorded spans of ``t`` exact (start, end) times."""
+    for s, (t0, t1) in zip(t.spans, spans):
+        s.start, s.end = t0, t1
+
+
+def test_self_seconds_count_nested_spans_once():
+    t = Tracer()
+    with t.span("compress"):
+        with t.span("autotune"):
+            with t.span("predict"):
+                pass
+            with t.span("quantize"):
+                pass
+        with t.span("predict"):
+            pass
+    _timed(t, [(0.0, 10.0), (1.0, 6.0), (1.5, 3.5), (4.0, 5.0), (7.0, 9.0)])
+    assert t.stage_seconds() == {
+        "compress": 10.0, "autotune": 5.0, "predict": 4.0, "quantize": 1.0,
+    }
+    # autotune's own time is what its trial stages leave; compress's is
+    # the residual no stage names; together they add up to the wall
+    assert t.self_seconds() == {
+        "compress": 3.0, "autotune": 2.0, "predict": 4.0, "quantize": 1.0,
+    }
+    assert sum(t.self_seconds().values()) == t.root_seconds()
+
+
+def test_self_seconds_keep_merged_worker_spans_out_of_the_parent():
+    t = Tracer()
+    with t.span("compress"):
+        t.merge_payload({"spans": [
+            {"name": "predict", "index": 0, "parent": -1, "depth": 0,
+             "t0": 0.0, "seconds": 4.0},
+            {"name": "quantize", "index": 1, "parent": 0, "depth": 1,
+             "t0": 1.0, "seconds": 1.0},
+        ]}, worker="w0")
+    t.spans[0].start, t.spans[0].end = 0.0, 2.0
+    # the worker's 4 s ran beside the parent's 2 s, not inside them
+    assert t.self_seconds() == {
+        "compress": 2.0, "predict": 3.0, "quantize": 1.0,
+    }
+
+
 def test_event_attaches_to_open_span():
     t = Tracer()
     with t.span("transfer"):
@@ -367,3 +411,8 @@ def test_stage_report_shape():
     assert rep["span_count"] == 2
     assert rep["stages"]["compress"]["bytes"] == 4096
     assert "seconds" in rep["stages"]["huffman"]
+    st = rep["stages"]
+    assert st["huffman"]["self_s"] == st["huffman"]["seconds"]
+    assert st["compress"]["self_s"] == pytest.approx(
+        st["compress"]["seconds"] - st["huffman"]["seconds"]
+    )

@@ -45,13 +45,16 @@ from repro.testing import INJECTORS
 DEADLINE_S = 10.0
 
 
+def _field(shape, rng) -> np.ndarray:
+    coords = np.meshgrid(*(np.linspace(0, 3, s) for s in shape), indexing="ij")
+    return (sum(np.sin(c) for c in coords)
+            + 0.1 * rng.standard_normal(shape)).astype(np.float32)
+
+
 def _build_targets(seed: int):
     """(label, pristine bytes, decode callable) for every decode path."""
     rng = np.random.default_rng(seed)
-    shape = (12, 11, 10)
-    coords = np.meshgrid(*(np.linspace(0, 3, s) for s in shape), indexing="ij")
-    data = (sum(np.sin(c) for c in coords)
-            + 0.1 * rng.standard_normal(shape)).astype(np.float32)
+    data = _field((12, 11, 10), rng)
     targets = []
     for name in ("mgard", "sz3", "qoz", "hpez", "zfp", "tthresh", "sperr"):
         kwargs = {"qp": QPConfig()} if supports_qp(name) else {}
@@ -79,6 +82,12 @@ def _build_targets(seed: int):
     ):
         comp = get_compressor(name, 1e-2, qp=QPConfig(), **extra)
         targets.append((f"{label}[f64]", comp.compress(data64), decompress_any))
+    # the tuned encode: 40x12x10 yields three 32x12x10 sample blocks, which
+    # every tuner trial compresses as one stack (own generator, so the
+    # other targets keep their inputs)
+    tuned = _field((40, 12, 10), np.random.default_rng([seed, 1]))
+    comp = get_compressor("sz3", 1e-2, qp=QPConfig())
+    targets.append(("sz3[auto]", comp.compress(tuned, auto=True), decompress_any))
     # radius 8: most indices reach the radius, so literals dominate the
     # quantizer's output and the decode's literal stream
     comp = get_compressor("sz3", 1e-2, qp=QPConfig(), radius=8)
