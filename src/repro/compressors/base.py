@@ -12,6 +12,7 @@ which compressor produced it.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import struct
 from abc import ABC, abstractmethod
@@ -40,8 +41,9 @@ __all__ = [
 _MAGIC = b"RPRC"
 
 #: exception types a corrupted byte stream can surface from the decode stack
-#: before the strict validators catch it; ``decompress`` converts these to
-#: :class:`~repro.errors.CorruptBlobError` so callers see one typed family
+#: before the strict validators catch it; :func:`_typed_faults` converts
+#: these to :class:`~repro.errors.CorruptBlobError` so callers see one typed
+#: family
 _DECODE_FAULTS = (
     ValueError,
     KeyError,
@@ -53,6 +55,23 @@ _DECODE_FAULTS = (
     UnicodeDecodeError,
     json.JSONDecodeError,
 )
+
+
+@contextlib.contextmanager
+def _typed_faults(name: str):
+    """Raise the :data:`_DECODE_FAULTS` of the block as
+    :class:`~repro.errors.CorruptBlobError`: the wrapper every public
+    decode entry point (``decompress``, ``decompress_many``, MGARD's
+    ``decompress_resolution``, the progressive previews) runs its decode
+    in."""
+    try:
+        yield
+    except ReproError:
+        raise
+    except _DECODE_FAULTS as exc:
+        raise CorruptBlobError(
+            f"{name} blob failed to decode: {type(exc).__name__}: {exc}"
+        ) from exc
 
 
 @runtime_checkable
@@ -217,7 +236,8 @@ def _validated_geometry(header: dict[str, Any]) -> tuple[tuple[int, ...], np.dty
         )
     try:
         dtype = np.dtype(header.get("dtype"))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, SyntaxError) as exc:
+        # numpy parses a comma in a dtype string with ast.literal_eval
         raise CorruptBlobError(f"blob header has invalid dtype: {exc}") from None
     if dtype.kind not in "fiu":
         raise CorruptBlobError(f"blob header dtype {dtype} is not numeric")
@@ -354,14 +374,8 @@ class Compressor(ABC):
         b, shape, dtype = self._parse_own_blob(blob)
         sp = stage("decompress", compressor=self.name)
         with sp:
-            try:
+            with _typed_faults(self.name):
                 out = self._decompress(b)
-            except ReproError:
-                raise
-            except _DECODE_FAULTS as exc:
-                raise CorruptBlobError(
-                    f"{self.name} blob failed to decode: {type(exc).__name__}: {exc}"
-                ) from exc
             out = self._check_decoded_geometry(out, shape, dtype)
             sp.label(bytes_in=len(blob), bytes_out=out.nbytes)
         return out
@@ -377,7 +391,7 @@ class Compressor(ABC):
         """
         b = Blob.from_bytes(blob)
         if b.header.get("compressor") != self.name:
-            raise ValueError(
+            raise CorruptBlobError(
                 f"blob was produced by {b.header.get('compressor')!r}, not {self.name!r}"
             )
         shape, dtype = _validated_geometry(b.header)
@@ -405,14 +419,8 @@ class Compressor(ABC):
         """
         parsed = [self._parse_own_blob(blob) for blob in blobs]
         with stage("decompress", compressor=self.name, batch=len(blobs)):
-            try:
+            with _typed_faults(self.name):
                 outs = self._decompress_many([b for b, _, _ in parsed])
-            except ReproError:
-                raise
-            except _DECODE_FAULTS as exc:
-                raise CorruptBlobError(
-                    f"{self.name} blob failed to decode: {type(exc).__name__}: {exc}"
-                ) from exc
             results = [
                 self._check_decoded_geometry(out, shape, dtype)
                 for out, (_, shape, dtype) in zip(outs, parsed)

@@ -21,11 +21,10 @@ from typing import Any
 import numpy as np
 
 from ..core.config import AdaptiveConfig, QPConfig
-from ..errors import CorruptBlobError, ReproError
 from ..pipeline.driver import decode_engine_blob, encode_engine_sections
 from ..utils.levels import num_levels
 from ..utils.validation import check_ndarray
-from .base import Blob, CompressionState, Compressor, EngineFront
+from .base import Blob, CompressionState, Compressor, EngineFront, _typed_faults
 from .interp_engine import EngineConfig, compress_volume
 
 __all__ = ["MGARD"]
@@ -132,17 +131,9 @@ class MGARD(Compressor):
         typed-fault conversion as :meth:`decompress`, so sealed (v1 RPR1)
         blobs and corrupted bytes behave identically on both entry points.
         """
-        from .base import _DECODE_FAULTS
-
         b, _shape, _dtype = self._parse_own_blob(blob)
-        try:
+        with _typed_faults(self.name):
             return self._reconstruct(b, stop_level=level)
-        except ReproError:
-            raise
-        except _DECODE_FAULTS as exc:
-            raise CorruptBlobError(
-                f"{self.name} blob failed to decode: {type(exc).__name__}: {exc}"
-            ) from exc
 
     def _reconstruct(self, blob: Blob, stop_level: int) -> np.ndarray:
         # the engine's schedule replay handles partial decode natively: with

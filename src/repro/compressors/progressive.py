@@ -48,6 +48,7 @@ from ..utils.levels import anchor_slices
 from .base import (
     Blob,
     CompressionState,
+    _typed_faults,
     _validated_geometry,
     decode_index_stream,
     encode_index_stream,
@@ -449,7 +450,8 @@ def decompress_prefix(prefix: bytes) -> PrefixDecode:
         sections[name] = data[off:off + size]
         off += size
     blob = Blob(dict(header), sections)
-    arr = _decode_blob_to_level(blob, int(entry["level"]))
+    with _typed_faults(SZ3Progressive.name):
+        arr = _decode_blob_to_level(blob, int(entry["level"]))
     return PrefixDecode(
         array=arr,
         level=int(entry["level"]),
@@ -463,16 +465,19 @@ def decode_to_level(blob: bytes, level: int) -> np.ndarray:
 
     Levels ``>= level`` reconstruct exactly as the full decoder would;
     finer levels are prediction-filled.  ``decode_to_level(blob, 1)`` is
-    bit-identical to ``decompress(blob)``.
+    bit-identical to ``decompress(blob)``.  A level missing from the
+    blob's level table, like any decode fault, raises
+    :class:`~repro.errors.CorruptBlobError` (a ``ValueError``).
     """
     data = bytes(blob)
     if is_sealed(data):
         data = unseal(data)
     b = Blob.from_bytes(data)
     ext = _progressive_ext(b.header)
-    if not any(int(e["level"]) == level for e in ext["levels"]):
-        raise ValueError(
-            f"level {level} is not in the progressive level table "
-            f"({[int(e['level']) for e in ext['levels']]})"
-        )
-    return _decode_blob_to_level(b, int(level))
+    with _typed_faults(SZ3Progressive.name):
+        if not any(int(e["level"]) == level for e in ext["levels"]):
+            raise ValueError(
+                f"level {level} is not in the progressive level table "
+                f"({[int(e['level']) for e in ext['levels']]})"
+            )
+        return _decode_blob_to_level(b, int(level))

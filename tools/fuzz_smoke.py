@@ -99,6 +99,25 @@ def _build_targets(seed: int):
     ):
         comp = get_compressor("sz3", 1e-2, predictor="lorenzo", radius=radius)
         targets.append((label, comp.compress(payload), decompress_any))
+    # the decodes that stop early or split one stream: the progressive
+    # layout's per-level sections, decoded in full and to a preview of
+    # levels >= 2; HPEZ's block layout (side 8 cuts the 4-level field into
+    # blocks of several shapes); MGARD's resolution reduction
+    from repro.compressors.progressive import decode_to_level
+
+    comp = get_compressor("sz3_progressive", 1e-2, qp=QPConfig())
+    blob = comp.compress(data)
+    targets.append(("sz3_progressive", blob, decompress_any))
+    targets.append((
+        "sz3_progressive[to_level=2]", blob, lambda b: decode_to_level(b, 2),
+    ))
+    comp = get_compressor("hpez", 1e-2, qp=QPConfig(), block_side=8)
+    targets.append(("hpez[blocks=8]", comp.compress(data), decompress_any))
+    comp = get_compressor("mgard", 1e-2, qp=QPConfig())
+    targets.append((
+        "mgard[resolution=1]", comp.compress(data),
+        lambda b, _c=comp: _c.decompress_resolution(b, 1),
+    ))
     # streamed slab container: the offset-framed wire format (header,
     # segment table, CRC-guarded index/footer) is its own decode surface
     import io
