@@ -133,10 +133,11 @@ class CompressionState:
 
     Filled only when a caller passes one to ``Compressor.compress(data,
     state=...)`` — the ``characterize`` CLI, the Figure 3-5 benchmarks and
-    tests: the compressor fills it during that one call, and the engine
-    (:func:`~repro.compressors.interp_engine.compress_volume`) allocates
-    and scatters the volumes only then.  The auto-tuners' trial runs pass
-    none.
+    tests: the compressor fills it during that one call.  The engine
+    (:func:`~repro.compressors.interp_engine.compress_volumes`, the blob's
+    volume as a stack of one) allocates the volumes only then, and
+    scatters them after its pass loop from the per-pass index views and
+    the index stream it returns.  The auto-tuners' trial runs pass none.
     """
 
     index_volume: np.ndarray | None = None
@@ -248,9 +249,10 @@ def _validated_geometry(header: dict[str, Any]) -> tuple[tuple[int, ...], np.dty
 class EngineFront:
     """Front-stage output of the streaming pipeline for engine compressors.
 
-    Everything ``compress_volume`` produced for one slab — the quantization
-    index stream after the QP/adaptive transforms, plus literals/anchors —
-    before any entropy coding.  ``_stream_entropy`` turns it into a framed
+    What ``compress_volumes`` produced for one slab, run as a stack of
+    one — its meta in ``header``, the quantization index stream after the
+    QP/adaptive transforms, plus literals/anchors — before any entropy
+    coding.  ``_stream_entropy`` turns it into a framed
     blob byte-identical to ``compress(slab)``.  ``anchors`` may be a view
     into the slab's scratch buffer, so the buffer must not be recycled
     until the entropy stage has sealed the segment.

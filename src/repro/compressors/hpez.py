@@ -31,10 +31,11 @@ import numpy as np
 
 from ..codecs import decompress as lossless_decompress
 from ..core.config import AdaptiveConfig, QPConfig
+from ..errors import CorruptBlobError
 from ..obs import span as stage
 from ..pipeline.driver import decode_engine_blob, encode_engine_sections, spec_for_blob
 from ..utils.blocks import iter_blocks
-from ..utils.levels import num_levels
+from ..utils.levels import anchor_slices, num_levels
 from ..utils.validation import check_ndarray
 from .base import (
     Blob,
@@ -45,9 +46,10 @@ from .base import (
 )
 from .interp_engine import (
     EngineConfig,
-    compress_volume,
-    decompress_volume,
+    compress_volumes,
+    decompress_volumes,
     level_error_bounds,
+    stream_length,
     trial_level_bits,
 )
 
@@ -175,7 +177,9 @@ class HPEZ(Compressor):
         self, data: np.ndarray, state: CompressionState | None
     ) -> tuple[dict[str, Any], dict[str, bytes]]:
         cfg = self._engine_config(data, with_selector=True)
-        meta, stream, literals, anchors, _ = compress_volume(data, cfg, state)
+        (meta,), (stream,), (literals,), (anchors,), _, _ = compress_volumes(
+            data[None], cfg, state
+        )
         if state is not None:
             state.extras["level_schemes"] = dict(cfg.level_schemes)
         sections = encode_engine_sections(
@@ -191,7 +195,9 @@ class HPEZ(Compressor):
             return self.compress(slab)
         slab = check_ndarray(slab)
         cfg = self._engine_config(slab, with_selector=True)
-        meta, stream, literals, anchors, _ = compress_volume(slab, cfg, None)
+        (meta,), (stream,), (literals,), (anchors,), _, _ = compress_volumes(
+            slab[None], cfg
+        )
         return EngineFront(
             slab.shape,
             slab.dtype,
@@ -216,7 +222,9 @@ class HPEZ(Compressor):
             block = np.ascontiguousarray(data[bslice])
             cfg = self._engine_config(block, with_selector=True)
             bstate = CompressionState() if state is not None else None
-            meta, stream, literals, anchors, _ = compress_volume(block, cfg, bstate)
+            (meta,), (stream,), (literals,), (anchors,), _, _ = compress_volumes(
+                block[None], cfg, bstate
+            )
             metas.append(meta)
             streams.append(stream)
             literal_parts.append(literals)
@@ -250,12 +258,14 @@ class HPEZ(Compressor):
         spec = spec_for_blob(blob.header)
         layout = spec.stage("interp_predict").params["layout"]
         if layout == "global":
-            return decode_engine_blob(blob)
+            return decode_engine_blob([blob])[0]
         return self._decompress_blocks(blob)
 
     def _decompress_blocks(self, blob: Blob) -> np.ndarray:
-        from ..utils.levels import anchor_slices
-
+        """Decode each block as a stack of one over its
+        :func:`~repro.compressors.interp_engine.stream_length` slice of the
+        shared index stream; the slices must tile the stream, and the
+        blocks' literals the literal section."""
         header = blob.header
         shape = tuple(header["shape"])
         dtype = np.dtype(header["dtype"])
@@ -264,12 +274,18 @@ class HPEZ(Compressor):
             lossless_decompress(blob.sections["literals"]), dtype=dtype
         )
         anchors = np.frombuffer(blob.sections["anchors"], dtype=dtype)
+        blocks = [
+            (bslice, tuple(sl.stop - sl.start for sl in bslice), meta)
+            for bslice, meta in zip(
+                iter_blocks(shape, int(header["block_side"])), header["block_metas"]
+            )
+        ]
+        lengths = [stream_length(meta, bshape) for _, bshape, meta in blocks]
+        if sum(lengths) != stream.size:
+            raise CorruptBlobError("block stream size mismatch")
         out = np.empty(shape, dtype=dtype)
         spos = lpos = apos = 0
-        for bslice, meta in zip(
-            iter_blocks(shape, int(header["block_side"])), header["block_metas"]
-        ):
-            bshape = tuple(sl.stop - sl.start for sl in bslice)
+        for (bslice, bshape, meta), length in zip(blocks, lengths):
             a_shape = tuple(
                 len(range(*sl.indices(n)))
                 for sl, n in zip(anchor_slices(bshape), bshape)
@@ -277,13 +293,14 @@ class HPEZ(Compressor):
             n_anchor = int(np.prod(a_shape))
             b_anchors = anchors[apos:apos + n_anchor].reshape(a_shape)
             apos += n_anchor
-            block, s_used, l_used = decompress_volume(
-                meta, stream[spos:], literals[lpos:], b_anchors, bshape, dtype,
-                header["error_bound"], exact_streams=False,
-            )
-            spos += s_used
-            lpos += l_used
+            rows = stream[None, spos:spos + length]
+            spos += length
+            (block,), (used,) = decompress_volumes([(
+                meta, rows[0], literals[lpos:], b_anchors, bshape, dtype,
+                header["error_bound"],
+            )], rows)
             out[bslice] = block
-        if spos != stream.size or lpos != literals.size:
-            raise ValueError("block stream size mismatch")
+            lpos += used
+        if lpos != literals.size:
+            raise CorruptBlobError("block literal stream size mismatch")
         return out

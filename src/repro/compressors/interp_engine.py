@@ -13,6 +13,11 @@ config's index-transform stages over the pass's index array (QP's
 Algorithm 1 insertion point — the engine itself no longer special-cases
 any transform), and appends the result to the index stream.  Decompression
 replays the identical pass schedule with each stage inverted.
+
+There is one walk per direction, over a stack of equal volumes on a
+leading axis: :func:`compress_volumes` and :func:`decompress_volumes`.
+A blob's volume is a stack of one; the auto-tuner's sample blocks and
+the equal slabs of one SZ3 volume stack.
 """
 from __future__ import annotations
 
@@ -48,26 +53,13 @@ from .base import CompressionState
 
 __all__ = [
     "EngineConfig",
-    "compress_volume",
     "compress_volumes",
-    "decompress_volume",
     "decompress_volumes",
     "level_error_bounds",
     "predict_fill",
     "stack_key",
     "stream_length",
 ]
-
-# thin aliases: the prediction kernels moved into the InterpPredict stage
-# (repro.pipeline.stages); these names remain the engine's public surface
-_pass_prediction = InterpPredict.pass_prediction
-_pass_prediction_stacked = InterpPredict.pass_prediction_stacked
-_choose_method_pred = InterpPredict.choose
-
-
-def _choose_method(arr: np.ndarray, p: Pass | MDPass) -> str:
-    return InterpPredict.choose(arr, p)[0]
-
 
 @dataclass
 class EngineConfig:
@@ -102,9 +94,6 @@ class EngineConfig:
         return scheme["structure"], tuple(order) if order else None
 
     # -- stage construction --------------------------------------------------
-
-    def predict_stage(self) -> InterpPredict:
-        return InterpPredict(self.interp)
 
     def quantize_stage(self) -> "LinearQuantize | AdaptiveLinearQuantize":
         if self.adaptive is not None:
@@ -198,10 +187,13 @@ def trial_level_bits(
     passes = _passes_for_level(work.shape, pass_level, probe)
     if not passes:
         return 0.0
-    method = _choose_method(work, passes[0]) if probe.interp == "auto" else probe.interp
+    if probe.interp == "auto":
+        method = InterpPredict.choose(work, passes[0])[0]
+    else:
+        method = probe.interp
     bits = 0.0
     for p in passes:
-        pred = _pass_prediction(work, p, method)
+        pred = InterpPredict.pass_prediction(work, p, method)
         view = work[p.target]
         res = quantizer.quantize(view, pred)
         view[...] = res.decoded
@@ -210,206 +202,133 @@ def trial_level_bits(
     return bits
 
 
-def compress_volume(
-    data: np.ndarray,
+def compress_volumes(
+    stack: np.ndarray,
     cfg: EngineConfig,
     state: CompressionState | None = None,
     level_stats: "list[dict] | None" = None,
-) -> tuple[dict[str, Any], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Run the interpolation pipeline over ``data``.
+) -> "tuple[list[dict[str, Any]], np.ndarray, list[np.ndarray], np.ndarray, np.ndarray, list[tuple[int, np.ndarray]]]":
+    """Run the interpolation pipeline once over the equal volumes ``stack[i]``.
 
-    Returns ``(meta, index_stream, literals, anchors, decoded)``: ``meta``
-    holds everything the decompressor needs (levels, chosen methods,
-    transform configs), ``index_stream`` is the concatenated
-    (transform-applied) quantization indices of every pass in schedule
-    order, ``literals`` the unpredictable values in the same order,
-    ``anchors`` the exact coarsest-grid values, and ``decoded`` the
-    working array after the closed loop — the values the decompressor
-    will reconstruct.  (The auto-tuner's trials run through
-    :func:`compress_volumes`, which builds no blob.)
-
-    ``state``, when given, receives the characterization volumes
-    (``index_volume``, ``extras["index_volume_qp"]`` and
-    ``extras["pass_levels"]``); without it none of them is built.
-
-    ``level_stats``, when a list, collects one dict per pass in schedule
-    order — ``{"level", "indices", "literals", "max_residual"}`` — where
-    ``indices`` is the pass's index array before the index transforms,
-    interpolation axis first (the layout the transforms see),
-    ``literals`` the pass's literal count, and ``max_residual`` the largest
-    |original - prediction| of the pass in float64.  The progressive
-    compressor uses these to split the streams at level boundaries and to
-    derive per-level achievable error bounds.  The wire bytes are
-    unaffected.
-    """
-    arr = data.copy()
-    shape = arr.shape
-    ndim = arr.ndim
-    levels = num_levels(shape)
-    anchors = arr[anchor_slices(shape)].copy()
-
-    predictor = cfg.predict_stage()
-    quantize = cfg.quantize_stage()
-    transforms = cfg.index_transforms()
-    ctx = StageContext(sentinel=quantize.sentinel, dtype=data.dtype)
-
-    if state is not None:
-        state.index_volume = np.zeros(shape, dtype=np.int64)
-        state.extras["index_volume_qp"] = np.zeros(shape, dtype=np.int64)
-        state.extras["pass_levels"] = np.zeros(shape, dtype=np.int8)
-
-    streams: list[np.ndarray] = []
-    literal_parts: list[np.ndarray] = []
-    methods: dict[int, str] = {}
-
-    for level in range(levels, 0, -1):
-        ctx.level = level
-        if cfg.scheme_selector is not None and level not in cfg.level_schemes:
-            cfg.level_schemes[level] = cfg.scheme_selector(arr, level, cfg)
-        passes = _passes_for_level(shape, level, cfg)
-        if not passes:
-            continue
-        first_pred: np.ndarray | None = None
-        if cfg.interp == "auto":
-            with stage("predict"):
-                # the selection already computed the winning method's
-                # prediction for the first pass — reuse it below
-                methods[level], first_pred = InterpPredict.choose(arr, passes[0])
-        else:
-            methods[level] = cfg.interp
-        ctx.method = methods[level]
-        for p in passes:
-            with stage("predict"):
-                pred = first_pred if p is passes[0] and first_pred is not None \
-                    else predictor.forward(ctx, (arr, p))
-            target_view = arr[p.target]
-            with stage("quantize"):
-                res = quantize.forward(ctx, (target_view, pred))
-            q_out = res.indices.transpose(moveaxis_order(ndim, p.axis, 0))
-            if level_stats is not None:
-                # measured before the overwrite below: target_view still
-                # holds the working values the prediction was scored against
-                diff = np.abs(np.subtract(target_view, pred, dtype=np.float64))
-                level_stats.append({
-                    "level": level,
-                    "indices": q_out,
-                    "literals": int(res.literals.size),
-                    "max_residual": float(diff.max()) if diff.size else 0.0,
-                })
-            target_view[...] = res.decoded  # future passes see decoded values
-            for t in transforms:
-                q_out = t.forward(ctx, q_out)
-            streams.append(np.ascontiguousarray(q_out).ravel())
-            literal_parts.append(res.literals)
-            if state is not None:
-                state.index_volume[p.target] = res.indices
-                state.extras["index_volume_qp"][p.target] = q_out.transpose(
-                    moveaxis_order(ndim, 0, p.axis)
-                )
-                state.extras["pass_levels"][p.target] = level
-
-    index_stream = (
-        np.concatenate(streams) if streams else np.empty(0, dtype=np.int64)
-    )
-    literals = (
-        np.concatenate(literal_parts) if literal_parts else np.empty(0, dtype=data.dtype)
-    )
-    meta = {
-        "levels": levels,
-        "methods": {str(k): v for k, v in methods.items()},
-        "structure": cfg.structure,
-        "axis_order": list(cfg.axis_order) if cfg.axis_order else None,
-        "level_schemes": {
-            str(k): {
-                "structure": v["structure"],
-                "axis_order": list(v["axis_order"]) if v.get("axis_order") else None,
-            }
-            for k, v in cfg.level_schemes.items()
-        },
-        "radius": cfg.radius,
-        "level_eb_factors": {str(k): v for k, v in cfg.level_eb_factors.items()},
-    }
-    for t in transforms:
-        meta[t.meta_key] = t.config.to_dict()
-    if cfg.adaptive is not None:
-        # only written when enabled: absence keeps every pre-adaptive blob
-        # byte-identical (golden digests stay frozen)
-        meta["adaptive"] = cfg.adaptive.to_dict()
-    return meta, index_stream, literals, anchors, arr
-
-
-def compress_volumes(
-    stack: np.ndarray, cfg: EngineConfig
-) -> "tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[int, np.ndarray]]]":
-    """Run the engine once over the equal volumes ``stack[i]``.
-
-    The compress-side twin of :func:`decompress_volumes`: ``stack`` is
-    ``(k, *shape)``, and no pass interpolates along its leading axis.  Each
-    pass runs one prediction over the stack
+    ``stack`` is ``(k, *shape)``, and no pass interpolates along its
+    leading axis; a blob's volume runs as a stack of one (``data[None]``).
+    Each pass runs one prediction over the stack
     (:meth:`InterpPredict.pass_prediction_stacked`) and one quantization
-    over the ``(k,) + target`` view.  The index transforms run per volume
+    over the ``(k,) + target`` view, whose decoded values then overwrite
+    the view, so later passes predict from what the decompressor will see.
+    The index transforms (QP's Algorithm 1 insertion point) run per volume
     on row views, because QP's dimension degrades with the per-volume
     rank.  With ``interp="auto"`` every volume chooses its own method per
     level, and where the choices diverge the level predicts per volume.
 
-    Returns ``(streams, n_literals, decoded, passes)``: the ``(k, L)``
-    int64 array whose row ``i`` is the index stream
-    :func:`compress_volume` gives ``stack[i]``, the ``(k,)`` literal
-    counts, the decoded ``(k, *shape)`` stack, and one ``(level,
+    Returns ``(metas, streams, literals, anchors, decoded, passes)``, one
+    entry or row per volume: each volume's engine meta (levels, chosen
+    methods, transform configs — what the decompressor needs besides the
+    sections); the ``(k, L)`` int64 index streams, transform-applied, in
+    schedule order (``L`` = the non-anchor points); the literal values
+    (unpredictable points) in the same order; the exact coarsest-grid
+    values ``(k,) + anchor shape``; the decoded ``(k, *shape)`` stack —
+    the values the decompressor reconstructs; and one ``(level,
     indices)`` per pass in schedule order, where ``indices`` is the
-    ``(k,) + layout`` view of the pass's indices before the transforms
-    (``level_stats``' ``indices`` of every volume).  Nothing here goes
-    into a blob — no meta, literal values or anchors; the auto-tuner
-    scores trials with it, and :func:`compress_volume` writes blobs.
+    ``(k,) + layout`` view of the pass's indices before the transforms,
+    interpolation axis first (the layout the transforms see).  The
+    auto-tuner scores its trials from these; the compressors frame the
+    first four into blobs.
+
+    Three inputs take a stack of one (``ValueError`` otherwise):
+
+    * ``state`` receives the characterization volumes (``index_volume``,
+      ``extras["index_volume_qp"]``, ``extras["pass_levels"]``), scattered
+      after the walk from the pass views and the stream; without it none
+      is built.
+    * ``level_stats``, a list, collects one dict per pass in schedule
+      order — ``{"level", "indices", "literals", "max_residual"}``: the
+      pass's indices in the layout above, its literal count, and the
+      largest |original - prediction| in float64.  The progressive
+      compressor splits the streams at level boundaries with these and
+      derives per-level achievable error bounds.
+    * ``cfg.scheme_selector`` (HPEZ) fixes each level's scheme from the
+      working volume before the level runs.
+
+    None of them changes the wire bytes.
     """
-    if cfg.scheme_selector is not None:
-        raise ValueError("compress_volumes runs fixed level schemes only")
     arr = stack.copy()
     k, shape = arr.shape[0], arr.shape[1:]
+    if k > 1 and not (state is None and level_stats is None
+                      and cfg.scheme_selector is None):
+        raise ValueError(
+            "state, level_stats and a scheme selector take a stack of one"
+        )
     ndim = len(shape)
+    levels = num_levels(shape)
+    anchors = arr[(slice(None),) + anchor_slices(shape)].copy()
     quantize = cfg.quantize_stage()
     transforms = cfg.index_transforms()
     sentinel = quantize.sentinel
     ctx = StageContext(sentinel=sentinel, dtype=stack.dtype)
     # every point but the anchors is predicted by exactly one pass
-    length = arr[0].size - arr[0][anchor_slices(shape)].size
-    streams = np.empty((k, length), dtype=np.int64)
-    n_literals = np.zeros(k, dtype=np.int64)
+    streams = np.empty((k, arr[0].size - anchors[0].size), dtype=np.int64)
+    literal_parts: list[list[np.ndarray]] = [[] for _ in range(k)]
+    methods: list[dict[int, str]] = [{} for _ in range(k)]
     views: list[tuple[int, np.ndarray]] = []
     spos = 0
-    for level, passes in _schedule(shape, cfg, num_levels(shape)):
+    for level in range(levels, 0, -1):
         ctx.level = level
+        if cfg.scheme_selector is not None and level not in cfg.level_schemes:
+            cfg.level_schemes[level] = cfg.scheme_selector(arr[0], level, cfg)
+        passes = _passes_for_level(shape, level, cfg)
+        if not passes:
+            continue
         first = passes[0]
         first_pred: np.ndarray | None = None
         if cfg.interp == "auto":
             with stage("predict"):
+                # the selection already computed the winning method's
+                # prediction for the first pass — reused below
                 chosen = [InterpPredict.choose(arr[i], first) for i in range(k)]
             level_methods = [m for m, _ in chosen]
             preds = [pred for _, pred in chosen]
             first_pred = np.stack(preds) if k > 1 else preds[0][None]
         else:
             level_methods = [cfg.interp] * k
+        for volume_methods, m in zip(methods, level_methods):
+            volume_methods[level] = m
         method = level_methods[0] if len(set(level_methods)) == 1 else None
         for p in passes:
             with stage("predict"):
                 if first_pred is not None and p is first:
                     pred = first_pred
                 elif method is not None:
-                    pred = _pass_prediction_stacked(arr, p, method)
+                    pred = InterpPredict.pass_prediction_stacked(arr, p, method)
                 else:  # methods diverge at this level: predict per volume
                     pred = np.stack([
-                        _pass_prediction(arr[i], p, level_methods[i])
+                        InterpPredict.pass_prediction(arr[i], p, level_methods[i])
                         for i in range(k)
                     ])
             target_view = arr[(slice(None),) + p.target]
             with stage("quantize"):
                 res = quantize.forward(ctx, (target_view, pred))
+            q = res.indices.transpose(moveaxis_order(ndim + 1, p.axis + 1, 1))
+            if level_stats is not None:
+                # measured before the overwrite below: target_view still
+                # holds the original values the prediction was scored against
+                diff = np.abs(np.subtract(target_view, pred, dtype=np.float64))
+                level_stats.append({
+                    "level": level,
+                    "indices": q[0],
+                    "literals": int(res.literals.size),
+                    "max_residual": float(diff.max()) if diff.size else 0.0,
+                })
             target_view[...] = res.decoded
             if res.literals.size:
-                n_literals += np.count_nonzero(
+                # volume-major, in C order of the stacked target view
+                counts = np.count_nonzero(
                     res.indices.reshape(k, -1) == sentinel, axis=1
                 )
-            q = res.indices.transpose(moveaxis_order(ndim + 1, p.axis + 1, 1))
+                for parts, lits in zip(
+                    literal_parts, np.split(res.literals, np.cumsum(counts)[:-1])
+                ):
+                    parts.append(lits)
             views.append((level, q))
             count = q.size // k
             rows = streams[:, spos:spos + count].reshape(q.shape)
@@ -418,74 +337,51 @@ def compress_volumes(
                 for t in transforms:
                     q_i = t.forward(ctx, q_i)
                 row[...] = q_i
-    return streams, n_literals, arr, views
 
+    if state is not None:
+        state.index_volume = np.zeros(shape, dtype=np.int64)
+        coded = state.extras["index_volume_qp"] = np.zeros(shape, dtype=np.int64)
+        pass_levels = state.extras["pass_levels"] = np.zeros(shape, dtype=np.int8)
+        spos = 0
+        schedule = (p for _, passes in _schedule(shape, cfg, levels) for p in passes)
+        for (level, q), p in zip(views, schedule):
+            back = moveaxis_order(ndim, 0, p.axis)
+            state.index_volume[p.target] = q[0].transpose(back)
+            row = streams[0, spos:spos + q[0].size]
+            coded[p.target] = row.reshape(q[0].shape).transpose(back)
+            spos += q[0].size
+            pass_levels[p.target] = level
 
-def decompress_volume(
-    meta: dict[str, Any],
-    index_stream: np.ndarray,
-    literals: np.ndarray,
-    anchors: np.ndarray,
-    shape: tuple[int, ...],
-    dtype: np.dtype,
-    error_bound: float,
-    exact_streams: bool = True,
-    stop_level: int = 0,
-) -> "np.ndarray | tuple[np.ndarray, int, int]":
-    """Replay the pass schedule and invert every stage.
-
-    With ``exact_streams`` (the default) the streams must be consumed fully
-    and the array alone is returned.  With ``exact_streams=False`` the caller
-    passes shared streams that may extend past this volume (HPEZ blocks) and
-    receives ``(array, indices_consumed, literals_consumed)``.
-    ``stop_level > 0`` stops before the finer levels (MGARD's resolution
-    reduction) — their streams are simply left unread, so exactness checks
-    are skipped.
-    """
-    cfg = EngineConfig.from_meta(meta, error_bound)
-    methods = {int(k): v for k, v in meta["methods"].items()}
-    levels = int(meta["levels"])
-
-    predictor = cfg.predict_stage()
-    quantize = cfg.quantize_stage()
-    transforms = cfg.index_transforms()
-    ctx = StageContext(sentinel=quantize.sentinel, dtype=dtype)
-
-    arr = np.zeros(shape, dtype=dtype)
-    arr[anchor_slices(shape)] = anchors.reshape(arr[anchor_slices(shape)].shape)
-
-    spos = 0
-    lpos = 0
-    for level, passes in _schedule(shape, cfg, levels, stop_level):
-        ctx.level = level
-        ctx.method = methods[level]
-        for p in passes:
-            moved_shape, count = _stream_layout(shape, p)
-            q = index_stream[spos:spos + count].reshape(moved_shape)
-            spos += count
-            for t in reversed(transforms):
-                q = t.inverse(ctx, q)
-            indices = q.transpose(moveaxis_order(q.ndim, 0, p.axis))
-            # counted on the contiguous stream layout, twice as fast; with
-            # the literals used up a sentinel fails dequantization's check
-            n_lit = 0 if lpos == literals.size else int(
-                np.count_nonzero(q == quantize.sentinel)
-            )
-            lits = literals[lpos:lpos + n_lit]
-            lpos += n_lit
-            with stage("predict"):
-                pred = predictor.forward(ctx, (arr, p))
-            with stage("quantize"):
-                quantize.inverse(ctx, (indices, pred, lits), out=arr[p.target])
-    if stop_level or not exact_streams:
-        if exact_streams:
-            return arr
-        return arr, spos, lpos
-    if spos != index_stream.size:
-        raise ValueError("index stream size mismatch")
-    if lpos != literals.size:
-        raise ValueError("literal stream size mismatch")
-    return arr
+    literals = [
+        np.concatenate(parts) if parts else np.empty(0, dtype=stack.dtype)
+        for parts in literal_parts
+    ]
+    meta = {
+        "levels": levels,
+        "methods": {},
+        "structure": cfg.structure,
+        "axis_order": list(cfg.axis_order) if cfg.axis_order else None,
+        "level_schemes": {
+            str(l): {
+                "structure": v["structure"],
+                "axis_order": list(v["axis_order"]) if v.get("axis_order") else None,
+            }
+            for l, v in cfg.level_schemes.items()
+        },
+        "radius": cfg.radius,
+        "level_eb_factors": {str(l): v for l, v in cfg.level_eb_factors.items()},
+    }
+    for t in transforms:
+        meta[t.meta_key] = t.config.to_dict()
+    if cfg.adaptive is not None:
+        # only written when enabled: absence keeps every pre-adaptive blob
+        # byte-identical (golden digests stay frozen)
+        meta["adaptive"] = cfg.adaptive.to_dict()
+    metas = [
+        {**meta, "methods": {str(l): m for l, m in volume_methods.items()}}
+        for volume_methods in methods
+    ]
+    return metas, streams, literals, anchors, arr, views
 
 
 def predict_fill(
@@ -495,7 +391,7 @@ def predict_fill(
 
     The prediction-only counterpart of the decode loop: after a prefix
     decode reconstructed levels above ``stop_level``
-    (``decompress_volume(..., stop_level=stop_level)``), this replays the
+    (``decompress_volumes(..., stop_level)``), this replays the
     remaining pass schedule applying each pass's interpolation *without*
     corrections — exactly what a progressive preview shows for the levels
     whose streams have not arrived yet.  The first finer pass predicts
@@ -510,7 +406,7 @@ def predict_fill(
     for level, passes in schedule:
         for p in passes:
             with stage("predict"):
-                arr[p.target] = _pass_prediction(arr, p, methods[level])
+                arr[p.target] = InterpPredict.pass_prediction(arr, p, methods[level])
     return arr
 
 
@@ -518,13 +414,13 @@ def _stream_layout(
     shape: tuple[int, ...], p: Pass | MDPass
 ) -> tuple[tuple[int, ...], int]:
     """Shape and size of pass ``p``'s index array as it sits in the stream:
-    interpolation axis first, the other axes in order (``compress_volume``
+    interpolation axis first, the other axes in order (``compress_volumes``
     moves it so before the index transforms)."""
     size = pass_sizes(shape, p)
     return (size[p.axis],) + size[:p.axis] + size[p.axis + 1:], math.prod(size)
 
 
-# -- batched decompression ---------------------------------------------------
+# -- decompression -----------------------------------------------------------
 
 #: meta keys that must match across volumes for them to stack: one pass
 #: schedule and one quantizer per level.  Interpolation methods may differ —
@@ -590,21 +486,29 @@ def _schedule(
 def decompress_volumes(
     items: "list[tuple[dict[str, Any], np.ndarray, np.ndarray, np.ndarray, tuple[int, ...], np.dtype, float]]",
     streams: np.ndarray,
-) -> "list[np.ndarray]":
+    stop_level: int = 0,
+) -> "tuple[list[np.ndarray], list[int]]":
     """Decompress volumes of one :func:`stack_key` as one stack, in place.
 
-    ``items`` holds ``(meta, index_stream, literals, anchors, shape,
-    dtype, error_bound)`` per volume — the :func:`decompress_volume`
-    signature — and ``streams`` is the ``(k, L)`` int64 buffer whose row
-    ``i`` holds item ``i``'s index stream (``L`` =
-    :func:`stream_length`); the walk overwrites it.  Each pass reads the
-    view ``streams[:, s:s + count]`` reshaped to ``(k,) + layout``: the
-    index transforms invert it in place (``inverse_multi``), literal
-    counts come from its contiguous rows, one prediction runs over the
-    stack of decoded volumes, and dequantization writes through the
-    pass's target view of the stacked output — no per-pass copy of
-    indices or values.  Returns views of one contiguous ``(k, *shape)``
-    array, bit-identical to :func:`decompress_volume` per item.
+    The decode twin of :func:`compress_volumes`, and every engine blob's
+    decode: a blob alone is a stack of one.  ``items`` holds ``(meta,
+    index_stream, literals, anchors, shape, dtype, error_bound)`` per
+    volume, and ``streams`` is the ``(k, L)`` int64 buffer whose row ``i``
+    holds item ``i``'s index stream; the walk overwrites it.  Each pass
+    reads the view ``streams[:, s:s + count]`` reshaped to ``(k,) +
+    layout``: the index transforms invert it in place (``inverse_multi``),
+    literal counts come from its contiguous rows, one prediction runs over
+    the stack of decoded volumes, and dequantization writes through the
+    pass's target view of the stacked output — no per-pass copy of indices
+    or values.  ``stop_level > 0`` stops before the finer levels (MGARD's
+    resolution reduction, progressive previews): their streams and
+    literals are left unread.
+
+    Returns ``(volumes, used)``: views of one contiguous ``(k, *shape)``
+    array, and the number of literals each volume consumed.  The walk
+    checks no section's length; its callers size each row from
+    :func:`stream_length` (or a block's slice of it) and, on a full
+    decode, compare ``used`` with the literal sections.
     """
     meta0, _, _, _, shape, dtype, eb = items[0]
     shape = tuple(shape)
@@ -624,7 +528,7 @@ def decompress_volumes(
     literals = [it[2] for it in items]
     lpos = [0] * k
     spos = 0
-    for level, passes in _schedule(shape, cfg, int(meta0["levels"])):
+    for level, passes in _schedule(shape, cfg, int(meta0["levels"]), stop_level):
         ctx.level = level
         level_methods = [m[level] for m in methods_list]
         method = level_methods[0] if len(set(level_methods)) == 1 else None
@@ -649,10 +553,10 @@ def decompress_volumes(
             lits = np.concatenate(lit_parts) if lit_parts else literals[0][:0]
             with stage("predict"):
                 if method is not None:
-                    pred = _pass_prediction_stacked(arr_st, p, method)
+                    pred = InterpPredict.pass_prediction_stacked(arr_st, p, method)
                 else:  # methods diverge at this level: predict per volume
                     pred = np.stack([
-                        _pass_prediction(arr_st[i], p, level_methods[i])
+                        InterpPredict.pass_prediction(arr_st[i], p, level_methods[i])
                         for i in range(k)
                     ])
             indices = q.transpose(moveaxis_order(q.ndim, 1, p.axis + 1))
@@ -661,7 +565,4 @@ def decompress_volumes(
                     ctx, (indices, pred, lits),
                     out=arr_st[(slice(None),) + p.target],
                 )
-    for i, lits in enumerate(literals):
-        if lpos[i] != lits.size:
-            raise ValueError("literal stream size mismatch")
-    return [arr_st[i] for i in range(k)]
+    return [arr_st[i] for i in range(k)], lpos

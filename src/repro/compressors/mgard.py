@@ -25,7 +25,7 @@ from ..pipeline.driver import decode_engine_blob, encode_engine_sections
 from ..utils.levels import num_levels
 from ..utils.validation import check_ndarray
 from .base import Blob, CompressionState, Compressor, EngineFront, _typed_faults
-from .interp_engine import EngineConfig, compress_volume
+from .interp_engine import EngineConfig, compress_volumes
 
 __all__ = ["MGARD"]
 
@@ -101,7 +101,9 @@ class MGARD(Compressor):
         self, data: np.ndarray, state: CompressionState | None
     ) -> tuple[dict[str, Any], dict[str, bytes]]:
         cfg = self._engine_config(data.shape)
-        meta, stream, literals, anchors, _ = compress_volume(data, cfg, state)
+        (meta,), (stream,), (literals,), (anchors,), _, _ = compress_volumes(
+            data[None], cfg, state
+        )
         sections = encode_engine_sections(
             stream, literals, anchors, entropy=self.entropy
         )
@@ -112,7 +114,9 @@ class MGARD(Compressor):
         engine's entropy seam, so every slab streams through it."""
         slab = check_ndarray(slab)
         cfg = self._engine_config(slab.shape)
-        meta, stream, literals, anchors, _ = compress_volume(slab, cfg, None)
+        (meta,), (stream,), (literals,), (anchors,), _, _ = compress_volumes(
+            slab[None], cfg
+        )
         return EngineFront(
             slab.shape, slab.dtype, {"engine": meta}, stream, literals, anchors
         )
@@ -138,7 +142,7 @@ class MGARD(Compressor):
     def _reconstruct(self, blob: Blob, stop_level: int) -> np.ndarray:
         # the engine's schedule replay handles partial decode natively: with
         # stop_level > 0 the finer levels' streams are simply left unread
-        arr = decode_engine_blob(blob, stop_level=stop_level)
+        arr = decode_engine_blob([blob], stop_level)[0]
         if stop_level == 0:
             return arr
         s = 1 << stop_level

@@ -53,7 +53,12 @@ from .base import (
     decode_index_stream,
     encode_index_stream,
 )
-from .interp_engine import compress_volume, decompress_volume, predict_fill
+from .interp_engine import (
+    compress_volumes,
+    decompress_volumes,
+    predict_fill,
+    stream_length,
+)
 from .sz3 import SZ3
 
 __all__ = [
@@ -185,8 +190,8 @@ class SZ3Progressive(SZ3):
     ) -> tuple[dict[str, Any], dict[str, bytes]]:
         cfg = self._engine_config(data)
         stats: list[dict] = []
-        meta, stream, literals, anchors, _ = compress_volume(
-            data, cfg, state, level_stats=stats
+        (meta,), (stream,), (literals,), (anchors,), _, _ = compress_volumes(
+            data[None], cfg, state, stats
         )
         order: list[int] = []
         for s in stats:
@@ -369,12 +374,16 @@ def _decode_blob_to_level(blob: Blob, level: int) -> np.ndarray:
     )
     anchors = np.frombuffer(blob.sections["anchors"], dtype=dtype).reshape(a_shape)
     stop = level - 1 if level > 1 else 0
-    arr = decompress_volume(
+    if not stop and stream.size != stream_length(meta, shape):
+        raise CorruptBlobError("index stream size mismatch")
+    (arr,), (used,) = decompress_volumes([(
         meta, stream, literals, anchors, shape, dtype,
-        float(header["error_bound"]), stop_level=stop,
-    )
+        float(header["error_bound"]),
+    )], stream[None], stop)
     if stop:
         predict_fill(arr, meta, stop)
+    elif used != literals.size:
+        raise CorruptBlobError("literal stream size mismatch")
     return arr
 
 

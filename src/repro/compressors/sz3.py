@@ -10,7 +10,6 @@ inactive on the Lorenzo path.
 """
 from __future__ import annotations
 
-import math
 from typing import Any
 
 import numpy as np
@@ -20,20 +19,10 @@ from ..codecs import compress as lossless_compress, decompress as lossless_decom
 from ..codecs.fixed import decode_fixed, encode_fixed
 from ..core.characterize import counts_entropy, shannon_entropy
 from ..core.config import AdaptiveConfig, QPConfig
-from ..pipeline.driver import (
-    decode_engine_blob,
-    encode_engine_sections,
-    engine_decode_item,
-    spec_for_blob,
-)
+from ..pipeline.driver import decode_engine_blob, encode_engine_sections, spec_for_blob
+from ..pipeline.stages import InterpPredict
 from ..obs import span as stage
-from ..predictors.lorenzo import (
-    LorenzoResult,
-    lorenzo_decode,
-    lorenzo_encode,
-    lorenzo_histogram,
-    lorenzo_integrate,
-)
+from ..predictors.lorenzo import lorenzo_encode, lorenzo_histogram, lorenzo_integrate
 from ..utils.validation import check_ndarray
 from .base import (
     Blob,
@@ -43,14 +32,7 @@ from .base import (
     decode_index_stream,
     encode_index_stream,
 )
-from .interp_engine import (
-    EngineConfig,
-    _pass_prediction as _engine_pass_prediction,
-    compress_volume,
-    decompress_volumes,
-    stack_key,
-    stream_length,
-)
+from .interp_engine import EngineConfig, compress_volumes, stack_key
 
 __all__ = ["SZ3"]
 
@@ -221,7 +203,7 @@ class SZ3(Compressor):
             if level > num_levels(data.shape):
                 break
             for p in level_passes(data.shape, level):
-                pred = _engine_pass_prediction(data, p, method)
+                pred = InterpPredict.pass_prediction(data, p, method)
                 values = data[p.target]
                 counts = None
                 if table is not None:
@@ -258,7 +240,9 @@ class SZ3(Compressor):
         self, data: np.ndarray, state: CompressionState | None
     ) -> tuple[dict[str, Any], dict[str, bytes]]:
         cfg = self._engine_config(data)
-        meta, stream, literals, anchors, _ = compress_volume(data, cfg, state)
+        (meta,), (stream,), (literals,), (anchors,), _, _ = compress_volumes(
+            data[None], cfg, state
+        )
         sections = encode_engine_sections(
             stream, literals, anchors,
             entropy=self.entropy, block_size=self.huffman_block_size,
@@ -280,7 +264,9 @@ class SZ3(Compressor):
             header, sections = self._compress_as(predictor, trial, slab, None)
             return self._frame_blob(slab.shape, slab.dtype, header, sections)
         cfg = self._engine_config(slab)
-        meta, stream, literals, anchors, _ = compress_volume(slab, cfg, None)
+        (meta,), (stream,), (literals,), (anchors,), _, _ = compress_volumes(
+            slab[None], cfg
+        )
         header: dict[str, Any] = {"predictor": "interp", "engine": meta}
         if self.entropy != "huffman":
             header["entropy"] = self.entropy
@@ -348,11 +334,12 @@ class SZ3(Compressor):
         }
         return {"predictor": "regression", "radius": self.radius}, sections
 
-    def _decompress_regression(self, blob: Blob, stream: np.ndarray) -> np.ndarray:
+    def _decompress_regression(self, blob: Blob) -> np.ndarray:
         from ..predictors.regression import REGRESSION_BLOCK, plane_prediction
         from ..quantize.linear import LinearQuantizer
         from ..utils.blocks import iter_blocks
 
+        stream = decode_index_stream(blob.sections["indices"])
         header = blob.header
         shape = tuple(header["shape"])
         dtype = np.dtype(header["dtype"])
@@ -381,95 +368,39 @@ class SZ3(Compressor):
 
     # -- decompression ----------------------------------------------------------
 
-    #: decode finisher per pipeline frontend stage id — ``_finish_decompress``
-    #: walks the blob's derived spec instead of testing header fields
-    _FRONTEND_DECODERS = {
-        "interp_predict": "_decompress_interp",
-        "lorenzo_predict": "_decompress_lorenzo_one",
-        "regression_predict": "_decompress_regression",
-    }
-
     def _decompress(self, blob: Blob) -> np.ndarray:
-        return self._finish_decompress(
-            blob, decode_index_stream(blob.sections["indices"])
-        )
-
-    def _finish_decompress(self, blob: Blob, stream: np.ndarray) -> np.ndarray:
-        """Spec-driven decode of one blob whose index stream is already
-        entropy-decoded (shared by the serial and the batched path): the
-        blob's header derives the producing :class:`PipelineSpec`, whose
-        frontend stage selects the finisher."""
-        spec = spec_for_blob(blob.header)
-        finish = getattr(self, self._FRONTEND_DECODERS[spec.stages[0].stage])
-        return finish(blob, stream)
-
-    def _decompress_interp(self, blob: Blob, stream: np.ndarray) -> np.ndarray:
-        return decode_engine_blob(blob, stream)
-
-    def _decompress_lorenzo_one(self, blob: Blob, stream: np.ndarray) -> np.ndarray:
-        header = blob.header
-        indices = stream.reshape(tuple(header["shape"]))
-        escapes = _unzigzag(
-            decode_fixed(lossless_decompress(blob.sections["escapes"]))
-        )
-        result = LorenzoResult(
-            indices=indices,
-            escapes=escapes,
-            sentinel=int(header["sentinel"]),
-            step=float(header.get("step", 0.0)),
-        )
-        return lorenzo_decode(
-            result, header["error_bound"], np.dtype(header["dtype"])
-        )
+        return self._decompress_many([blob])[0]
 
     def _decompress_many(self, blobs: "list[Blob]") -> "list[np.ndarray]":
-        """Batch decode.  Blobs are grouped by their headers before any
-        index stream is decoded: interpolation blobs of one
-        :func:`~repro.compressors.interp_engine.stack_key`, and Lorenzo
-        blobs of one geometry.  Each group of two or more gets one
-        ``(k, L)`` int64 buffer; every member's index stream decodes
-        straight into its row, and the stacked walk
-        (:func:`decompress_volumes`, :meth:`_decompress_lorenzo_many`)
-        inverts the buffer in place.  Every other blob decodes alone."""
+        """Batch decode; one blob is a batch of one.  Blobs are grouped by
+        their headers before any index stream is decoded: interpolation
+        blobs of one :func:`~repro.compressors.interp_engine.stack_key`,
+        and Lorenzo blobs of one geometry.  Each group decodes as one
+        stack — every member's index stream into its row of one ``(k, L)``
+        int64 buffer, which the stacked walk
+        (:func:`~repro.pipeline.driver.decode_engine_blob`,
+        :meth:`_decompress_lorenzo_many`) inverts in place.  Regression
+        blobs decode one at a time."""
         groups: dict[tuple, list[int]] = {}
         for i, b in enumerate(blobs):
-            key = _stack_group(b.header)
-            if key is not None:
-                groups.setdefault(key, []).append(i)
+            groups.setdefault(_stack_group(b.header), []).append(i)
         outs: "list[np.ndarray | None]" = [None] * len(blobs)
         for (front, *_), members in groups.items():
-            if len(members) < 2:
-                continue
             group = [blobs[i] for i in members]
-            header = group[0].header
-            shape = tuple(header["shape"])
-            length = (
-                stream_length(header["engine"], shape)
-                if front == "interp_predict" else math.prod(shape)
-            )
-            buf = np.empty((len(group), length), dtype=np.int64)
-            for b, row in zip(group, buf):
-                decode_index_stream(b.sections["indices"], out=row)
             if front == "interp_predict":
-                arrs = decompress_volumes(
-                    [engine_decode_item(b, row) for b, row in zip(group, buf)],
-                    buf,
-                )
+                arrs = decode_engine_blob(group)
+            elif front == "lorenzo_predict":
+                arrs = self._decompress_lorenzo_many(group)
             else:
-                arrs = self._decompress_lorenzo_many(group, buf)
+                arrs = [self._decompress_regression(b) for b in group]
             for i, arr in zip(members, arrs):
                 outs[i] = arr
-        return [
-            self._decompress(b) if out is None else out
-            for b, out in zip(blobs, outs)
-        ]
+        return outs
 
-    def _decompress_lorenzo_many(
-        self, blobs: "list[Blob]", q: np.ndarray
-    ) -> "list[np.ndarray]":
-        """Stacked Lorenzo inverse for equal-geometry blobs whose index
-        streams are the rows of ``q`` (``(k, prod(shape))`` int64,
-        overwritten).
+    def _decompress_lorenzo_many(self, blobs: "list[Blob]") -> "list[np.ndarray]":
+        """Stacked Lorenzo inverse for equal-geometry blobs: their index
+        streams decode into the rows of one ``(k, prod(shape))`` int64
+        buffer, inverted in place.
 
         Where the native library loads, each slab integrates in place with
         one C call (every axis but the stack's batch axis); on numpy the
@@ -478,14 +409,17 @@ class SZ3(Compressor):
         with a single slab-major scatter (C order matches the per-slab
         streams concatenated).  The per-slab quantization steps broadcast
         over the stack, so values are bit-identical to per-blob
-        :func:`lorenzo_decode`.  Returns views of one contiguous stacked
-        array — slab reassembly upstream can then skip its copy.
+        :func:`~repro.predictors.lorenzo.lorenzo_decode`.  Returns views of
+        one contiguous stacked array — slab reassembly upstream can then
+        skip its copy.
         """
         h0 = blobs[0].header
         shape = tuple(h0["shape"])
         dtype = np.dtype(h0["dtype"])
         sentinel = int(h0["sentinel"])
-        q = q.reshape((len(blobs),) + shape)
+        q = np.empty((len(blobs),) + shape, dtype=np.int64)
+        for b, row in zip(blobs, q.reshape(len(blobs), -1)):
+            decode_index_stream(b.sections["indices"], out=row)
         esc_parts = [
             _unzigzag(decode_fixed(lossless_decompress(b.sections["escapes"])))
             for b in blobs
@@ -506,10 +440,10 @@ class SZ3(Compressor):
         return [out[row] for row in range(len(blobs))]
 
 
-def _stack_group(header: dict) -> "tuple | None":
+def _stack_group(header: dict) -> tuple:
     """The batch decode's group of a blob, from its validated header: the
-    frontend stage id, then what must match for blobs to share a stack;
-    None for a blob that always decodes alone (regression)."""
+    frontend stage id, then what must match for blobs to share a stack
+    (regression blobs, which decode one at a time, share one group)."""
     front = spec_for_blob(header).stages[0].stage
     if front == "interp_predict":
         return (front, stack_key(
@@ -521,7 +455,7 @@ def _stack_group(header: dict) -> "tuple | None":
             front, tuple(header["shape"]), np.dtype(header["dtype"]).str,
             int(header["sentinel"]),
         )
-    return None
+    return (front,)
 
 
 def _integrate_stack_numpy(

@@ -91,16 +91,16 @@ def score_run(stack: np.ndarray, cfg, value_range: float):
     from ..compressors.interp_engine import compress_volumes
     from ..metrics.errors import mse_rows
 
-    streams, n_literals, decoded, passes = compress_volumes(stack, cfg)
+    _, streams, literals, _, decoded, passes = compress_volumes(stack, cfg)
     errs = mse_rows(stack, decoded).tolist()
     n_points = stack[0].size
     scores, runs = [], []
-    for err, n_lit, stream in zip(errs, n_literals.tolist(), streams):
+    for err, lits, stream in zip(errs, literals, streams):
         if err:
             psnr = 20.0 * np.log10(value_range / np.sqrt(err))
         else:
             psnr = -20.0 * np.log10(np.finfo(stack.dtype).eps)
-        run = BlockRun(psnr, n_lit, n_points)
+        run = BlockRun(psnr, lits.size, n_points)
         scores.append(run.score(stream))
         runs.append(run)
     return scores, runs, passes

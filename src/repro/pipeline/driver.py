@@ -6,9 +6,11 @@ fields are the spec's canonical on-disk encoding — see
 :mod:`repro.pipeline.spec`), so decoders dispatch by walking the spec's
 stage ids instead of chains of per-compressor ``if`` tests.
 
-``decode_engine_blob`` / ``engine_decode_item`` collapse the
-literals/anchors section unpacking that SZ3, HPEZ and MGARD each used to
-reimplement around :func:`~repro.compressors.interp_engine.decompress_volume`.
+``decode_engine_blob`` / ``engine_decode_item`` are the one decode of
+SZ3's, QoZ's, HPEZ's (global layout) and MGARD's engine blobs: index
+streams into the rows of one buffer, the literals/anchors sections
+unpacked, and :func:`~repro.compressors.interp_engine.decompress_volumes`
+over the stack — a blob alone as a stack of one.
 """
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ from typing import Any
 import numpy as np
 
 from ..codecs import decompress as lossless_decompress
+from ..errors import CorruptBlobError
 from ..utils.levels import anchor_slices
 from .builders import pipeline
 from .spec import PipelineSpec, StageSpec
@@ -38,8 +41,8 @@ def encode_engine_sections(
     entropy: str = "huffman",
     block_size: int | None = None,
 ) -> dict[str, bytes]:
-    """Encode ``compress_volume`` output into the canonical engine blob
-    sections (the inverse of :func:`_engine_sections`).
+    """Encode one volume of ``compress_volumes`` output into the canonical
+    engine blob sections (the inverse of :func:`engine_decode_item`).
 
     One encode point shared by the in-memory ``_compress`` paths of SZ3,
     HPEZ and MGARD and by the streaming entropy stage
@@ -102,18 +105,46 @@ def _swap_entropy_stage(spec: PipelineSpec, stage_id: str) -> PipelineSpec:
 # -- shared engine-blob decode ------------------------------------------------
 
 
-def _engine_sections(
-    blob: Any, stream: "np.ndarray | None"
-) -> tuple[dict[str, Any], np.ndarray, np.ndarray, np.ndarray, tuple[int, ...], np.dtype]:
-    """Unpack an engine-produced blob's sections into
-    ``(meta, stream, literals, anchors, shape, dtype)``."""
-    from ..compressors.base import decode_index_stream
+def decode_engine_blob(
+    blobs: "list[Any]", stop_level: int = 0
+) -> "list[np.ndarray]":
+    """Decode engine blobs of one
+    :func:`~repro.compressors.interp_engine.stack_key` as one stack; one
+    blob decodes as a stack of one.
 
+    Every index stream decodes into its row of one ``(k, L)`` int64
+    buffer (``L`` = :func:`~repro.compressors.interp_engine.stream_length`;
+    a stream of another length raises
+    :class:`~repro.errors.CorruptBlobError` before anything is written),
+    and :func:`~repro.compressors.interp_engine.decompress_volumes`
+    inverts the buffer in place.  A full decode must consume each literal
+    section exactly; ``stop_level`` truncates the schedule for resolution
+    reduction (MGARD) and leaves the finer levels' literals unread.
+    """
+    from ..compressors.base import decode_index_stream
+    from ..compressors.interp_engine import decompress_volumes, stream_length
+
+    header = blobs[0].header
+    length = stream_length(header["engine"], tuple(header["shape"]))
+    buf = np.empty((len(blobs), length), dtype=np.int64)
+    for b, row in zip(blobs, buf):
+        decode_index_stream(b.sections["indices"], out=row)
+    items = [engine_decode_item(b, row) for b, row in zip(blobs, buf)]
+    volumes, used = decompress_volumes(items, buf, stop_level)
+    if not stop_level and any(n != it[2].size for n, it in zip(used, items)):
+        raise CorruptBlobError("literal stream size mismatch")
+    return volumes
+
+
+def engine_decode_item(
+    blob: Any, stream: np.ndarray
+) -> tuple[dict[str, Any], np.ndarray, np.ndarray, np.ndarray, tuple[int, ...], np.dtype, float]:
+    """One ``decompress_volumes`` work item from a parsed engine blob and
+    its decoded index stream: ``(meta, stream, literals, anchors, shape,
+    dtype, error_bound)``."""
     header = blob.header
     shape = tuple(header["shape"])
     dtype = np.dtype(header["dtype"])
-    if stream is None:
-        stream = decode_index_stream(blob.sections["indices"])
     literals = np.frombuffer(
         lossless_decompress(blob.sections["literals"]), dtype=dtype
     )
@@ -121,36 +152,7 @@ def _engine_sections(
         len(range(*sl.indices(n))) for sl, n in zip(anchor_slices(shape), shape)
     )
     anchors = np.frombuffer(blob.sections["anchors"], dtype=dtype).reshape(a_shape)
-    return header["engine"], stream, literals, anchors, shape, dtype
-
-
-def decode_engine_blob(
-    blob: Any,
-    stream: "np.ndarray | None" = None,
-    stop_level: int = 0,
-) -> np.ndarray:
-    """Decode a blob whose payload came from ``compress_volume``.
-
-    ``stream`` may carry an already entropy-decoded index stream (the
-    batched path decodes every blob's stream first); ``stop_level``
-    truncates the schedule for resolution reduction (MGARD).
-    """
-    from ..compressors.interp_engine import decompress_volume
-
-    meta, stream, literals, anchors, shape, dtype = _engine_sections(blob, stream)
-    return decompress_volume(
-        meta, stream, literals, anchors, shape, dtype,
-        blob.header["error_bound"], stop_level=stop_level,
-    )
-
-
-def engine_decode_item(
-    blob: Any, stream: np.ndarray
-) -> tuple[dict[str, Any], np.ndarray, np.ndarray, np.ndarray, tuple[int, ...], np.dtype, float]:
-    """One ``decompress_volumes`` work item from a parsed blob + its
-    pre-decoded index stream."""
-    meta, stream, literals, anchors, shape, dtype = _engine_sections(blob, stream)
     return (
-        meta, stream, literals, anchors, shape, dtype,
-        blob.header["error_bound"],
+        header["engine"], stream, literals, anchors, shape, dtype,
+        header["error_bound"],
     )

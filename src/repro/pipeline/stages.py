@@ -103,29 +103,22 @@ class InterpPredict:
 
     @staticmethod
     def pass_prediction(arr: np.ndarray, p: Any, method: str) -> np.ndarray:
-        """Average of 1-D interpolations along each prediction axis, in the
-        natural orientation of the pass's target subgrid (C-contiguous)."""
-        shape = arr.shape
-        pred_sum: np.ndarray | None = None
-        for a in p.axes:
-            known = arr[p.known_for(a)]
-            n_targets = len(range(*p.target[a].indices(shape[a])))
-            pred_a = predict_midpoints(known, n_targets, method, a)
-            pred_sum = pred_a if pred_sum is None else pred_sum + pred_a
-        assert pred_sum is not None
-        if len(p.axes) > 1:
-            pred_sum = pred_sum / len(p.axes)
-        return pred_sum
+        """Pass ``p``'s prediction of one volume: :meth:`pass_prediction_stacked`
+        over the volume as a stack of one."""
+        return InterpPredict.pass_prediction_stacked(arr[None], p, method)[0]
 
     @staticmethod
     def pass_prediction_stacked(
         arr_st: np.ndarray, p: Any, method: str
     ) -> np.ndarray:
-        """:meth:`pass_prediction` over a stack of volumes ``(N, *shape)``.
+        """Average of 1-D interpolations along each prediction axis of pass
+        ``p``, for each volume of the stack ``arr_st`` (``(N, *shape)``),
+        in the natural orientation of the pass's target subgrid
+        (C-contiguous).
 
         The pass geometry addresses the per-volume axes, so every index is
         lifted by one; ``predict_midpoints`` treats every other axis as
-        batch, which now includes the stack axis.
+        batch, which includes the stack axis.
         """
         shape = arr_st.shape[1:]
         pred_sum: np.ndarray | None = None

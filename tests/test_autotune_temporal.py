@@ -7,7 +7,7 @@ from repro import obs
 from repro.codecs import HuffmanCodec, RangeCodec
 from repro.compressors import SZ3, CompressionState, get_compressor, interp_engine
 from repro.compressors.base import decode_index_stream, encode_index_stream
-from repro.compressors.interp_engine import EngineConfig, compress_volume
+from repro.compressors.interp_engine import EngineConfig, compress_volumes
 from repro.compressors.qoz import tune_level_eb
 from repro.core import QPConfig
 from repro.core.autotune import (
@@ -60,19 +60,19 @@ class TestAutotune:
         block = smooth_field[:32, :32, :32].copy()
         stats: list[dict] = []
         cfg = EngineConfig(error_bound=1e-3, interp="cubic")
-        _, plain, _, _, _ = compress_volume(block, cfg, None, stats)
+        _, plain, _, _, _, _ = compress_volumes(block[None], cfg, None, stats)
         assert np.array_equal(
-            np.concatenate([s["indices"].ravel() for s in stats]), plain
+            np.concatenate([s["indices"].ravel() for s in stats]), plain[0]
         )
         ctx = StageContext(sentinel=-cfg.radius)
         for cand in DEFAULT_CANDIDATES[1:]:
             cfg.qp = cand
-            _, stream, _, _, _ = compress_volume(block, cfg)
+            _, stream, _, _, _, _ = compress_volumes(block[None], cfg)
             parts = []
             for s in stats:
                 ctx.level = s["level"]
                 parts.append(QPTransform(cand).forward(ctx, s["indices"]).ravel())
-            assert np.array_equal(np.concatenate(parts), stream), cand
+            assert np.array_equal(np.concatenate(parts), stream[0]), cand
 
     @pytest.mark.parametrize("base,volumes,trials", [
         ("sz3", 36, 17), ("qoz", 36, 17), ("hpez", 33, 16), ("mgard", 12, 9),

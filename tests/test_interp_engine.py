@@ -4,13 +4,13 @@ import pytest
 
 from repro.compressors.interp_engine import (
     EngineConfig,
-    _pass_prediction,
-    compress_volume,
-    decompress_volume,
+    compress_volumes,
+    decompress_volumes,
     level_error_bounds,
     trial_level_bits,
 )
 from repro.core import QPConfig
+from repro.pipeline.stages import InterpPredict
 from repro.utils.levels import anchor_slices, level_passes, num_levels
 
 
@@ -21,11 +21,18 @@ def field():
     return (np.sin(4 * np.pi * x) * np.cos(2 * np.pi * y) * (1 + z)).astype(np.float64)
 
 
-def roundtrip(data, cfg):
-    meta, stream, literals, anchors, _ = compress_volume(data, cfg)
-    return decompress_volume(
-        meta, stream, literals, anchors, data.shape, data.dtype, cfg.error_bound
+def _decode_one(meta, streams, literals, anchors, data, error_bound):
+    """The engine's decode of one volume, as a stack of one."""
+    (out,), _ = decompress_volumes(
+        [(meta, streams[0], literals, anchors, data.shape, data.dtype, error_bound)],
+        streams,
     )
+    return out
+
+
+def roundtrip(data, cfg):
+    (meta,), streams, (literals,), (anchors,), _, _ = compress_volumes(data[None], cfg)
+    return _decode_one(meta, streams, literals, anchors, data, cfg.error_bound)
 
 
 class TestLevelErrorBounds:
@@ -53,14 +60,14 @@ class TestPassPrediction:
         data = 2 * z + 3 * y - x
         for level in (1, 2):
             for p in level_passes(data.shape, level):
-                pred = _pass_prediction(data, p, "linear")
+                pred = InterpPredict.pass_prediction(data, p, "linear")
                 actual = data[p.target]
                 # interior points of a linear field are predicted exactly
                 assert np.median(np.abs(pred - actual)) < 1e-9
 
     def test_prediction_shape_matches_target(self, field):
         for p in level_passes(field.shape, 1):
-            pred = _pass_prediction(field, p, "cubic")
+            pred = InterpPredict.pass_prediction(field, p, "cubic")
             assert pred.shape == field[p.target].shape
 
 
@@ -76,16 +83,16 @@ class TestEngineRoundtrip:
 
     def test_anchors_exact(self, field):
         cfg = EngineConfig(error_bound=1e-2)
-        meta, stream, literals, anchors, _ = compress_volume(field, cfg)
-        out = decompress_volume(
-            meta, stream, literals, anchors, field.shape, field.dtype, 1e-2
+        (meta,), streams, (literals,), (anchors,), _, _ = compress_volumes(
+            field[None], cfg
         )
+        out = _decode_one(meta, streams, literals, anchors, field, 1e-2)
         assert np.array_equal(out[anchor_slices(field.shape)], field[anchor_slices(field.shape)])
 
     def test_stream_sizes_deterministic(self, field):
         cfg = EngineConfig(error_bound=1e-3)
-        _, s1, _, _, _ = compress_volume(field, cfg)
-        _, s2, _, _, _ = compress_volume(field, cfg)
+        s1 = compress_volumes(field[None], cfg)[1]
+        s2 = compress_volumes(field[None], cfg)[1]
         assert np.array_equal(s1, s2)
 
     def test_qp_stream_differs_but_decodes_identically(self, field):
@@ -97,11 +104,11 @@ class TestEngineRoundtrip:
 
     def test_corrupt_stream_size_detected(self, field):
         cfg = EngineConfig(error_bound=1e-3)
-        meta, stream, literals, anchors, _ = compress_volume(field, cfg)
+        (meta,), streams, (literals,), (anchors,), _, _ = compress_volumes(
+            field[None], cfg
+        )
         with pytest.raises(ValueError):
-            decompress_volume(
-                meta, stream[:-5], literals, anchors, field.shape, field.dtype, 1e-3
-            )
+            _decode_one(meta, streams[:, :-5], literals, anchors, field, 1e-3)
 
     def test_level_schemes_roundtrip(self, field):
         cfg = EngineConfig(
@@ -120,7 +127,7 @@ class TestEngineRoundtrip:
             return {"structure": "sequential", "axis_order": None}
 
         cfg = EngineConfig(error_bound=1e-3, scheme_selector=selector)
-        meta, *_ = compress_volume(field, cfg)
+        (meta,), *_ = compress_volumes(field[None], cfg)
         assert sorted(calls, reverse=True) == sorted(
             [int(k) for k in meta["level_schemes"]], reverse=True
         )

@@ -191,23 +191,23 @@ def test_parallel_slabs_decode_like_per_slab_decompress(monkeypatch, name, stack
         axis, blobs = _slab_blobs(container)
         assert len(blobs) == 4
         expected = np.concatenate([decompress_any(b) for b in blobs], axis=axis)
-        calls = []
-        real = interp_engine.decompress_volume
+        sizes = []
+        real = interp_engine.decompress_volumes
         monkeypatch.setattr(
-            interp_engine, "decompress_volume",
-            lambda *a, **k: calls.append(1) or real(*a, **k),
+            interp_engine, "decompress_volumes",
+            lambda items, *a, **k: sizes.append(len(items)) or real(items, *a, **k),
         )
         out = par.decompress(container)
     finally:
         par.close()
-    assert len(calls) == (0 if stacked else 4)
+    assert sizes == ([4] if stacked else [1, 1, 1, 1])
     assert out.dtype == expected.dtype
     np.testing.assert_array_equal(out, expected)
 
 
 def test_decompress_many_stacks_each_geometry_group(monkeypatch):
     # the two 8-row slabs share a stack key and stack; the 9-row slab
-    # between them in the batch decodes on its own
+    # between them in the batch decodes as a stack of one
     data = repro.generate("miranda", shape=(25, 24, 20), seed=6)
     eb = 1e-3 * float(data.max() - data.min())
     comp = SZ3(eb, predictor="interp", qp=QPConfig())
@@ -216,13 +216,14 @@ def test_decompress_many_stacks_each_geometry_group(monkeypatch):
         for lo, hi in ((0, 8), (8, 17), (17, 25))
     ]
     expected = [comp.decompress(b) for b in blobs]
-    shapes = []
-    real = interp_engine.decompress_volume
+    stacks = []
+    real = interp_engine.decompress_volumes
     monkeypatch.setattr(
-        interp_engine, "decompress_volume",
-        lambda *a, **k: shapes.append(a[4]) or real(*a, **k),
+        interp_engine, "decompress_volumes",
+        lambda items, *a, **k: stacks.append((len(items), items[0][4]))
+        or real(items, *a, **k),
     )
     outs = comp.decompress_many(blobs)
-    assert shapes == [(9, 24, 20)]
+    assert stacks == [(2, (8, 24, 20)), (1, (9, 24, 20))]
     for out, exp in zip(outs, expected):
         np.testing.assert_array_equal(out, exp)

@@ -1,16 +1,18 @@
 """The stacked compress: ``compress_volumes`` runs the engine once over
-equal volumes stacked on a leading axis, for the auto-tuner's trials.
-Every case compares each volume of the stack with its own
-``compress_volume`` run — stream, literal count, decoded bytes and the
-per-pass indices — and the stacked ``score_run`` with per-block scoring;
-tests/numpy_path re-runs this module on the numpy loops.
+equal volumes stacked on a leading axis — the auto-tuner's sample blocks,
+and every blob's volume as a stack of one.  Every case compares each
+volume of a stack with that volume run as a stack of one — meta, stream,
+literals, anchors, decoded bytes and the per-pass indices — and the
+stacked ``score_run`` with per-block scoring; the golden digests are the
+byte reference for a stack of one.  tests/numpy_path re-runs this module
+on the numpy loops.
 """
 import numpy as np
 import pytest
 
+from repro.compressors.base import CompressionState
 from repro.compressors.interp_engine import (
     EngineConfig,
-    compress_volume,
     compress_volumes,
     level_error_bounds,
 )
@@ -45,21 +47,26 @@ def _cfg(shape, eb=1e-2, **kw):
 
 
 def _assert_parity(stack, cfg):
-    """Each volume of the stacked run equals its own engine run."""
-    streams, n_literals, decoded, views = compress_volumes(stack, cfg)
+    """Each volume of the stacked run equals its run as a stack of one."""
+    metas, streams, literals, anchors, decoded, views = compress_volumes(stack, cfg)
     assert streams.dtype == np.int64 and streams.shape[0] == len(stack)
     assert decoded.shape == stack.shape and decoded.dtype == stack.dtype
     for i, vol in enumerate(stack):
         stats: list[dict] = []
-        _, stream, literals, _, dec = compress_volume(vol, cfg, None, stats)
-        np.testing.assert_array_equal(streams[i], stream)
-        assert n_literals[i] == literals.size
-        assert decoded[i].tobytes() == dec.tobytes()
+        (meta,), stream, (lits,), (anc,), dec, _ = compress_volumes(
+            vol[None], cfg, None, stats
+        )
+        assert metas[i] == meta
+        np.testing.assert_array_equal(streams[i], stream[0])
+        assert literals[i].dtype == lits.dtype
+        assert literals[i].tobytes() == lits.tobytes()
+        assert anchors[i].tobytes() == anc.tobytes()
+        assert decoded[i].tobytes() == dec[0].tobytes()
         assert [level for level, _ in views] == [s["level"] for s in stats]
         for (_, q), s in zip(views, stats):
             assert q[i].shape == s["indices"].shape
             np.testing.assert_array_equal(q[i], s["indices"])
-    return streams, n_literals
+    return streams, literals
 
 
 @pytest.mark.parametrize("scheme", [
@@ -102,16 +109,16 @@ def test_stack_sizes_with_literals(k, dtype):
     # radius 8: coarse-level indices reach the radius, so every volume
     # carries literals the stack must count per volume
     stack = _stack(SHAPES[3], k, dtype, seed=k)
-    _, n_literals = _assert_parity(stack, _cfg(
+    _, literals = _assert_parity(stack, _cfg(
         SHAPES[3], eb=1e-3, interp="cubic", radius=8, qp=QPConfig(),
     ))
-    assert (n_literals > 0).all()
+    assert all(lits.size for lits in literals)
 
 
 def test_auto_predicts_per_volume_where_methods_diverge():
     stack = _stack((24, 20, 22), 3)
     cfg = _cfg((24, 20, 22), interp="auto", qp=QPConfig())
-    methods = [compress_volume(vol, cfg)[0]["methods"] for vol in stack]
+    methods = [compress_volumes(vol[None], cfg)[0][0]["methods"] for vol in stack]
     assert any(m != methods[0] for m in methods[1:])
     _assert_parity(stack, cfg)
 
@@ -123,16 +130,26 @@ def test_scheme_selector_is_refused():
         compress_volumes(_stack(SHAPES[3], 2), cfg)
 
 
+@pytest.mark.parametrize("kw", [
+    {"state": CompressionState()}, {"level_stats": []},
+], ids=["state", "level_stats"])
+def test_blob_outputs_take_a_stack_of_one(kw):
+    cfg = _cfg(SHAPES[3], interp="linear")
+    with pytest.raises(ValueError):
+        compress_volumes(_stack(SHAPES[3], 2), cfg, **kw)
+    compress_volumes(_stack(SHAPES[3], 1), cfg, **kw)
+
+
 def _score_one(block, cfg, value_range):
     """One block scored as the tuner scored blocks before they stacked."""
-    _, stream, literals, _, decoded = compress_volume(block, cfg)
-    err = mse(block, decoded)
+    _, streams, (literals,), _, decoded, _ = compress_volumes(block[None], cfg)
+    err = mse(block, decoded[0])
     if err:
         psnr = 20.0 * np.log10(value_range / np.sqrt(err))
     else:
         psnr = -20.0 * np.log10(np.finfo(block.dtype).eps)
     run = BlockRun(psnr, literals.size, block.size)
-    return run.score(stream), run
+    return run.score(streams[0]), run
 
 
 @pytest.mark.parametrize("ndim,k,dtype,kw", [

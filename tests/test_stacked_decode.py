@@ -1,7 +1,8 @@
 """SZ3's batched decode: blobs that share a stack decode their index
 streams into the rows of one buffer, which the stacked walk inverts in
-place.  Every case compares ``decompress_many`` with per-blob
-``decompress``; tests/numpy_path re-runs this module on the numpy loops.
+place; a blob alone decodes as a stack of one.  Every case compares
+``decompress_many`` with per-blob ``decompress`` and counts the stacks
+the walk ran; tests/numpy_path re-runs this module on the numpy loops.
 """
 import itertools
 import struct
@@ -44,19 +45,20 @@ def _has_literals(blob):
     return bool(lossless_decompress(Blob.from_bytes(blob).sections["literals"]))
 
 
-def _assert_batch_matches(monkeypatch, comp, blobs, alone=0):
-    """``decompress_many`` equals per-blob ``decompress``, and exactly
-    ``alone`` of the interpolation blobs decode outside a stack."""
+def _assert_batch_matches(monkeypatch, comp, blobs, stacks=(3,)):
+    """``decompress_many`` equals per-blob ``decompress``, and the
+    interpolation blobs decode in walks over stacks of the sizes
+    ``stacks``, in order."""
     expected = [comp.decompress(b) for b in blobs]
-    calls = []
-    real = interp_engine.decompress_volume
+    sizes = []
+    real = interp_engine.decompress_volumes
     with monkeypatch.context() as m:
         m.setattr(
-            interp_engine, "decompress_volume",
-            lambda *a, **k: calls.append(1) or real(*a, **k),
+            interp_engine, "decompress_volumes",
+            lambda items, *a, **k: sizes.append(len(items)) or real(items, *a, **k),
         )
         outs = comp.decompress_many(blobs)
-    assert len(calls) == alone
+    assert sizes == list(stacks)
     for out, exp in zip(outs, expected):
         assert out.dtype == exp.dtype and out.shape == exp.shape
         np.testing.assert_array_equal(out, exp)
@@ -96,16 +98,16 @@ def test_mixed_slab_shapes_stack_per_shape(monkeypatch):
     data = _field((22, 12, 10), 3)
     comp = SZ3(1e-2, predictor="interp", qp=QPConfig())
     blobs = [comp.compress(s) for s in _slabs(data, (4, 5, 4, 5, 4))]
-    _assert_batch_matches(monkeypatch, comp, blobs)
-    # a shape with one member decodes alone beside the stack
-    _assert_batch_matches(monkeypatch, comp, blobs[:3], alone=1)
+    _assert_batch_matches(monkeypatch, comp, blobs, stacks=(3, 2))
+    # a shape with one member decodes as a stack of one beside the stack
+    _assert_batch_matches(monkeypatch, comp, blobs[:3], stacks=(2, 1))
 
 
 def test_lorenzo_stack_matches_per_blob_decode(monkeypatch):
     data = _field((15, 12, 11), 4)
     comp = SZ3(1e-2, predictor="lorenzo", radius=8)
     blobs = [comp.compress(s) for s in _slabs(data, (5, 5, 5))]
-    _assert_batch_matches(monkeypatch, comp, blobs)
+    _assert_batch_matches(monkeypatch, comp, blobs, stacks=())
 
 
 def _with_indices(blob, indices):
