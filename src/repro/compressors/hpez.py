@@ -177,9 +177,9 @@ class HPEZ(Compressor):
         self, data: np.ndarray, state: CompressionState | None
     ) -> tuple[dict[str, Any], dict[str, bytes]]:
         cfg = self._engine_config(data, with_selector=True)
-        (meta,), (stream,), (literals,), (anchors,), _, _ = compress_volumes(
+        (meta,), (stream,), (literals,), (anchors,) = compress_volumes(
             data[None], cfg, state
-        )
+        )[:4]
         if state is not None:
             state.extras["level_schemes"] = dict(cfg.level_schemes)
         sections = encode_engine_sections(
@@ -195,9 +195,9 @@ class HPEZ(Compressor):
             return self.compress(slab)
         slab = check_ndarray(slab)
         cfg = self._engine_config(slab, with_selector=True)
-        (meta,), (stream,), (literals,), (anchors,), _, _ = compress_volumes(
+        (meta,), (stream,), (literals,), (anchors,) = compress_volumes(
             slab[None], cfg
-        )
+        )[:4]
         return EngineFront(
             slab.shape,
             slab.dtype,
@@ -222,9 +222,9 @@ class HPEZ(Compressor):
             block = np.ascontiguousarray(data[bslice])
             cfg = self._engine_config(block, with_selector=True)
             bstate = CompressionState() if state is not None else None
-            (meta,), (stream,), (literals,), (anchors,), _, _ = compress_volumes(
+            (meta,), (stream,), (literals,), (anchors,) = compress_volumes(
                 block[None], cfg, bstate
-            )
+            )[:4]
             metas.append(meta)
             streams.append(stream)
             literal_parts.append(literals)

@@ -101,9 +101,9 @@ class MGARD(Compressor):
         self, data: np.ndarray, state: CompressionState | None
     ) -> tuple[dict[str, Any], dict[str, bytes]]:
         cfg = self._engine_config(data.shape)
-        (meta,), (stream,), (literals,), (anchors,), _, _ = compress_volumes(
+        (meta,), (stream,), (literals,), (anchors,) = compress_volumes(
             data[None], cfg, state
-        )
+        )[:4]
         sections = encode_engine_sections(
             stream, literals, anchors, entropy=self.entropy
         )
@@ -114,9 +114,9 @@ class MGARD(Compressor):
         engine's entropy seam, so every slab streams through it."""
         slab = check_ndarray(slab)
         cfg = self._engine_config(slab.shape)
-        (meta,), (stream,), (literals,), (anchors,), _, _ = compress_volumes(
+        (meta,), (stream,), (literals,), (anchors,) = compress_volumes(
             slab[None], cfg
-        )
+        )[:4]
         return EngineFront(
             slab.shape, slab.dtype, {"engine": meta}, stream, literals, anchors
         )

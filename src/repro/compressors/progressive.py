@@ -190,9 +190,9 @@ class SZ3Progressive(SZ3):
     ) -> tuple[dict[str, Any], dict[str, bytes]]:
         cfg = self._engine_config(data)
         stats: list[dict] = []
-        (meta,), (stream,), (literals,), (anchors,), _, _ = compress_volumes(
+        (meta,), (stream,), (literals,), (anchors,) = compress_volumes(
             data[None], cfg, state, stats
-        )
+        )[:4]
         order: list[int] = []
         for s in stats:
             if not order or order[-1] != s["level"]:

@@ -240,9 +240,9 @@ class SZ3(Compressor):
         self, data: np.ndarray, state: CompressionState | None
     ) -> tuple[dict[str, Any], dict[str, bytes]]:
         cfg = self._engine_config(data)
-        (meta,), (stream,), (literals,), (anchors,), _, _ = compress_volumes(
+        (meta,), (stream,), (literals,), (anchors,) = compress_volumes(
             data[None], cfg, state
-        )
+        )[:4]
         sections = encode_engine_sections(
             stream, literals, anchors,
             entropy=self.entropy, block_size=self.huffman_block_size,
@@ -264,9 +264,9 @@ class SZ3(Compressor):
             header, sections = self._compress_as(predictor, trial, slab, None)
             return self._frame_blob(slab.shape, slab.dtype, header, sections)
         cfg = self._engine_config(slab)
-        (meta,), (stream,), (literals,), (anchors,), _, _ = compress_volumes(
+        (meta,), (stream,), (literals,), (anchors,) = compress_volumes(
             slab[None], cfg
-        )
+        )[:4]
         header: dict[str, Any] = {"predictor": "interp", "engine": meta}
         if self.entropy != "huffman":
             header["entropy"] = self.entropy
