@@ -280,7 +280,7 @@ class HPEZ(Compressor):
                 iter_blocks(shape, int(header["block_side"])), header["block_metas"]
             )
         ]
-        lengths = [stream_length(meta, bshape) for _, bshape, meta in blocks]
+        lengths = [stream_length(bshape) for _, bshape, _ in blocks]
         if sum(lengths) != stream.size:
             raise CorruptBlobError("block stream size mismatch")
         out = np.empty(shape, dtype=dtype)

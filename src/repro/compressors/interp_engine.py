@@ -230,21 +230,24 @@ def compress_volumes(
     values ``(k,) + anchor shape``; the decoded ``(k, *shape)`` stack —
     the values the decompressor reconstructs; and one ``(level,
     indices)`` per pass in schedule order, where ``indices`` is the
-    ``(k,) + layout`` view of the pass's indices before the transforms,
-    interpolation axis first (the layout the transforms see).  The
-    auto-tuner scores its trials from these; the compressors frame the
-    first four into blobs.
+    ``(k,) + layout`` view of the pass's part of ``streams``,
+    interpolation axis first (the layout the transforms see): the
+    quantizer's indices wherever the transforms leave the level alone, as
+    they do every level with QP off.  The auto-tuner scores its trials
+    (QP off) from these; the compressors frame the first four into blobs.
+    The walk keeps no index array besides ``streams``, so a blob's encode
+    holds nothing the blob does not need.
 
     Three inputs take a stack of one (``ValueError`` otherwise):
 
     * ``state`` receives the characterization volumes (``index_volume``,
       ``extras["index_volume_qp"]``, ``extras["pass_levels"]``), scattered
-      after the walk from the pass views and the stream; without it none
-      is built.
+      after the walk from the pass views, whose transforms it inverts for
+      ``index_volume``; without it none is built.
     * ``level_stats``, a list, collects one dict per pass in schedule
       order — ``{"level", "indices", "literals", "max_residual"}``: the
-      pass's indices in the layout above, its literal count, and the
-      largest |original - prediction| in float64.  The progressive
+      pass's indices before the transforms, in the layout above, its
+      literal count, and the largest |original - prediction| in float64.  The progressive
       compressor splits the streams at level boundaries with these and
       derives per-level achievable error bounds.
     * ``cfg.scheme_selector`` (HPEZ) fixes each level's scheme from the
@@ -266,8 +269,7 @@ def compress_volumes(
     transforms = cfg.index_transforms()
     sentinel = quantize.sentinel
     ctx = StageContext(sentinel=sentinel, dtype=stack.dtype)
-    # every point but the anchors is predicted by exactly one pass
-    streams = np.empty((k, arr[0].size - anchors[0].size), dtype=np.int64)
+    streams = np.empty((k, stream_length(shape)), dtype=np.int64)
     literal_parts: list[list[np.ndarray]] = [[] for _ in range(k)]
     methods: list[dict[int, str]] = [{} for _ in range(k)]
     views: list[tuple[int, np.ndarray]] = []
@@ -329,7 +331,6 @@ def compress_volumes(
                     literal_parts, np.split(res.literals, np.cumsum(counts)[:-1])
                 ):
                     parts.append(lits)
-            views.append((level, q))
             count = q.size // k
             rows = streams[:, spos:spos + count].reshape(q.shape)
             spos += count
@@ -337,19 +338,21 @@ def compress_volumes(
                 for t in transforms:
                     q_i = t.forward(ctx, q_i)
                 row[...] = q_i
+            views.append((level, rows))
 
     if state is not None:
         state.index_volume = np.zeros(shape, dtype=np.int64)
         coded = state.extras["index_volume_qp"] = np.zeros(shape, dtype=np.int64)
         pass_levels = state.extras["pass_levels"] = np.zeros(shape, dtype=np.int8)
-        spos = 0
-        schedule = (p for _, passes in _schedule(shape, cfg, levels) for p in passes)
-        for (level, q), p in zip(views, schedule):
+        schedule = (p for _, ps in _schedule(shape, cfg, levels) for p in ps)
+        for (level, rows), p in zip(views, schedule):
+            ctx.level = level
+            indices = rows.copy()
+            for t in reversed(transforms):
+                t.inverse_multi(ctx, indices)
             back = moveaxis_order(ndim, 0, p.axis)
-            state.index_volume[p.target] = q[0].transpose(back)
-            row = streams[0, spos:spos + q[0].size]
-            coded[p.target] = row.reshape(q[0].shape).transpose(back)
-            spos += q[0].size
+            state.index_volume[p.target] = indices[0].transpose(back)
+            coded[p.target] = rows[0].transpose(back)
             pass_levels[p.target] = level
 
     literals = [
@@ -358,7 +361,7 @@ def compress_volumes(
     ]
     meta = {
         "levels": levels,
-        "methods": {},
+        "methods": {},  # each volume's, in this key's place in the header
         "structure": cfg.structure,
         "axis_order": list(cfg.axis_order) if cfg.axis_order else None,
         "level_schemes": {
@@ -443,15 +446,12 @@ def stack_key(
     ))
 
 
-def stream_length(meta: dict[str, Any], shape: tuple[int, ...]) -> int:
-    """Length of the index stream the pass schedule of ``meta`` over
-    ``shape`` reads: the row length of a stack's index buffer."""
-    cfg = EngineConfig.from_meta(meta, error_bound=1.0)
-    return sum(
-        _stream_layout(shape, p)[1]
-        for _, passes in _schedule(shape, cfg, int(meta["levels"]))
-        for p in passes
-    )
+def stream_length(shape: tuple[int, ...]) -> int:
+    """Length of the index stream of a volume of ``shape``, the row length
+    of a stack's index buffer: every point but the anchors is predicted by
+    exactly one pass, whatever the level schemes."""
+    anchors = (len(range(*sl.indices(n))) for sl, n in zip(anchor_slices(shape), shape))
+    return math.prod(shape) - math.prod(anchors)
 
 
 def _schedule(

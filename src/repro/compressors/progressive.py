@@ -374,7 +374,7 @@ def _decode_blob_to_level(blob: Blob, level: int) -> np.ndarray:
     )
     anchors = np.frombuffer(blob.sections["anchors"], dtype=dtype).reshape(a_shape)
     stop = level - 1 if level > 1 else 0
-    if not stop and stream.size != stream_length(meta, shape):
+    if not stop and stream.size != stream_length(shape):
         raise CorruptBlobError("index stream size mismatch")
     (arr,), (used,) = decompress_volumes([(
         meta, stream, literals, anchors, shape, dtype,

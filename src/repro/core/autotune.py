@@ -79,7 +79,8 @@ def score_run(stack: np.ndarray, cfg, value_range: float):
     Returns ``(scores, runs, passes)``: per block the RD score and the
     :class:`BlockRun` it came from, and the run's ``(level, indices)``
     pass views (:func:`~repro.compressors.interp_engine.compress_volumes`;
-    ``indices[i]`` is block ``i``'s pass before the index transforms).
+    ``indices[i]`` is block ``i``'s pass as streamed, which with ``cfg``'s
+    QP off — every tuner trial — is the quantizer's indices).
     PSNR is measured against ``value_range`` (:func:`autotune` passes the
     whole field's range, not the block's), from the block's
     :func:`~repro.metrics.errors.mse_rows` entry, bit-equal to its own
@@ -244,11 +245,29 @@ def autotune(
         "qp": fixed.get("qp", QPConfig.disabled()),
     }
 
+    def _qp_score(view: tuple, qp: QPConfig) -> float:
+        """The summed RD score of a trial's blocks with ``qp`` run over
+        its QP-off pass views: QP is lossless on the indices, so PSNR and
+        literals stay the trial's and only the index streams change."""
+        runs, passes = view
+        transform = QPTransform(qp)
+        ctx = StageContext(sentinel=-radius)
+        score = 0.0
+        for i, run in enumerate(runs):
+            parts = [np.empty(0, dtype=np.int64)]  # a block may have no passes
+            for level, q in passes:
+                ctx.level = level
+                parts.append(transform.forward(ctx, q[i]).ravel())
+            score += run.score(np.concatenate(parts))
+        return score
+
     def _trial(params: dict) -> tuple[float, float, tuple]:
-        """One engine run of a parameter set over the stacked blocks: the
-        summed RD score, the fraction of points the adaptive quantizer
-        tightened, and the view the QP step re-scores — each block's
-        :class:`BlockRun` and the run's ``(level, indices)`` passes."""
+        """One engine run of a parameter set over the stacked blocks, with
+        QP off: the summed RD score (a pinned QP config scored on the pass
+        views, as the QP step scores), the fraction of points the adaptive
+        quantizer tightened, and the view the QP step re-scores — each
+        block's :class:`BlockRun` and the run's ``(level, indices)``
+        passes."""
         metric_count("autotune.trials")
         bits = int(params["adaptive_bits"])
         if factors_fn is not None:
@@ -264,16 +283,19 @@ def autotune(
             structure=params["structure"],
             axis_order=params["axis_order"],
             level_eb_factors=factors,
-            qp=params["qp"],
+            qp=QPConfig.disabled(),
             adaptive=(
                 AdaptiveConfig(bits=bits, threshold=adaptive_threshold)
                 if bits else None
             ),
         )
         scores, runs, passes = score_run(stack, cfg, value_range)
-        score = 0.0
-        for block_score in scores:  # one fixed order: the sum is compared
-            score += block_score
+        if params["qp"].enabled:
+            score = _qp_score((runs, passes), params["qp"])
+        else:
+            score = 0.0
+            for block_score in scores:  # one fixed order: the sum is compared
+                score += block_score
         adaptive_pts = sum(
             int(np.count_nonzero(
                 (np.abs(q) >= adaptive_threshold) & (q != -radius)
@@ -284,21 +306,10 @@ def autotune(
         return score, fraction, (runs, passes)
 
     def _qp_trial(params: dict) -> tuple[float, float, tuple]:
-        """Score ``params["qp"]`` on the incumbent's view: QP is lossless
-        on the indices, so PSNR, literals and the adaptive fraction stay
-        the incumbent's and only the index stream changes."""
+        """Score ``params["qp"]`` on the incumbent's view; the adaptive
+        fraction stays the incumbent's."""
         metric_count("autotune.trials")
-        transform = QPTransform(params["qp"])
-        ctx = StageContext(sentinel=-radius)
-        runs, passes = best_view
-        score = 0.0
-        for i, run in enumerate(runs):
-            parts = [np.empty(0, dtype=np.int64)]  # a block may have no passes
-            for level, q in passes:
-                ctx.level = level
-                parts.append(transform.forward(ctx, q[i]).ravel())
-            score += run.score(np.concatenate(parts))
-        return score, best_fraction, best_view
+        return _qp_score(best_view, params["qp"]), best_fraction, best_view
 
     with obs_span("autotune"):
         best_score, best_fraction, best_view = _trial(current)

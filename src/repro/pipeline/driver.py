@@ -125,7 +125,7 @@ def decode_engine_blob(
     from ..compressors.interp_engine import decompress_volumes, stream_length
 
     header = blobs[0].header
-    length = stream_length(header["engine"], tuple(header["shape"]))
+    length = stream_length(tuple(header["shape"]))
     buf = np.empty((len(blobs), length), dtype=np.int64)
     for b, row in zip(blobs, buf):
         decode_index_stream(b.sections["indices"], out=row)

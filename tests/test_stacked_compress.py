@@ -20,6 +20,7 @@ from repro.core import QPConfig
 from repro.core.autotune import BlockRun, score_run
 from repro.core.config import AdaptiveConfig
 from repro.metrics.errors import mse, mse_rows
+from repro.pipeline.stages import QPTransform, StageContext
 from repro.utils.levels import num_levels
 
 SHAPES = {1: (70,), 2: (17, 20), 3: (9, 10, 11)}
@@ -51,9 +52,10 @@ def _assert_parity(stack, cfg):
     metas, streams, literals, anchors, decoded, views = compress_volumes(stack, cfg)
     assert streams.dtype == np.int64 and streams.shape[0] == len(stack)
     assert decoded.shape == stack.shape and decoded.dtype == stack.dtype
+    ctx = StageContext(sentinel=-cfg.radius)
     for i, vol in enumerate(stack):
         stats: list[dict] = []
-        (meta,), stream, (lits,), (anc,), dec, _ = compress_volumes(
+        (meta,), stream, (lits,), (anc,), dec, one_views = compress_volumes(
             vol[None], cfg, None, stats
         )
         assert metas[i] == meta
@@ -63,9 +65,14 @@ def _assert_parity(stack, cfg):
         assert anchors[i].tobytes() == anc.tobytes()
         assert decoded[i].tobytes() == dec[0].tobytes()
         assert [level for level, _ in views] == [s["level"] for s in stats]
-        for (_, q), s in zip(views, stats):
+        for (level, q), (_, q1), s in zip(views, one_views, stats):
+            np.testing.assert_array_equal(q[i], q1[0])
+            # each view is its pass as streamed: QP over the pass's indices
+            ctx.level = level
             assert q[i].shape == s["indices"].shape
-            np.testing.assert_array_equal(q[i], s["indices"])
+            np.testing.assert_array_equal(
+                q[i], QPTransform(cfg.qp).forward(ctx, s["indices"])
+            )
     return streams, literals
 
 
