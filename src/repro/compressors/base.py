@@ -136,8 +136,9 @@ class CompressionState:
     tests: the compressor fills it during that one call.  The engine
     (:func:`~repro.compressors.interp_engine.compress_volumes`, the blob's
     volume as a stack of one) allocates the volumes only then, and
-    scatters them after its pass loop from the per-pass index views and
-    the index stream it returns.  The auto-tuners' trial runs pass none.
+    scatters them after its pass loop from its per-pass views of the
+    index stream, inverting the index transforms for ``index_volume``.
+    The auto-tuners' trial runs pass none.
     """
 
     index_volume: np.ndarray | None = None

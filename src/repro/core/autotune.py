@@ -13,11 +13,11 @@ rate–distortion objective QoZ uses (``psnr - 6.02 * bits_per_point``),
 which QoZ's own alpha/beta tuner calls too.
 
 QP is lossless on the quantization indices, so a QP candidate changes
-neither the decoded values nor the literals: the QP step scores each
-candidate by running the QP stage over the incumbent trial's per-pass
-index arrays (the pass views of
-:func:`~repro.compressors.interp_engine.compress_volumes`) instead of
-compressing the blocks again.  The winner is returned as a
+neither the decoded values nor the literals: every engine trial runs with
+QP off, and QP — the QP step's candidates, or a pinned config — is scored
+by running the QP stage over the trial's per-pass index arrays (the pass
+views of :func:`~repro.compressors.interp_engine.compress_volumes`)
+instead of compressing the blocks again.  The winner is returned as a
 :class:`TuningDecision`; compressors apply it via their ``auto=True``
 compress knob.
 """
