@@ -36,7 +36,9 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import os
 import struct
+import threading
 from collections import OrderedDict
 
 import numpy as np
@@ -185,30 +187,45 @@ def canonical_codes(lengths: np.ndarray) -> np.ndarray:
 
 #: LRU of validated flat decode tables keyed by a digest of the sparse
 #: (present, present_lens) code table.  Entries are read-only arrays, safe to
-#: share across decodes, threads (GIL) and fork()ed worker processes.
+#: share across decodes, threads and fork()ed worker processes; the memo
+#: itself and its counters change only under ``_DECODE_TABLE_LOCK``, because
+#: streamed segments decode on several threads at once.
 _DECODE_TABLE_CACHE: "OrderedDict[bytes, tuple[np.ndarray, np.ndarray, int]]" = (
     OrderedDict()
 )
 _DECODE_TABLE_CACHE_MAX = 64
 _DECODE_TABLE_STATS = {"hits": 0, "misses": 0, "evictions": 0}
+_DECODE_TABLE_LOCK = threading.Lock()
+
+
+def _reset_decode_table_lock_in_child() -> None:
+    # a fork taken while another thread held the lock would leave the
+    # child's copy locked forever (the gateway forks its worker pool)
+    global _DECODE_TABLE_LOCK
+    _DECODE_TABLE_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_reset_decode_table_lock_in_child)
 
 
 def decode_table_cache_info() -> dict:
     """Hits/misses/evictions/size of the decode-table memo (for tests,
     ``repro stats``, and perf triage)."""
-    return {
-        **_DECODE_TABLE_STATS,
-        "size": len(_DECODE_TABLE_CACHE),
-        "max_entries": _DECODE_TABLE_CACHE_MAX,
-    }
+    with _DECODE_TABLE_LOCK:
+        return {
+            **_DECODE_TABLE_STATS,
+            "size": len(_DECODE_TABLE_CACHE),
+            "max_entries": _DECODE_TABLE_CACHE_MAX,
+        }
 
 
 def clear_decode_table_cache() -> None:
     """Drop all memoized decode tables and reset the hit/miss/evict counters."""
-    _DECODE_TABLE_CACHE.clear()
-    _DECODE_TABLE_STATS["hits"] = 0
-    _DECODE_TABLE_STATS["misses"] = 0
-    _DECODE_TABLE_STATS["evictions"] = 0
+    with _DECODE_TABLE_LOCK:
+        _DECODE_TABLE_CACHE.clear()
+        _DECODE_TABLE_STATS["hits"] = 0
+        _DECODE_TABLE_STATS["misses"] = 0
+        _DECODE_TABLE_STATS["evictions"] = 0
 
 
 def _decode_tables(
@@ -226,13 +243,16 @@ def _decode_tables(
     key = hashlib.blake2b(
         present.tobytes() + present_lens.tobytes(), digest_size=16
     ).digest()
-    cached = _DECODE_TABLE_CACHE.get(key)
+    with _DECODE_TABLE_LOCK:
+        cached = _DECODE_TABLE_CACHE.get(key)
+        if cached is not None:
+            _DECODE_TABLE_CACHE.move_to_end(key)
+            _DECODE_TABLE_STATS["hits"] += 1
+        else:
+            _DECODE_TABLE_STATS["misses"] += 1
     if cached is not None:
-        _DECODE_TABLE_CACHE.move_to_end(key)
-        _DECODE_TABLE_STATS["hits"] += 1
         metric_count("huffman.table_cache", result="hit")
         return cached
-    _DECODE_TABLE_STATS["misses"] += 1
     metric_count("huffman.table_cache", result="miss")
 
     # ``present`` is validated strictly increasing by the container parse
@@ -264,10 +284,13 @@ def _decode_tables(
     sym_table.setflags(write=False)
     len_table.setflags(write=False)
 
-    _DECODE_TABLE_CACHE[key] = (sym_table, len_table, max_len)
-    if len(_DECODE_TABLE_CACHE) > _DECODE_TABLE_CACHE_MAX:
-        _DECODE_TABLE_CACHE.popitem(last=False)
-        _DECODE_TABLE_STATS["evictions"] += 1
+    with _DECODE_TABLE_LOCK:
+        _DECODE_TABLE_CACHE[key] = (sym_table, len_table, max_len)
+        evict = len(_DECODE_TABLE_CACHE) > _DECODE_TABLE_CACHE_MAX
+        if evict:
+            _DECODE_TABLE_CACHE.popitem(last=False)
+            _DECODE_TABLE_STATS["evictions"] += 1
+    if evict:
         metric_count("huffman.table_cache", result="evict")
     return sym_table, len_table, max_len
 

@@ -418,7 +418,8 @@ class Compressor(ABC):
         geometry as a stack (SZ3 decodes their index streams into one
         buffer and inverts it in place through
         :func:`~repro.compressors.interp_engine.decompress_volumes`) — the
-        slab-parallel and streamed decode path.
+        slab-parallel and gateway batch decode path.  Streamed containers
+        decode one segment per job through :meth:`decompress` instead.
         """
         parsed = [self._parse_own_blob(blob) for blob in blobs]
         with stage("decompress", compressor=self.name, batch=len(blobs)):
@@ -465,12 +466,16 @@ class Compressor(ABC):
             checksum=checksum,
         )
 
-    def decompress_stream(self, source: Any, *, batch: int = 8) -> np.ndarray:
+    def decompress_stream(self, source: Any) -> np.ndarray:
         """Decode a streamed container (bytes, path, or seekable file)
-        written by :meth:`compress_stream` back into one array."""
+        written by :meth:`compress_stream` back into one array.
+
+        Each segment decodes through :meth:`decompress` as its own job on
+        the worker threads of :func:`~repro.streaming.stream_decompress`.
+        """
         from ..streaming import stream_decompress
 
-        return stream_decompress(source, compressor=self, batch=batch)
+        return stream_decompress(source, compressor=self)
 
     def _stream_front(self, slab: np.ndarray):
         """Streaming stage 1+2: predict + quantize + index transforms for

@@ -26,13 +26,19 @@ by a fixed window, so peak memory is O(slab · depth), never O(volume), and
 the producer's stall time against a full window is surfaced as the
 ``stream.backpressure_wait`` metric (buffer recycling as
 ``stream.buffer_reuse``).
+
+Decoding runs the other way round over the same window: every segment is
+a standalone blob, so each decodes as its own job on the worker threads
+(the C kernels and zlib release the GIL), while the caller thread alone
+reads the container and copies finished slabs into the output in
+segment order.
 """
 from __future__ import annotations
 
 import os
 import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from time import perf_counter
@@ -287,26 +293,25 @@ def stream_compress(
     )
 
 
-def stream_decompress(
-    source: Any,
-    *,
-    compressor: Any = None,
-    batch: int = 8,
-) -> np.ndarray:
+def stream_decompress(source: Any, *, compressor: Any = None) -> np.ndarray:
     """Decode a streamed container back into one array.
 
     ``source`` is anything :class:`~repro.io.container.ContainerReader`
-    accepts (bytes, path, seekable file).  Segments are decoded in
-    ``batch``-sized groups through ``decompress_many`` (equal SZ3 slabs
-    decode as one stack, in place) and written straight into
-    the preallocated output, so decode memory also stays O(slab).  When ``compressor`` is None, each segment dispatches
-    through the registry on its own header.
+    accepts (bytes, path, seekable file).  Each segment is a standalone
+    blob, so each decodes as its own job on a pool of ``stream-decode``
+    threads (``compressor.decompress``, or the registry's
+    ``decompress_any`` on the segment's own header when ``compressor`` is
+    None).  The caller thread alone reads the container — the reader is
+    not thread-safe — and copies each result into the preallocated output
+    in segment order; at most ``workers + 2`` segments are in flight, so
+    decode memory stays O(slab).  An error re-raises from the
+    lowest-index failing segment, after the rest are cancelled and the
+    pool has shut down.
     """
     reader = source if isinstance(source, ContainerReader) else ContainerReader(source)
     n = len(reader)
     if n == 0:
         raise CorruptBlobError("streamed container holds no segments")
-    batch = max(1, int(batch))
     meta = reader.meta
     out: np.ndarray | None = None
     if "shape" in meta and "dtype" in meta:
@@ -314,15 +319,46 @@ def stream_decompress(
             tuple(int(s) for s in meta["shape"]), dtype=np.dtype(meta["dtype"])
         )
     if compressor is not None:
-        decode_many = compressor.decompress_many
+        decode = compressor.decompress
     else:
-        from .compressors.registry import decompress_many as decode_many
+        from .compressors.registry import decompress_any as decode
+    nworkers = _default_workers()
+    window = nworkers + 2
+    parent = obs.current()
+
+    def _decode_job(i: int, blob: bytes):
+        # same per-slab observation hand-off as the compress side's jobs
+        ob = obs.Observation() if parent is not None else None
+        with obs.observe(ob) if ob is not None else nullcontext():
+            with obs.span("stream.decode", slab=i):
+                arr = decode(blob)
+        return arr, (ob.to_payload() if ob is not None else None)
+
+    def _submit(pool: ThreadPoolExecutor, i: int) -> Future:
+        try:
+            blob = reader.segment(i)
+        except Exception as exc:  # noqa: BLE001 - raised in segment order
+            failed: Future = Future()
+            failed.set_exception(exc)
+            return failed
+        return pool.submit(_decode_job, i, blob)
+
     parts: list[np.ndarray] = []
     cursor = 0
-    with obs.span("stream.decompress", segments=n):
-        for start in range(0, n, batch):
-            blobs = [reader.segment(i) for i in range(start, min(start + batch, n))]
-            for arr in decode_many(blobs):
+    with obs.span("stream.decompress", segments=n), ThreadPoolExecutor(
+        max_workers=nworkers, thread_name_prefix="stream-decode"
+    ) as pool:
+        in_flight: deque = deque()
+        next_i = 0
+        try:
+            while next_i < n or in_flight:
+                while next_i < n and len(in_flight) < window:
+                    in_flight.append((next_i, _submit(pool, next_i)))
+                    next_i += 1
+                i, fut = in_flight.popleft()
+                arr, payload = fut.result()
+                if parent is not None:
+                    parent.merge_payload(payload, worker=f"slab{i}.decode")
                 if out is None:
                     parts.append(arr)
                     continue
@@ -336,6 +372,10 @@ def stream_decompress(
                     )
                 out[tuple(sel)] = arr
                 cursor += rows
+        except BaseException:
+            for _j, pending in in_flight:
+                pending.cancel()
+            raise
     if out is not None:
         if cursor != out.shape[reader.axis]:
             raise CorruptBlobError(

@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,12 @@ from repro.codecs.huffman import (
     huffman_code_lengths,
 )
 from repro.errors import CorruptBlobError, TruncatedStreamError
+
+
+def _decode_in_child():
+    stream = np.arange(7, dtype=np.int64)
+    codec = HuffmanCodec()
+    assert np.array_equal(codec.decode(codec.encode(stream)), stream)
 
 
 def kraft_sum(lengths):
@@ -270,6 +277,76 @@ class TestDecodeEdgeCases:
         assert (info["size"], info["evictions"], info["misses"]) == (64, 1, 65)
         c.decode(blobs[-1])
         assert decode_table_cache_info()["hits"] == 1
+
+    def test_cache_hit_survives_an_eviction_by_another_thread(self, monkeypatch):
+        # force the interleaving a threaded decode can hit: between this
+        # thread's cache lookup and its LRU reorder, a second decoding
+        # thread inserts another table and evicts the one just looked up.
+        # The lookup pauses until the other thread has evicted (or 1 s has
+        # passed, for a memo that makes the other thread wait)
+        from collections import OrderedDict
+
+        from repro.codecs import huffman
+
+        c = HuffmanCodec()
+        a, b = np.arange(5, dtype=np.int64), np.arange(9, dtype=np.int64)
+        blob_a, blob_b = c.encode(a), c.encode(b)
+        clear_decode_table_cache()
+        monkeypatch.setattr(huffman, "_DECODE_TABLE_CACHE_MAX", 1)
+        c.decode(blob_a)  # the memo now holds a's table only
+        main = threading.current_thread()
+        looked_up, evicted = threading.Event(), threading.Event()
+
+        class PausingMemo(OrderedDict):
+            def get(self, key, default=None):
+                value = super().get(key, default)
+                if value is not None and threading.current_thread() is main:
+                    looked_up.set()
+                    evicted.wait(timeout=1.0)
+                return value
+
+        monkeypatch.setattr(
+            huffman, "_DECODE_TABLE_CACHE", PausingMemo(huffman._DECODE_TABLE_CACHE)
+        )
+        other_out = []
+
+        def decode_b():
+            looked_up.wait(timeout=10.0)
+            other_out.append(c.decode(blob_b))
+            evicted.set()
+
+        other = threading.Thread(target=decode_b)
+        other.start()
+        try:
+            out = c.decode(blob_a)
+        finally:
+            looked_up.set()
+            other.join()
+        assert np.array_equal(out, a)
+        assert np.array_equal(other_out[0], b)
+        info = decode_table_cache_info()
+        assert (info["hits"], info["misses"], info["evictions"], info["size"]) == (
+            1, 2, 1, 1,
+        )
+
+    def test_fork_while_the_memo_is_locked_does_not_deadlock(self):
+        # a decode thread can hold the memo's lock when the gateway forks
+        # its pool; the child must not inherit the held lock
+        import multiprocessing
+
+        from repro.codecs import huffman
+
+        ctx = multiprocessing.get_context("fork")
+        with huffman._DECODE_TABLE_LOCK:
+            proc = ctx.Process(target=_decode_in_child)
+            proc.start()
+        proc.join(timeout=60)
+        hung = proc.is_alive()
+        if hung:
+            proc.kill()
+            proc.join(timeout=10)
+        assert not hung
+        assert proc.exitcode == 0
 
 
 class TestDecodeMany:

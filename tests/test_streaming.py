@@ -9,13 +9,15 @@ working on streamed output.
 """
 import io
 import os
+import threading
 
 import numpy as np
 import pytest
 
 import repro
-from repro import obs
+from repro import obs, streaming
 from repro.compressors import get_compressor
+from repro.compressors.base import Blob
 from repro.core.config import AdaptiveConfig, QPConfig
 from repro.errors import (
     CorruptBlobError,
@@ -403,6 +405,110 @@ def test_stream_observability_spans_and_metrics():
     flat = str(payload.get("metrics"))
     assert "stream.buffer_reuse" in flat
     assert "stream.backpressure_wait" in flat
+
+
+# -- threaded decode ------------------------------------------------------------
+
+
+def _mixed_segments():
+    """Nine SZ3 slab blobs that decode down different paths: interp slabs,
+    Lorenzo-winning slabs (a random walk, and a smooth slab at this tight
+    bound), eight-row slabs and a three-row tail; more segments than the
+    decode window holds."""
+    rng = np.random.default_rng(5)
+    walk = rng.standard_normal((8, 20, 16))
+    for axis in range(3):
+        walk = np.cumsum(walk, axis=axis)
+    coords = np.meshgrid(*(np.linspace(0, 2.5, s) for s in (56, 20, 16)),
+                         indexing="ij")
+    smooth = sum(np.sin(c) for c in coords)
+    smooth *= np.ptp(walk) / np.ptp(smooth)
+    data = np.concatenate([smooth[:24], walk, smooth[24:]]).astype(np.float32)
+    comp = get_compressor("sz3", 1e-4 * float(data.max() - data.min()))
+    rows = [0, 8, 16, 24, 32, 40, 48, 56, 61, 64]
+    blobs = [comp.compress(np.ascontiguousarray(data[a:b]))
+             for a, b in zip(rows[:-1], rows[1:])]
+    assert len(blobs) > streaming._default_workers() + 2
+    assert {Blob.from_bytes(b).header["predictor"] for b in blobs} == {
+        "interp", "lorenzo"}
+    return comp, data, blobs
+
+
+def _container(comp, data, blobs):
+    meta = {"compressor": comp.name, "dtype": data.dtype.str,
+            "shape": list(data.shape), "error_bound": comp.error_bound}
+    sink = io.BytesIO()
+    with ContainerWriter(sink, axis=0, meta=meta) as w:
+        for blob in blobs:
+            w.append(blob)
+    return sink.getvalue()
+
+
+def _error_of(decode, blob):
+    with pytest.raises(ReproError) as info:
+        decode(blob)
+    return info.value
+
+
+def _decode_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("stream-decode")]
+
+
+@pytest.mark.parametrize("given", ["compressor", "registry"])
+def test_threaded_decode_matches_per_segment_decompress(given):
+    comp, data, blobs = _mixed_segments()
+    raw = _container(comp, data, blobs)
+    expected = np.concatenate([comp.decompress(b) for b in blobs])
+    out = (comp.decompress_stream(raw) if given == "compressor"
+           else stream_decompress(raw))
+    assert out.dtype == expected.dtype and out.shape == data.shape
+    assert out.tobytes() == expected.tobytes()
+    assert not _decode_threads()
+
+
+@pytest.mark.parametrize("later", ["decode", "read"])
+def test_threaded_decode_raises_the_lowest_failing_segment(later):
+    # two failing segments past the first window: the lower one's error is
+    # raised, whether the higher one fails to decode or (on the caller
+    # thread, while the lower one is still in flight) its CRC check
+    comp, data, blobs = _mixed_segments()
+    first = streaming._default_workers() + 3
+    second = first + 1
+    bad = list(blobs)
+    bad[first] = bad[first][: len(bad[first]) // 2]
+    expected = _error_of(comp.decompress, bad[first])
+    if later == "decode":
+        bad[second] = b"XXXX" + bad[second][4:]
+        assert str(_error_of(comp.decompress, bad[second])) != str(expected)
+        raw = _container(comp, data, bad)
+    else:
+        raw = bytearray(_container(comp, data, bad))
+        off, size = ContainerReader(bytes(raw)).offsets()[second]
+        raw[off + size // 2] ^= 0x40
+        raw = bytes(raw)
+        assert isinstance(_error_of(ContainerReader(raw).segment, second),
+                          IntegrityError)
+    for decode in (comp.decompress_stream, stream_decompress):
+        err = _error_of(decode, raw)
+        assert type(err) is type(expected) and str(err) == str(expected)
+        assert not _decode_threads()
+
+
+def test_threaded_decode_records_one_span_per_segment():
+    comp, data, blobs = _mixed_segments()
+    raw = _container(comp, data, blobs)
+    ob = obs.Observation()
+    with obs.observe(ob):
+        comp.decompress_stream(raw)
+    spans = ob.tracer.spans
+    (outer,) = [s for s in spans if s.name == "stream.decompress"]
+    decodes = [s for s in spans if s.name == "stream.decode"]
+    assert [s.labels["slab"] for s in decodes] == list(range(len(blobs)))
+    assert [s.worker for s in decodes] == [
+        f"slab{i}.decode" for i in range(len(blobs))]
+    for s in decodes:
+        assert s.parent == outer.index
+        assert [c.name for c in spans if c.parent == s.index] == ["decompress"]
 
 
 def test_module_level_stream_compress_matches_method():

@@ -119,34 +119,51 @@ def _build_targets(seed: int):
         lambda b, _c=comp: _c.decompress_resolution(b, 1),
     ))
     # streamed slab container: the offset-framed wire format (header,
-    # segment table, CRC-guarded index/footer) is its own decode surface
+    # segment table, CRC-guarded index/footer) is its own decode surface;
+    # each segment decodes alone, as its own job on the decode threads
     import io
 
+    from repro.compressors import decompress_many
+    from repro.io import ContainerReader
     from repro.streaming import stream_decompress
+
+    def streamed(comp, payload, slab_rows):
+        sink = io.BytesIO()
+        comp.compress_stream(payload, sink, slab_bytes=slab_rows * payload[0].nbytes)
+        return sink.getvalue()
 
     for name in ("sz3", "mgard"):
         comp = get_compressor(name, 1e-2, qp=QPConfig())
-        sink = io.BytesIO()
-        slab_bytes = (data.shape[0] // 3) * data[0].nbytes
-        comp.compress_stream(data, sink, slab_bytes=slab_bytes)
-        targets.append((f"stream[{name}]", sink.getvalue(), stream_decompress))
-    # equal slabs decode as one stack, inverted in place: QP's 3-D walk
-    # over each slab's part of the stack's index buffer, and float64
-    # values dequantized through the strided pass views
-    for label, payload, qp in (
-        ("sz3,qp=3d", data, QPConfig(dimension="3d")),
-        ("sz3,f64", data64, QPConfig()),
+        raw = streamed(comp, data, data.shape[0] // 3)
+        targets.append((f"stream[{name}]", raw, stream_decompress))
+    # nine 8-row slabs: more segments than the decode window holds
+    comp = get_compressor("sz3", 1e-2, qp=QPConfig())
+    raw = streamed(comp, np.tile(data, (6, 1, 1)), 8)
+    targets.append(("stream[sz3,segments=9]", raw, stream_decompress))
+    # three equal 8-row slabs decoded together stack, inverted in place:
+    # QP's 3-D walk over each slab's part of the stack's index buffer,
+    # float64 values dequantized through the strided pass views, and the
+    # Lorenzo prefix sums over the stack.  Streamed containers decode
+    # stacks of one, so the same three slab blobs, laid end to end and cut
+    # at their pristine lengths, also go to decompress_many, which stacks
+    for label, payload, kwargs in (
+        ("sz3,qp=3d", data, {"qp": QPConfig(dimension="3d")}),
+        ("sz3,f64", data64, {"qp": QPConfig()}),
+        ("sz3-lorenzo", data, {"predictor": "lorenzo", "radius": 8}),
     ):
-        comp = get_compressor("sz3", 1e-2, qp=qp)
-        sink = io.BytesIO()
-        slab_bytes = (payload.shape[0] // 3) * payload[0].nbytes
-        comp.compress_stream(payload, sink, slab_bytes=slab_bytes)
-        targets.append((f"stream[{label}]", sink.getvalue(), stream_decompress))
-    # three equal Lorenzo slabs, which decode as one stack
-    comp = get_compressor("sz3", 1e-2, predictor="lorenzo", radius=8)
-    sink = io.BytesIO()
-    comp.compress_stream(np.tile(data, (2, 1, 1)), sink, slab_bytes=8 * data[0].nbytes)
-    targets.append(("stream[sz3-lorenzo]", sink.getvalue(), stream_decompress))
+        comp = get_compressor("sz3", 1e-2, **kwargs)
+        raw = streamed(comp, np.tile(payload, (2, 1, 1)), 8)
+        targets.append((f"stream[{label}]", raw, stream_decompress))
+        slabs = list(ContainerReader(raw))
+        cuts = np.cumsum([len(s) for s in slabs[:-1]]).tolist()
+
+        def decode_many(joined, _cuts=cuts):
+            # one array to compare across the kernel paths, joined flat so
+            # a tampered header's shape cannot make the join itself fail
+            parts = [joined[a:b] for a, b in zip([0] + _cuts, _cuts + [None])]
+            return np.concatenate([out.ravel() for out in decompress_many(parts)])
+
+        targets.append((f"many[{label}]", b"".join(slabs), decode_many))
     # slab-parallel container: the slab table in front of four slab blobs,
     # decoded in-process (workers=1) through the batched decode: SZ3's
     # equal slabs stack, QoZ's per-slab-tuned ones mostly decode alone
