@@ -33,7 +33,6 @@ __all__ = [
     "Codec",
     "Compressor",
     "CompressionState",
-    "EngineFront",
     "encode_index_stream",
     "decode_index_stream",
 ]
@@ -246,27 +245,6 @@ def _validated_geometry(header: dict[str, Any]) -> tuple[tuple[int, ...], np.dty
     return tuple(shape), dtype
 
 
-@dataclass
-class EngineFront:
-    """Front-stage output of the streaming pipeline for engine compressors.
-
-    What ``compress_volumes`` produced for one slab, run as a stack of
-    one — its meta in ``header``, the quantization index stream after the
-    QP/adaptive transforms, plus literals/anchors — before any entropy
-    coding.  ``_stream_entropy`` turns it into a framed
-    blob byte-identical to ``compress(slab)``.  ``anchors`` may be a view
-    into the slab's scratch buffer, so the buffer must not be recycled
-    until the entropy stage has sealed the segment.
-    """
-
-    shape: tuple[int, ...]
-    dtype: np.dtype
-    header: dict
-    stream: np.ndarray
-    literals: np.ndarray
-    anchors: np.ndarray
-
-
 class Compressor(ABC):
     """Error-bounded lossy compressor interface.
 
@@ -348,30 +326,13 @@ class Compressor(ABC):
         sp = stage("compress", compressor=self.name)
         with sp:
             header, sections = self._compress(data, state)
-            out = self._frame_blob(
-                data.shape, data.dtype, header, sections, checksum=checksum
-            )
+            header.setdefault("compressor", self.name)
+            header["dtype"] = data.dtype.str
+            header["shape"] = list(data.shape)
+            header["error_bound"] = self.error_bound
+            out = Blob(header, sections).to_bytes(checksum=checksum)
             sp.label(bytes_in=data.nbytes, bytes_out=len(out))
         return out
-
-    def _frame_blob(
-        self,
-        shape: "tuple[int, ...]",
-        dtype: Any,
-        header: dict,
-        sections: "dict[str, bytes]",
-        checksum: bool = False,
-    ) -> bytes:
-        """Finalize a header/sections pair into self-describing blob bytes.
-
-        The single framing point shared by ``compress`` and the streaming
-        entropy stage, so a streamed segment is byte-identical to
-        ``compress(slab)`` (golden-digest enforced)."""
-        header.setdefault("compressor", self.name)
-        header["dtype"] = np.dtype(dtype).str
-        header["shape"] = list(shape)
-        header["error_bound"] = self.error_bound
-        return Blob(header, sections).to_bytes(checksum=checksum)
 
     def decompress(self, blob: bytes) -> np.ndarray:
         b, shape, dtype = self._parse_own_blob(blob)
@@ -439,17 +400,15 @@ class Compressor(ABC):
         sink: Any,
         *,
         slab_bytes: int | None = None,
-        workers: int | None = None,
-        depth: int | None = None,
         checksum: bool = False,
     ):
         """Compress ``data`` (array or ``np.memmap``) into ``sink`` slab by
         slab with bounded memory.
 
         The volume is walked along the leading axis in ~``slab_bytes``
-        tiles through the three-stage thread pipeline of
-        :mod:`repro.streaming`; finished segments are flushed to ``sink``
-        incrementally through a
+        tiles, each one :meth:`compress` job on the worker threads of
+        :func:`~repro.streaming.stream_compress`; finished segments are
+        flushed to ``sink`` in slab order through a
         :class:`~repro.io.container.ContainerWriter`.  Every segment is
         byte-identical to ``compress(data[slab], checksum=checksum)``.
         Returns a :class:`~repro.streaming.StreamResult`.
@@ -457,13 +416,7 @@ class Compressor(ABC):
         from ..streaming import stream_compress
 
         return stream_compress(
-            self,
-            data,
-            sink,
-            slab_bytes=slab_bytes,
-            workers=workers,
-            depth=depth,
-            checksum=checksum,
+            self, data, sink, slab_bytes=slab_bytes, checksum=checksum
         )
 
     def decompress_stream(self, source: Any) -> np.ndarray:
@@ -476,43 +429,6 @@ class Compressor(ABC):
         from ..streaming import stream_decompress
 
         return stream_decompress(source, compressor=self)
-
-    def _stream_front(self, slab: np.ndarray):
-        """Streaming stage 1+2: predict + quantize + index transforms for
-        one slab.
-
-        Engine compressors override this to return an :class:`EngineFront`
-        (stopping before entropy coding, so the entropy thread can overlap
-        the next slab's prediction).  The default covers compressors
-        without a separable entropy stage: the whole encode happens here
-        and the entropy stage passes the bytes through.
-        """
-        return self.compress(slab)
-
-    def _stream_entropy(self, front: Any, checksum: bool = False) -> bytes:
-        """Streaming stage 3: entropy + lossless coding and blob framing.
-
-        Must produce bytes identical to ``compress(slab,
-        checksum=checksum)`` for the slab that produced ``front``.
-        """
-        if isinstance(front, (bytes, bytearray)):
-            return seal(bytes(front)) if checksum else bytes(front)
-        if isinstance(front, EngineFront):
-            from ..pipeline.driver import encode_engine_sections
-
-            sections = encode_engine_sections(
-                front.stream,
-                front.literals,
-                front.anchors,
-                entropy=self.entropy,
-                block_size=self.huffman_block_size,
-            )
-            return self._frame_blob(
-                front.shape, front.dtype, dict(front.header), sections, checksum
-            )
-        raise TypeError(
-            f"unrecognized stream front payload {type(front).__name__!r}"
-        )
 
     # -- subclass hooks -------------------------------------------------------
 

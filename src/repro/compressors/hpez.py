@@ -36,12 +36,10 @@ from ..obs import span as stage
 from ..pipeline.driver import decode_engine_blob, encode_engine_sections, spec_for_blob
 from ..utils.blocks import iter_blocks
 from ..utils.levels import anchor_slices, num_levels
-from ..utils.validation import check_ndarray
 from .base import (
     Blob,
     CompressionState,
     Compressor,
-    EngineFront,
     decode_index_stream,
 )
 from .interp_engine import (
@@ -186,26 +184,6 @@ class HPEZ(Compressor):
             stream, literals, anchors, entropy=self.entropy
         )
         return {"mode": "global", "engine": meta}, sections
-
-    def _stream_front(self, slab: np.ndarray):
-        """Streaming front split for the global mode; block-wise layouts
-        concatenate per-block streams with no clean entropy seam, so they
-        fall back to the whole-blob default."""
-        if self.block_side is not None:
-            return self.compress(slab)
-        slab = check_ndarray(slab)
-        cfg = self._engine_config(slab, with_selector=True)
-        (meta,), (stream,), (literals,), (anchors,) = compress_volumes(
-            slab[None], cfg
-        )[:4]
-        return EngineFront(
-            slab.shape,
-            slab.dtype,
-            {"mode": "global", "engine": meta},
-            stream,
-            literals,
-            anchors,
-        )
 
     def _compress_blocks(
         self, data: np.ndarray, state: CompressionState | None

@@ -23,8 +23,7 @@ import numpy as np
 from ..core.config import AdaptiveConfig, QPConfig
 from ..pipeline.driver import decode_engine_blob, encode_engine_sections
 from ..utils.levels import num_levels
-from ..utils.validation import check_ndarray
-from .base import Blob, CompressionState, Compressor, EngineFront, _typed_faults
+from .base import Blob, CompressionState, Compressor, _typed_faults
 from .interp_engine import EngineConfig, compress_volumes
 
 __all__ = ["MGARD"]
@@ -108,18 +107,6 @@ class MGARD(Compressor):
             stream, literals, anchors, entropy=self.entropy
         )
         return {"engine": meta}, sections
-
-    def _stream_front(self, slab: np.ndarray):
-        """Streaming front split: the multilevel walk always has the
-        engine's entropy seam, so every slab streams through it."""
-        slab = check_ndarray(slab)
-        cfg = self._engine_config(slab.shape)
-        (meta,), (stream,), (literals,), (anchors,) = compress_volumes(
-            slab[None], cfg
-        )[:4]
-        return EngineFront(
-            slab.shape, slab.dtype, {"engine": meta}, stream, literals, anchors
-        )
 
     def _decompress(self, blob: Blob) -> np.ndarray:
         return self._reconstruct(blob, stop_level=0)

@@ -227,12 +227,6 @@ class SZ3Progressive(SZ3):
             header["entropy"] = self.entropy
         return header, sections
 
-    def _stream_front(self, slab: np.ndarray):
-        """Streamed segments must stay level-ordered blobs byte-identical
-        to ``compress(slab)``; the monolithic EngineFront seam does not
-        apply, so the whole encode happens in the front stage."""
-        return self.compress(slab)
-
     # -- decompression ------------------------------------------------------
 
     def _decompress(self, blob: Blob) -> np.ndarray:

@@ -23,12 +23,10 @@ from ..pipeline.driver import decode_engine_blob, encode_engine_sections, spec_f
 from ..pipeline.stages import InterpPredict
 from ..obs import span as stage
 from ..predictors.lorenzo import lorenzo_encode, lorenzo_histogram, lorenzo_integrate
-from ..utils.validation import check_ndarray
 from .base import (
     Blob,
     CompressionState,
     Compressor,
-    EngineFront,
     decode_index_stream,
     encode_index_stream,
 )
@@ -221,15 +219,8 @@ class SZ3(Compressor):
     def _compress(
         self, data: np.ndarray, state: CompressionState | None
     ) -> tuple[dict[str, Any], dict[str, bytes]]:
+        # ``trial``: the selection's Lorenzo encoding of ``data``, or None
         predictor, trial = self._select_predictor_with_trial(data)
-        return self._compress_as(predictor, trial, data, state)
-
-    def _compress_as(
-        self, predictor: str, trial, data: np.ndarray,
-        state: CompressionState | None,
-    ) -> tuple[dict[str, Any], dict[str, bytes]]:
-        """Header and sections of ``data`` on the chosen predictor's path
-        (``trial``: the selection's Lorenzo encoding, or None)."""
         if predictor == "lorenzo":
             return self._compress_lorenzo(data, state, trial)
         if predictor == "regression":
@@ -251,26 +242,6 @@ class SZ3(Compressor):
         if self.entropy != "huffman":  # default stays off-header: bytes frozen
             header["entropy"] = self.entropy
         return header, sections
-
-    def _stream_front(self, slab: np.ndarray):
-        """Streaming front split: interp slabs stop before entropy coding.
-
-        Lorenzo/regression wins have no separable entropy seam, so those
-        slabs are framed whole here, from the selection already made
-        (byte-identical to ``compress(slab)``)."""
-        slab = check_ndarray(slab)
-        predictor, trial = self._select_predictor_with_trial(slab)
-        if predictor != "interp":
-            header, sections = self._compress_as(predictor, trial, slab, None)
-            return self._frame_blob(slab.shape, slab.dtype, header, sections)
-        cfg = self._engine_config(slab)
-        (meta,), (stream,), (literals,), (anchors,) = compress_volumes(
-            slab[None], cfg
-        )[:4]
-        header: dict[str, Any] = {"predictor": "interp", "engine": meta}
-        if self.entropy != "huffman":
-            header["entropy"] = self.entropy
-        return EngineFront(slab.shape, slab.dtype, header, stream, literals, anchors)
 
     def _compress_lorenzo(
         self, data: np.ndarray, state: CompressionState | None, trial=None

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import multiprocessing
-import os
 import struct
 import weakref
 from concurrent.futures import ProcessPoolExecutor
@@ -37,7 +36,7 @@ from . import obs
 from .core.config import QPConfig
 from .errors import CorruptBlobError, ReproError, TruncatedStreamError
 from .io.integrity import is_sealed, seal, unseal
-from .streaming import slab_slices
+from .streaming import _default_workers, slab_slices
 
 __all__ = ["ParallelCompressor", "create_fork_pool"]
 
@@ -159,14 +158,6 @@ def create_fork_pool(workers: int) -> ProcessPoolExecutor:
     if "fork" in multiprocessing.get_all_start_methods():
         ctx = multiprocessing.get_context("fork")
     return ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
-
-
-def _effective_cores() -> int:
-    """CPUs actually usable by this process (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 def _merge_consecutive_views(
@@ -462,7 +453,7 @@ class ParallelCompressor:
 
     def _decompress_slabs(self, parts_raw: list[bytes], axis: int) -> np.ndarray:
         n = len(parts_raw)
-        if n > 1 and (self.workers == 1 or _effective_cores() < 2):
+        if n > 1 and (self.workers == 1 or _default_workers() < 2):
             # No real CPU concurrency to exploit (or serial requested): N
             # time-sliced worker processes each pay a full decode per slab
             # plus the IPC, which is slower than one in-process batched

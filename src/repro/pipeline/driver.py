@@ -44,10 +44,9 @@ def encode_engine_sections(
     """Encode one volume of ``compress_volumes`` output into the canonical
     engine blob sections (the inverse of :func:`engine_decode_item`).
 
-    One encode point shared by the in-memory ``_compress`` paths of SZ3,
-    HPEZ and MGARD and by the streaming entropy stage
-    (``Compressor._stream_entropy``), which is what makes streamed
-    segments byte-identical to in-memory blobs.
+    One encode point shared by the ``_compress`` paths of SZ3, HPEZ
+    (global layout) and MGARD; streamed segments are ``compress(slab)``
+    blobs, so they take this path too.
     """
     from ..codecs import compress as lossless_compress
     from ..compressors.base import encode_index_stream

@@ -50,7 +50,6 @@ __all__ = [
     "TuckerFactorize",
     "CDF97Transform",
     "ENTROPY_STAGES",
-    "STREAM_STAGE_GROUPS",
     "entropy_stage",
     "entropy_stage_for_wire_id",
 ]
@@ -442,33 +441,6 @@ def entropy_stage_for_wire_id(wire_id: int) -> type:
             f"{wire_id}); decode it with an earlier release and re-compress"
         )
     raise CorruptBlobError(f"unknown entropy stage id {wire_id}")
-
-
-#: how the fine-grained stage graph partitions onto the streaming thread
-#: pipeline (``repro.streaming``): *front* stages run per slab in the
-#: producer threads (predict + quantize + index transforms, i.e. everything
-#: up to the engine's ``(stream, literals, anchors)`` seam), *entropy*
-#: stages run in the dedicated coder thread that overlaps the next slab's
-#: front work.  Every registered stage that appears in a compressor
-#: pipeline must be claimed by exactly one group — the streaming-surface
-#: lint (``tools/check_api.py::check_streaming``) enforces this, so adding
-#: a stage forces a decision about where it executes in streaming mode.
-STREAM_STAGE_GROUPS: dict[str, frozenset[str]] = {
-    "front": frozenset(
-        {
-            "interp_predict",
-            "lorenzo_predict",
-            "regression_predict",
-            "quantize",
-            "adaptive_quantize",
-            "qp",
-            "zfp_transform",
-            "tucker",
-            "cdf97",
-        }
-    ),
-    "entropy": frozenset({"huffman", "range", "lossless"}),
-}
 
 
 # -- lossless byte stream -----------------------------------------------------

@@ -1,36 +1,28 @@
-"""Streaming out-of-core execution: pipelined slab compression with
-bounded memory.
+"""Streaming out-of-core execution: slab-parallel compression with bounded
+memory.
 
 The in-memory path materializes the full volume, its full quantization
 index stream, and the full entropy payload before a byte is written, so
 peak RSS is a multiple of the input.  This module walks the volume along
-the leading axis in bounded slabs and runs a three-stage producer/consumer
-pipeline over a small thread pool:
+the leading axis in bounded slabs, and each slab is one job on a small
+pool of worker threads: the job pages the slab into a recycled
+:class:`BufferPool` scratch array and runs ``compressor.compress`` on it,
+so every segment is byte-identical to ``compress(slab)`` by construction.
+The caller thread appends the finished segments in slab order to the sink
+through an incremental :class:`~repro.io.container.ContainerWriter`.
 
-1. **front** (worker threads): page in one slab — through a recycled
-   :class:`BufferPool` scratch array — and run predict + quantize + the
-   QP/adaptive index transforms (``Compressor._stream_front``);
-2. **entropy** (dedicated thread): Huffman (or range) + lossless coding of the
-   finished index stream (``Compressor._stream_entropy``), framed as a
-   standalone blob byte-identical to ``compress(slab)``;
-3. **write** (caller thread): flush each segment to the sink through an
-   incremental :class:`~repro.io.container.ContainerWriter` the moment it
-   is sealed.
-
-Entropy coding of slab *k* therefore overlaps prediction of slab *k+1*
-(numpy and zlib release the GIL on the hot loops); on a single hardware
-thread the win comes from cache blocking instead — a slab-sized working
-set stays inside the last-level cache where the full-volume pass thrashes
-it (see docs/performance.md for measurements).  In-flight slabs are capped
-by a fixed window, so peak memory is O(slab · depth), never O(volume), and
-the producer's stall time against a full window is surfaced as the
-``stream.backpressure_wait`` metric (buffer recycling as
-``stream.buffer_reuse``).
+Slabs encode concurrently (the C kernels and zlib release the GIL), and a
+slab-sized working set stays inside the last-level cache where the
+full-volume pass thrashes it (see docs/performance.md for measurements).
+In-flight slabs are capped by a fixed window, so peak memory is
+O(slab · window), never O(volume), and the caller's stall time against a
+full window is surfaced as the ``stream.backpressure_wait`` metric
+(buffer recycling as ``stream.buffer_reuse``).
 
 Decoding runs the other way round over the same window: every segment is
-a standalone blob, so each decodes as its own job on the worker threads
-(the C kernels and zlib release the GIL), while the caller thread alone
-reads the container and copies finished slabs into the output in
+a standalone blob, so each decodes as its own job on the worker threads,
+while the caller thread alone reads the container, checks each decoded
+slab against the declared geometry and copies it into the output in
 segment order.
 """
 from __future__ import annotations
@@ -171,6 +163,8 @@ class StreamResult:
 
 
 def _default_workers() -> int:
+    """Worker threads of the streamed paths: the CPUs this process may
+    run on (affinity-aware), capped at 4."""
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # non-Linux
@@ -184,16 +178,18 @@ def stream_compress(
     sink: BinaryIO,
     *,
     slab_bytes: int | None = None,
-    workers: int | None = None,
-    depth: int | None = None,
     checksum: bool = False,
 ) -> StreamResult:
     """Compress ``data`` (array or memmap) into ``sink`` slab by slab.
 
-    Each written segment is byte-identical to
-    ``compressor.compress(data[slab], checksum=checksum)``, so any segment
-    decodes independently through the normal blob path.  At most ``depth``
-    slabs (default ``workers + 2``) are in flight at once.
+    Each slab is one job on a pool of ``_default_workers()``
+    ``stream-encode`` threads: it copies the slab into a recycled buffer
+    and runs ``compressor.compress(buf, checksum=checksum)``, so each
+    written segment is byte-identical to ``compress(data[slab])`` and
+    decodes independently through the normal blob path.  At most
+    ``workers + 2`` slabs are in flight; the caller thread appends the
+    segments in slab order.  An error re-raises from the lowest-index
+    failing slab, after the rest are cancelled and the pool has shut down.
     """
     shape = tuple(int(s) for s in data.shape)
     if not shape or not all(shape):
@@ -201,35 +197,23 @@ def stream_compress(
     dtype = np.dtype(data.dtype)
     slabs = plan_slabs(shape, dtype, slab_bytes)
     n = len(slabs)
-    nworkers = int(workers) if workers else _default_workers()
-    window = int(depth) if depth else nworkers + 2
-    window = max(1, window)
-    pool = BufferPool(max_per_key=window + 1)
+    nworkers = _default_workers()
+    window = nworkers + 2
+    buffers = BufferPool(max_per_key=window + 1)
     parent = obs.current()
-    slab_shape_tail = shape[1:]
 
-    def _front_job(i: int, sl: slice):
+    def _encode_job(i: int, sl: slice):
         # worker threads start with a fresh obs context (observability
         # off); activate a per-slab observation and ship it back as a
         # payload so the parent can merge deterministically in slab order
         ob = obs.Observation() if parent is not None else None
         with obs.observe(ob) if ob is not None else nullcontext():
-            buf = pool.acquire((sl.stop - sl.start,) + slab_shape_tail, dtype)
-            with obs.span("stream.front", slab=i):
+            buf = buffers.acquire((sl.stop - sl.start,) + shape[1:], dtype)
+            with obs.span("stream.encode", slab=i):
                 np.copyto(buf, data[sl])  # the only source read (memmap page-in)
-                front = compressor._stream_front(buf)
-        return front, buf, (ob.to_payload() if ob is not None else None)
-
-    def _entropy_job(i: int, ffut):
-        front, buf, front_payload = ffut.result()
-        ob = obs.Observation() if parent is not None else None
-        with obs.observe(ob) if ob is not None else nullcontext():
-            with obs.span("stream.entropy", slab=i):
-                blob = compressor._stream_entropy(front, checksum=checksum)
-        # the engine front may hold views into the slab buffer (anchors),
-        # so the buffer is only recyclable once the segment is sealed
-        pool.release(buf)
-        return blob, front_payload, (ob.to_payload() if ob is not None else None)
+                blob = compressor.compress(buf, checksum=checksum)
+            buffers.release(buf)
+        return blob, (ob.to_payload() if ob is not None else None)
 
     meta = {
         "compressor": compressor.name,
@@ -242,31 +226,27 @@ def stream_compress(
     with obs.span(
         "stream.compress", compressor=compressor.name, slabs=n
     ), ThreadPoolExecutor(
-        max_workers=nworkers, thread_name_prefix="stream-front"
-    ) as front_pool, ThreadPoolExecutor(
-        max_workers=1, thread_name_prefix="stream-entropy"
-    ) as entropy_pool:
+        max_workers=nworkers, thread_name_prefix="stream-encode"
+    ) as pool:
         writer = ContainerWriter(sink, axis=0, meta=meta)
         in_flight: deque = deque()
         next_i = 0
         try:
             while next_i < n or in_flight:
                 while next_i < n and len(in_flight) < window:
-                    ffut = front_pool.submit(_front_job, next_i, slabs[next_i])
-                    efut = entropy_pool.submit(_entropy_job, next_i, ffut)
-                    in_flight.append((next_i, efut))
+                    fut = pool.submit(_encode_job, next_i, slabs[next_i])
+                    in_flight.append((next_i, fut))
                     next_i += 1
-                i, efut = in_flight.popleft()
-                stalled = next_i < n and not efut.done()
+                i, fut = in_flight.popleft()
+                stalled = next_i < n and not fut.done()
                 t0 = perf_counter()
-                blob, front_payload, entropy_payload = efut.result()
+                blob, payload = fut.result()
                 if stalled:
                     # the submit window was full and the head slab was not
-                    # ready: the producer genuinely waited on the pipeline
+                    # ready: the producer genuinely waited on the workers
                     backpressure += perf_counter() - t0
                 if parent is not None:
-                    parent.merge_payload(front_payload, worker=f"slab{i}.front")
-                    parent.merge_payload(entropy_payload, worker=f"slab{i}.entropy")
+                    parent.merge_payload(payload, worker=f"slab{i}.encode")
                 sp = obs.span("stream.write", slab=i)
                 with sp:
                     writer.append(blob)
@@ -274,8 +254,8 @@ def stream_compress(
                 obs.add_bytes("stream.write", len(blob))
                 payload_bytes += len(blob)
         except BaseException:
-            for _j, efut in in_flight:
-                efut.cancel()
+            for _j, pending in in_flight:
+                pending.cancel()
             raise
         summary = writer.finalize()
         obs.metric_seconds("stream.backpressure_wait", backpressure)
@@ -289,7 +269,7 @@ def stream_compress(
         total_bytes=summary["total_bytes"],
         input_bytes=int(np.prod(shape, dtype=np.int64)) * dtype.itemsize,
         backpressure_wait_s=backpressure,
-        buffer_reuse=pool.stats(),
+        buffer_reuse=buffers.stats(),
     )
 
 
@@ -304,20 +284,29 @@ def stream_decompress(source: Any, *, compressor: Any = None) -> np.ndarray:
     None).  The caller thread alone reads the container — the reader is
     not thread-safe — and copies each result into the preallocated output
     in segment order; at most ``workers + 2`` segments are in flight, so
-    decode memory stays O(slab).  An error re-raises from the
+    decode memory stays O(slab).  The declared shape, dtype and axis are
+    validated before the output is allocated, and each decoded slab must
+    match them in rank, non-axis extents and dtype; any mismatch raises
+    :class:`~repro.errors.CorruptBlobError`.  An error re-raises from the
     lowest-index failing segment, after the rest are cancelled and the
     pool has shut down.
     """
+    from .compressors.base import _validated_geometry
+
     reader = source if isinstance(source, ContainerReader) else ContainerReader(source)
     n = len(reader)
     if n == 0:
         raise CorruptBlobError("streamed container holds no segments")
-    meta = reader.meta
-    out: np.ndarray | None = None
-    if "shape" in meta and "dtype" in meta:
-        out = np.empty(
-            tuple(int(s) for s in meta["shape"]), dtype=np.dtype(meta["dtype"])
+    if "shape" not in reader.meta or "dtype" not in reader.meta:
+        raise CorruptBlobError("streamed container declares no shape and dtype")
+    shape, dtype = _validated_geometry(reader.meta)
+    axis = reader.axis
+    if axis >= len(shape):
+        raise CorruptBlobError(
+            f"streamed container: axis {axis} outside its {len(shape)}-D shape"
         )
+    cross = shape[:axis] + shape[axis + 1:]
+    out = np.empty(shape, dtype=dtype)
     if compressor is not None:
         decode = compressor.decompress
     else:
@@ -343,7 +332,6 @@ def stream_decompress(source: Any, *, compressor: Any = None) -> np.ndarray:
             return failed
         return pool.submit(_decode_job, i, blob)
 
-    parts: list[np.ndarray] = []
     cursor = 0
     with obs.span("stream.decompress", segments=n), ThreadPoolExecutor(
         max_workers=nworkers, thread_name_prefix="stream-decode"
@@ -359,28 +347,33 @@ def stream_decompress(source: Any, *, compressor: Any = None) -> np.ndarray:
                 arr, payload = fut.result()
                 if parent is not None:
                     parent.merge_payload(payload, worker=f"slab{i}.decode")
-                if out is None:
-                    parts.append(arr)
-                    continue
-                rows = arr.shape[reader.axis]
-                sel = [slice(None)] * out.ndim
-                sel[reader.axis] = slice(cursor, cursor + rows)
-                if cursor + rows > out.shape[reader.axis]:
+                if (
+                    arr.ndim != out.ndim
+                    or arr.shape[:axis] + arr.shape[axis + 1:] != cross
+                    or arr.dtype != dtype
+                ):
+                    raise CorruptBlobError(
+                        f"streamed container: segment {i} decodes to "
+                        f"{arr.dtype} {arr.shape}, which does not tile the "
+                        f"declared {dtype} {shape} along axis {axis}"
+                    )
+                rows = arr.shape[axis]
+                if cursor + rows > shape[axis]:
                     raise CorruptBlobError(
                         "streamed container: segments decode to more rows "
                         "than the declared shape"
                     )
+                sel = [slice(None)] * out.ndim
+                sel[axis] = slice(cursor, cursor + rows)
                 out[tuple(sel)] = arr
                 cursor += rows
         except BaseException:
             for _j, pending in in_flight:
                 pending.cancel()
             raise
-    if out is not None:
-        if cursor != out.shape[reader.axis]:
-            raise CorruptBlobError(
-                f"streamed container: segments decode to {cursor} rows, "
-                f"header declares {out.shape[reader.axis]}"
-            )
-        return out
-    return np.concatenate(parts, axis=reader.axis) if len(parts) > 1 else parts[0]
+    if cursor != shape[axis]:
+        raise CorruptBlobError(
+            f"streamed container: segments decode to {cursor} rows, "
+            f"header declares {shape[axis]}"
+        )
+    return out

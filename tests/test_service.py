@@ -285,6 +285,34 @@ def test_corrupt_payload_is_bad_request_reply(field):
     _run(main())
 
 
+def test_malformed_streamed_container_is_bad_request_reply():
+    """An 8x8x8 segment in a container that declares a 16x16x16 volume is
+    the client's fault: a typed bad_request reply, on the wire and from
+    submit alike."""
+    import io
+
+    from repro.compressors import get_compressor
+    from repro.io.container import ContainerWriter
+
+    rng = np.random.default_rng(4)
+    part = np.cumsum(rng.standard_normal((8, 8, 8)), axis=0).astype(np.float32)
+    sink = io.BytesIO()
+    meta = {"compressor": "sz3", "dtype": "<f4", "shape": [16, 16, 16],
+            "error_bound": 1e-3}
+    with ContainerWriter(sink, axis=0, meta=meta) as w:
+        w.append(get_compressor("sz3", 1e-3).compress(part))
+    req = DecompressRequest(tenant="t", blob=sink.getvalue())
+
+    async def main():
+        async with Gateway(GatewayConfig(workers=1)) as gw:
+            reply = decode_message(await gw.handle(encode_message(req)))
+            assert not reply.ok and reply.error == "bad_request"
+            r = await gw.submit(req)
+            assert not r.ok and r.error == "bad_request"
+
+    _run(main())
+
+
 def test_wire_geometry_mismatch_is_bad_request_reply(field):
     """A frame whose payload does not match its declared shape/dtype must
     come back as a typed reply, never a raw ValueError out of handle()."""

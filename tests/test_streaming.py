@@ -16,7 +16,7 @@ import pytest
 
 import repro
 from repro import obs, streaming
-from repro.compressors import get_compressor
+from repro.compressors import COMPRESSORS, get_compressor, supports_qp
 from repro.compressors.base import Blob
 from repro.core.config import AdaptiveConfig, QPConfig
 from repro.errors import (
@@ -52,6 +52,10 @@ def _small_field(shape=(24, 20, 16), seed=11):
 def _slab_bytes_for(data, n_slabs):
     rows = max(1, data.shape[0] // n_slabs)
     return rows * int(np.prod(data.shape[1:])) * data.dtype.itemsize
+
+
+def _stream_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("stream-")]
 
 
 # -- slab planner -------------------------------------------------------------
@@ -233,11 +237,23 @@ def test_streamed_container_corruption_matrix():
 # -- compress_stream equivalence ---------------------------------------------
 
 
-@pytest.mark.parametrize("name", ENGINES)
-@pytest.mark.parametrize("qp", [False, True])
-def test_stream_segments_match_per_slab_compress(name, qp):
+def _segment_cases():
+    """Every registered compressor, with QP off and (where it supports
+    QP) on, plus HPEZ's block-wise layout."""
+    for name in COMPRESSORS:
+        for qp in (False, True) if supports_qp(name) else (False,):
+            yield pytest.param(qp, name, {}, id=f"{qp}-{name}")
+    for qp in (False, True):
+        yield pytest.param(qp, "hpez", {"block_side": 8},
+                           id=f"{qp}-hpez-blocks")
+
+
+@pytest.mark.parametrize("qp,name,extra", list(_segment_cases()))
+def test_stream_segments_match_per_slab_compress(qp, name, extra):
     data = _small_field()
-    kwargs = {"qp": QPConfig() if qp else QPConfig.disabled()}
+    kwargs = dict(extra)
+    if supports_qp(name):
+        kwargs["qp"] = QPConfig() if qp else QPConfig.disabled()
     comp = get_compressor(name, 1e-2, **kwargs)
     slab_bytes = _slab_bytes_for(data, 3)
     sink = io.BytesIO()
@@ -321,6 +337,56 @@ def test_stream_checksum_mode_round_trips():
     assert float(np.abs(out - data).max()) <= 1e-2 * 1.0000001
 
 
+def test_stream_checksum_segments_match_sealed_compress():
+    data = _small_field()
+    comp = get_compressor("sz3", 1e-2, qp=QPConfig())
+    slab_bytes = _slab_bytes_for(data, 3)
+    sink = io.BytesIO()
+    comp.compress_stream(data, sink, slab_bytes=slab_bytes, checksum=True)
+    slices = plan_slabs(data.shape, data.dtype, slab_bytes=slab_bytes)
+    reader = ContainerReader(sink.getvalue())
+    assert len(reader) == len(slices) == 3
+    for seg, sl in zip(reader, slices):
+        assert seg == comp.compress(np.ascontiguousarray(data[sl]),
+                                    checksum=True)
+
+
+def test_threaded_encode_raises_the_lowest_failing_slab(monkeypatch):
+    # two failing slabs past the first window: the lower one's error is
+    # raised even though it fails later than the higher one
+    import time
+
+    from repro.compressors.sz3 import SZ3
+
+    data = _small_field(shape=(80, 12, 10))
+    comp = get_compressor("sz3", 1e-2, qp=QPConfig())
+    slab_bytes = _slab_bytes_for(data, 10)
+    slices = plan_slabs(data.shape, data.dtype, slab_bytes=slab_bytes)
+    first = streaming._default_workers() + 3
+    second = first + 1
+    assert len(slices) > second
+    slab_of = {data[sl].tobytes(): i for i, sl in enumerate(slices)}
+    real = SZ3.compress
+
+    def failing(self, slab, **kwargs):
+        i = slab_of.get(np.ascontiguousarray(slab).tobytes())
+        if i == first:
+            time.sleep(0.05)
+        if i in (first, second):
+            raise RuntimeError(f"slab {i} failed")
+        return real(self, slab, **kwargs)
+
+    monkeypatch.setattr(SZ3, "compress", failing)
+    sink = io.BytesIO()
+    with pytest.raises(RuntimeError, match=f"^slab {first} failed$"):
+        comp.compress_stream(data, sink, slab_bytes=slab_bytes)
+    assert not _stream_threads()
+    with pytest.raises(ReproError):
+        ContainerReader(sink.getvalue())
+    with pytest.raises(ReproError):
+        stream_decompress(sink.getvalue())
+
+
 def test_generic_compressor_streams_via_whole_blob_fallback():
     data = _small_field(shape=(16, 12, 10))
     comp = get_compressor("zfp", 1e-2)
@@ -401,7 +467,16 @@ def test_stream_observability_spans_and_metrics():
         comp.compress_stream(data, sink, slab_bytes=_slab_bytes_for(data, 3))
     payload = ob.to_payload()
     names = {s["name"] for s in payload.get("spans", [])}
-    assert {"stream.front", "stream.entropy", "stream.write"} <= names
+    assert {"stream.encode", "stream.write"} <= names
+    spans = ob.tracer.spans
+    (outer,) = [s for s in spans if s.name == "stream.compress"]
+    encodes = [s for s in spans if s.name == "stream.encode"]
+    assert [s.labels["slab"] for s in encodes] == [0, 1, 2]
+    assert [s.worker for s in encodes] == [f"slab{i}.encode" for i in range(3)]
+    for s in encodes:
+        # one whole compress per slab job
+        assert s.parent == outer.index
+        assert [c.name for c in spans if c.parent == s.index] == ["compress"]
     flat = str(payload.get("metrics"))
     assert "stream.buffer_reuse" in flat
     assert "stream.backpressure_wait" in flat
@@ -450,10 +525,6 @@ def _error_of(decode, blob):
     return info.value
 
 
-def _decode_threads():
-    return [t for t in threading.enumerate() if t.name.startswith("stream-decode")]
-
-
 @pytest.mark.parametrize("given", ["compressor", "registry"])
 def test_threaded_decode_matches_per_segment_decompress(given):
     comp, data, blobs = _mixed_segments()
@@ -463,7 +534,7 @@ def test_threaded_decode_matches_per_segment_decompress(given):
            else stream_decompress(raw))
     assert out.dtype == expected.dtype and out.shape == data.shape
     assert out.tobytes() == expected.tobytes()
-    assert not _decode_threads()
+    assert not _stream_threads()
 
 
 @pytest.mark.parametrize("later", ["decode", "read"])
@@ -491,7 +562,7 @@ def test_threaded_decode_raises_the_lowest_failing_segment(later):
     for decode in (comp.decompress_stream, stream_decompress):
         err = _error_of(decode, raw)
         assert type(err) is type(expected) and str(err) == str(expected)
-        assert not _decode_threads()
+        assert not _stream_threads()
 
 
 def test_threaded_decode_records_one_span_per_segment():
@@ -509,6 +580,58 @@ def test_threaded_decode_records_one_span_per_segment():
     for s in decodes:
         assert s.parent == outer.index
         assert [c.name for c in spans if c.parent == s.index] == ["decompress"]
+
+
+def test_stream_compress_keywords_are_slab_bytes_and_checksum():
+    import inspect
+
+    comp = get_compressor("sz3", 1e-2)
+    for fn, positional in ((stream_compress, 3), (comp.compress_stream, 2)):
+        params = list(inspect.signature(fn).parameters.values())
+        assert [p.name for p in params[positional:]] == [
+            "slab_bytes", "checksum"]
+        assert all(p.kind is p.KEYWORD_ONLY for p in params[positional:])
+
+
+# -- malformed containers -------------------------------------------------------
+
+
+def _cube_blob(rows=16, side=16, dtype=np.float32):
+    data = _small_field(shape=(rows, side, side)).astype(dtype)
+    return get_compressor("sz3", 1e-2).compress(data)
+
+
+#: case -> (meta overrides, container axis, segment's _cube_blob kwargs):
+#: one defect each in a container written with the public ContainerWriter
+_MALFORMED = {
+    "axis-past-rank": ({}, 5, {}),
+    "negative-extent": ({"shape": [-16, 16, 16]}, 0, {}),
+    "non-numeric-dtype": ({"dtype": "zz"}, 0, {}),
+    "shape-past-cap": ({"shape": [8] * 16}, 0, {}),
+    "segment-cross-section": ({}, 0, {"rows": 8, "side": 8}),
+    "segment-dtype": ({}, 0, {"dtype": np.float64}),
+    "undeclared-geometry": ({"shape": None, "dtype": None}, 0, {}),
+}
+
+
+def _malformed_container(case):
+    overrides, axis, segment = _MALFORMED[case]
+    meta = {"compressor": "sz3", "dtype": "<f4", "shape": [16, 16, 16],
+            "error_bound": 1e-2}
+    meta.update(overrides)
+    meta = {k: v for k, v in meta.items() if v is not None}
+    sink = io.BytesIO()
+    with ContainerWriter(sink, axis=axis, meta=meta) as w:
+        w.append(_cube_blob(**segment))
+    return sink.getvalue()
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_container_geometry_is_typed(case):
+    raw = _malformed_container(case)
+    with pytest.raises(CorruptBlobError):
+        stream_decompress(raw)
+    assert not _stream_threads()
 
 
 def test_module_level_stream_compress_matches_method():

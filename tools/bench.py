@@ -316,7 +316,7 @@ def bench_parallel(
 #: mark, reset by exec) cleanly isolates the memory footprint — consecutive
 #: in-process rows contaminate each other through retained allocator arenas.
 _STREAM_CHILD_SRC = r"""
-import json, os, sys, threading, time
+import json, os, sys, time
 import numpy as np
 
 mode, npy, eb, slab, repeats = (
@@ -325,59 +325,18 @@ mode, npy, eb, slab, repeats = (
 )
 from repro import QPConfig
 from repro.compressors import get_compressor
+from bench import _RssSampler
 
-
-def rss_mb():
-    try:
-        with open("/proc/self/statm") as fh:
-            return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 1e6
-    except (OSError, ValueError, IndexError):
-        return None
-
-
-class Sampler:
-    # peak RSS sampled only while the compress loop runs: the memory gate
-    # is about the compress path, and whole-process VmHWM would fold the
-    # decompress repeats' allocator arenas into the streamed row's peak
-    def __init__(self):
-        self.peak = self.baseline = rss_mb()
-        self._stop = threading.Event()
-        self._t = threading.Thread(target=self._run, daemon=True)
-
-    def _run(self):
-        while not self._stop.is_set():
-            r = rss_mb()
-            if r is not None and (self.peak is None or r > self.peak):
-                self.peak = r
-            self._stop.wait(0.002)
-
-    def __enter__(self):
-        if self.baseline is not None:
-            self._t.start()
-        return self
-
-    def __exit__(self, *exc):
-        self._stop.set()
-        if self._t.is_alive():
-            self._t.join()
-        r = rss_mb()
-        if r is not None and (self.peak is None or r > self.peak):
-            self.peak = r
-
-    @property
-    def delta(self):
-        if self.peak is None or self.baseline is None:
-            return None
-        return max(0.0, self.peak - self.baseline)
-
-
+# peak RSS sampled only while the compress loop runs: the memory gate is
+# about the compress path, and whole-process VmHWM would fold the
+# decompress repeats' allocator arenas into the streamed row's peak
 comp = get_compressor("sz3", eb, qp=QPConfig())
 out = {"mode": mode}
 if mode == "mem":
     data = np.load(npy)
     best = float("inf")
     blob = b""
-    with Sampler() as smp:
+    with _RssSampler() as smp:
         for _ in range(max(1, repeats)):
             t0 = time.perf_counter()
             blob = comp.compress(data)
@@ -397,7 +356,7 @@ else:
     sink_path = npy + ".rstr"
     best = float("inf")
     res = None
-    with Sampler() as smp:
+    with _RssSampler() as smp:
         for _ in range(max(1, repeats)):
             with open(sink_path, "wb") as sink:
                 t0 = time.perf_counter()
@@ -417,9 +376,9 @@ else:
                backpressure_wait_s=float(res.backpressure_wait_s),
                buffer_reuse=dict(res.buffer_reuse))
     os.unlink(sink_path)
-out["baseline_mb"] = smp.baseline
-out["peak_rss_mb"] = smp.peak
-out["peak_rss_delta_mb"] = smp.delta
+out["baseline_mb"] = smp.baseline_mb
+out["peak_rss_mb"] = smp.peak_mb
+out["peak_rss_delta_mb"] = smp.delta_mb
 json.dump(out, sys.stdout)
 """
 
@@ -448,9 +407,11 @@ def bench_stream_pair(
     try:
         np.save(npy, data)
         env = dict(os.environ)
-        src_root = os.path.join(os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__))), "src")
-        env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
+        tools_dir = os.path.dirname(os.path.abspath(__file__))
+        src_root = os.path.join(os.path.dirname(tools_dir), "src")
+        # the child imports repro from src/ and _RssSampler from this file
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src_root, tools_dir, env.get("PYTHONPATH", "")])
         for mode in ("mem", "stream"):
             proc = subprocess.run(
                 [sys.executable, "-c", _STREAM_CHILD_SRC, mode, npy,

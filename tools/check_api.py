@@ -326,9 +326,8 @@ def check_streaming() -> list[str]:
     monotone, contiguous offsets and typed truncation/corruption errors;
     ``compress_stream``/``decompress_stream`` signature conformance across
     every registered compressor (mirroring the Codec bar: data+sink
-    positional, extras defaulted); a streamed-vs-in-memory byte-identity
-    spot check; and the stage graph fully partitioned onto the streaming
-    front/entropy thread stages (``STREAM_STAGE_GROUPS``).
+    positional, extras defaulted); and a streamed-vs-in-memory
+    byte-identity spot check.
     """
     import io
 
@@ -337,8 +336,6 @@ def check_streaming() -> list[str]:
     from repro.compressors import COMPRESSORS, get_compressor
     from repro.errors import IntegrityError, TruncatedStreamError
     from repro.io.container import ContainerReader, ContainerWriter
-    from repro.pipeline.builders import pipeline_spec, registered_pipelines
-    from repro.pipeline.stages import STREAM_STAGE_GROUPS
 
     problems: list[str] = []
 
@@ -426,18 +423,6 @@ def check_streaming() -> list[str]:
     ):
         problems.append("sz3: decompress_stream != per-slab decompress")
 
-    # -- every pipeline stage claimed by exactly one streaming group --------
-    claimed = STREAM_STAGE_GROUPS["front"] | STREAM_STAGE_GROUPS["entropy"]
-    overlap = STREAM_STAGE_GROUPS["front"] & STREAM_STAGE_GROUPS["entropy"]
-    if overlap:
-        problems.append(f"STREAM_STAGE_GROUPS groups overlap: {sorted(overlap)}")
-    for pname in registered_pipelines():
-        for s in pipeline_spec(pname).stages:
-            if s.stage not in claimed:
-                problems.append(
-                    f"pipeline {pname!r}: stage {s.stage!r} not claimed by "
-                    f"any STREAM_STAGE_GROUPS group"
-                )
     return problems
 
 
