@@ -6,6 +6,8 @@ reused across calls, decompression writes slabs into one preallocated output
 array, and QP is routed by the registry capability flag instead of a
 hardcoded base-name list.
 """
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,14 @@ from repro.compressors import supports_qp
 from repro.compressors.registry import COMPRESSORS
 from repro.parallel import ParallelCompressor
 
+#: (container sha256, decoded-array sha256) of a 4-slab ``QPConfig()``
+#: container of miranda 32x24x20 (seed 0, rel 1e-3): every worker count
+#: writes and decodes the same bytes
+PARALLEL_ROUNDTRIP = {
+    "miranda-32x24x20/sz3/qp=on": ("284b76969ef8f132eb1b0621902336041a7d685e31f42772922f9e28a0823139", "a07c7dd4d7039914dce5edc1518f831718a6b874f448fbd37d54d432842f2fbc"),
+    "miranda-32x24x20/qoz/qp=on": ("ce207abb3ce701f22e7e0fd72f4ab436d18546c35131f15238f1bba257d159ce", "b237b7279a5aaddc3f361ec62a0f5c52a28d464fe4c18fae4c6a90a4dfe7ed1d"),
+}
+
 
 @pytest.fixture(scope="module")
 def volume():
@@ -23,6 +33,22 @@ def volume():
 
 def _eb(data):
     return 1e-3 * float(data.max() - data.min())
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("key", sorted(PARALLEL_ROUNDTRIP))
+def test_container_matches_pinned_digests(key, workers):
+    label, base, _qp = key.split("/")
+    data = repro.generate("miranda", shape=(32, 24, 20), seed=0)
+    comp = ParallelCompressor(base, _eb(data), workers=workers, n_slabs=4,
+                              qp=QPConfig())
+    blob = comp.compress(data)
+    out = comp.decompress(blob)
+    assert out.dtype == data.dtype and out.shape == data.shape
+    assert (
+        hashlib.sha256(blob).hexdigest(),
+        hashlib.sha256(out.tobytes()).hexdigest(),
+    ) == PARALLEL_ROUNDTRIP[key]
 
 
 class TestRoundTrips:
