@@ -22,13 +22,14 @@ production paths pay nothing for being observable.  Activating an
 observation never changes any compressed bytes; hooks only watch timings
 and sizes (enforced by the golden byte-identity tests).
 
-Fork-pool survival
-------------------
-Worker processes cannot write into the parent's buffers.  A worker instead
-activates its own Observation, runs the job, and ships
-:meth:`Observation.to_payload` back with the result; the parent calls
-:meth:`Observation.merge_payload` in job-submission order, so the combined
-trace is deterministic (see ``repro.parallel``).
+Worker hand-off
+---------------
+Worker threads start with no observation active, and worker processes
+cannot write into the parent's buffers.  A job instead activates its own
+Observation, runs, and ships :meth:`Observation.to_payload` back with the
+result; the caller calls :meth:`Observation.merge_payload` in job order,
+so the combined trace is deterministic (see ``repro.streaming`` for the
+thread paths and ``repro.service.gateway`` for the fork pool).
 
 The tracer is the stack's single timing source of truth.
 """

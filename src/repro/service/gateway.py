@@ -10,8 +10,7 @@ One :class:`Gateway` owns the whole serving path:
 2. A dispatcher task drains the queue in micro-batches, groups jobs by
    ``(op, JobSpec.batch_key)``, and runs each group as *one* fork-pool
    job — the worker builds the compressor once and processes every array
-   in the group, amortizing construction and schedule-cache warmup
-   exactly like the slab-parallel path.
+   in the group, amortizing construction and schedule-cache warmup.
 3. Oversized compress requests (``nbytes >= stream_threshold_bytes``)
    bypass the fork pool: they run ``stream_compress`` on a worker thread
    so one huge volume cannot occupy the pool while small slices queue.
@@ -32,7 +31,9 @@ from __future__ import annotations
 
 import asyncio
 import io
+import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -48,7 +49,6 @@ from ..errors import (
     TenantAccessError,
 )
 from ..io.container import Archive, ContainerReader, is_streamed_container
-from ..parallel import create_fork_pool
 from ..streaming import stream_compress, stream_decompress
 from .admission import AdmissionController, TenantPolicy
 from .messages import (
@@ -248,6 +248,20 @@ def _run_batch(
             else:  # pragma: no cover - dispatcher only sends the two kinds
                 raise ValueError(f"unknown batch kind {kind!r}")
     return results, ob.to_payload()
+
+
+def create_fork_pool(workers: int) -> ProcessPoolExecutor:
+    """Build the gateway's persistent fork-based worker pool.
+
+    The fork start method is preferred for cheap startup (spawn is the
+    automatic fallback where fork is unavailable).
+    """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    ctx = None
+    if "fork" in multiprocessing.get_all_start_methods():
+        ctx = multiprocessing.get_context("fork")
+    return ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
 
 
 class Gateway:

@@ -31,7 +31,6 @@ import os
 import threading
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, BinaryIO
@@ -163,13 +162,44 @@ class StreamResult:
 
 
 def _default_workers() -> int:
-    """Worker threads of the streamed paths: the CPUs this process may
-    run on (affinity-aware), capped at 4."""
+    """Worker threads of the streamed and slab-parallel paths: the CPUs
+    this process may run on (affinity-aware), capped at 4; one on the
+    numpy path, whose Python loops hold the GIL."""
+    from . import kernels
+
+    if kernels.native() is None:
+        return 1
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # non-Linux
         cores = os.cpu_count() or 1
     return max(1, min(4, cores))
+
+
+class _JobObservation:
+    """The per-job observation hand-off of the worker-thread paths.
+
+    Worker threads start with observability off.  When the caller has an
+    observation active, each job records into a fresh one (:meth:`run`,
+    on the worker) and ships its ``to_payload()`` back with the result;
+    the caller merges the payloads in job order (:meth:`merge`), so the
+    combined trace is deterministic however the threads were scheduled.
+    """
+
+    def __init__(self) -> None:
+        self.parent = obs.current()
+
+    def run(self, fn: Any, *args: Any) -> tuple[Any, dict | None]:
+        if self.parent is None:
+            return fn(*args), None
+        ob = obs.Observation()
+        with obs.observe(ob):
+            result = fn(*args)
+        return result, ob.to_payload()
+
+    def merge(self, payload: dict | None, worker: str) -> None:
+        if self.parent is not None:
+            self.parent.merge_payload(payload, worker=worker)
 
 
 def stream_compress(
@@ -200,20 +230,15 @@ def stream_compress(
     nworkers = _default_workers()
     window = nworkers + 2
     buffers = BufferPool(max_per_key=window + 1)
-    parent = obs.current()
+    handoff = _JobObservation()
 
-    def _encode_job(i: int, sl: slice):
-        # worker threads start with a fresh obs context (observability
-        # off); activate a per-slab observation and ship it back as a
-        # payload so the parent can merge deterministically in slab order
-        ob = obs.Observation() if parent is not None else None
-        with obs.observe(ob) if ob is not None else nullcontext():
-            buf = buffers.acquire((sl.stop - sl.start,) + shape[1:], dtype)
-            with obs.span("stream.encode", slab=i):
-                np.copyto(buf, data[sl])  # the only source read (memmap page-in)
-                blob = compressor.compress(buf, checksum=checksum)
-            buffers.release(buf)
-        return blob, (ob.to_payload() if ob is not None else None)
+    def _encode_job(i: int, sl: slice) -> bytes:
+        buf = buffers.acquire((sl.stop - sl.start,) + shape[1:], dtype)
+        with obs.span("stream.encode", slab=i):
+            np.copyto(buf, data[sl])  # the only source read (memmap page-in)
+            blob = compressor.compress(buf, checksum=checksum)
+        buffers.release(buf)
+        return blob
 
     meta = {
         "compressor": compressor.name,
@@ -234,7 +259,9 @@ def stream_compress(
         try:
             while next_i < n or in_flight:
                 while next_i < n and len(in_flight) < window:
-                    fut = pool.submit(_encode_job, next_i, slabs[next_i])
+                    fut = pool.submit(
+                        handoff.run, _encode_job, next_i, slabs[next_i]
+                    )
                     in_flight.append((next_i, fut))
                     next_i += 1
                 i, fut = in_flight.popleft()
@@ -245,8 +272,7 @@ def stream_compress(
                     # the submit window was full and the head slab was not
                     # ready: the producer genuinely waited on the workers
                     backpressure += perf_counter() - t0
-                if parent is not None:
-                    parent.merge_payload(payload, worker=f"slab{i}.encode")
+                handoff.merge(payload, f"slab{i}.encode")
                 sp = obs.span("stream.write", slab=i)
                 with sp:
                     writer.append(blob)
@@ -313,15 +339,11 @@ def stream_decompress(source: Any, *, compressor: Any = None) -> np.ndarray:
         from .compressors.registry import decompress_any as decode
     nworkers = _default_workers()
     window = nworkers + 2
-    parent = obs.current()
+    handoff = _JobObservation()
 
-    def _decode_job(i: int, blob: bytes):
-        # same per-slab observation hand-off as the compress side's jobs
-        ob = obs.Observation() if parent is not None else None
-        with obs.observe(ob) if ob is not None else nullcontext():
-            with obs.span("stream.decode", slab=i):
-                arr = decode(blob)
-        return arr, (ob.to_payload() if ob is not None else None)
+    def _decode_job(i: int, blob: bytes) -> np.ndarray:
+        with obs.span("stream.decode", slab=i):
+            return decode(blob)
 
     def _submit(pool: ThreadPoolExecutor, i: int) -> Future:
         try:
@@ -330,7 +352,7 @@ def stream_decompress(source: Any, *, compressor: Any = None) -> np.ndarray:
             failed: Future = Future()
             failed.set_exception(exc)
             return failed
-        return pool.submit(_decode_job, i, blob)
+        return pool.submit(handoff.run, _decode_job, i, blob)
 
     cursor = 0
     with obs.span("stream.decompress", segments=n), ThreadPoolExecutor(
@@ -345,8 +367,7 @@ def stream_decompress(source: Any, *, compressor: Any = None) -> np.ndarray:
                     next_i += 1
                 i, fut = in_flight.popleft()
                 arr, payload = fut.result()
-                if parent is not None:
-                    parent.merge_payload(payload, worker=f"slab{i}.decode")
+                handoff.merge(payload, f"slab{i}.decode")
                 if (
                     arr.ndim != out.ndim
                     or arr.shape[:axis] + arr.shape[axis + 1:] != cross

@@ -1,21 +1,26 @@
-"""ParallelCompressor: shared-memory transport, persistent pool, QP routing.
+"""ParallelCompressor: slab jobs on threads, pinned container bytes, QP routing.
 
-These exercise the rewritten parallel path: slab payloads travel through
-``multiprocessing.shared_memory`` (not the pickle pipe), the worker pool is
-reused across calls, decompression writes slabs into one preallocated output
-array, and QP is routed by the registry capability flag instead of a
-hardcoded base-name list.
+Each slab compresses as its own job on a pool of ``parallel`` threads and
+each thread decodes one contiguous group of slabs through
+``decompress_many``; container bytes do not depend on the worker count,
+the lowest-index failing slab's error is the one raised, no thread
+outlives a call, and QP is routed by the registry capability flag instead
+of a hardcoded base-name list.
 """
 import hashlib
+import struct
+import threading
+import time
 
 import numpy as np
 import pytest
 
 import repro
 from repro.core.config import QPConfig
-from repro.compressors import supports_qp
+from repro.compressors import get_compressor, supports_qp
 from repro.compressors.registry import COMPRESSORS
-from repro.parallel import ParallelCompressor
+from repro.errors import CorruptBlobError, ReproError
+from repro.parallel import _MAGIC, ParallelCompressor, _slab_table
 
 #: (container sha256, decoded-array sha256) of a 4-slab ``QPConfig()``
 #: container of miranda 32x24x20 (seed 0, rel 1e-3): every worker count
@@ -35,11 +40,24 @@ def _eb(data):
     return 1e-3 * float(data.max() - data.min())
 
 
+def _parallel_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("parallel")]
+
+
+def _pinned_field():
+    return repro.generate("miranda", shape=(32, 24, 20), seed=0)
+
+
+def _container(axis, blobs):
+    head = _MAGIC + struct.pack("<BI", axis, len(blobs))
+    return head + b"".join(struct.pack("<Q", len(b)) + b for b in blobs)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("key", sorted(PARALLEL_ROUNDTRIP))
 def test_container_matches_pinned_digests(key, workers):
-    label, base, _qp = key.split("/")
-    data = repro.generate("miranda", shape=(32, 24, 20), seed=0)
+    base = key.split("/")[1]
+    data = _pinned_field()
     comp = ParallelCompressor(base, _eb(data), workers=workers, n_slabs=4,
                               qp=QPConfig())
     blob = comp.compress(data)
@@ -51,15 +69,79 @@ def test_container_matches_pinned_digests(key, workers):
     ) == PARALLEL_ROUNDTRIP[key]
 
 
+@pytest.mark.parametrize("workers", [1, 4])
+def test_decode_raises_the_lowest_failing_slab(monkeypatch, workers):
+    # slabs 1 and 3 are corrupt and slab 1's check finishes last: its
+    # typed error is the one raised, however the slabs were grouped
+    from repro.compressors import registry
+
+    data = _pinned_field()
+    comp = ParallelCompressor("sz3", _eb(data), workers=workers, n_slabs=4,
+                              qp=QPConfig())
+    axis, blobs = _slab_table(comp.compress(data))
+    bad = list(blobs)
+    bad[1] = bad[1][:6]
+    bad[3] = b"XXXX" + bad[3][4:]
+    errors = []
+    for b in (bad[1], bad[3]):
+        with pytest.raises(ReproError) as info:
+            registry.decompress_any(b)
+        errors.append(info.value)
+    assert str(errors[0]) != str(errors[1])
+    real = registry._dispatch_key
+
+    def slow_slab1(blob):
+        if blob == bad[1]:
+            time.sleep(0.05)
+        return real(blob)
+
+    monkeypatch.setattr(registry, "_dispatch_key", slow_slab1)
+    with pytest.raises(ReproError) as info:
+        comp.decompress(_container(axis, bad))
+    assert type(info.value) is type(errors[0])
+    assert str(info.value) == str(errors[0])
+    assert not _parallel_threads()
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_compress_raises_the_lowest_failing_slab(monkeypatch, workers):
+    from repro.compressors.sz3 import SZ3
+
+    data = _pinned_field()
+    comp = ParallelCompressor("sz3", _eb(data), workers=workers, n_slabs=4)
+    slab_of = {data[8 * i:8 * (i + 1)].tobytes(): i for i in range(4)}
+    real = SZ3.compress
+
+    def failing(self, slab, **kwargs):
+        i = slab_of[np.ascontiguousarray(slab).tobytes()]
+        if i == 1:
+            time.sleep(0.05)
+        if i in (1, 3):
+            raise RuntimeError(f"slab {i} failed")
+        return real(self, slab, **kwargs)
+
+    monkeypatch.setattr(SZ3, "compress", failing)
+    with pytest.raises(RuntimeError, match="^slab 1 failed$"):
+        comp.compress(data)
+    assert not _parallel_threads()
+
+
+def test_slabs_of_mixed_dtypes_are_corrupt():
+    data = _pinned_field()
+    comp = get_compressor("sz3", _eb(data))
+    blobs = [comp.compress(data[:16]),
+             comp.compress(data[16:].astype(np.float64))]
+    with pytest.raises(CorruptBlobError, match="mixes slab dtypes"):
+        ParallelCompressor("sz3", _eb(data), workers=2).decompress(
+            _container(0, blobs))
+
+
 class TestRoundTrips:
     @pytest.mark.parametrize("base", COMPRESSORS)
     def test_all_bases_workers2(self, volume, base):
         eb = _eb(volume)
         comp = ParallelCompressor(base, eb, workers=2)
-        try:
-            out = comp.decompress(comp.compress(volume))
-        finally:
-            comp.close()
+        out = comp.decompress(comp.compress(volume))
         assert out.shape == volume.shape
         if base not in ("zfp", "tthresh"):  # fixed-rate/HOSVD bound semantics differ
             assert np.abs(out - volume).max() <= eb * (1 + 1e-6)
@@ -69,10 +151,7 @@ class TestRoundTrips:
         eb = _eb(volume)
         kw = {"qp": QPConfig()} if qp_on else {}
         comp = ParallelCompressor("sz3", eb, workers=2, **kw)
-        try:
-            out = comp.decompress(comp.compress(volume))
-        finally:
-            comp.close()
+        out = comp.decompress(comp.compress(volume))
         assert np.abs(out - volume).max() <= eb * (1 + 1e-6)
 
     def test_non_contiguous_input(self, volume):
@@ -80,10 +159,7 @@ class TestRoundTrips:
         nc = volume.transpose(2, 0, 1)
         assert not nc.flags["C_CONTIGUOUS"]
         comp = ParallelCompressor("sz3", eb, workers=2)
-        try:
-            out = comp.decompress(comp.compress(nc))
-        finally:
-            comp.close()
+        out = comp.decompress(comp.compress(nc))
         assert out.shape == nc.shape
         assert np.abs(out - nc).max() <= eb * (1 + 1e-6)
 
@@ -92,54 +168,18 @@ class TestRoundTrips:
         data = repro.generate("miranda", shape=(12, 10, 10), seed=3)
         eb = _eb(data)
         comp = ParallelCompressor("sz3", eb, workers=4)
-        try:
-            out = comp.decompress(comp.compress(data))
-        finally:
-            comp.close()
+        out = comp.decompress(comp.compress(data))
         assert np.abs(out - data).max() <= eb * (1 + 1e-6)
 
 
 class TestSharedMemoryPath:
     def test_parallel_bytes_match_serial(self, volume):
-        # the SHM transport must not change what gets compressed: the
-        # container from 4 workers equals the serial 4-slab container
+        # threading must not change what gets compressed: the container
+        # from 4 workers equals the serial 4-slab container
         eb = _eb(volume)
         par = ParallelCompressor("sz3", eb, workers=4, n_slabs=4, qp=QPConfig())
         ser = ParallelCompressor("sz3", eb, workers=1, n_slabs=4, qp=QPConfig())
-        try:
-            assert par.compress(volume) == ser.compress(volume)
-        finally:
-            par.close()
-            ser.close()
-
-    def test_pool_persists_across_calls(self, volume):
-        eb = _eb(volume)
-        comp = ParallelCompressor("sz3", eb, workers=2)
-        try:
-            blob1 = comp.compress(volume)
-            pool = comp._pool
-            assert pool is not None
-            blob2 = comp.compress(volume)
-            assert comp._pool is pool  # same executor object, not a new one
-            assert blob1 == blob2
-            comp.decompress(blob1)
-            assert comp._pool is pool
-        finally:
-            comp.close()
-        assert comp._pool is None
-
-    def test_pickle_fallback_matches_shm(self, volume, monkeypatch):
-        eb = _eb(volume)
-        comp = ParallelCompressor("sz3", eb, workers=2, n_slabs=2)
-        try:
-            via_shm = comp.compress(volume)
-            monkeypatch.setattr("repro.parallel._shm", None)
-            via_pipe = comp.compress(volume)
-            assert via_shm == via_pipe
-            out = comp.decompress(via_pipe)
-        finally:
-            comp.close()
-        assert np.abs(out - volume).max() <= eb * (1 + 1e-6)
+        assert par.compress(volume) == ser.compress(volume)
 
 
 class TestQPRouting:

@@ -186,20 +186,17 @@ def test_parallel_slabs_decode_like_per_slab_decompress(monkeypatch, name, stack
     data = repro.generate("miranda", shape=(32, 32, 32), seed=5)
     eb = 1e-3 * float(data.max() - data.min())
     par = ParallelCompressor(name, eb, workers=1, n_slabs=4, qp=QPConfig())
-    try:
-        container = par.compress(data)
-        axis, blobs = _slab_blobs(container)
-        assert len(blobs) == 4
-        expected = np.concatenate([decompress_any(b) for b in blobs], axis=axis)
-        sizes = []
-        real = interp_engine.decompress_volumes
-        monkeypatch.setattr(
-            interp_engine, "decompress_volumes",
-            lambda items, *a, **k: sizes.append(len(items)) or real(items, *a, **k),
-        )
-        out = par.decompress(container)
-    finally:
-        par.close()
+    container = par.compress(data)
+    axis, blobs = _slab_blobs(container)
+    assert len(blobs) == 4
+    expected = np.concatenate([decompress_any(b) for b in blobs], axis=axis)
+    sizes = []
+    real = interp_engine.decompress_volumes
+    monkeypatch.setattr(
+        interp_engine, "decompress_volumes",
+        lambda items, *a, **k: sizes.append(len(items)) or real(items, *a, **k),
+    )
+    out = par.decompress(container)
     assert sizes == ([4] if stacked else [1, 1, 1, 1])
     assert out.dtype == expected.dtype
     np.testing.assert_array_equal(out, expected)

@@ -582,6 +582,11 @@ def test_threaded_decode_records_one_span_per_segment():
         assert [c.name for c in spans if c.parent == s.index] == ["decompress"]
 
 
+def test_default_workers_is_one_on_the_numpy_path(numpy_path):
+    # the numpy loops hold the GIL, so a second thread only adds CPU time
+    assert streaming._default_workers() == 1
+
+
 def test_stream_compress_keywords_are_slab_bytes_and_checksum():
     import inspect
 

@@ -288,7 +288,7 @@ def bench_parallel(
     data: np.ndarray, eb: float, qp: QPConfig, workers: int, repeats: int
 ) -> dict[str, Any]:
     comp = ParallelCompressor("sz3", eb, workers=workers, qp=qp)
-    blob = comp.compress(data)  # warm the persistent pool
+    blob = comp.compress(data)
     out = comp.decompress(blob)
     err = float(np.abs(out.astype(np.float64) - data.astype(np.float64)).max())
     c_s = _time_best(lambda: comp.compress(data), repeats)
@@ -304,9 +304,8 @@ def bench_parallel(
         "compress_mbs": throughput_mbs(data.nbytes, c_s),
         "decompress_mbs": throughput_mbs(data.nbytes, d_s),
         "max_error": err,
-        # stages recorded in-process: on boxes without real CPU concurrency
-        # the decompress path runs batched in the parent (where the profiler
-        # hooks fire); worker-side stage time is not visible here
+        # slab jobs run on threads whose spans merge into the caller's
+        # observation, so stage times sum over the concurrent jobs
         "stages": _stage_profile(comp, data, blob, repeats),
     }
 

@@ -164,15 +164,21 @@ def _build_targets(seed: int):
             return np.concatenate([out.ravel() for out in decompress_many(parts)])
 
         targets.append((f"many[{label}]", b"".join(slabs), decode_many))
-    # slab-parallel container: the slab table in front of four slab blobs,
-    # decoded in-process (workers=1) through the batched decode: SZ3's
-    # equal slabs stack, QoZ's per-slab-tuned ones mostly decode alone
+    # slab-parallel container: the slab table in front of four slab blobs.
+    # workers=1 decodes them as one decompress_many group (SZ3's equal
+    # slabs stack, QoZ's per-slab-tuned ones mostly decode alone);
+    # workers=2 as one group per thread: two where the C kernels load and
+    # two CPUs are usable, one on the numpy path
     from repro.parallel import ParallelCompressor
 
     tiled = np.tile(data, (3, 1, 1))
     for name in ("sz3", "qoz"):
-        par = ParallelCompressor(name, 1e-2, workers=1, n_slabs=4, qp=QPConfig())
-        targets.append((f"parallel[{name}]", par.compress(tiled), par.decompress))
+        for workers, label in ((1, name), (2, f"{name},workers=2")):
+            par = ParallelCompressor(name, 1e-2, workers=workers, n_slabs=4,
+                                     qp=QPConfig())
+            targets.append(
+                (f"parallel[{label}]", par.compress(tiled), par.decompress)
+            )
     symbols = rng.integers(0, 40, size=3000).astype(np.int64)
     # every registered entropy stage, enumerated from the pipeline registry
     # so a new wire format is fuzzed without touching this list
