@@ -116,13 +116,17 @@ def compress(
 
 
 def decompress(blob: bytes) -> np.ndarray:
-    """Decompress any repro container back into its array.
+    """Decompress a registry blob or a streamed container into its array.
 
-    Dispatches on the container header: canonical/sealed blobs go
-    through the registry, streamed ``RSTR`` containers (written by
-    ``compress_stream`` or the service's oversized route) through the
-    streaming decoder.  Raises the typed :mod:`repro.errors` family on
-    corrupt input.
+    Dispatches on the container header: canonical ``RPRC`` and sealed
+    ``RPR1`` blobs of every registered compressor go through the
+    registry (a PW_REL blob comes back as the data, in its dtype), and
+    streamed ``RSTR`` containers (written by ``compress_stream`` or the
+    service's oversized route) through the streaming decoder.  The
+    slab-parallel ``RPAR``, temporal ``RTMP`` and QoI ``RQO2``
+    containers decode through their wrapper class's ``decompress``;
+    here they raise :class:`~repro.errors.CorruptBlobError`, as does
+    any corrupt input.
     """
     from .io.container import is_streamed_container
 

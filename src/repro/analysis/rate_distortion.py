@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..compressors import get_compressor
+from ..compressors import base_compressor
 from ..core.config import QPConfig
 from ..metrics import EvalResult, evaluate
 
@@ -40,9 +40,7 @@ def rd_sweep(
     value_range = float(data.max() - data.min()) or 1.0
     results = []
     for rb in rel_bounds:
-        comp = get_compressor(compressor, rb * value_range, qp=qp, **kwargs) \
-            if compressor in ("sz3", "qoz", "hpez", "mgard") \
-            else get_compressor(compressor, rb * value_range, **kwargs)
+        comp = base_compressor(compressor, rb * value_range, qp=qp, **kwargs)
         results.append(evaluate(comp, data, label=compressor + ("+QP" if qp and qp.enabled else "")))
     return results
 

@@ -68,22 +68,18 @@ def _adaptive_from_args(args) -> "object | None":
 
 
 def _make_compressor(args, data: np.ndarray):
-    from .compressors import constructor_accepts, get_compressor, supports_qp
+    from .compressors import base_compressor
 
     eb = args.eb
     if args.rel:
         eb = eb * float(data.max() - data.min())
-    kwargs = {}
-    if supports_qp(args.compressor):
-        kwargs["qp"] = _qp_from_args(args)
-    adaptive = _adaptive_from_args(args)
-    if adaptive is not None:
-        if not constructor_accepts(args.compressor, "adaptive"):
-            raise SystemExit(
-                f"{args.compressor} does not support adaptive quantization"
-            )
-        kwargs["adaptive"] = adaptive
-    return get_compressor(args.compressor, eb, **kwargs)
+    try:
+        return base_compressor(
+            args.compressor, eb,
+            qp=_qp_from_args(args), adaptive=_adaptive_from_args(args),
+        )
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -419,7 +415,7 @@ def _cmd_archive(args) -> int:
     raw = comp_total = 0
     blobs = {}
     for fname, data in fields.items():
-        comp = _make_compressor_for(args, data)
+        comp = _make_compressor(args, data)
         blob = comp.compress(data, checksum=getattr(args, "checksum", False))
         blobs[fname] = blob
         raw += data.nbytes
@@ -428,10 +424,6 @@ def _cmd_archive(args) -> int:
     print(f"{args.name}: {len(fields)} fields, {raw} -> {arch.total_bytes()} bytes "
           f"(CR {raw / comp_total:.2f})")
     return 0
-
-
-def _make_compressor_for(args, data: np.ndarray):
-    return _make_compressor(args, data)
 
 
 def _cmd_extract(args) -> int:

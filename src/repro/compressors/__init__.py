@@ -9,6 +9,7 @@ from .registry import (
     COMPRESSORS,
     INTERP_COMPRESSORS,
     available_compressors,
+    base_compressor,
     constructor_accepts,
     decompress_any,
     decompress_many,
@@ -30,6 +31,7 @@ __all__ = [
     "COMPRESSORS",
     "INTERP_COMPRESSORS",
     "available_compressors",
+    "base_compressor",
     "constructor_accepts",
     "get_compressor",
     "decompress_any",

@@ -257,10 +257,6 @@ class Compressor(ABC):
     name: str = ""
     #: qualitative traits for Table I
     traits: dict[str, Any] = {}
-    #: whether the compressor honors a ``qp=`` config (quantization index
-    #: prediction integrates with the quantization-index structure, so only
-    #: prediction+quantization compressors can support it)
-    supports_qp: bool = False
     #: Huffman block size for the index-stream entropy stage; ``None`` keeps
     #: the codec default.  It is written into each container header (decode
     #: reads it from there), so it sets container bytes: the slab-parallel

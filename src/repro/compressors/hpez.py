@@ -68,7 +68,6 @@ class HPEZ(Compressor):
     """HPEZ-like compressor (auto-tuned multi-component interpolation)."""
 
     name = "hpez"
-    supports_qp = True
     traits = {
         "speed": "medium",
         "ratio": "high",

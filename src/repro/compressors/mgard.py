@@ -33,7 +33,6 @@ class MGARD(Compressor):
     """MGARD-like multilevel compressor with optional QP."""
 
     name = "mgard"
-    supports_qp = True
     traits = {
         "speed": "low",
         "ratio": "low",

@@ -14,12 +14,14 @@ from typing import Any
 
 import numpy as np
 
+from ..core.config import AdaptiveConfig, QPConfig
 from ..pipeline import pipeline, pipeline_spec, registered_pipelines
-from .base import Blob, Compressor
+from .base import Blob, Compressor, _validated_geometry
 
 __all__ = [
     "COMPRESSORS",
     "get_compressor",
+    "base_compressor",
     "decompress_any",
     "decompress_many",
     "available_compressors",
@@ -60,8 +62,8 @@ def supports_qp(name: str) -> bool:
     """Whether the named compressor honors a ``qp=`` config.
 
     Spec introspection — "does the registered pipeline contain a ``qp``
-    stage?" — so wrappers (parallel slabs, temporal, QoI) route QP by what
-    the pipeline declares instead of keeping hardcoded name lists in sync.
+    stage?" — so :func:`base_compressor` routes QP by what the pipeline
+    declares instead of keeping hardcoded name lists in sync.
     """
     _lookup(name)  # keep the unknown-name contract
     return pipeline_spec(name).has_stage("qp")
@@ -83,12 +85,51 @@ def get_compressor(name: str, error_bound: float, **kwargs: Any) -> Compressor:
     return _lookup(name)(error_bound, **kwargs)
 
 
-def _dispatch_key(blob: bytes) -> tuple[str, float]:
-    """Validated ``(compressor, error_bound)`` from a blob header.
+def base_compressor(
+    name: str,
+    error_bound: float,
+    *,
+    qp: QPConfig | None = None,
+    adaptive: AdaptiveConfig | dict | None = None,
+    **kwargs: Any,
+) -> Compressor:
+    """The base compressor of a wrapper, the gateway, the CLI or a sweep,
+    under the one ``qp``/``adaptive`` policy they all share.
+
+    ``qp`` reaches every base whose pipeline has a ``qp`` stage; on any
+    other base ``None`` or a disabled config is dropped and an enabled one
+    raises ``ValueError``, so no "+QP" result is measured without QP.
+    ``adaptive`` raises ``ValueError`` on a base whose constructor takes
+    none.  Other ``kwargs`` go to the constructor unchanged.
+    """
+    if adaptive is not None:
+        if not constructor_accepts(name, "adaptive"):
+            raise ValueError(
+                f"compressor {name!r} does not support adaptive "
+                "quantization; drop the adaptive= argument"
+            )
+        kwargs["adaptive"] = adaptive
+    if supports_qp(name):
+        if qp is not None:
+            kwargs["qp"] = qp
+    elif qp is not None and qp.enabled:
+        raise ValueError(
+            f"compressor {name!r} does not support quantization index "
+            "prediction; drop the qp argument or pick one of the "
+            "prediction+quantization bases"
+        )
+    return get_compressor(name, error_bound, **kwargs)
+
+
+def _dispatch_key(blob: bytes) -> tuple[str, float, "np.dtype | None"]:
+    """Validated ``(compressor, error_bound, pw_rel dtype)`` from a blob
+    header; the dtype is ``None`` except on a PW_REL blob, whose decoded
+    ``log(data)`` is returned as ``exp`` in that dtype.
 
     A tampered header — unknown compressor name, missing or non-numeric
-    error bound — raises :class:`~repro.errors.CorruptBlobError` rather
-    than ``KeyError``/``TypeError``, so archive readers can treat every
+    error bound, unreadable ``pw_rel_dtype`` — raises
+    :class:`~repro.errors.CorruptBlobError` rather than
+    ``KeyError``/``TypeError``, so archive readers can treat every
     bad-bytes failure uniformly.
     """
     from ..errors import CorruptBlobError
@@ -100,7 +141,28 @@ def _dispatch_key(blob: bytes) -> tuple[str, float]:
     eb = b.header.get("error_bound")
     if not isinstance(eb, (int, float)) or not eb > 0:
         raise CorruptBlobError(f"blob has invalid error bound {eb!r}")
-    return name, float(eb)
+    # every header fault surfaces here, before the run this blob joins
+    # decodes, so decompress_many raises faults in blob order
+    _validated_geometry(b.header)
+    if "pw_rel" not in b.header:
+        return name, float(eb), None
+    raw = b.header.get("pw_rel_dtype")
+    try:
+        pw_dtype = np.dtype(raw) if isinstance(raw, str) else None
+    except (TypeError, ValueError, SyntaxError):  # numpy may literal_eval it
+        pw_dtype = None
+    if pw_dtype is None or pw_dtype.kind not in "fiu":
+        raise CorruptBlobError(f"blob has invalid pw_rel_dtype {raw!r}")
+    return name, float(eb), pw_dtype
+
+
+def _decode_run(key: tuple, blobs: "list[bytes]") -> "list[np.ndarray]":
+    """Decode blobs sharing one dispatch key as one batch."""
+    name, eb, pw_dtype = key
+    outs = get_compressor(name, eb).decompress_many(blobs)
+    if pw_dtype is None:
+        return outs
+    return [np.exp(out).astype(pw_dtype) for out in outs]
 
 
 def decompress_any(blob: bytes) -> np.ndarray:
@@ -109,26 +171,39 @@ def decompress_any(blob: bytes) -> np.ndarray:
     The blob is self-describing: the decoder reads every setting it needs
     (entropy stage, Huffman block size, lossless framing, predictor) from
     the blob itself.  Header validation matches :func:`_dispatch_key`:
-    tampered headers raise :class:`~repro.errors.CorruptBlobError`.
+    tampered headers raise :class:`~repro.errors.CorruptBlobError`.  A
+    PW_REL blob decodes back to the data, in the data's dtype.
     """
-    name, eb = _dispatch_key(blob)
-    return get_compressor(name, eb).decompress(blob)
+    name, eb, pw_dtype = _dispatch_key(blob)
+    out = get_compressor(name, eb).decompress(blob)
+    return out if pw_dtype is None else np.exp(out).astype(pw_dtype)
 
 
 def decompress_many(blobs: "list[bytes]") -> "list[np.ndarray]":
     """Batched :func:`decompress_any` — same validation and output, but
-    runs of consecutive blobs sharing one (compressor, error bound) go
-    through ``Compressor.decompress_many``, which stacks the per-pass
-    decode stages of equal slabs."""
-    keys = [_dispatch_key(blob) for blob in blobs]
+    runs of consecutive blobs sharing one dispatch key go through
+    ``Compressor.decompress_many``, which stacks the per-pass decode
+    stages of equal slabs.  A run decodes before a bad header after it
+    is raised, so an earlier blob's payload fault comes first."""
+    from ..errors import ReproError
+
     out: "list[np.ndarray]" = []
-    i = 0
-    while i < len(blobs):
-        j = i
-        while j < len(blobs) and keys[j] == keys[i]:
-            j += 1
-        out.extend(get_compressor(*keys[i]).decompress_many(blobs[i:j]))
-        i = j
+    run: "list[bytes]" = []
+    key = None
+    for blob in blobs:
+        try:
+            next_key = _dispatch_key(blob)
+        except ReproError:
+            if run:  # the earlier blobs' faults come first
+                _decode_run(key, run)
+            raise
+        if run and next_key != key:
+            out.extend(_decode_run(key, run))
+            run = []
+        key = next_key
+        run.append(blob)
+    if run:
+        out.extend(_decode_run(key, run))
     return out
 
 

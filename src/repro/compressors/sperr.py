@@ -162,7 +162,6 @@ class SPERR(Compressor):
     """
 
     name = "sperr"
-    supports_qp = True
     traits = {"speed": "medium", "ratio": "very high", "transform": True}
 
     def __init__(

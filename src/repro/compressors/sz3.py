@@ -61,7 +61,6 @@ class SZ3(Compressor):
     """
 
     name = "sz3"
-    supports_qp = True
     traits = {
         "speed": "high",
         "ratio": "medium",

@@ -2,7 +2,8 @@
 adaptive (reserved-index) quantizer."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Any
 
 __all__ = [
     "QPConfig",
@@ -46,6 +47,10 @@ class QPConfig:
     max_level: int = 2
 
     def __post_init__(self) -> None:
+        if not isinstance(self.enabled, bool):
+            raise ValueError("enabled must be a bool")
+        if not isinstance(self.max_level, int) or isinstance(self.max_level, bool):
+            raise ValueError("max_level must be an int")
         if self.dimension not in QP_DIMENSIONS:
             raise ValueError(f"dimension must be one of {QP_DIMENSIONS}")
         if self.condition not in QP_CONDITIONS:
@@ -70,7 +75,9 @@ class QPConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "QPConfig":
-        return QPConfig(**d)
+        """Rebuild from an untrusted header or wire dict; raises a typed
+        error (see :func:`_from_untrusted_dict`)."""
+        return _from_untrusted_dict(QPConfig, d, "qp")
 
 
 @dataclass(frozen=True)
@@ -104,22 +111,27 @@ class AdaptiveConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "AdaptiveConfig":
-        """Rebuild from an untrusted header dict; raises a typed error.
+        """Rebuild from an untrusted header dict; raises a typed error (see
+        :func:`_from_untrusted_dict`)."""
+        return _from_untrusted_dict(AdaptiveConfig, d, "adaptive")
 
-        Decode paths call this on attacker-controllable bytes, so range and
-        type violations must surface as :class:`CorruptBlobError`, not as
-        bare ``ValueError``/``TypeError``.
-        """
-        from ..errors import CorruptBlobError
 
-        if not isinstance(d, dict):
-            raise CorruptBlobError(f"adaptive config must be a dict, got {type(d).__name__}")
-        extra = set(d) - {"bits", "threshold"}
-        if extra:
-            raise CorruptBlobError(f"unknown adaptive config keys: {sorted(extra)}")
-        try:
-            return AdaptiveConfig(
-                bits=d.get("bits", 2), threshold=d.get("threshold", 4)
-            )
-        except (ValueError, TypeError) as exc:
-            raise CorruptBlobError(f"invalid adaptive config: {exc}") from exc
+def _from_untrusted_dict(cls: type, d: Any, what: str) -> Any:
+    """``cls(**d)`` for a config dict read from a blob header or a wire
+    spec.
+
+    Decode paths and the gateway call this on attacker-controllable
+    bytes, so range and type violations must surface as
+    :class:`CorruptBlobError`, not as bare ``ValueError``/``TypeError``.
+    """
+    from ..errors import CorruptBlobError
+
+    if not isinstance(d, dict):
+        raise CorruptBlobError(f"{what} config must be a dict, got {type(d).__name__}")
+    extra = set(d) - {f.name for f in fields(cls)}
+    if extra:
+        raise CorruptBlobError(f"unknown {what} config keys: {sorted(extra)}")
+    try:
+        return cls(**d)
+    except (ValueError, TypeError) as exc:
+        raise CorruptBlobError(f"invalid {what} config: {exc}") from exc

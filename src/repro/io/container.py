@@ -62,7 +62,8 @@ from ..errors import (
     VersionError,
 )
 
-__all__ = ["Archive", "ContainerWriter", "ContainerReader", "is_streamed_container"]
+__all__ = ["Archive", "ContainerWriter", "ContainerReader", "is_streamed_container",
+           "pack_parts", "unpack_parts"]
 
 _MAGIC = b"RARC"
 _FOOT_V0 = b"CRAR"
@@ -360,6 +361,38 @@ class Archive:
 
 class _SimulatedCrash(RuntimeError):
     """Raised by the ``_crash_point`` fault-injection hooks in append."""
+
+
+# -- wrapper part lists -------------------------------------------------------
+
+
+def pack_parts(parts: "list[bytes]") -> bytes:
+    """The part list that ends the slab-parallel (``RPAR``), temporal
+    (``RTMP``) and QoI (``RQO2``) containers: each part behind its u64
+    length."""
+    return b"".join(struct.pack("<Q", len(p)) + p for p in parts)
+
+
+def unpack_parts(blob: bytes, off: int, n: int, what: str) -> "list[bytes]":
+    """The ``n`` parts :func:`pack_parts` wrote at ``blob[off:]``, which
+    they must fill exactly; a damaged list raises
+    :class:`~repro.errors.TruncatedStreamError` or
+    :class:`~repro.errors.CorruptBlobError` naming ``what``."""
+    parts = []
+    for _ in range(n):
+        if off + 8 > len(blob):
+            raise TruncatedStreamError(f"{what} part table truncated")
+        (size,) = struct.unpack_from("<Q", blob, off)
+        off += 8
+        if off + size > len(blob):
+            raise TruncatedStreamError(
+                f"{what} part declares {size} bytes past the container end"
+            )
+        parts.append(blob[off:off + size])
+        off += size
+    if off != len(blob):
+        raise CorruptBlobError(f"{what} container corrupt")
+    return parts
 
 
 # -- streamed slab container -------------------------------------------------

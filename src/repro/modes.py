@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .compressors import Compressor, decompress_any, get_compressor, supports_qp
+from .compressors import base_compressor, decompress_any
 from .compressors.base import Blob
 from .core.config import QPConfig
 
@@ -57,22 +57,6 @@ class PointwiseRelativeCompressor:
         self.qp = qp
         self.kwargs = kwargs
 
-    def _base_compressor(self, adaptive=None) -> Compressor:
-        eb = float(np.log1p(self.rel))
-        kwargs = dict(self.kwargs)
-        if supports_qp(self.base):
-            kwargs.setdefault("qp", self.qp or QPConfig.disabled())
-        if adaptive is not None:
-            from .compressors import constructor_accepts
-
-            if not constructor_accepts(self.base, "adaptive"):
-                raise ValueError(
-                    f"compressor {self.base!r} does not support adaptive "
-                    "quantization; drop the adaptive= argument"
-                )
-            kwargs["adaptive"] = adaptive
-        return get_compressor(self.base, eb, **kwargs)
-
     def compress(
         self,
         data: np.ndarray,
@@ -90,7 +74,12 @@ class PointwiseRelativeCompressor:
                 "(shift or split by sign first)"
             )
         logd = np.log(data.astype(np.float64))
-        blob = self._base_compressor(adaptive).compress(logd, auto=auto)
+        kwargs = (self.kwargs if adaptive is None
+                  else dict(self.kwargs, adaptive=adaptive))
+        comp = base_compressor(
+            self.base, float(np.log1p(self.rel)), qp=self.qp, **kwargs
+        )
+        blob = comp.compress(logd, auto=auto)
         # annotate the blob so decompression knows to exponentiate
         b = Blob.from_bytes(blob)
         b.header["pw_rel"] = self.rel
@@ -99,9 +88,8 @@ class PointwiseRelativeCompressor:
 
     @staticmethod
     def decompress(blob: bytes) -> np.ndarray:
-        b = Blob.from_bytes(blob)
-        if "pw_rel" not in b.header:
+        """Decode through the registry, which exponentiates PW_REL blobs
+        back to the data's dtype at every entry point."""
+        if "pw_rel" not in Blob.from_bytes(blob).header:
             raise ValueError("not a PW_REL blob")
-        dtype = np.dtype(b.header["pw_rel_dtype"])
-        logd = decompress_any(b.to_bytes())
-        return np.exp(logd).astype(dtype)
+        return decompress_any(blob)

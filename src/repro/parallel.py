@@ -26,6 +26,7 @@ import numpy as np
 from . import obs
 from .core.config import QPConfig
 from .errors import CorruptBlobError, ReproError, TruncatedStreamError
+from .io.container import pack_parts, unpack_parts
 from .io.integrity import is_sealed, seal, unseal
 from .streaming import _default_workers, _JobObservation, slab_slices
 
@@ -41,22 +42,9 @@ def _slab_table(blob: bytes) -> tuple[int, list[bytes]]:
     if len(blob) < 9:
         raise TruncatedStreamError("parallel container header truncated")
     axis, n = struct.unpack_from("<BI", blob, 4)
-    off = 9
-    parts = []
-    for _ in range(n):
-        if off + 8 > len(blob):
-            raise TruncatedStreamError("parallel slab table truncated")
-        (size,) = struct.unpack_from("<Q", blob, off)
-        off += 8
-        if off + size > len(blob):
-            raise TruncatedStreamError(
-                f"parallel slab declares {size} bytes past the container end"
-            )
-        parts.append(blob[off:off + size])
-        off += size
-    if off != len(blob) or not parts:
-        raise CorruptBlobError("parallel container corrupt")
-    return axis, parts
+    if n == 0:
+        raise CorruptBlobError("parallel container holds no slabs")
+    return axis, unpack_parts(blob, 9, n, "parallel")
 
 
 #: Huffman block size for slab containers (vs the 4096 codec default).  The
@@ -91,22 +79,13 @@ class ParallelCompressor:
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        from .compressors import constructor_accepts, supports_qp
+        from .compressors import base_compressor, constructor_accepts
 
         self.base = base
         self.error_bound = float(error_bound)
         self.workers = workers
         self.n_slabs = n_slabs
         self.qp = qp or QPConfig.disabled()
-        if self.qp.enabled and not supports_qp(base):
-            raise ValueError(
-                f"compressor {base!r} does not support quantization index "
-                "prediction; drop the qp argument or pick one of the "
-                "prediction+quantization bases"
-            )
-        # only capable bases receive the config — others would reject (or
-        # silently swallow) an unexpected keyword
-        self._qp_kwargs = {"qp": self.qp} if supports_qp(base) else {}
         # slab streams are short: smaller Huffman blocks cut the numpy
         # decode's step count for ~8 bytes of stored offset per extra block
         # (<2% of a typical slab payload).  Only offered to bases whose
@@ -117,6 +96,8 @@ class ParallelCompressor:
         ):
             kwargs["huffman_block_size"] = SLAB_HUFFMAN_BLOCK
         self.kwargs = kwargs
+        # a configuration the base cannot honor fails here, not in a job
+        base_compressor(base, self.error_bound, qp=self.qp, **kwargs)
 
     # -- slab jobs ----------------------------------------------------------
 
@@ -172,41 +153,28 @@ class ParallelCompressor:
         every slab's base compressor and raises ``ValueError`` when the
         base does not take one.
         """
-        from .compressors import get_compressor
+        from .compressors import base_compressor
 
         data = np.asarray(data)
-        kwargs = self._job_kwargs(adaptive)
+        kwargs = (self.kwargs if adaptive is None
+                  else dict(self.kwargs, adaptive=adaptive))
         axis, slabs = self._slabs(data.shape)
 
         def compress_slab(sl: slice) -> bytes:
             idx = [slice(None)] * data.ndim
             idx[axis] = sl
             slab = np.ascontiguousarray(data[tuple(idx)])
-            comp = get_compressor(self.base, self.error_bound, **kwargs)
+            comp = base_compressor(
+                self.base, self.error_bound, qp=self.qp, **kwargs
+            )
             return comp.compress(slab, auto=auto)
 
         with obs.span(
             "parallel.compress", base=self.base, slabs=len(slabs), axis=axis
         ):
             blobs = self._map(compress_slab, slabs)
-            head = _MAGIC + struct.pack("<BI", axis, len(blobs))
-            body = b"".join(struct.pack("<Q", len(b)) + b for b in blobs)
-        out = head + body
+            out = _MAGIC + struct.pack("<BI", axis, len(blobs)) + pack_parts(blobs)
         return seal(out) if checksum else out
-
-    def _job_kwargs(self, adaptive: Any) -> dict:
-        """Per-call constructor kwargs for the slab jobs (adaptive merge)."""
-        kwargs = dict(self.kwargs, **self._qp_kwargs)
-        if adaptive is None:
-            return kwargs
-        from .compressors import constructor_accepts
-
-        if not constructor_accepts(self.base, "adaptive"):
-            raise ValueError(
-                f"compressor {self.base!r} does not support adaptive "
-                "quantization; drop the adaptive argument"
-            )
-        return dict(kwargs, adaptive=adaptive)
 
     # -- decompression ------------------------------------------------------
 

@@ -15,12 +15,14 @@ import struct
 
 import numpy as np
 
-from ..compressors import decompress_any, get_compressor, supports_qp
+from ..compressors import base_compressor, decompress_any
 from ..core.config import QPConfig
-from ..errors import CorruptBlobError
+from ..compressors.base import _validated_geometry
+from ..errors import CorruptBlobError, TruncatedStreamError
+from ..io.container import pack_parts, unpack_parts
 from ..io.integrity import is_sealed, seal, unseal
 from ..obs import span
-from ..utils.blocks import iter_blocks
+from ..utils.blocks import block_grid_shape, iter_blocks
 from .bounds import IsolineQoI, QoISpec
 
 __all__ = ["QoIPreservingCompressor"]
@@ -53,7 +55,8 @@ class QoIPreservingCompressor:
     block_side:
         Block size for the spatial adaptation.
     qp:
-        Optional QP config forwarded to interpolation-based bases.
+        Optional QP config, applied as
+        :func:`~repro.compressors.base_compressor` does.
     """
 
     def __init__(
@@ -77,21 +80,6 @@ class QoIPreservingCompressor:
     @property
     def name(self) -> str:
         return f"qoi[{self.base}]"
-
-    def _block_compressor(self, eb: float, adaptive=None):
-        kwargs = {}
-        if supports_qp(self.base):
-            kwargs["qp"] = self.qp or QPConfig.disabled()
-        if adaptive is not None:
-            from ..compressors import constructor_accepts
-
-            if not constructor_accepts(self.base, "adaptive"):
-                raise ValueError(
-                    f"compressor {self.base!r} does not support adaptive "
-                    "quantization; drop the adaptive= argument"
-                )
-            kwargs["adaptive"] = adaptive
-        return get_compressor(self.base, eb, **kwargs)
 
     def compress(
         self,
@@ -121,7 +109,10 @@ class QoIPreservingCompressor:
                 # arithmetic; shrink on the rare violation from stacked
                 # rounding
                 for _ in range(8):
-                    blob = self._block_compressor(eb, adaptive).compress(block)
+                    comp = base_compressor(
+                        self.base, eb, qp=self.qp, adaptive=adaptive
+                    )
+                    blob = comp.compress(block)
                     out = decompress_any(blob)
                     if self._block_ok(block, out):
                         break
@@ -145,8 +136,9 @@ class QoIPreservingCompressor:
             },
             separators=(",", ":"),
         ).encode()
-        body = b"".join(struct.pack("<Q", len(b)) + b for b in blobs)
-        out_bytes = _MAGIC + struct.pack("<I", len(header)) + header + body
+        out_bytes = (
+            _MAGIC + struct.pack("<I", len(header)) + header + pack_parts(blobs)
+        )
         return seal(out_bytes) if checksum else out_bytes
 
     def _block_ok(self, block: np.ndarray, out: np.ndarray) -> bool:
@@ -155,16 +147,11 @@ class QoIPreservingCompressor:
         return self.qoi.error(block, out) <= self.tau * (1 + 1e-9)
 
     def decompress(self, blob: bytes) -> np.ndarray:
+        """Reassemble the volume; a damaged container raises the typed
+        :mod:`repro.errors` family."""
         if is_sealed(blob):
             blob = unseal(blob)
-        if blob[:4] == _MAGIC:
-            (hlen,) = struct.unpack_from("<I", blob, 4)
-            header = json.loads(blob[8:8 + hlen].decode())
-            out_shape = tuple(header["shape"])
-            block_side = int(header["block_side"])
-            n_blocks = int(header["n_blocks"])
-            off = 8 + hlen
-        elif blob[:4] == _MAGIC_V1:
+        if blob[:4] == _MAGIC_V1:
             # the shape-less v1 path warned via DeprecationWarning for two
             # releases; it is now a typed rejection (see docs/api.md)
             raise CorruptBlobError(
@@ -172,20 +159,35 @@ class QoIPreservingCompressor:
                 "retired; decode it with a pre-service release and "
                 "re-compress to the self-describing RQO2 format"
             )
-        else:
+        if blob[:4] != _MAGIC:
             raise CorruptBlobError("not a QoI container")
-        out: np.ndarray | None = None
+        if len(blob) < 8:
+            raise TruncatedStreamError("QoI container header truncated")
+        (hlen,) = struct.unpack_from("<I", blob, 4)
+        try:  # a header cut short is not valid JSON either
+            header = json.loads(blob[8:8 + hlen].decode())
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CorruptBlobError(f"QoI container header: {exc}") from None
+        if not isinstance(header, dict):
+            raise CorruptBlobError("QoI container header is not an object")
+        out_shape, dtype = _validated_geometry(header)
+        block_side = header.get("block_side")
+        if not isinstance(block_side, int) or block_side < 1:
+            raise CorruptBlobError(f"QoI container block_side {block_side!r}")
+        n_blocks = int(np.prod(block_grid_shape(out_shape, block_side)))
+        if header.get("n_blocks") != n_blocks:
+            raise CorruptBlobError(
+                f"QoI container declares {header.get('n_blocks')!r} blocks; "
+                f"its block grid has {n_blocks}"
+            )
+        parts = unpack_parts(blob, 8 + hlen, n_blocks, "QoI")
+        out = np.empty(out_shape, dtype=dtype)
         with span("qoi.decompress", base=self.base, blocks=n_blocks):
-            for i, bslice in enumerate(iter_blocks(out_shape, block_side)):
-                if i >= n_blocks:
-                    raise ValueError("block count mismatch")
-                (size,) = struct.unpack_from("<Q", blob, off)
-                off += 8
-                block = decompress_any(blob[off:off + size])
-                off += size
-                if out is None:
-                    out = np.empty(out_shape, dtype=block.dtype)
+            for part, bslice in zip(parts, iter_blocks(out_shape, block_side)):
+                block = decompress_any(part)
+                if block.dtype != dtype or block.shape != out[bslice].shape:
+                    raise CorruptBlobError(
+                        "QoI block does not match its slot in the volume"
+                    )
                 out[bslice] = block
-        if out is None or off != len(blob):
-            raise ValueError("QoI container corrupt")
         return out

@@ -109,31 +109,22 @@ def _compressor_from_spec(spec_dict: dict) -> Any:
     """Build the compressor a :class:`JobSpec` dict describes.
 
     Runs in fork-pool workers (and the parent for streamed jobs), so it
-    imports lazily and validates spec fields against what the registry
-    says the named compressor actually supports."""
-    from ..compressors import constructor_accepts, get_compressor, supports_qp
+    imports lazily.  The registry's :func:`base_compressor` applies the
+    qp/adaptive policy every wrapper shares; a spec it refuses is the
+    client's fault, a :class:`ServiceRequestError`."""
+    from ..compressors import base_compressor
+    from ..core.config import QPConfig
 
     spec = JobSpec.from_dict(spec_dict)
-    kwargs: dict[str, Any] = {}
-    if spec.qp is not None:
-        if not supports_qp(spec.compressor):
-            raise ServiceRequestError(
-                f"compressor {spec.compressor!r} does not support qp"
-            )
-        from ..quantize import QPConfig
-
-        kwargs["qp"] = QPConfig.from_dict(spec.qp)
-    if spec.adaptive is not None:
-        if not constructor_accepts(spec.compressor, "adaptive"):
-            raise ServiceRequestError(
-                f"compressor {spec.compressor!r} does not support adaptive "
-                "quantization"
-            )
-        kwargs["adaptive"] = spec.adaptive
     try:
-        return get_compressor(spec.compressor, spec.error_bound, **kwargs)
-    except KeyError as exc:
-        raise ServiceRequestError(f"unknown compressor {spec.compressor!r}") from exc
+        return base_compressor(
+            spec.compressor,
+            spec.error_bound,
+            qp=None if spec.qp is None else QPConfig.from_dict(spec.qp),
+            adaptive=spec.adaptive,
+        )
+    except (KeyError, ValueError) as exc:
+        raise ServiceRequestError(*exc.args) from exc
 
 
 @dataclass(frozen=True)
@@ -349,14 +340,9 @@ class Gateway:
                 raise ServiceRequestError(
                     "gateway has no archive (set GatewayConfig.archive_path)"
                 )
-            path = self.config.archive_path
-            import os
+            from .. import open_archive
 
-            if os.path.exists(path):
-                self._archive = Archive(path)
-                self._archive.recover()
-            else:
-                self._archive = Archive.create(path)
+            self._archive = open_archive(self.config.archive_path, create=True)
         return self._archive
 
     # -- submission --------------------------------------------------------

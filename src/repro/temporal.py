@@ -16,14 +16,18 @@ import struct
 
 import numpy as np
 
-from .compressors import decompress_any, get_compressor, supports_qp
+from .compressors import base_compressor, decompress_any
 from .core.config import QPConfig
+from .errors import CorruptBlobError, TruncatedStreamError
+from .io.container import pack_parts, unpack_parts
 from .io.integrity import is_sealed, seal, unseal
 from .obs import span
 
 __all__ = ["TemporalCompressor"]
 
 _MAGIC = b"RTMP"
+#: ``RTMP | u32 keyframe interval | u64 frame count``, then the frame blobs
+_HEADER_LEN = 16
 
 
 class TemporalCompressor:
@@ -55,21 +59,6 @@ class TemporalCompressor:
         self.qp = qp or QPConfig.disabled()
         self.kwargs = kwargs
 
-    def _compressor(self, adaptive=None):
-        kwargs = dict(self.kwargs)
-        if supports_qp(self.base):
-            kwargs["qp"] = self.qp
-        if adaptive is not None:
-            from .compressors import constructor_accepts
-
-            if not constructor_accepts(self.base, "adaptive"):
-                raise ValueError(
-                    f"compressor {self.base!r} does not support adaptive "
-                    "quantization; drop the adaptive= argument"
-                )
-            kwargs["adaptive"] = adaptive
-        return get_compressor(self.base, self.error_bound, **kwargs)
-
     def compress(
         self,
         data: np.ndarray,
@@ -89,7 +78,11 @@ class TemporalCompressor:
         data = np.asarray(data)
         if data.ndim < 2:
             raise ValueError("temporal compression needs a time axis plus space")
-        comp = self._compressor(adaptive)
+        kwargs = (self.kwargs if adaptive is None
+                  else dict(self.kwargs, adaptive=adaptive))
+        comp = base_compressor(
+            self.base, self.error_bound, qp=self.qp, **kwargs
+        )
         if auto:
             comp = comp._tuned_for(np.ascontiguousarray(data[0]))
         blobs: list[bytes] = []
@@ -109,31 +102,36 @@ class TemporalCompressor:
         head = _MAGIC + struct.pack(
             "<IQ", self.keyframe_interval, data.shape[0]
         )
-        body = b"".join(struct.pack("<Q", len(b)) + b for b in blobs)
-        out = head + body
+        out = head + pack_parts(blobs)
         return seal(out) if checksum else out
 
     def decompress(self, blob: bytes) -> np.ndarray:
+        """Decode every frame; a damaged container raises the typed
+        :mod:`repro.errors` family."""
         if is_sealed(blob):
             blob = unseal(blob)
         if blob[:4] != _MAGIC:
-            raise ValueError("not a temporal container")
+            raise CorruptBlobError("not a temporal container")
+        if len(blob) < _HEADER_LEN:
+            raise TruncatedStreamError("temporal container header truncated")
         key_int, n_frames = struct.unpack_from("<IQ", blob, 4)
-        off = 16
+        if key_int < 1:
+            raise CorruptBlobError("temporal keyframe interval must be >= 1")
+        if n_frames == 0:
+            raise CorruptBlobError("temporal container holds no frames")
+        parts = unpack_parts(blob, _HEADER_LEN, n_frames, "temporal")
         frames = []
-        prev: np.ndarray | None = None
         with span("temporal.decompress", base=self.base, frames=n_frames):
-            for t in range(n_frames):
-                (size,) = struct.unpack_from("<Q", blob, off)
-                off += 8
-                part = decompress_any(blob[off:off + size])
-                off += size
-                if prev is None or t % key_int == 0:
-                    decoded = part
-                else:
-                    decoded = prev + part
+            for t, part in enumerate(parts):
+                decoded = decompress_any(part)
+                if frames and (decoded.shape, decoded.dtype) != (
+                    frames[0].shape, frames[0].dtype
+                ):
+                    raise CorruptBlobError(
+                        f"temporal frame {t} differs from frame 0 in shape "
+                        "or dtype"
+                    )
+                if t % key_int:  # a residual against the previous frame
+                    decoded = frames[-1] + decoded
                 frames.append(decoded)
-                prev = decoded
-        if off != len(blob):
-            raise ValueError("temporal container corrupt")
         return np.stack(frames, axis=0)

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..compressors import decompress_any, get_compressor
+from ..compressors import base_compressor, decompress_any
 from ..core.config import QPConfig
 from ..io import Archive
 from ..obs import add_bytes, span
@@ -96,10 +96,7 @@ def run_disk_pipeline(
     if path.exists():
         path.unlink()
 
-    kwargs = dict(comp_kwargs)
-    if compressor in ("mgard", "sz3", "qoz", "hpez", "sperr"):
-        kwargs["qp"] = qp or QPConfig.disabled()
-    comp = get_compressor(compressor, error_bound, **kwargs)
+    comp = base_compressor(compressor, error_bound, qp=qp, **comp_kwargs)
 
     t0 = time.perf_counter()
     blobs = {

@@ -70,14 +70,10 @@ class SliceMeasurement:
 
 def _work_one(args) -> tuple[int, float, float]:
     """Worker: compress+decompress one slice, return (size, t_comp, t_dec)."""
-    data, name, error_bound, qp_dict, extra = args
-    from ..compressors import get_compressor
-    from ..core.config import QPConfig
+    data, name, error_bound, qp, extra = args
+    from ..compressors import base_compressor
 
-    kwargs = dict(extra)
-    if name in ("sz3", "qoz", "hpez", "mgard"):
-        kwargs["qp"] = QPConfig.from_dict(qp_dict)
-    comp = get_compressor(name, error_bound, **kwargs)
+    comp = base_compressor(name, error_bound, qp=qp, **extra)
     t0 = time.perf_counter()
     blob = comp.compress(data)
     t1 = time.perf_counter()
@@ -97,10 +93,7 @@ def measure_slices(
     """Compress every slice (serially or over ``workers`` processes) and
     aggregate sizes and CPU times.  Extra kwargs go to the compressor
     constructor (e.g. ``predictor="interp"``)."""
-    from ..core.config import QPConfig
-
-    qp_dict = (qp or QPConfig.disabled()).to_dict()
-    jobs = [(s, compressor, error_bound, qp_dict, comp_kwargs) for s in slices]
+    jobs = [(s, compressor, error_bound, qp, comp_kwargs) for s in slices]
     if workers and workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_work_one, jobs))

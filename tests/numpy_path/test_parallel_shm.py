@@ -5,4 +5,5 @@ from tests.test_parallel_shm import (  # noqa: F401
     test_compress_raises_the_lowest_failing_slab,
     test_container_matches_pinned_digests,
     test_decode_raises_the_lowest_failing_slab,
+    test_payload_fault_beats_a_later_bad_header,
 )

@@ -38,6 +38,26 @@ def test_compress_with_qp_flags(tmp_path, npy_field, field_2d):
     assert np.abs(np.load(out).astype(np.float64) - field_2d).max() <= 1e-3
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--qp"], "does not support quantization index prediction"),
+        (["--adaptive-bits", "2"], "does not support adaptive quantization"),
+    ],
+    ids=["qp", "adaptive"],
+)
+def test_option_the_base_cannot_honor_exits_with_its_message(
+    tmp_path, npy_field, flags, message
+):
+    # ZFP has no qp stage and no adaptive quantizer: the CLI refuses the
+    # flag instead of writing a blob without it
+    blob = tmp_path / "f.rz"
+    with pytest.raises(SystemExit, match=message):
+        main(["compress", str(npy_field), str(blob), "--eb", "1e-3",
+              "--compressor", "zfp", *flags])
+    assert not blob.exists()
+
+
 def test_relative_bound(tmp_path, npy_field, field_2d):
     blob = tmp_path / "f.rz"
     main(["compress", str(npy_field), str(blob), "--eb", "1e-3", "--rel"])

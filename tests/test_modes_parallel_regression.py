@@ -1,9 +1,12 @@
 """Tests for PW_REL mode, the parallel block compressor, and the SZ2-style
 regression predictor."""
+import asyncio
+
 import numpy as np
 import pytest
 
-from repro.compressors import SZ3
+import repro
+from repro.compressors import SZ3, decompress_any, decompress_many
 from repro.core import QPConfig
 from repro.modes import PointwiseRelativeCompressor, relative_bound
 from repro.parallel import ParallelCompressor
@@ -75,6 +78,56 @@ class TestPWRelMode:
         blob = SZ3(1e-3).compress(smooth_field)
         with pytest.raises(ValueError):
             PointwiseRelativeCompressor.decompress(blob)
+
+    @pytest.mark.parametrize(
+        "entry", ["repro.decompress", "decompress_any", "decompress_many",
+                  "gateway"]
+    )
+    def test_every_entry_point_decodes_pwrel_to_the_data(self, entry):
+        # the base blob holds log(data): each entry point must return exp of
+        # the decoded values, in the data's dtype
+        rng = np.random.default_rng(5)
+        data = np.exp(rng.uniform(-2, 3, (24, 20, 18))).astype(np.float32)
+        rel = 1e-2
+        blob = PointwiseRelativeCompressor("sz3", rel).compress(data)
+        out = _PW_REL_ENTRY_POINTS[entry](blob)
+        assert out.dtype == data.dtype and out.shape == data.shape
+        rel_err = np.abs(out.astype(np.float64) - data) / data
+        assert rel_err.max() <= rel * (1 + 1e-5)
+        np.testing.assert_array_equal(
+            out, PointwiseRelativeCompressor.decompress(blob)
+        )
+
+    @pytest.mark.parametrize("bad", ["zz", "<c8", "O", None])
+    def test_bad_pwrel_dtype_is_typed(self, bad):
+        from repro.compressors import Blob
+        from repro.errors import CorruptBlobError
+
+        data = np.full((8, 8), 2.0, dtype=np.float32)
+        b = Blob.from_bytes(PointwiseRelativeCompressor("sz3", 1e-2).compress(data))
+        b.header["pw_rel_dtype"] = bad
+        with pytest.raises(CorruptBlobError, match="pw_rel_dtype"):
+            repro.decompress(b.to_bytes())
+
+
+def _gateway_decompress(blob: bytes) -> np.ndarray:
+    from repro.service import DecompressRequest, Gateway, GatewayConfig
+
+    async def main():
+        async with Gateway(GatewayConfig(workers=1)) as gw:
+            reply = await gw.submit(DecompressRequest(tenant="t", blob=blob))
+            reply.raise_for_status()
+            return reply.array()
+
+    return asyncio.run(main())
+
+
+_PW_REL_ENTRY_POINTS = {
+    "repro.decompress": lambda blob: repro.decompress(blob),
+    "decompress_any": lambda blob: decompress_any(blob),
+    "decompress_many": lambda blob: decompress_many([blob, blob])[1],
+    "gateway": _gateway_decompress,
+}
 
 
 class TestParallelCompressor:

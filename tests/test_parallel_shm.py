@@ -104,6 +104,39 @@ def test_decode_raises_the_lowest_failing_slab(monkeypatch, workers):
 
 
 @pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("later", ["magic", "shape"])
+def test_payload_fault_beats_a_later_bad_header(later, workers):
+    # slab 1's payload is corrupt while its header still dispatches, and
+    # slab 3's header is bad (its magic, or a shape that still names the
+    # same compressor and bound): slab 1's error is raised, also where all
+    # four slabs decode as one decompress_many batch
+    from repro.compressors import Blob, registry
+
+    data = _pinned_field()
+    comp = ParallelCompressor("sz3", _eb(data), workers=workers, n_slabs=4,
+                              qp=QPConfig())
+    axis, blobs = _slab_table(comp.compress(data))
+    bad = list(blobs)
+    mid = len(bad[1]) // 2
+    bad[1] = bad[1][:mid] + bytes([bad[1][mid] ^ 0xFF]) + bad[1][mid + 1:]
+    if later == "magic":
+        bad[3] = b"XXXX" + bad[3][4:]
+    else:
+        slab3 = Blob.from_bytes(bad[3])
+        slab3.header["shape"] = [0] + slab3.header["shape"][1:]
+        bad[3] = slab3.to_bytes()
+    registry._dispatch_key(bad[1])
+    with pytest.raises(ReproError) as slab1:
+        registry.decompress_any(bad[1])
+    for decode in (registry.decompress_many,
+                   lambda parts: comp.decompress(_container(axis, parts))):
+        with pytest.raises(ReproError) as info:
+            decode(bad)
+        assert type(info.value) is type(slab1.value)
+        assert str(info.value) == str(slab1.value)
+
+
+@pytest.mark.parametrize("workers", [1, 4])
 def test_compress_raises_the_lowest_failing_slab(monkeypatch, workers):
     from repro.compressors.sz3 import SZ3
 

@@ -147,6 +147,28 @@ def test_config_dict_roundtrip():
     assert QPConfig.from_dict(cfg.to_dict()) == cfg
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ["2d"],
+        {"dimension": "2d", "radius": 3},
+        {"enabled": 1},
+        {"dimension": "4d"},
+        {"condition": "V"},
+        {"max_level": -1},
+        {"max_level": "2"},
+    ],
+    ids=["non-dict", "unknown-key", "non-bool-enabled", "dimension",
+         "condition", "negative-level", "str-level"],
+)
+def test_config_from_untrusted_dict_is_typed(bad):
+    # headers and gateway specs carry this dict: a bad one is corrupt input
+    from repro.errors import CorruptBlobError
+
+    with pytest.raises(CorruptBlobError):
+        QPConfig.from_dict(bad)
+
+
 @given(
     hnp.arrays(np.int64, hnp.array_shapes(min_dims=1, max_dims=3, max_side=10),
                elements=st.integers(-31, 31)),

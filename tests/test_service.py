@@ -396,6 +396,43 @@ def test_dispatcher_survives_undispatchable_spec(field):
     _run(main())
 
 
+def test_qp_spec_is_served(field):
+    """A qp spec reaches the base compressor: the reply holds the blob a
+    direct SZ3 call with that config writes."""
+    from repro.compressors import SZ3
+    from repro.core.config import QPConfig
+
+    async def main():
+        async with Gateway(GatewayConfig(workers=1)) as gw:
+            spec = JobSpec(error_bound=1e-3, qp=QPConfig().to_dict())
+            req = CompressRequest.from_array("t", field, spec)
+            reply = decode_message(await gw.handle(encode_message(req)))
+            assert reply.ok, reply.message
+            assert reply.result == SZ3(1e-3, qp=QPConfig()).compress(field)
+
+    _run(main())
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        JobSpec(qp={"dimension": "4d"}),
+        JobSpec(compressor="zfp", qp={"enabled": True}),
+    ],
+    ids=["bad-dimension", "enabled-qp-on-zfp"],
+)
+def test_bad_qp_spec_is_bad_request(field, spec):
+    async def main():
+        async with Gateway(GatewayConfig(workers=1)) as gw:
+            req = CompressRequest.from_array("t", field, spec)
+            reply = decode_message(await gw.handle(encode_message(req)))
+            assert not reply.ok and reply.error == "bad_request", reply.message
+            ok = await gw.submit(CompressRequest.from_array("t", field))
+            assert ok.ok
+
+    _run(main())
+
+
 def test_streamed_route_honors_auto(field):
     async def main():
         cfg = GatewayConfig(workers=1, stream_threshold_bytes=field.nbytes)

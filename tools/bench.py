@@ -80,7 +80,7 @@ import numpy as np
 import repro
 from repro import kernels, obs
 from repro.core import QPConfig
-from repro.compressors import get_compressor
+from repro.compressors import base_compressor, get_compressor
 from repro.parallel import ParallelCompressor
 from repro.obs import throughput_mbs
 
@@ -214,10 +214,7 @@ def bench_one(
     qp: QPConfig | None,
     repeats: int,
 ) -> dict[str, Any]:
-    kwargs: dict[str, Any] = {}
-    if qp is not None:
-        kwargs["qp"] = qp
-    comp = get_compressor(base, eb, **kwargs)
+    comp = base_compressor(base, eb, qp=qp)
     blob = comp.compress(data)
     out = comp.decompress(blob)
     err = float(np.abs(out.astype(np.float64) - data.astype(np.float64)).max())

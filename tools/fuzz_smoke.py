@@ -179,6 +179,21 @@ def _build_targets(seed: int):
             targets.append(
                 (f"parallel[{label}]", par.compress(tiled), par.decompress)
             )
+    # the other wrapper containers: RTMP's frame list (4 frames, keyframe
+    # interval 2, so residual frames too), RQO2's JSON header and block
+    # list (8 blocks), and PW_REL's log-domain SZ3 blob, which the
+    # registry decodes back to the data
+    from repro.modes import PointwiseRelativeCompressor
+    from repro.qoi import QoIPreservingCompressor, SquareQoI
+    from repro.temporal import TemporalCompressor
+
+    comp = TemporalCompressor("sz3", 1e-2, keyframe_interval=2, qp=QPConfig())
+    targets.append(("temporal[sz3]", comp.compress(data[:4]), comp.decompress))
+    comp = QoIPreservingCompressor("sz3", SquareQoI(), 0.5, block_side=6,
+                                   qp=QPConfig())
+    targets.append(("qoi[sz3]", comp.compress(data), comp.decompress))
+    comp = PointwiseRelativeCompressor("sz3", 1e-2, qp=QPConfig())
+    targets.append(("pw_rel[sz3]", comp.compress(np.exp(data)), decompress_any))
     symbols = rng.integers(0, 40, size=3000).astype(np.int64)
     # every registered entropy stage, enumerated from the pipeline registry
     # so a new wire format is fuzzed without touching this list
