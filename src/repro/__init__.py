@@ -4,7 +4,8 @@ Scientific Data Compressors with Adaptive Quantization Index Prediction"
 
 Public API
 ----------
-The stable surface is exactly ``__all__`` below — seven names:
+The stable surface is exactly ``__all__`` below — six names and
+``__version__``:
 
 >>> import repro
 >>> blob = repro.compress(data, compressor="sz3", error_bound=1e-3)
@@ -15,9 +16,8 @@ The stable surface is exactly ``__all__`` below — seven names:
 
 ``Codec`` is the protocol every compressing object satisfies
 (``compress(data, *, checksum=False, auto=False, adaptive=None)`` /
-``decompress(blob)``), ``PipelineSpec`` the declarative stage-list
-description of a compressor, and ``AdaptiveConfig`` the adaptive
-quantization configuration from the paper.
+``decompress(blob)``), and ``AdaptiveConfig`` the adaptive quantization
+configuration from the paper.
 
 Everything else importable from this module (``get_compressor``,
 ``generate``, ``ParallelCompressor``, ``TemporalCompressor``, the typed
@@ -72,7 +72,6 @@ from .errors import (
 from .metrics import EvalResult, evaluate, psnr
 from .modes import PointwiseRelativeCompressor, relative_bound
 from .parallel import ParallelCompressor
-from .pipeline.spec import PipelineSpec
 from .streaming import StreamResult, stream_compress, stream_decompress
 from .temporal import TemporalCompressor
 
@@ -82,7 +81,6 @@ __version__ = "1.0.0"
 __all__ = [
     "AdaptiveConfig",
     "Codec",
-    "PipelineSpec",
     "compress",
     "decompress",
     "open_archive",

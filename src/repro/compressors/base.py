@@ -88,7 +88,7 @@ class Codec(Protocol):
       (:mod:`repro.io.integrity`); ``auto=True`` runs the sampling
       auto-tuner where one exists (a no-op elsewhere); ``adaptive=``
       applies an :class:`~repro.core.AdaptiveConfig` (or its dict
-      encoding) for this call on codecs whose pipeline supports adaptive
+      encoding) for this call on codecs that support adaptive
       quantization — codecs that cannot honor it raise ``ValueError``
       rather than silently ignoring the request.
     * ``decompress(blob) -> np.ndarray`` accepts both the canonical and
@@ -303,8 +303,8 @@ class Compressor(ABC):
         :class:`~repro.core.autotune.TuningDecision` is left in
         ``self.last_tuning``.  ``adaptive=`` overrides the adaptive
         quantization config for this call (a per-call counterpart of the
-        constructor argument); compressors whose pipeline has no
-        adaptive stage raise ``ValueError``.  All knobs are
+        constructor argument); compressors whose constructor takes no
+        ``adaptive`` raise ``ValueError``.  All knobs are
         keyword-only — the :class:`Codec` protocol's surface.
         """
         data = check_ndarray(data)
@@ -431,8 +431,7 @@ class Compressor(ABC):
     def _with_adaptive(self, adaptive: Any) -> "Compressor":
         """Clone this compressor with ``adaptive`` applied (per-call knob).
 
-        Only compressors whose constructor takes ``adaptive`` (i.e. whose
-        pipeline contains the adaptive quantization stage) can honor the
+        Only compressors whose constructor takes ``adaptive`` can honor the
         request; everything else rejects it loudly — silently compressing
         without the asked-for transform would corrupt an accuracy study.
         """

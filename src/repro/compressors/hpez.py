@@ -33,7 +33,7 @@ from ..codecs import decompress as lossless_decompress
 from ..core.config import AdaptiveConfig, QPConfig
 from ..errors import CorruptBlobError
 from ..obs import span as stage
-from ..pipeline.driver import decode_engine_blob, encode_engine_sections, spec_for_blob
+from ..pipeline.driver import decode_engine_blob, encode_engine_sections
 from ..utils.blocks import iter_blocks
 from ..utils.levels import anchor_slices, num_levels
 from .base import (
@@ -230,11 +230,9 @@ class HPEZ(Compressor):
     # -- decompression ----------------------------------------------------------
 
     def _decompress(self, blob: Blob) -> np.ndarray:
-        # the frontend stage's layout param (derived from the header) picks
-        # the decode walk: one engine replay, or the per-block schedule
-        spec = spec_for_blob(blob.header)
-        layout = spec.stage("interp_predict").params["layout"]
-        if layout == "global":
+        # the header's mode picks the decode walk: one engine replay, or the
+        # per-block schedule
+        if blob.header.get("mode", "global") == "global":
             return decode_engine_blob([blob])[0]
         return self._decompress_blocks(blob)
 

@@ -8,11 +8,11 @@ hierarchical decomposition as the *multidim* structure of the same engine.
 The engine is the driver for the stage objects in
 :mod:`repro.pipeline.stages`: per pass it invokes the prediction stage,
 the quantization stage, overwrites the working array with decoded values
-(so later passes predict from what the decompressor will see), walks the
-config's index-transform stages over the pass's index array (QP's
-Algorithm 1 insertion point — the engine itself no longer special-cases
-any transform), and appends the result to the index stream.  Decompression
-replays the identical pass schedule with each stage inverted.
+(so later passes predict from what the decompressor will see), applies
+QP to the pass's index array (Algorithm 1's insertion point, between
+quantization and entropy coding), and appends the result to the index
+stream.  Decompression replays the identical pass schedule with each
+stage inverted.
 
 There is one walk per direction, over a stack of equal volumes on a
 leading axis: :func:`compress_volumes` and :func:`decompress_volumes`.
@@ -105,13 +105,6 @@ class EngineConfig:
                 level_eb_factors=self.level_eb_factors,
             )
         return LinearQuantize(self.error_bound, self.radius, self.level_eb_factors)
-
-    def index_transforms(self) -> tuple:
-        """Index-stream transform stages applied between quantization and
-        entropy coding, in forward order.  The engine walks these
-        generically; QP is currently the only registered index transform
-        (each wrapped kernel no-ops outside its configured case/levels)."""
-        return (QPTransform(self.qp),)
 
     @classmethod
     def from_meta(cls, meta: dict[str, Any], error_bound: float) -> "EngineConfig":
@@ -216,25 +209,25 @@ def compress_volumes(
     (:meth:`InterpPredict.pass_prediction_stacked`) and one quantization
     over the ``(k,) + target`` view, whose decoded values then overwrite
     the view, so later passes predict from what the decompressor will see.
-    The index transforms (QP's Algorithm 1 insertion point) run per volume
-    on row views, because QP's dimension degrades with the per-volume
-    rank.  With ``interp="auto"`` every volume chooses its own method per
-    level, and where the choices diverge the level predicts per volume.
+    QP (Algorithm 1's insertion point) runs per volume on row views,
+    because QP's dimension degrades with the per-volume rank.  With
+    ``interp="auto"`` every volume chooses its own method per level, and
+    where the choices diverge the level predicts per volume.
 
     Returns ``(metas, streams, literals, anchors, decoded, passes)``, one
     entry or row per volume: each volume's engine meta (levels, chosen
-    methods, transform configs — what the decompressor needs besides the
-    sections); the ``(k, L)`` int64 index streams, transform-applied, in
+    methods, the QP config — what the decompressor needs besides the
+    sections); the ``(k, L)`` int64 index streams, QP-applied, in
     schedule order (``L`` = the non-anchor points); the literal values
     (unpredictable points) in the same order; the exact coarsest-grid
     values ``(k,) + anchor shape``; the decoded ``(k, *shape)`` stack —
     the values the decompressor reconstructs; and one ``(level,
     indices)`` per pass in schedule order, where ``indices`` is the
     ``(k,) + layout`` view of the pass's part of ``streams``,
-    interpolation axis first (the layout the transforms see): the
-    quantizer's indices wherever the transforms leave the level alone, as
-    they do every level with QP off.  The auto-tuner scores its trials
-    (QP off) from these; the compressors frame the first four into blobs.
+    interpolation axis first (the layout QP sees): the quantizer's indices
+    wherever QP leaves the level alone, as it does every level with QP
+    off.  The auto-tuner scores its trials (QP off) from these; the
+    compressors frame the first four into blobs.
     The walk keeps no index array besides ``streams``, so a blob's encode
     holds nothing the blob does not need.
 
@@ -242,12 +235,12 @@ def compress_volumes(
 
     * ``state`` receives the characterization volumes (``index_volume``,
       ``extras["index_volume_qp"]``, ``extras["pass_levels"]``), scattered
-      after the walk from the pass views, whose transforms it inverts for
+      after the walk from the pass views, whose QP it inverts for
       ``index_volume``; without it none is built.
     * ``level_stats``, a list, collects one dict per pass in schedule
       order — ``{"level", "indices", "literals", "max_residual"}``: the
-      pass's indices before the transforms, in the layout above, its
-      literal count, and the largest |original - prediction| in float64.  The progressive
+      pass's indices before QP, in the layout above, its literal count,
+      and the largest |original - prediction| in float64.  The progressive
       compressor splits the streams at level boundaries with these and
       derives per-level achievable error bounds.
     * ``cfg.scheme_selector`` (HPEZ) fixes each level's scheme from the
@@ -266,7 +259,7 @@ def compress_volumes(
     levels = num_levels(shape)
     anchors = arr[(slice(None),) + anchor_slices(shape)].copy()
     quantize = cfg.quantize_stage()
-    transforms = cfg.index_transforms()
+    qp = QPTransform(cfg.qp)
     sentinel = quantize.sentinel
     ctx = StageContext(sentinel=sentinel, dtype=stack.dtype)
     streams = np.empty((k, stream_length(shape)), dtype=np.int64)
@@ -335,9 +328,7 @@ def compress_volumes(
             rows = streams[:, spos:spos + count].reshape(q.shape)
             spos += count
             for row, q_i in zip(rows, q):
-                for t in transforms:
-                    q_i = t.forward(ctx, q_i)
-                row[...] = q_i
+                row[...] = qp.forward(ctx, q_i)
             views.append((level, rows))
 
     if state is not None:
@@ -347,9 +338,7 @@ def compress_volumes(
         schedule = (p for _, ps in _schedule(shape, cfg, levels) for p in ps)
         for (level, rows), p in zip(views, schedule):
             ctx.level = level
-            indices = rows.copy()
-            for t in reversed(transforms):
-                t.inverse_multi(ctx, indices)
+            indices = qp.inverse_multi(ctx, rows.copy())
             back = moveaxis_order(ndim, 0, p.axis)
             state.index_volume[p.target] = indices[0].transpose(back)
             coded[p.target] = rows[0].transpose(back)
@@ -374,8 +363,7 @@ def compress_volumes(
         "radius": cfg.radius,
         "level_eb_factors": {str(l): v for l, v in cfg.level_eb_factors.items()},
     }
-    for t in transforms:
-        meta[t.meta_key] = t.config.to_dict()
+    meta["qp"] = qp.config.to_dict()
     if cfg.adaptive is not None:
         # only written when enabled: absence keeps every pre-adaptive blob
         # byte-identical (golden digests stay frozen)
@@ -418,7 +406,7 @@ def _stream_layout(
 ) -> tuple[tuple[int, ...], int]:
     """Shape and size of pass ``p``'s index array as it sits in the stream:
     interpolation axis first, the other axes in order (``compress_volumes``
-    moves it so before the index transforms)."""
+    moves it so before QP)."""
     size = pass_sizes(shape, p)
     return (size[p.axis],) + size[:p.axis] + size[p.axis + 1:], math.prod(size)
 
@@ -496,9 +484,9 @@ def decompress_volumes(
     volume, and ``streams`` is the ``(k, L)`` int64 buffer whose row ``i``
     holds item ``i``'s index stream; the walk overwrites it.  Each pass
     reads the view ``streams[:, s:s + count]`` reshaped to ``(k,) +
-    layout``: the index transforms invert it in place (``inverse_multi``),
-    literal counts come from its contiguous rows, one prediction runs over
-    the stack of decoded volumes, and dequantization writes through the
+    layout``: QP inverts it in place (``inverse_multi``), literal counts
+    come from its contiguous rows, one prediction runs over the stack of
+    decoded volumes, and dequantization writes through the
     pass's target view of the stacked output — no per-pass copy of indices
     or values.  ``stop_level > 0`` stops before the finer levels (MGARD's
     resolution reduction, progressive previews): their streams and
@@ -514,7 +502,7 @@ def decompress_volumes(
     shape = tuple(shape)
     k = len(items)
     cfg = EngineConfig.from_meta(meta0, eb)
-    transforms = cfg.index_transforms()
+    qp = QPTransform(cfg.qp)
     quantize = cfg.quantize_stage()
     sentinel = quantize.sentinel
     ctx = StageContext(sentinel=sentinel, dtype=dtype)
@@ -537,8 +525,7 @@ def decompress_volumes(
             rows = streams[:, spos:spos + count]
             spos += count
             q = rows.reshape((k,) + moved_shape)
-            for t in reversed(transforms):
-                t.inverse_multi(ctx, q)
+            qp.inverse_multi(ctx, q)
             # each volume's literals, counted on its contiguous row;
             # dequantize takes them in C order of the stacked indices, i.e.
             # volume-major — exactly this concatenation.  A volume whose

@@ -1,11 +1,8 @@
 """Compressor registry: name-based construction and blob dispatch.
 
-The registry is a *view over the pipeline registrations*
-(:mod:`repro.pipeline.builders`): the listed names, their order, the
-implementation classes, and the capability queries are all derived from
-the registered :class:`~repro.pipeline.spec.PipelineSpec` builders, so a
-compressor cannot be registered without declaring its stage chain — and
-the listings below can never drift from it.
+:data:`_CLASSES` is the one table of compressors: each registry name maps
+to the ``module:Class`` that implements it, in listing order.  The
+implementation modules import lazily, on the first construction.
 """
 from __future__ import annotations
 
@@ -15,7 +12,7 @@ from typing import Any
 import numpy as np
 
 from ..core.config import AdaptiveConfig, QPConfig
-from ..pipeline import pipeline, pipeline_spec, registered_pipelines
+from ..errors import CorruptBlobError, ReproError
 from .base import Blob, Compressor, _validated_geometry
 
 __all__ = [
@@ -29,44 +26,41 @@ __all__ = [
     "traits_table",
 ]
 
+#: registry name -> implementing ``module:Class`` (relative to this package)
+_CLASSES = {
+    "mgard": ".mgard:MGARD",
+    "sz3": ".sz3:SZ3",
+    "qoz": ".qoz:QoZ",
+    "hpez": ".hpez:HPEZ",
+    "zfp": ".zfp:ZFP",
+    "tthresh": ".tthresh:TTHRESH",
+    "sperr": ".sperr:SPERR",
+    "sz3_progressive": ".progressive:SZ3Progressive",
+}
 
-def _resolve_class(name: str) -> type[Compressor]:
-    """Import the implementation class from the pipeline's ``cls_path``."""
-    module_name, _, cls_name = pipeline(name).cls_path.partition(":")
-    return getattr(import_module(module_name), cls_name)
-
-
-#: every registered compressor, in pipeline registration order
-COMPRESSORS = registered_pipelines()
-#: the four interpolation-based compressors QP integrates with — i.e. the
-#: pipelines whose spec starts from the interpolation prediction stage
-INTERP_COMPRESSORS = tuple(
-    name for name in COMPRESSORS if pipeline_spec(name).has_stage("interp_predict")
-)
+#: every registered compressor, in listing order
+COMPRESSORS = tuple(_CLASSES)
+#: the interpolation-based compressors QP integrates with (Algorithm 1)
+INTERP_COMPRESSORS = ("mgard", "sz3", "qoz", "hpez", "sz3_progressive")
 
 
 def available_compressors() -> tuple[str, ...]:
-    return registered_pipelines()
+    return COMPRESSORS
 
 
 def _lookup(name: str) -> type[Compressor]:
     """Resolve a registry name to its class — the single place the
     unknown-name error is raised, shared by every registry entry point."""
-    reg = registered_pipelines()
-    if name not in reg:
-        raise KeyError(f"unknown compressor {name!r}; available: {tuple(reg)}")
-    return _resolve_class(name)
+    if name not in COMPRESSORS:  # a tuple: unhashable names are unknown too
+        raise KeyError(f"unknown compressor {name!r}; available: {COMPRESSORS}")
+    module_name, _, cls_name = _CLASSES[name].partition(":")
+    return getattr(import_module(module_name, __package__), cls_name)
 
 
 def supports_qp(name: str) -> bool:
-    """Whether the named compressor honors a ``qp=`` config.
-
-    Spec introspection — "does the registered pipeline contain a ``qp``
-    stage?" — so :func:`base_compressor` routes QP by what the pipeline
-    declares instead of keeping hardcoded name lists in sync.
-    """
-    _lookup(name)  # keep the unknown-name contract
-    return pipeline_spec(name).has_stage("qp")
+    """Whether the named compressor honors a ``qp=`` config: its
+    constructor takes one."""
+    return constructor_accepts(name, "qp")
 
 
 def constructor_accepts(name: str, param: str) -> bool:
@@ -96,8 +90,8 @@ def base_compressor(
     """The base compressor of a wrapper, the gateway, the CLI or a sweep,
     under the one ``qp``/``adaptive`` policy they all share.
 
-    ``qp`` reaches every base whose pipeline has a ``qp`` stage; on any
-    other base ``None`` or a disabled config is dropped and an enabled one
+    ``qp`` reaches every base whose constructor takes one; on any other
+    base ``None`` or a disabled config is dropped and an enabled one
     raises ``ValueError``, so no "+QP" result is measured without QP.
     ``adaptive`` raises ``ValueError`` on a base whose constructor takes
     none.  Other ``kwargs`` go to the constructor unchanged.
@@ -132,11 +126,9 @@ def _dispatch_key(blob: bytes) -> tuple[str, float, "np.dtype | None"]:
     ``KeyError``/``TypeError``, so archive readers can treat every
     bad-bytes failure uniformly.
     """
-    from ..errors import CorruptBlobError
-
     b = Blob.from_bytes(blob)
     name = b.header.get("compressor")
-    if name not in registered_pipelines():
+    if name not in COMPRESSORS:
         raise CorruptBlobError(f"blob names unknown compressor {name!r}")
     eb = b.header.get("error_bound")
     if not isinstance(eb, (int, float)) or not eb > 0:
@@ -156,13 +148,29 @@ def _dispatch_key(blob: bytes) -> tuple[str, float, "np.dtype | None"]:
     return name, float(eb), pw_dtype
 
 
+def _pw_rel_data(logs: np.ndarray, dtype: np.dtype, eb: float) -> np.ndarray:
+    """``exp`` of a PW_REL blob's decoded ``log(data)``, in the data's
+    dtype.  Real data decodes to finite logs within ``eb`` of the data's,
+    which the dtype holds; anything else is a corrupt payload.  Values
+    past the dtype's maximum (data within ``eb`` of it) clip to it, which
+    only moves them closer to the data."""
+    info = np.finfo(dtype) if dtype.kind == "f" else np.iinfo(dtype)
+    if logs.size and not (
+        np.isfinite(logs).all() and logs.max() <= np.log(info.max) + eb
+    ):
+        raise CorruptBlobError(
+            f"PW_REL payload decodes to log values outside what {dtype} holds"
+        )
+    return np.minimum(np.exp(logs), info.max).astype(dtype)
+
+
 def _decode_run(key: tuple, blobs: "list[bytes]") -> "list[np.ndarray]":
     """Decode blobs sharing one dispatch key as one batch."""
     name, eb, pw_dtype = key
     outs = get_compressor(name, eb).decompress_many(blobs)
     if pw_dtype is None:
         return outs
-    return [np.exp(out).astype(pw_dtype) for out in outs]
+    return [_pw_rel_data(out, pw_dtype, eb) for out in outs]
 
 
 def decompress_any(blob: bytes) -> np.ndarray:
@@ -176,7 +184,7 @@ def decompress_any(blob: bytes) -> np.ndarray:
     """
     name, eb, pw_dtype = _dispatch_key(blob)
     out = get_compressor(name, eb).decompress(blob)
-    return out if pw_dtype is None else np.exp(out).astype(pw_dtype)
+    return out if pw_dtype is None else _pw_rel_data(out, pw_dtype, eb)
 
 
 def decompress_many(blobs: "list[bytes]") -> "list[np.ndarray]":
@@ -185,8 +193,6 @@ def decompress_many(blobs: "list[bytes]") -> "list[np.ndarray]":
     ``Compressor.decompress_many``, which stacks the per-pass decode
     stages of equal slabs.  A run decodes before a bad header after it
     is raised, so an earlier blob's payload fault comes first."""
-    from ..errors import ReproError
-
     out: "list[np.ndarray]" = []
     run: "list[bytes]" = []
     key = None
@@ -211,7 +217,7 @@ def traits_table() -> list[dict[str, Any]]:
     """Qualitative characteristics of the compressors (paper Table I)."""
     rows = []
     for name in INTERP_COMPRESSORS:
-        traits = _resolve_class(name).traits
+        traits = _lookup(name).traits
         if not traits:
             continue  # re-framed variants (sz3_progressive) share a row above
         row = {"compressor": name.upper()}

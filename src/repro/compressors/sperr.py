@@ -20,7 +20,6 @@ import numpy as np
 from ..codecs import compress as lossless_compress, decompress as lossless_decompress
 from ..codecs.fixed import decode_fixed, encode_fixed
 from ..errors import CorruptBlobError
-from ..pipeline.stages import CDF97Transform, StageContext
 from .base import (
     Blob,
     CompressionState,
@@ -39,9 +38,6 @@ _DELTA = 0.443506852043971
 _KAPPA = 1.230174104914001
 
 _LEVELS = 3
-
-#: wavelet stage contexts are unused (the stage carries its level count)
-_CTX = StageContext()
 
 
 def _lift_1d(arr: np.ndarray, inverse: bool) -> np.ndarray:
@@ -197,8 +193,7 @@ class SPERR(Compressor):
         mult = 1 << self.levels
         pads = [(0, (-n) % mult) for n in data.shape]
         padded = np.pad(data.astype(np.float64), pads, mode="edge")
-        wavelet = CDF97Transform(self.levels)
-        coeffs = wavelet.forward(_CTX, padded)
+        coeffs = cdf97_forward(padded, self.levels)
         core = tuple(slice(0, n) for n in data.shape)
 
         # Pick the quantization step minimizing estimated size = coefficient
@@ -211,7 +206,7 @@ class SPERR(Compressor):
         for factor in (1.0, 0.5, 0.25, 0.125):
             step = factor * self.error_bound
             q = np.rint(coeffs / step).astype(np.int64)
-            recon = wavelet.inverse(_CTX, q.astype(np.float64) * step)
+            recon = cdf97_inverse(q.astype(np.float64) * step, self.levels)
             rec_cast = recon[core].astype(data.dtype).astype(np.float64)
             viol = np.abs(rec_cast - data.astype(np.float64)) > self.error_bound
             n_out = int(viol.sum())
@@ -249,8 +244,8 @@ class SPERR(Compressor):
             self.qp = QPConfig.from_dict(header["qp"])
             self.levels = int(header["levels"])
             q = self._qp_transform(q, inverse=True)
-        recon = CDF97Transform(int(header["levels"])).inverse(
-            _CTX, q.astype(np.float64) * header["step"]
+        recon = cdf97_inverse(
+            q.astype(np.float64) * header["step"], int(header["levels"])
         )
         dtype = np.dtype(header["dtype"])
         out = recon[tuple(slice(0, n) for n in header["shape"])].astype(dtype)

@@ -19,7 +19,7 @@ from ..codecs import compress as lossless_compress, decompress as lossless_decom
 from ..codecs.fixed import decode_fixed, encode_fixed
 from ..core.characterize import counts_entropy, shannon_entropy
 from ..core.config import AdaptiveConfig, QPConfig
-from ..pipeline.driver import decode_engine_blob, encode_engine_sections, spec_for_blob
+from ..pipeline.driver import decode_engine_blob, encode_engine_sections
 from ..pipeline.stages import InterpPredict
 from ..obs import span as stage
 from ..predictors.lorenzo import lorenzo_encode, lorenzo_histogram, lorenzo_integrate
@@ -357,9 +357,9 @@ class SZ3(Compressor):
         outs: "list[np.ndarray | None]" = [None] * len(blobs)
         for (front, *_), members in groups.items():
             group = [blobs[i] for i in members]
-            if front == "interp_predict":
+            if front == "interp":
                 arrs = decode_engine_blob(group)
-            elif front == "lorenzo_predict":
+            elif front == "lorenzo":
                 arrs = self._decompress_lorenzo_many(group)
             else:
                 arrs = [self._decompress_regression(b) for b in group]
@@ -412,20 +412,19 @@ class SZ3(Compressor):
 
 def _stack_group(header: dict) -> tuple:
     """The batch decode's group of a blob, from its validated header: the
-    frontend stage id, then what must match for blobs to share a stack
+    ``predictor`` (any value but ``"lorenzo"`` and ``"regression"`` is an
+    interpolation blob), then what must match for blobs to share a stack
     (regression blobs, which decode one at a time, share one group)."""
-    front = spec_for_blob(header).stages[0].stage
-    if front == "interp_predict":
-        return (front, stack_key(
-            header["engine"], header["shape"], header["dtype"],
-            header["error_bound"],
-        ))
-    if front == "lorenzo_predict":
-        return (
-            front, tuple(header["shape"]), np.dtype(header["dtype"]).str,
-            int(header["sentinel"]),
-        )
-    return (front,)
+    front = header.get("predictor")
+    if front == "lorenzo":
+        return (front, tuple(header["shape"]), np.dtype(header["dtype"]).str,
+                int(header["sentinel"]))
+    if front == "regression":
+        return (front,)
+    return ("interp", stack_key(
+        header["engine"], header["shape"], header["dtype"],
+        header["error_bound"],
+    ))
 
 
 def _integrate_stack_numpy(

@@ -17,7 +17,6 @@ import numpy as np
 
 from ..codecs import compress as lossless_compress, decompress as lossless_decompress
 from ..codecs.fixed import decode_fixed, encode_fixed
-from ..pipeline.stages import StageContext, TuckerFactorize
 from .base import (
     Blob,
     CompressionState,
@@ -27,11 +26,6 @@ from .base import (
 )
 
 __all__ = ["TTHRESH"]
-
-#: the core↔tensor stage of the registered "tthresh" pipeline (wraps
-#: ``_mode_multiply``); the mode products are context-free
-_TUCKER = TuckerFactorize()
-_CTX = StageContext()
 
 
 def _zigzag(v: np.ndarray) -> np.ndarray:
@@ -101,7 +95,9 @@ class TTHRESH(Compressor):
         step = value_range / 2.0
 
         def reconstruct(s: float) -> np.ndarray:
-            rec = _TUCKER.inverse(_CTX, (np.rint(core / s) * s, factors))
+            rec = np.rint(core / s) * s
+            for mode, u in enumerate(factors):
+                rec = _mode_multiply(rec, u, mode)
             # mirror the decoder exactly: mean re-added *before* the output
             # cast (the cast ulp scales with the absolute values)
             return (rec + mean).astype(data.dtype)
@@ -160,7 +156,7 @@ class TTHRESH(Compressor):
                 fact_q[off:off + count].reshape(rows, cols).astype(np.float64) / fscale
             )
             off += count
-        recon = _TUCKER.inverse(
-            _CTX, (q.astype(np.float64) * header["step"], factors)
-        )
+        recon = q.astype(np.float64) * header["step"]
+        for mode, u in enumerate(factors):
+            recon = _mode_multiply(recon, u, mode)
         return recon + float(header.get("mean", 0.0))

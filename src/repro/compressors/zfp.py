@@ -19,7 +19,6 @@ import numpy as np
 
 from ..codecs import compress as lossless_compress, decompress as lossless_decompress
 from ..codecs.fixed import decode_fixed, encode_fixed
-from ..pipeline.stages import StageContext, ZFPTransform
 from .base import (
     Blob,
     CompressionState,
@@ -29,11 +28,6 @@ from .base import (
 )
 
 __all__ = ["ZFP"]
-
-#: the decorrelation stage of the registered "zfp" pipeline (wraps the
-#: lifting kernels below); the transform is context-free
-_TRANSFORM = ZFPTransform()
-_CTX = StageContext()
 
 _BLOCK = 4
 # fixed-point fraction bits; transforms grow magnitudes by < 2**ndim so keep
@@ -62,7 +56,7 @@ class ZFP(Compressor):
         e[nz] = np.ceil(np.log2(absmax[nz])).astype(np.int64)
         scale = np.ldexp(1.0, (_PRECISION - e).astype(np.int32))
         fixed = np.rint(blocks * scale[:, None]).astype(np.int64)
-        coeffs = _TRANSFORM.forward(_CTX, (fixed, ndim))
+        coeffs = _forward_transform(fixed, ndim)
         # Keep bit-planes down to the accuracy target plus guard bits that
         # absorb the lifted transform's gain.  The guard is verified at encode
         # time: reconstruct (cheap, vectorized) and widen until the point-wise
@@ -73,7 +67,7 @@ class ZFP(Compressor):
             drop = np.floor(np.log2(self.error_bound)) - guard + _PRECISION - e
             drop = np.clip(drop, 0, _PRECISION + 8).astype(np.int64)
             truncated = coeffs >> drop[:, None]
-            rec_fixed = _TRANSFORM.inverse(_CTX, (truncated << drop[:, None], ndim))
+            rec_fixed = _inverse_transform(truncated << drop[:, None], ndim)
             rec = _from_blocks(rec_fixed.astype(np.float64) * scale_back[:, None], padded.shape)
             rec_cast = rec[core].astype(data.dtype).astype(np.float64)
             if np.abs(rec_cast - data).max() <= self.error_bound:
@@ -109,7 +103,7 @@ class ZFP(Compressor):
         guard = int(header["guard"])
         drop = np.floor(np.log2(header["error_bound"])) - guard + _PRECISION - e
         drop = np.clip(drop, 0, _PRECISION + 8).astype(np.int64)
-        fixed = _TRANSFORM.inverse(_CTX, (coeffs << drop[:, None], ndim))
+        fixed = _inverse_transform(coeffs << drop[:, None], ndim)
         scale = np.ldexp(1.0, (e - _PRECISION).astype(np.int32))
         blocks = fixed.astype(np.float64) * scale[:, None]
         padded = _from_blocks(blocks, tuple(header["padded_shape"]))

@@ -6,8 +6,8 @@ a bare ``struct.error``/``ValueError``/``EOFError`` — callers can catch
 :class:`ReproError` and know the input bytes, not the code, were at fault.
 
 The hierarchy deliberately double-inherits from the builtin types older
-callers already catch (``ValueError``, ``EOFError``, ``KeyError``), so
-tightening a decoder never breaks an existing ``except ValueError`` site.
+callers already catch (``ValueError``, ``EOFError``), so tightening a
+decoder never breaks an existing ``except ValueError`` site.
 
 ``CorruptBlobError``     payload bytes fail validation (bad magic, checksum
                          mismatch, inconsistent internal structure).
@@ -18,8 +18,6 @@ tightening a decoder never breaks an existing ``except ValueError`` site.
                          framing (a :class:`CorruptBlobError` refinement).
 ``CorruptArchiveError``  the ``RARC`` archive index/footer is unreadable.
 ``TransferError``        the resilient transfer pipeline's failures.
-``PipelineSpecError``    a serialized pipeline spec fails validation.
-``UnknownStageError``    a pipeline spec names a stage id no stage type claims.
 ``ServiceError``         the compression gateway's request failures; admission
                          rejections (rate limit, quota, queue full) are the
                          :class:`AdmissionError` refinements so clients can
@@ -38,8 +36,6 @@ __all__ = [
     "TransferError",
     "TransferFaultError",
     "QuarantinedSliceError",
-    "PipelineSpecError",
-    "UnknownStageError",
     "ServiceError",
     "AdmissionError",
     "RateLimitedError",
@@ -74,20 +70,6 @@ class IntegrityError(CorruptBlobError):
 
 class CorruptArchiveError(ReproError, ValueError):
     """The ``RARC`` archive footer/index cannot be read."""
-
-
-class PipelineSpecError(CorruptBlobError):
-    """A pipeline spec (in a header or built by hand) fails validation:
-    wrong structure, malformed stage entries, or an unknown stage id."""
-
-
-class UnknownStageError(PipelineSpecError, KeyError):
-    """A pipeline spec names a stage id that no registered stage type
-    claims.  Doubles as ``KeyError`` so registry-style callers can keep
-    their existing ``except KeyError`` handling."""
-
-    def __str__(self) -> str:  # KeyError would repr() the message
-        return self.args[0] if self.args else ""
 
 
 class TransferError(ReproError):

@@ -68,6 +68,11 @@ class PointwiseRelativeCompressor:
         """Compress with the uniform Codec knob set; ``auto``/``adaptive``
         forward to the base compressor running on the log-domain data."""
         data = np.asarray(data)
+        if data.dtype.kind != "f":
+            # exp of the decoded logs would truncate back to integers
+            raise ValueError(
+                f"PW_REL mode requires floating-point data, got {data.dtype}"
+            )
         if (data <= 0).any():
             raise ValueError(
                 "PW_REL mode requires strictly positive data "

@@ -1,66 +1,8 @@
-"""Composable stage-pipeline layer.
+"""The stages the interpolation engine and the blob framing call.
 
-Compressors are *configurations of stages*: a declarative
-:class:`~repro.pipeline.spec.PipelineSpec` names an ordered list of stage
-ids (each resolvable to a concrete :class:`~repro.pipeline.stages.Stage`
-type) with per-stage params, and the named builders in
-:mod:`repro.pipeline.builders` express every registered compressor that
-way.  ``compressors.registry`` derives its listings and capability
-queries from these registrations; blob decode derives the producing spec
-back out of the container header
-(:func:`~repro.pipeline.driver.spec_for_blob`).
-
-Import layering: ``spec`` and ``stages`` sit below
+:mod:`repro.pipeline.stages` holds the prediction, quantization, QP and
+entropy stage classes; :mod:`repro.pipeline.driver` holds the one encode
+and decode of an engine blob's sections.  ``stages`` sits below
 :mod:`repro.compressors` (the compressor framework wires its entropy
-framing and engine walks through them); ``driver`` sits above it, so it
-is re-exported lazily here.
+framing and engine walks through it); ``driver`` sits above it.
 """
-from __future__ import annotations
-
-from .builders import (
-    RegisteredPipeline,
-    pipeline,
-    pipeline_spec,
-    register_pipeline,
-    registered_pipelines,
-)
-from .spec import (
-    SPEC_HEADER_VERSION,
-    PipelineSpec,
-    StageSpec,
-    register_stage,
-    registered_stage_ids,
-    resolve_stage,
-)
-from .stages import Stage, StageContext
-
-__all__ = [
-    "SPEC_HEADER_VERSION",
-    "PipelineSpec",
-    "StageSpec",
-    "Stage",
-    "StageContext",
-    "register_stage",
-    "resolve_stage",
-    "registered_stage_ids",
-    "RegisteredPipeline",
-    "register_pipeline",
-    "registered_pipelines",
-    "pipeline",
-    "pipeline_spec",
-    "spec_for_blob",
-    "decode_engine_blob",
-    "engine_decode_item",
-]
-
-_DRIVER_EXPORTS = ("spec_for_blob", "decode_engine_blob", "engine_decode_item")
-
-
-def __getattr__(name: str):
-    # driver imports repro.compressors, which imports .stages from this
-    # package — resolve lazily to keep the package importable from below
-    if name in _DRIVER_EXPORTS:
-        from . import driver
-
-        return getattr(driver, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

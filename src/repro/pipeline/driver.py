@@ -1,16 +1,11 @@
-"""Spec-driven decode helpers shared by the interpolation compressors.
+"""The engine-blob sections shared by the interpolation compressors.
 
-``spec_for_blob`` turns a parsed container header back into the
-:class:`~repro.pipeline.spec.PipelineSpec` that produced it (the header
-fields are the spec's canonical on-disk encoding — see
-:mod:`repro.pipeline.spec`), so decoders dispatch by walking the spec's
-stage ids instead of chains of per-compressor ``if`` tests.
-
-``decode_engine_blob`` / ``engine_decode_item`` are the one decode of
-SZ3's, QoZ's, HPEZ's (global layout) and MGARD's engine blobs: index
-streams into the rows of one buffer, the literals/anchors sections
-unpacked, and :func:`~repro.compressors.interp_engine.decompress_volumes`
-over the stack — a blob alone as a stack of one.
+``encode_engine_sections`` writes them.  ``decode_engine_blob`` /
+``engine_decode_item`` are the one decode of SZ3's, QoZ's, HPEZ's
+(global layout) and MGARD's engine blobs: index streams into the rows of
+one buffer, the literals/anchors sections unpacked, and
+:func:`~repro.compressors.interp_engine.decompress_volumes` over the
+stack — a blob alone as a stack of one.
 """
 from __future__ import annotations
 
@@ -21,12 +16,8 @@ import numpy as np
 from ..codecs import decompress as lossless_decompress
 from ..errors import CorruptBlobError
 from ..utils.levels import anchor_slices
-from .builders import pipeline
-from .spec import PipelineSpec, StageSpec
-from .stages import entropy_stage_for_wire_id
 
 __all__ = [
-    "spec_for_blob",
     "encode_engine_sections",
     "decode_engine_blob",
     "engine_decode_item",
@@ -58,47 +49,6 @@ def encode_engine_sections(
         "literals": lossless_compress(literals.tobytes()),
         "anchors": anchors.tobytes(),
     }
-
-
-def spec_for_blob(
-    header: dict[str, Any], sections: dict[str, bytes] | None = None
-) -> PipelineSpec:
-    """Derive the pipeline spec a blob was produced with from its header.
-
-    The header's ``compressor`` name selects the registered pipeline and
-    its ``derive`` hook maps the remaining fields (``predictor``,
-    ``mode``, the engine meta's ``qp`` dict) onto stage params.  When
-    ``sections`` are given, the entropy stage is refined from the wire id
-    byte leading the index stream — the one spec datum that lives in a
-    section rather than the header; an unknown or retired byte raises
-    :class:`~repro.errors.CorruptBlobError`, as decode would.
-    """
-    name = header.get("compressor")
-    spec = pipeline(name).derive(header)
-    if sections:
-        keys = ["indices", "coeffs", "core"]
-        # progressive blobs split the index stream per level; every level
-        # uses the same entropy stage, so the first section is authoritative
-        keys[:0] = (k for k in sections if k.startswith("indices:"))
-        for key in keys:
-            data = sections.get(key)
-            if data:
-                cls = entropy_stage_for_wire_id(data[0])
-                if not spec.has_stage(cls.stage_id):
-                    spec = _swap_entropy_stage(spec, cls.stage_id)
-                break
-    return spec
-
-
-def _swap_entropy_stage(spec: PipelineSpec, stage_id: str) -> PipelineSpec:
-    from .stages import ENTROPY_STAGES
-
-    entropy_ids = {cls.stage_id for cls in ENTROPY_STAGES.values()}
-    stages = tuple(
-        StageSpec(stage_id, dict(s.params)) if s.stage in entropy_ids else s
-        for s in spec.stages
-    )
-    return PipelineSpec(spec.name, stages)
 
 
 # -- shared engine-blob decode ------------------------------------------------

@@ -1,30 +1,27 @@
-"""Concrete pipeline stages wrapping the existing kernels.
+"""The stages the interpolation engine and the blob framing call.
 
-Every stage type satisfies the :class:`Stage` protocol —
-``forward(ctx, payload)`` / ``inverse(ctx, payload)`` — and registers
-itself under a stable id (:func:`repro.pipeline.spec.register_stage`), so
-:class:`~repro.pipeline.spec.PipelineSpec` entries resolve to these
-classes by name.  The payload types are stage-specific (arrays, byte
-strings, ``(values, prediction)`` pairs); the :class:`StageContext`
-carries the cross-cutting state a walk threads through the stages
-(current level, quantizer sentinel, interpolation method, output dtype).
+Each stage wraps one kernel family: interpolation prediction, linear and
+adaptive quantization, QP (the paper's index transform, applied between
+quantization and entropy coding), and the Huffman and range entropy
+coders the index-stream framing picks by wire id.  Lorenzo and
+regression prediction keep ``forward``/``inverse`` wrappers of their
+kernels.  The payload types are stage-specific (arrays, byte strings,
+``(values, prediction)`` pairs); the :class:`StageContext` carries the
+state a walk threads through the stages (current level, quantizer
+sentinel, output dtype).
 
 This module must stay importable without :mod:`repro.compressors` —
-``compressors.base`` wires its entropy framing through the stage registry
-here, so anything from that package is imported lazily inside methods.
+``compressors.base`` wires its entropy framing through the stages here,
+so anything from that package is imported lazily inside methods.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Protocol, runtime_checkable
+from typing import Any
 
 import numpy as np
 
-from ..codecs import (
-    HuffmanCodec,
-    compress as lossless_compress,
-    decompress as lossless_decompress,
-)
+from ..codecs import HuffmanCodec
 from ..core.config import AdaptiveConfig, QPConfig
 from ..core.qp import qp_forward, qp_inverse, qp_inverse_multi
 from ..errors import CorruptBlobError
@@ -32,10 +29,8 @@ from ..obs import metric_count, span as obs_span
 from ..predictors.interpolation import predict_midpoints
 from ..quantize.adaptive import AdaptiveLinearQuantizer
 from ..quantize.linear import LinearQuantizer
-from .spec import register_stage
 
 __all__ = [
-    "Stage",
     "StageContext",
     "InterpPredict",
     "LorenzoPredict",
@@ -45,10 +40,6 @@ __all__ = [
     "QPTransform",
     "HuffmanEncode",
     "RangeEncode",
-    "LosslessBackend",
-    "ZFPTransform",
-    "TuckerFactorize",
-    "CDF97Transform",
     "ENTROPY_STAGES",
     "entropy_stage",
     "entropy_stage_for_wire_id",
@@ -61,44 +52,20 @@ class StageContext:
 
     level: int = 0
     sentinel: int = 0
-    method: str = "linear"
     dtype: Any = None
-
-
-@runtime_checkable
-class Stage(Protocol):
-    """The stage surface: a registered id plus a forward/inverse pair.
-
-    ``inverse(ctx, forward(ctx, payload))`` round-trips the payload for
-    transform-type stages; for lossy stages (quantize) the pair is the
-    encode/decode relationship instead of exact inversion.
-    """
-
-    stage_id: str
-
-    def forward(self, ctx: StageContext, payload: Any) -> Any:
-        ...
-
-    def inverse(self, ctx: StageContext, payload: Any) -> Any:
-        ...
 
 
 # -- prediction frontends -----------------------------------------------------
 
 
-@register_stage("interp_predict")
 class InterpPredict:
     """Multilevel interpolation prediction (SZ3/QoZ/HPEZ/MGARD frontend).
 
-    ``forward(ctx, (arr, p))`` predicts pass ``p``'s target subgrid from
-    the already-decoded neighbours in ``arr`` using ``ctx.method``; the
-    engine driver owns the closed predict→quantize→overwrite loop, so
-    prediction is its own inverse (the decoder sees identical inputs).
+    Each pass predicts its target subgrid from the already-decoded
+    neighbours; the engine owns the closed predict→quantize→overwrite
+    loop, so the decoder sees identical inputs and runs the same
+    prediction.
     """
-
-    def __init__(self, interp: str = "auto", layout: str = "global") -> None:
-        self.interp = interp
-        self.layout = layout
 
     @staticmethod
     def pass_prediction(arr: np.ndarray, p: Any, method: str) -> np.ndarray:
@@ -147,14 +114,7 @@ class InterpPredict:
         assert best_pred is not None
         return best_method, best_pred
 
-    def forward(self, ctx: StageContext, payload: Any) -> np.ndarray:
-        arr, p = payload
-        return self.pass_prediction(arr, p, ctx.method)
 
-    inverse = forward
-
-
-@register_stage("lorenzo_predict")
 class LorenzoPredict:
     """Dual-quantization Lorenzo predictor (SZ3's alternate frontend)."""
 
@@ -176,7 +136,6 @@ class LorenzoPredict:
         return lorenzo_decode(result, self.error_bound, ctx.dtype)
 
 
-@register_stage("regression_predict")
 class RegressionPredict:
     """SZ2-style per-block plane regression predictor."""
 
@@ -196,7 +155,6 @@ class RegressionPredict:
 # -- quantization -------------------------------------------------------------
 
 
-@register_stage("quantize")
 class LinearQuantize:
     """Linear-scaling quantization with per-level error bounds.
 
@@ -243,7 +201,6 @@ class LinearQuantize:
         return self.for_level(ctx.level).dequantize(indices, pred, literals, out)
 
 
-@register_stage("adaptive_quantize")
 class AdaptiveLinearQuantize:
     """Reserved-index adaptive quantization (tightened bound at hard points).
 
@@ -254,8 +211,9 @@ class AdaptiveLinearQuantize:
     tightens the effective bound by ``2**adaptive_bits`` wherever the
     coarse index magnitude reaches ``threshold``, signalled in-band via
     the reserved index range (see :mod:`repro.quantize.adaptive` for the
-    wire encoding).  A separate stage id keeps existing specs, headers,
-    and golden digests byte-frozen: adaptivity is a new spec variant.
+    wire encoding).  A separate class keeps existing headers and golden
+    digests byte-frozen: the engine picks it only when an adaptive config
+    is present.
     """
 
     def __init__(
@@ -266,7 +224,7 @@ class AdaptiveLinearQuantize:
         threshold: int = 4,
         level_eb_factors: dict[int, float] | None = None,
     ) -> None:
-        # validate early — specs are built from untrusted headers
+        # validate early: the values may come from an untrusted header
         AdaptiveConfig(bits=adaptive_bits, threshold=threshold)
         self.error_bound = error_bound
         self.radius = radius
@@ -307,26 +265,19 @@ class AdaptiveLinearQuantize:
 # -- index-stream transforms --------------------------------------------------
 
 
-@register_stage("qp")
 class QPTransform:
     """Adaptive quantization index prediction (the paper's contribution).
 
-    A pure transform on one pass's index array: the engine walks its
-    index-transform stages without knowing any is QP.  The wrapped kernels
-    already no-op outside the configured case/levels, so the stage is
-    always present in QP-capable pipelines and its config decides
-    activity.  ``inverse_multi`` inverts one pass of every volume of a
+    A pure transform on one pass's index array, which the engine applies
+    between quantization and entropy coding.  The wrapped kernels already
+    no-op outside the configured case/levels, so the engine always calls
+    it and its config decides activity.  ``inverse_multi`` inverts one pass of every volume of a
     stacked decode (:func:`~repro.compressors.interp_engine.decompress_volumes`)
     in place: it takes the ``(k,) + layout`` view of the stack's index
     buffer, whose parts are C-contiguous, and returns it.
     """
 
-    #: engine-meta key this transform round-trips its config through
-    meta_key = "qp"
-
-    def __init__(self, config: QPConfig | dict | None = None) -> None:
-        if isinstance(config, dict):
-            config = QPConfig.from_dict(config)
+    def __init__(self, config: QPConfig | None = None) -> None:
         self.config = config or QPConfig.disabled()
 
     def forward(self, ctx: StageContext, q: np.ndarray) -> np.ndarray:
@@ -345,7 +296,6 @@ class QPTransform:
 # -- entropy coding -----------------------------------------------------------
 
 
-@register_stage("huffman")
 class HuffmanEncode:
     """Block-wise canonical Huffman over a bounded symbol alphabet.
 
@@ -374,7 +324,6 @@ class HuffmanEncode:
         return HuffmanCodec().decode(payload, out)
 
 
-@register_stage("range")
 class RangeEncode:
     """Adaptive binary range coder (SZ3's arithmetic-coding option).
 
@@ -441,83 +390,3 @@ def entropy_stage_for_wire_id(wire_id: int) -> type:
             f"{wire_id}); decode it with an earlier release and re-compress"
         )
     raise CorruptBlobError(f"unknown entropy stage id {wire_id}")
-
-
-# -- lossless byte stream -----------------------------------------------------
-
-
-@register_stage("lossless")
-class LosslessBackend:
-    """The lossless byte-stream stage: zlib, or raw when that is smaller."""
-
-    def forward(self, ctx: StageContext, data: bytes) -> bytes:
-        return lossless_compress(data)
-
-    def inverse(self, ctx: StageContext, data: bytes) -> bytes:
-        return lossless_decompress(data)
-
-
-# -- transform-family frontends ----------------------------------------------
-#
-# The non-interpolation compressors decorrelate with a transform instead of
-# a predictor; wrapping those kernels keeps every registered pipeline's
-# stages resolvable (the ``tools/check_api.py`` pipeline lint) and gives
-# new pipelines reusable building blocks.  Kernel imports are lazy — the
-# kernels live in compressor modules that import ``compressors.base``,
-# which imports this module.
-
-
-@register_stage("zfp_transform")
-class ZFPTransform:
-    """ZFP's integer lifting transform over ``(nblocks, 4**ndim)`` blocks."""
-
-    def forward(self, ctx: StageContext, payload: Any) -> np.ndarray:
-        from ..compressors.zfp import _forward_transform
-
-        blocks, ndim = payload
-        return _forward_transform(blocks, ndim)
-
-    def inverse(self, ctx: StageContext, payload: Any) -> np.ndarray:
-        from ..compressors.zfp import _inverse_transform
-
-        blocks, ndim = payload
-        return _inverse_transform(blocks, ndim)
-
-
-@register_stage("tucker")
-class TuckerFactorize:
-    """Tucker (HOSVD) mode products: core ↔ tensor against fixed factors."""
-
-    def forward(self, ctx: StageContext, payload: Any) -> np.ndarray:
-        from ..compressors.tthresh import _mode_multiply
-
-        tensor, factors = payload
-        for mode, u in enumerate(factors):
-            tensor = _mode_multiply(tensor, u.T, mode)
-        return tensor
-
-    def inverse(self, ctx: StageContext, payload: Any) -> np.ndarray:
-        from ..compressors.tthresh import _mode_multiply
-
-        core, factors = payload
-        for mode, u in enumerate(factors):
-            core = _mode_multiply(core, u, mode)
-        return core
-
-
-@register_stage("cdf97")
-class CDF97Transform:
-    """Multi-level separable CDF 9/7 wavelet transform (SPERR frontend)."""
-
-    def __init__(self, levels: int = 3) -> None:
-        self.levels = levels
-
-    def forward(self, ctx: StageContext, data: np.ndarray) -> np.ndarray:
-        from ..compressors.sperr import cdf97_forward
-
-        return cdf97_forward(data, self.levels)
-
-    def inverse(self, ctx: StageContext, coeffs: np.ndarray) -> np.ndarray:
-        from ..compressors.sperr import cdf97_inverse
-
-        return cdf97_inverse(coeffs, self.levels)

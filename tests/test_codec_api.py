@@ -51,11 +51,9 @@ def test_every_compressor_satisfies_codec(check_api):
     results = check_api.check_all()
     bad = {name: probs for name, probs in results.items() if probs}
     assert not bad, f"Codec violations: {bad}"
-    # the lint actually covered the registry, all four wrappers, and every
-    # registered pipeline's stage-chain contract
+    # the lint actually covered the registry and all four wrappers
     assert set(COMPRESSORS) <= set(results)
     assert {"parallel[sz3]", "temporal", "pw_rel", "qoi[sz3]"} <= set(results)
-    assert {f"pipeline[{name}]" for name in COMPRESSORS} <= set(results)
 
 
 def test_lint_catches_nonconforming_shapes(check_api):

@@ -1,13 +1,15 @@
 """Tests for PW_REL mode, the parallel block compressor, and the SZ2-style
 regression predictor."""
 import asyncio
+import warnings
 
 import numpy as np
 import pytest
 
 import repro
-from repro.compressors import SZ3, decompress_any, decompress_many
+from repro.compressors import SZ3, Blob, decompress_any, decompress_many
 from repro.core import QPConfig
+from repro.errors import CorruptBlobError
 from repro.modes import PointwiseRelativeCompressor, relative_bound
 from repro.parallel import ParallelCompressor
 from repro.predictors.regression import fit_plane, plane_prediction
@@ -74,6 +76,25 @@ class TestPWRelMode:
         with pytest.raises(ValueError):
             PointwiseRelativeCompressor("sz3", 0.0)
 
+    def test_rejects_integer_data(self):
+        # exp of the decoded logs would truncate back to integers
+        data = (np.arange(16 ** 3) % 19 + 1).astype(np.int16).reshape(16, 16, 16)
+        with pytest.raises(ValueError, match="floating-point"):
+            PointwiseRelativeCompressor("sz3", 1e-2).compress(data)
+
+    def test_data_near_the_dtype_max_decodes_finite(self):
+        # decoded logs may sit up to the bound above the data's: their exp
+        # must not overflow float32 where the data itself did not
+        rng = np.random.default_rng(0)
+        top = float(np.finfo(np.float32).max)
+        data = (top * rng.uniform(0.98, 1.0, (8, 8, 8))).astype(np.float32)
+        comp = PointwiseRelativeCompressor("sz3", 1e-2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = comp.decompress(comp.compress(data))
+        rel_err = np.abs(out.astype(np.float64) - data) / data
+        assert rel_err.max() <= 1e-2 * (1 + 1e-5)
+
     def test_non_pwrel_blob_rejected(self, smooth_field):
         blob = SZ3(1e-3).compress(smooth_field)
         with pytest.raises(ValueError):
@@ -98,11 +119,25 @@ class TestPWRelMode:
             out, PointwiseRelativeCompressor.decompress(blob)
         )
 
+    @pytest.mark.parametrize(
+        "entry", ["repro.decompress", "decompress_any", "decompress_many",
+                  "PointwiseRelativeCompressor.decompress"]
+    )
+    def test_log_values_the_dtype_cannot_hold_are_typed(self, entry):
+        # a payload whose logs overflow float32 once exponentiated is corrupt:
+        # no real data decodes to them
+        rng = np.random.default_rng(5)
+        data = np.exp(rng.uniform(-2, 3, (24, 20, 18))).astype(np.float32)
+        b = Blob.from_bytes(PointwiseRelativeCompressor("sz3", 1e-2).compress(data))
+        anchors = np.frombuffer(b.sections["anchors"], dtype=np.float64)
+        b.sections["anchors"] = np.full_like(anchors, 1e6).tobytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CorruptBlobError, match="PW_REL"):
+                _PW_REL_ENTRY_POINTS[entry](b.to_bytes())
+
     @pytest.mark.parametrize("bad", ["zz", "<c8", "O", None])
     def test_bad_pwrel_dtype_is_typed(self, bad):
-        from repro.compressors import Blob
-        from repro.errors import CorruptBlobError
-
         data = np.full((8, 8), 2.0, dtype=np.float32)
         b = Blob.from_bytes(PointwiseRelativeCompressor("sz3", 1e-2).compress(data))
         b.header["pw_rel_dtype"] = bad
@@ -127,6 +162,7 @@ _PW_REL_ENTRY_POINTS = {
     "decompress_any": lambda blob: decompress_any(blob),
     "decompress_many": lambda blob: decompress_many([blob, blob])[1],
     "gateway": _gateway_decompress,
+    "PointwiseRelativeCompressor.decompress": PointwiseRelativeCompressor.decompress,
 }
 
 

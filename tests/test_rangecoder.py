@@ -18,7 +18,6 @@ from repro.compressors.base import Blob
 from repro.compressors.sz3 import SZ3
 from repro.core import shannon_entropy
 from repro.errors import CorruptBlobError
-from repro.pipeline.driver import spec_for_blob
 
 
 @pytest.fixture
@@ -128,7 +127,7 @@ def test_default_entropy_keeps_bytes_frozen(field3d):
     assert SZ3(eb).compress(field3d) == SZ3(eb, entropy="huffman").compress(field3d)
 
 
-# -- pipeline spec ------------------------------------------------------------
+# -- entropy stages -----------------------------------------------------------
 
 
 def test_entropy_stage_registry():
@@ -140,22 +139,13 @@ def test_entropy_stage_registry():
     assert len(set(wire_ids)) == len(wire_ids)
 
 
-def test_sz3_range_spec_header_roundtrip():
-    from repro.errors import VersionError
-    from repro.pipeline import PipelineSpec, pipeline_spec
-    from repro.pipeline.spec import SPEC_HEADER_VERSION
+def test_unknown_wire_id_is_typed():
+    """A wire byte no entropy stage owns is corrupt, not silently Huffman."""
+    from repro.compressors.base import decode_index_stream, encode_index_stream
 
-    spec = pipeline_spec("sz3", entropy="range")
-    assert spec.has_stage("range") and not spec.has_stage("huffman")
-    encoded = spec.to_header()
-    assert PipelineSpec.from_header(encoded) == spec
-    with pytest.raises(VersionError):
-        PipelineSpec.from_header(dict(encoded, version=SPEC_HEADER_VERSION + 1))
-
-
-def test_spec_derived_from_range_blob(field3d):
-    blob = Blob.from_bytes(SZ3(_eb(field3d), entropy="range").compress(field3d))
-    assert spec_for_blob(blob.header, blob.sections).has_stage("range")
+    stream = encode_index_stream(np.arange(200, dtype=np.int64))
+    with pytest.raises(CorruptBlobError, match="unknown entropy stage id 7"):
+        decode_index_stream(bytes([7]) + stream[1:])
 
 
 # -- retired rANS wire id -----------------------------------------------------
@@ -183,8 +173,6 @@ def test_retired_rans_wire_id_is_typed(name, checksum, field3d):
     for decode in (repro.decompress, decompress_any):
         with pytest.raises(CorruptBlobError, match="retired rANS.*re-compress"):
             decode(raw)
-    with pytest.raises(CorruptBlobError, match="retired rANS"):
-        spec_for_blob(rans.header, rans.sections)
 
 
 # -- fault injection ----------------------------------------------------------

@@ -8,19 +8,35 @@ from repro.compressors import (
     available_compressors,
     decompress_any,
     get_compressor,
+    supports_qp,
     traits_table,
 )
 from repro.core import QPConfig
 
 
 def test_all_names_registered():
-    assert set(available_compressors()) == set(COMPRESSORS)
-    assert set(INTERP_COMPRESSORS) <= set(COMPRESSORS)
+    # the listings are pinned: a registry table edit must update them here
+    assert COMPRESSORS == (
+        "mgard", "sz3", "qoz", "hpez", "zfp", "tthresh", "sperr",
+        "sz3_progressive",
+    )
+    assert available_compressors() == COMPRESSORS
+    assert INTERP_COMPRESSORS == (
+        "mgard", "sz3", "qoz", "hpez", "sz3_progressive"
+    )
+    assert tuple(n for n in COMPRESSORS if supports_qp(n)) == (
+        "mgard", "sz3", "qoz", "hpez", "sperr", "sz3_progressive"
+    )
 
 
 def test_get_compressor_unknown():
     with pytest.raises(KeyError):
         get_compressor("szip", 1e-3)
+
+
+def test_supports_qp_unknown_name():
+    with pytest.raises(KeyError):
+        supports_qp("nonexistent")
 
 
 @pytest.mark.parametrize("name", COMPRESSORS)

@@ -110,6 +110,15 @@ def test_lorenzo_stack_matches_per_blob_decode(monkeypatch):
     _assert_batch_matches(monkeypatch, comp, blobs, stacks=())
 
 
+def test_mixed_predictor_batch_stacks_only_interpolation(monkeypatch):
+    # interpolation, Lorenzo and regression blobs interleaved in one batch:
+    # the interpolation slabs form one stack, the others decode beside it
+    comps = [SZ3(1e-2, predictor=p) for p in ("interp", "lorenzo", "regression")]
+    slabs = _slabs(_field((15, 12, 11), 5), (5, 5, 5))
+    blobs = [c.compress(s) for s in slabs for c in comps]
+    _assert_batch_matches(monkeypatch, comps[0], blobs, stacks=(3,))
+
+
 def _with_indices(blob, indices):
     b = Blob.from_bytes(blob)
     b.sections["indices"] = indices

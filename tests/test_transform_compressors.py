@@ -143,7 +143,6 @@ def test_sperr_speck_blob_is_typed(checksum, field_2d):
     from repro.compressors import decompress_any
     from repro.compressors.base import Blob
     from repro.errors import CorruptBlobError
-    from repro.pipeline.driver import spec_for_blob
 
     blob = Blob.from_bytes(SPERR(1e-3).compress(field_2d))
     blob.header["coder"] = "speck"
@@ -151,8 +150,6 @@ def test_sperr_speck_blob_is_typed(checksum, field_2d):
     for decode in (repro.decompress, decompress_any, SPERR(1e-3).decompress):
         with pytest.raises(CorruptBlobError, match="retired SPECK.*re-compress"):
             decode(raw)
-    with pytest.raises(CorruptBlobError, match="retired SPECK"):
-        spec_for_blob(blob.header, blob.sections)
 
 
 def test_tthresh_core_sparsity(smooth_field):

@@ -17,15 +17,9 @@ Checked objects: one instance of every registered compressor
 (``repro.compressors.COMPRESSORS``) plus the wrapper compressors
 (parallel / temporal / pointwise-relative / QoI-preserving).
 
-The lint also holds every *registered pipeline* to the stage-pipeline
-contract (:func:`check_pipeline`): every stage id resolves to a registered
-stage type, every stage builds from its spec params and exposes the
-``forward``/``inverse`` pair, the explicit ``to_header``/``from_header``
-encoding round-trips and enforces the version-bump rule (an unknown
-version is a typed :class:`~repro.errors.VersionError`, never a silent
-parse), the ``cls_path`` resolves to a class whose ``name`` matches the
-registration, and the registry's ``supports_qp`` answer agrees with the
-spec.
+The lint also checks that every registry entry builds a class whose
+``name`` is that entry, so blob dispatch by header name finds the class
+that wrote the blob.
 
 Run directly (``python tools/check_api.py``, exit 0/1) or through the test
 suite (``tests/test_codec_api.py`` imports :func:`check_all`).
@@ -135,89 +129,15 @@ def _check_decompress_sig(obj: Any) -> list[str]:
     return problems
 
 
-def check_pipeline(name: str) -> list[str]:
-    """Return the stage-pipeline-contract violations for a registered
-    pipeline (empty = ok)."""
-    from repro.compressors import supports_qp
-    from repro.errors import PipelineSpecError, UnknownStageError, VersionError
-    from repro.pipeline import PipelineSpec, pipeline, pipeline_spec, resolve_stage
-    from repro.pipeline.spec import SPEC_HEADER_VERSION
-
-    problems: list[str] = []
-    try:
-        spec = pipeline_spec(name)
-    except Exception as exc:  # noqa: BLE001 - lint reports, never crashes
-        return [f"spec builder failed: {exc!r}"]
-
-    # every stage id resolvable, every stage buildable with a forward/inverse pair
-    for s in spec.stages:
-        try:
-            resolve_stage(s.stage)
-        except UnknownStageError as exc:
-            problems.append(f"stage {s.stage!r} does not resolve: {exc}")
-            continue
-        try:
-            stage = s.build()
-        except Exception as exc:  # noqa: BLE001
-            problems.append(f"stage {s.stage!r} failed to build from params: {exc!r}")
-            continue
-        if getattr(stage, "stage_id", None) != s.stage:
-            problems.append(f"stage {s.stage!r}: built object claims id "
-                            f"{getattr(stage, 'stage_id', None)!r}")
-        for method in ("forward", "inverse"):
-            if not callable(getattr(stage, method, None)):
-                problems.append(f"stage {s.stage!r}: missing callable {method!r}")
-
-    # explicit header encoding round-trips and enforces the version-bump rule
-    encoded = spec.to_header()
-    try:
-        if PipelineSpec.from_header(encoded) != spec:
-            problems.append("to_header/from_header round-trip changed the spec")
-    except Exception as exc:  # noqa: BLE001
-        problems.append(f"from_header rejected its own encoding: {exc!r}")
-    bumped = dict(encoded, version=SPEC_HEADER_VERSION + 1)
-    try:
-        PipelineSpec.from_header(bumped)
-        problems.append("from_header accepted an unsupported spec version")
-    except VersionError:
-        pass
-    try:
-        PipelineSpec.from_header(dict(encoded, version="1"))
-        problems.append("from_header accepted a non-integer spec version")
-    except PipelineSpecError:
-        pass
-
-    # registration metadata: cls_path resolves to the matching class, and the
-    # registry's capability view agrees with the spec
-    try:
-        module_name, _, cls_name = pipeline(name).cls_path.partition(":")
-        import importlib
-
-        cls = getattr(importlib.import_module(module_name), cls_name)
-        if getattr(cls, "name", None) != name:
-            problems.append(
-                f"cls_path class names itself {getattr(cls, 'name', None)!r}"
-            )
-    except Exception as exc:  # noqa: BLE001
-        problems.append(f"cls_path does not resolve: {exc!r}")
-    if supports_qp(name) != spec.has_stage("qp"):
-        problems.append("supports_qp() disagrees with the spec's qp stage")
-
-    return problems
-
-
 def check_adaptive_stage() -> list[str]:
     """Contract violations for the adaptive-quantize stage (empty = ok).
 
-    Four families of checks:
+    Three families of checks:
 
     * ``AdaptiveConfig`` encoding round-trips, and malformed untrusted
       headers (out-of-range bits, non-int fields, unknown keys) raise the
       typed :class:`~repro.errors.CorruptBlobError` — never a silent parse.
-    * The adaptive spec *variant* (an engine pipeline re-derived with an
-      ``adaptive`` header block) swaps exactly the quantize stage id and
-      still honours the version-bump rule.
-    * The stage constructor validates its reserved-index parameters up
+    * The quantizer constructor validates its reserved-index parameters up
       front, so a bad header fails at build time, not mid-decode.
     * A small numeric encode/decode round-trip: the global bound holds and
       reserved-index (hard) points meet the tightened bound.
@@ -225,10 +145,7 @@ def check_adaptive_stage() -> list[str]:
     import numpy as np
 
     from repro.core.config import ADAPTIVE_MAX_BITS, AdaptiveConfig
-    from repro.errors import CorruptBlobError, VersionError
-    from repro.pipeline import PipelineSpec
-    from repro.pipeline.builders import sz3_pipeline
-    from repro.pipeline.spec import SPEC_HEADER_VERSION
+    from repro.errors import CorruptBlobError
     from repro.quantize import AdaptiveLinearQuantizer
 
     problems: list[str] = []
@@ -250,34 +167,6 @@ def check_adaptive_stage() -> list[str]:
             problems.append(f"from_dict accepted malformed header {bad!r}")
         except CorruptBlobError:
             pass
-
-    # -- spec variant: only the quantize stage id changes, versioning holds ---
-    base = sz3_pipeline()
-    variant = sz3_pipeline(adaptive=cfg.to_dict())
-    base_ids = [s.stage for s in base.stages]
-    var_ids = [s.stage for s in variant.stages]
-    swapped = [
-        (a, b) for a, b in zip(base_ids, var_ids) if a != b
-    ]
-    if swapped != [("quantize", "adaptive_quantize")] or len(base_ids) != len(var_ids):
-        problems.append(
-            f"adaptive variant changed stages {swapped} (expected exactly "
-            "quantize -> adaptive_quantize)"
-        )
-    q = variant.stage("adaptive_quantize")
-    if q.params.get("adaptive_bits") != cfg.bits or q.params.get("threshold") != cfg.threshold:
-        problems.append(f"adaptive stage params {q.params} do not carry the config")
-    encoded = variant.to_header()
-    try:
-        if PipelineSpec.from_header(encoded) != variant:
-            problems.append("adaptive spec to_header/from_header changed the spec")
-    except Exception as exc:  # noqa: BLE001
-        problems.append(f"adaptive spec from_header rejected its encoding: {exc!r}")
-    try:
-        PipelineSpec.from_header(dict(encoded, version=SPEC_HEADER_VERSION + 1))
-        problems.append("adaptive spec from_header accepted an unsupported version")
-    except VersionError:
-        pass
 
     # -- constructor validates reserved-index parameters up front -------------
     for kwargs in ({"bits": 0}, {"bits": ADAPTIVE_MAX_BITS + 1}, {"threshold": 0}):
@@ -306,16 +195,6 @@ def check_adaptive_stage() -> list[str]:
     if not np.array_equal(recon, res.decoded):
         problems.append("dequantize(indices) != encode-side decoded (bit drift)")
     return problems
-
-
-def check_pipelines() -> dict[str, list[str]]:
-    """``pipeline[name]`` -> violations for every registered pipeline."""
-    from repro.pipeline import registered_pipelines
-
-    return {
-        f"pipeline[{name}]": check_pipeline(name)
-        for name in registered_pipelines()
-    }
 
 
 def check_streaming() -> list[str]:
@@ -438,7 +317,7 @@ def check_public_api() -> list[str]:
 
     problems: list[str] = []
     frozen = [
-        "AdaptiveConfig", "Codec", "PipelineSpec",
+        "AdaptiveConfig", "Codec",
         "compress", "decompress", "open_archive", "serve", "__version__",
     ]
     if sorted(repro.__all__) != sorted(frozen):
@@ -694,8 +573,16 @@ def check_progressive() -> list[str]:
 
 def check_all() -> dict[str, list[str]]:
     """name -> violations for every candidate (empty dict values = all clean)."""
-    out = {name: check_codec(obj) for name, obj in _candidates().items()}
-    out.update(check_pipelines())
+    from repro.compressors import COMPRESSORS
+
+    candidates = _candidates()
+    out = {name: check_codec(obj) for name, obj in candidates.items()}
+    for name in COMPRESSORS:
+        # header dispatch finds a blob's compressor by this name
+        if candidates[name].name != name:
+            out[name].append(
+                f"registry entry builds a class named {candidates[name].name!r}"
+            )
     out["stage[adaptive_quantize]"] = check_adaptive_stage()
     out["streaming"] = check_streaming()
     out["public-api"] = check_public_api()
@@ -718,7 +605,7 @@ def main() -> int:
             print(f"ok   {name}")
     total = len(results)
     print(f"{total - bad}/{total} API-surface checks pass "
-          f"(Codec + pipeline + surface lint)")
+          f"(Codec + registry + surface lint)")
     return 1 if bad else 0
 
 
