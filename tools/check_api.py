@@ -571,18 +571,33 @@ def check_progressive() -> list[str]:
     return problems
 
 
+def check_registry(candidates: dict[str, Any] | None = None) -> dict[str, list[str]]:
+    """registry name -> violations of the instance that entry builds.
+
+    ``candidates`` maps names to prebuilt instances; missing entries are
+    built with :func:`~repro.compressors.get_compressor`.
+    """
+    from repro.compressors import COMPRESSORS, get_compressor
+
+    candidates = candidates or {}
+    out: dict[str, list[str]] = {}
+    for name in COMPRESSORS:
+        obj = candidates[name] if name in candidates else get_compressor(name, 1e-3)
+        problems = check_codec(obj)
+        # header dispatch finds a blob's compressor by this name
+        if getattr(obj, "name", None) != name:
+            problems.append(
+                f"registry entry builds a class named {getattr(obj, 'name', None)!r}"
+            )
+        out[name] = problems
+    return out
+
+
 def check_all() -> dict[str, list[str]]:
     """name -> violations for every candidate (empty dict values = all clean)."""
-    from repro.compressors import COMPRESSORS
-
     candidates = _candidates()
     out = {name: check_codec(obj) for name, obj in candidates.items()}
-    for name in COMPRESSORS:
-        # header dispatch finds a blob's compressor by this name
-        if candidates[name].name != name:
-            out[name].append(
-                f"registry entry builds a class named {candidates[name].name!r}"
-            )
+    out.update(check_registry(candidates))
     out["stage[adaptive_quantize]"] = check_adaptive_stage()
     out["streaming"] = check_streaming()
     out["public-api"] = check_public_api()
