@@ -21,11 +21,15 @@ from typing import Any, Protocol, runtime_checkable
 
 import numpy as np
 
-from ..codecs import compress as lossless_compress, decompress as lossless_decompress
+from ..codecs import (
+    HuffmanCodec,
+    RangeCodec,
+    compress as lossless_compress,
+    decompress as lossless_decompress,
+)
 from ..errors import CorruptBlobError, ReproError, TruncatedStreamError
 from ..io.integrity import is_sealed, seal, unseal
 from ..obs import add_bytes, span as stage
-from ..pipeline.stages import StageContext, entropy_stage, entropy_stage_for_wire_id
 from ..utils.validation import check_error_bound, check_ndarray
 
 __all__ = [
@@ -257,14 +261,14 @@ class Compressor(ABC):
     name: str = ""
     #: qualitative traits for Table I
     traits: dict[str, Any] = {}
-    #: Huffman block size for the index-stream entropy stage; ``None`` keeps
+    #: Huffman block size for the index-stream entropy coder; ``None`` keeps
     #: the codec default.  It is written into each container header (decode
     #: reads it from there), so it sets container bytes: the slab-parallel
     #: wrapper's smaller value (``parallel.SLAB_HUFFMAN_BLOCK``) stays for
     #: that reason
     huffman_block_size: int | None = None
-    #: entropy stage for the index streams — any key of
-    #: :data:`repro.pipeline.stages.ENTROPY_STAGES` ("huffman", "range").
+    #: entropy coder for the index streams — any key of
+    #: :data:`ENTROPY_WIRE_IDS` ("huffman", "range").
     #: The default keeps all serial container bytes frozen; assigning
     #: ``comp.entropy = "range"`` switches every index stream to the
     #: adaptive range coder (decode dispatches on the wire id, so no header
@@ -481,8 +485,13 @@ class Compressor(ABC):
 
 _STREAM_ALPHABET_CAP = 1 << 16
 
-#: entropy stages never read the walk context in the framing below
-_FRAMING_CTX = StageContext()
+#: the index-stream entropy coders by name, each with the wire byte that
+#: leads its streams and on which decode dispatches
+ENTROPY_WIRE_IDS = {"huffman": 0, "range": 1}
+
+#: wire byte of the retired static rANS coder: an index stream led by it
+#: fails with a migration hint rather than as an unknown byte
+_RANS_WIRE_ID = 2
 
 # range guard for the histogram median below: beyond this the bincount would
 # cost more than the partition it replaces
@@ -527,9 +536,11 @@ def encode_index_stream(
     """
     from ..codecs.fixed import encode_fixed
 
-    coder = entropy_stage(entropy)(block_size)
+    if entropy not in ENTROPY_WIRE_IDS:
+        raise ValueError(f"entropy must be one of {tuple(ENTROPY_WIRE_IDS)}")
     indices = np.ascontiguousarray(indices).ravel().astype(np.int64, copy=False)
-    if coder.bounded_alphabet:
+    if entropy == "huffman":
+        coder = HuffmanCodec(block_size) if block_size else HuffmanCodec()
         # center the alphabet window on the median so heavy-tailed streams
         # keep their bulk in-alphabet; only genuine outliers escape
         # (two-sided, zigzag fixed-width)
@@ -555,19 +566,20 @@ def encode_index_stream(
         if esc_mask is not None and esc_mask.any():
             codes = np.where(esc_mask, esc, codes)
     else:
-        # unbounded-alphabet coders take the signed stream as-is: no window,
-        # no escapes (zigzag of an empty stream is the empty escape block)
+        # the range coder takes the signed stream as-is: no window, no
+        # escapes (zigzag of an empty stream is the empty escape block)
+        coder = RangeCodec()
         offset = 0
         codes = indices
         escapes = encode_fixed(np.empty(0, np.uint64))
     with stage("huffman"):
-        coded = coder.forward(_FRAMING_CTX, codes)
+        coded = coder.encode(codes)
     with stage("lossless"):
         payload = lossless_compress(coded)
     add_bytes("huffman", len(coded))
     add_bytes("lossless", len(payload))
     return (
-        struct.pack("<BqQ", coder.wire_id, offset, len(payload))
+        struct.pack("<BqQ", ENTROPY_WIRE_IDS[entropy], offset, len(payload))
         + payload
         + lossless_compress(escapes)
     )
@@ -575,8 +587,8 @@ def encode_index_stream(
 
 def decode_index_stream(data: bytes, out: "np.ndarray | None" = None) -> np.ndarray:
     """Invert :func:`encode_index_stream`: undo the lossless stage,
-    decode the codes with the entropy stage the leading wire id names, and
-    put the escaped outliers back.
+    decode the codes with the entropy coder the leading wire byte names,
+    and put the escaped outliers back.
 
     With ``out`` (a writable C-contiguous int64 array, e.g. one row of a
     stacked decode's index buffer) the codes decode straight into it and
@@ -600,13 +612,32 @@ def decode_index_stream(data: bytes, out: "np.ndarray | None" = None) -> np.ndar
     with stage("lossless"):
         payload = lossless_decompress(data[head:head + plen])
     add_bytes("lossless", plen)
+    huffman = entropy_id == ENTROPY_WIRE_IDS["huffman"]
     with stage("huffman"):
-        coder = entropy_stage_for_wire_id(entropy_id)()
-        codes = coder.inverse(_FRAMING_CTX, payload, out=out)
+        if huffman:
+            # the container header carries its own block size
+            codes = HuffmanCodec().decode(payload, out)
+        elif entropy_id == ENTROPY_WIRE_IDS["range"]:
+            codes = RangeCodec().decode(payload)
+            if out is not None:
+                if codes.size != out.size:
+                    raise CorruptBlobError(
+                        f"range stream holds {codes.size} symbols, "
+                        f"{out.size} expected"
+                    )
+                out[...] = codes
+                codes = out
+        elif entropy_id == _RANS_WIRE_ID:
+            raise CorruptBlobError(
+                f"index stream uses the retired rANS entropy coder (wire id "
+                f"{entropy_id}); decode it with an earlier release and re-compress"
+            )
+        else:
+            raise CorruptBlobError(f"unknown entropy stage id {entropy_id}")
     add_bytes("huffman", len(payload))
     escapes = decode_fixed(lossless_decompress(data[head + plen:]))
-    n_esc = 0  # an unbounded coder writes no escapes: its 65535 is an index
-    if coder.bounded_alphabet:
+    n_esc = 0  # the range coder writes no escapes: its 65535 is an index
+    if huffman:
         esc_mask = codes == _STREAM_ALPHABET_CAP - 1
         n_esc = int(np.count_nonzero(esc_mask))
     if n_esc != escapes.size:

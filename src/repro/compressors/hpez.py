@@ -35,7 +35,7 @@ from ..errors import CorruptBlobError
 from ..obs import span as stage
 from ..pipeline.driver import decode_engine_blob, encode_engine_sections
 from ..utils.blocks import iter_blocks
-from ..utils.levels import anchor_slices, num_levels
+from ..utils.levels import anchor_shape, num_levels
 from .base import (
     Blob,
     CompressionState,
@@ -261,10 +261,7 @@ class HPEZ(Compressor):
         out = np.empty(shape, dtype=dtype)
         spos = lpos = apos = 0
         for (bslice, bshape, meta), length in zip(blocks, lengths):
-            a_shape = tuple(
-                len(range(*sl.indices(n)))
-                for sl, n in zip(anchor_slices(bshape), bshape)
-            )
+            a_shape = anchor_shape(bshape)
             n_anchor = int(np.prod(a_shape))
             b_anchors = anchors[apos:apos + n_anchor].reshape(a_shape)
             apos += n_anchor

@@ -5,14 +5,14 @@ SZ3, QoZ and HPEZ are thin wrappers over this engine; they differ only in the
 interpolation method selection, axis order, QP settings).  MGARD expresses its
 hierarchical decomposition as the *multidim* structure of the same engine.
 
-The engine is the driver for the stage objects in
-:mod:`repro.pipeline.stages`: per pass it invokes the prediction stage,
-the quantization stage, overwrites the working array with decoded values
-(so later passes predict from what the decompressor will see), applies
-QP to the pass's index array (Algorithm 1's insertion point, between
-quantization and entropy coding), and appends the result to the index
-stream.  Decompression replays the identical pass schedule with each
-stage inverted.
+Per pass the engine predicts the pass's targets
+(:class:`~repro.pipeline.stages.InterpPredict`), quantizes them with the
+level's quantizer (:meth:`EngineConfig.quantizer`), overwrites the
+working array with the decoded values (so later passes predict from what
+the decompressor will see), applies QP to the pass's index array
+(Algorithm 1's insertion point, between quantization and entropy coding),
+and appends the result to the index stream.  Decompression replays the
+identical pass schedule with each step inverted.
 
 There is one walk per direction, over a stack of equal volumes on a
 leading axis: :func:`compress_volumes` and :func:`decompress_volumes`.
@@ -31,17 +31,12 @@ import numpy as np
 from ..core.config import AdaptiveConfig, QPConfig
 from ..errors import CorruptBlobError
 from ..obs import span as stage
-from ..pipeline.stages import (
-    AdaptiveLinearQuantize,
-    InterpPredict,
-    LinearQuantize,
-    QPTransform,
-    StageContext,
-)
-from ..quantize.linear import LinearQuantizer
+from ..pipeline.stages import InterpPredict, QPTransform, StageContext
+from ..quantize import AdaptiveLinearQuantizer, LinearQuantizer
 from ..utils.levels import (
     MDPass,
     Pass,
+    anchor_shape,
     anchor_slices,
     level_passes,
     level_passes_multidim,
@@ -73,7 +68,7 @@ class EngineConfig:
     level_eb_factors: dict[int, float] = field(default_factory=dict)  # QoZ tuning
     qp: QPConfig = field(default_factory=QPConfig.disabled)
     #: reserved-index adaptive quantization; ``None`` keeps the classic
-    #: quantize stage (and the existing wire bytes) exactly as before
+    #: linear quantizer (and the existing wire bytes) exactly as before
     adaptive: AdaptiveConfig | None = None
     #: optional per-level scheme auto-tuner (HPEZ): called with
     #: (arr, level, cfg), returns {"structure": ..., "axis_order": ...};
@@ -93,18 +88,15 @@ class EngineConfig:
         order = scheme.get("axis_order")
         return scheme["structure"], tuple(order) if order else None
 
-    # -- stage construction --------------------------------------------------
-
-    def quantize_stage(self) -> "LinearQuantize | AdaptiveLinearQuantize":
+    def quantizer(self, level: int) -> "LinearQuantizer | AdaptiveLinearQuantizer":
+        """The quantizer of ``level``'s passes: its sentinel is
+        ``-radius`` whatever the level."""
         if self.adaptive is not None:
-            return AdaptiveLinearQuantize(
-                self.error_bound,
-                self.radius,
-                adaptive_bits=self.adaptive.bits,
-                threshold=self.adaptive.threshold,
-                level_eb_factors=self.level_eb_factors,
+            return AdaptiveLinearQuantizer(
+                self.eb_for_level(level), self.radius,
+                bits=self.adaptive.bits, threshold=self.adaptive.threshold,
             )
-        return LinearQuantize(self.error_bound, self.radius, self.level_eb_factors)
+        return LinearQuantizer(self.eb_for_level(level), self.radius)
 
     @classmethod
     def from_meta(cls, meta: dict[str, Any], error_bound: float) -> "EngineConfig":
@@ -258,9 +250,8 @@ def compress_volumes(
     ndim = len(shape)
     levels = num_levels(shape)
     anchors = arr[(slice(None),) + anchor_slices(shape)].copy()
-    quantize = cfg.quantize_stage()
     qp = QPTransform(cfg.qp)
-    sentinel = quantize.sentinel
+    sentinel = -cfg.radius
     ctx = StageContext(sentinel=sentinel, dtype=stack.dtype)
     streams = np.empty((k, stream_length(shape)), dtype=np.int64)
     literal_parts: list[list[np.ndarray]] = [[] for _ in range(k)]
@@ -274,6 +265,7 @@ def compress_volumes(
         passes = _passes_for_level(shape, level, cfg)
         if not passes:
             continue
+        quantizer = cfg.quantizer(level)
         first = passes[0]
         first_pred: np.ndarray | None = None
         if cfg.interp == "auto":
@@ -302,7 +294,7 @@ def compress_volumes(
                     ])
             target_view = arr[(slice(None),) + p.target]
             with stage("quantize"):
-                res = quantize.forward(ctx, (target_view, pred))
+                res = quantizer.quantize(target_view, pred)
             q = res.indices.transpose(moveaxis_order(ndim + 1, p.axis + 1, 1))
             if level_stats is not None:
                 # measured before the overwrite below: target_view still
@@ -438,8 +430,7 @@ def stream_length(shape: tuple[int, ...]) -> int:
     """Length of the index stream of a volume of ``shape``, the row length
     of a stack's index buffer: every point but the anchors is predicted by
     exactly one pass, whatever the level schemes."""
-    anchors = (len(range(*sl.indices(n))) for sl, n in zip(anchor_slices(shape), shape))
-    return math.prod(shape) - math.prod(anchors)
+    return math.prod(shape) - math.prod(anchor_shape(shape))
 
 
 def _schedule(
@@ -503,8 +494,7 @@ def decompress_volumes(
     k = len(items)
     cfg = EngineConfig.from_meta(meta0, eb)
     qp = QPTransform(cfg.qp)
-    quantize = cfg.quantize_stage()
-    sentinel = quantize.sentinel
+    sentinel = -cfg.radius
     ctx = StageContext(sentinel=sentinel, dtype=dtype)
     methods_list = [
         {int(m): v for m, v in it[0]["methods"].items()} for it in items
@@ -518,6 +508,7 @@ def decompress_volumes(
     spos = 0
     for level, passes in _schedule(shape, cfg, int(meta0["levels"]), stop_level):
         ctx.level = level
+        quantizer = cfg.quantizer(level)
         level_methods = [m[level] for m in methods_list]
         method = level_methods[0] if len(set(level_methods)) == 1 else None
         for p in passes:
@@ -548,8 +539,7 @@ def decompress_volumes(
                     ])
             indices = q.transpose(moveaxis_order(q.ndim, 1, p.axis + 1))
             with stage("quantize"):
-                quantize.inverse(
-                    ctx, (indices, pred, lits),
-                    out=arr_st[(slice(None),) + p.target],
+                quantizer.dequantize(
+                    indices, pred, lits, out=arr_st[(slice(None),) + p.target]
                 )
     return [arr_st[i] for i in range(k)], lpos

@@ -44,7 +44,7 @@ import numpy as np
 from ..codecs import compress as lossless_compress, decompress as lossless_decompress
 from ..errors import CorruptBlobError, TruncatedStreamError, VersionError
 from ..io.integrity import is_sealed, unseal
-from ..utils.levels import anchor_slices
+from ..utils.levels import anchor_shape
 from .base import (
     Blob,
     CompressionState,
@@ -362,11 +362,9 @@ def _decode_blob_to_level(blob: Blob, level: int) -> np.ndarray:
         for l in lvls
     ]
     literals = np.concatenate(lits) if lits else np.empty(0, dtype=dtype)
-    a_shape = tuple(
-        len(range(*sl.indices(n)))
-        for sl, n in zip(anchor_slices(shape), shape)
+    anchors = np.frombuffer(blob.sections["anchors"], dtype=dtype).reshape(
+        anchor_shape(shape)
     )
-    anchors = np.frombuffer(blob.sections["anchors"], dtype=dtype).reshape(a_shape)
     stop = level - 1 if level > 1 else 0
     if not stop and stream.size != stream_length(shape):
         raise CorruptBlobError("index stream size mismatch")

@@ -24,6 +24,7 @@ from ..pipeline.stages import InterpPredict
 from ..obs import span as stage
 from ..predictors.lorenzo import lorenzo_encode, lorenzo_histogram, lorenzo_integrate
 from .base import (
+    ENTROPY_WIRE_IDS,
     Blob,
     CompressionState,
     Compressor,
@@ -91,9 +92,8 @@ class SZ3(Compressor):
         if huffman_block_size is not None and huffman_block_size <= 0:
             raise ValueError("huffman_block_size must be positive")
         self.huffman_block_size = huffman_block_size
-        from ..pipeline.stages import entropy_stage
-
-        entropy_stage(entropy)  # raises on unknown name
+        if entropy not in ENTROPY_WIRE_IDS:
+            raise ValueError(f"entropy must be one of {tuple(ENTROPY_WIRE_IDS)}")
         self.entropy = entropy
         if isinstance(adaptive, dict):
             adaptive = AdaptiveConfig.from_dict(adaptive)

@@ -156,6 +156,9 @@ class ParallelCompressor:
         from .compressors import base_compressor
 
         data = np.asarray(data)
+        # the slab plan needs an axis; the slab jobs check the rest
+        if not 1 <= data.ndim <= 4:
+            raise ValueError(f"expected 1..4-D data, got {data.ndim}-D")
         kwargs = (self.kwargs if adaptive is None
                   else dict(self.kwargs, adaptive=adaptive))
         axis, slabs = self._slabs(data.shape)

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..codecs import decompress as lossless_decompress
 from ..errors import CorruptBlobError
-from ..utils.levels import anchor_slices
+from ..utils.levels import anchor_shape
 
 __all__ = [
     "encode_engine_sections",
@@ -97,10 +97,9 @@ def engine_decode_item(
     literals = np.frombuffer(
         lossless_decompress(blob.sections["literals"]), dtype=dtype
     )
-    a_shape = tuple(
-        len(range(*sl.indices(n))) for sl, n in zip(anchor_slices(shape), shape)
+    anchors = np.frombuffer(blob.sections["anchors"], dtype=dtype).reshape(
+        anchor_shape(shape)
     )
-    anchors = np.frombuffer(blob.sections["anchors"], dtype=dtype).reshape(a_shape)
     return (
         header["engine"], stream, literals, anchors, shape, dtype,
         header["error_bound"],

@@ -43,6 +43,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.config import ADAPTIVE_MAX_BITS
+from ..obs import metric_count
 from .linear import (
     QuantResult, assign, native_decode, native_encode, native_params,
 )
@@ -185,6 +186,9 @@ class AdaptiveLinearQuantizer:
         return self.error_bound / float(1 << self.bits)
 
     def quantize(self, values: np.ndarray, preds: np.ndarray) -> QuantResult:
+        """Quantize ``values`` against ``preds``; counts the points and the
+        adaptive ones into ``quantize.points`` and
+        ``quantize.adaptive_points`` under an active observation."""
         values = np.asarray(values)
         preds = np.asarray(preds, dtype=values.dtype)
         native = native_encode(
@@ -192,12 +196,15 @@ class AdaptiveLinearQuantizer:
         )
         if native is not None:
             result, self.last_adaptive = native
-            return result
-        wire, decoded, literals, n_adaptive = adaptive_encode(
-            values, preds, self.error_bound, self.bits, self.threshold, self.radius
-        )
-        self.last_adaptive = n_adaptive
-        return QuantResult(indices=wire, decoded=decoded, literals=literals)
+        else:
+            wire, decoded, literals, self.last_adaptive = adaptive_encode(
+                values, preds, self.error_bound, self.bits, self.threshold,
+                self.radius,
+            )
+            result = QuantResult(indices=wire, decoded=decoded, literals=literals)
+        metric_count("quantize.adaptive_points", self.last_adaptive)
+        metric_count("quantize.points", values.size)
+        return result
 
     def dequantize(
         self, indices: np.ndarray, preds: np.ndarray, literals: np.ndarray,

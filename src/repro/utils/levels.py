@@ -34,6 +34,7 @@ __all__ = [
     "num_levels",
     "anchor_stride",
     "anchor_slices",
+    "anchor_shape",
     "level_passes",
     "level_passes_multidim",
     "pass_sizes",
@@ -91,6 +92,11 @@ def anchor_slices(shape: tuple[int, ...]) -> tuple[slice, ...]:
 
 def _axis_len(n: int, sl: slice) -> int:
     return len(range(*sl.indices(n)))
+
+
+def anchor_shape(shape: tuple[int, ...]) -> tuple[int, ...]:
+    """Shape of the anchor grid :func:`anchor_slices` selects."""
+    return tuple(_axis_len(n, sl) for sl, n in zip(anchor_slices(shape), shape))
 
 
 def level_passes(

@@ -150,6 +150,25 @@ def test_engine_adaptive_regions_meet_tightened_bound(smooth_field):
     )
 
 
+def test_engine_counts_quantized_and_adaptive_points():
+    """``quantize.points`` counts every interpolated point (all but the
+    one anchor of this grid) and ``quantize.adaptive_points`` the ones
+    coded at the tightened bound; the values are pinned."""
+    from repro import obs
+
+    data = repro.generate("miranda", shape=(24, 20, 22), seed=0).astype(np.float32)
+    eb = 1e-3 * float(data.max() - data.min())
+    comp = get_compressor(
+        "sz3", eb, qp=QPConfig(), adaptive=AdaptiveConfig(bits=2, threshold=4)
+    )
+    ob = obs.Observation()
+    with obs.observe(ob):
+        comp.compress(data)
+    snap = ob.metrics.snapshot()
+    assert snap["quantize.adaptive_points"]["value"] == 4065
+    assert snap["quantize.points"]["value"] == 10559
+
+
 def test_adaptive_header_roundtrips_via_decompress_any(smooth_field):
     eb = 1e-3
     for name in ("mgard", "sz3", "qoz", "hpez"):

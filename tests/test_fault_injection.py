@@ -20,6 +20,7 @@ Two strictness tiers:
 import numpy as np
 import pytest
 
+from repro.codecs import HuffmanCodec, RangeCodec
 from repro.codecs import fixed as fixed_codec
 from repro.codecs import huffman, lossless
 from repro.compressors import decompress_any, get_compressor, supports_qp
@@ -114,19 +115,14 @@ def test_unsealed_blobs_never_untyped_never_misshapen(name, qp_on, adaptive_on):
 
 
 def _codec_streams():
-    from repro.pipeline.stages import ENTROPY_STAGES, StageContext
-
     rng = np.random.default_rng(42)
     symbols = rng.integers(0, 30, size=4000).astype(np.int64)
     raw_bytes = rng.integers(0, 256, size=3000, dtype=np.uint8).tobytes()
     compressible = (b"abcd" * 700) + raw_bytes[:200]
     streams = {
-        # every registered entropy stage (new wire ids are fuzzed for free)
-        f"entropy-{name}": (
-            cls().forward(StageContext(), symbols),
-            lambda payload, _cls=cls: _cls().inverse(StageContext(), payload),
-        )
-        for name, cls in sorted(ENTROPY_STAGES.items())
+        # both index-stream entropy coders
+        f"entropy-{name}": (codec.encode(symbols), codec.decode)
+        for name, codec in (("huffman", HuffmanCodec()), ("range", RangeCodec()))
     }
     streams.update({
         "fixed": (

@@ -1,6 +1,7 @@
 """Tests for PW_REL mode, the parallel block compressor, and the SZ2-style
 regression predictor."""
 import asyncio
+import re
 import warnings
 
 import numpy as np
@@ -193,6 +194,15 @@ class TestParallelCompressor:
     def test_invalid_workers(self):
         with pytest.raises(ValueError):
             ParallelCompressor("sz3", 1e-3, workers=0)
+
+    @pytest.mark.parametrize("ndim", [0, 5])
+    def test_rank_is_checked_as_the_bases_check_it(self, ndim):
+        # a 0-d array leaves no axis to plan slabs on
+        data = np.ones((2,) * ndim)
+        message = re.escape(f"expected 1..4-D data, got {ndim}-D")
+        for comp in (ParallelCompressor("sz3", 1e-3, workers=1), SZ3(1e-3)):
+            with pytest.raises(ValueError, match=message):
+                comp.compress(data)
 
     def test_slab_huffman_block_default_and_override(self, smooth_field):
         from repro.parallel import SLAB_HUFFMAN_BLOCK

@@ -131,12 +131,10 @@ def test_default_entropy_keeps_bytes_frozen(field3d):
 
 
 def test_entropy_stage_registry():
-    from repro.pipeline.stages import ENTROPY_STAGES, RangeEncode
+    """The index-stream framing's entropy names and their wire bytes."""
+    from repro.compressors.base import ENTROPY_WIRE_IDS
 
-    assert set(ENTROPY_STAGES) == {"huffman", "range"}
-    assert ENTROPY_STAGES["range"] is RangeEncode
-    wire_ids = [cls.wire_id for cls in ENTROPY_STAGES.values()]
-    assert len(set(wire_ids)) == len(wire_ids)
+    assert ENTROPY_WIRE_IDS == {"huffman": 0, "range": 1}
 
 
 def test_unknown_wire_id_is_typed():

@@ -34,12 +34,12 @@ import time
 import numpy as np
 
 from repro import kernels
+from repro.codecs import HuffmanCodec, RangeCodec
 from repro.codecs import fixed as fixed_codec
 from repro.codecs import lossless
 from repro.compressors import decompress_any, get_compressor, supports_qp
 from repro.core.config import AdaptiveConfig, QPConfig
 from repro.errors import ReproError
-from repro.pipeline.stages import ENTROPY_STAGES, StageContext
 from repro.testing import INJECTORS
 
 DEADLINE_S = 10.0
@@ -195,15 +195,9 @@ def _build_targets(seed: int):
     comp = PointwiseRelativeCompressor("sz3", 1e-2, qp=QPConfig())
     targets.append(("pw_rel[sz3]", comp.compress(np.exp(data)), decompress_any))
     symbols = rng.integers(0, 40, size=3000).astype(np.int64)
-    # every registered entropy stage, enumerated from the pipeline registry
-    # so a new wire format is fuzzed without touching this list
-    for ename, cls in sorted(ENTROPY_STAGES.items()):
-        blob = cls().forward(StageContext(), symbols)
-
-        def decode(payload, _cls=cls):
-            return _cls().inverse(StageContext(), payload)
-
-        targets.append((f"entropy-{ename}", blob, decode))
+    # both index-stream entropy coders
+    for ename, codec in (("huffman", HuffmanCodec()), ("range", RangeCodec())):
+        targets.append((f"entropy-{ename}", codec.encode(symbols), codec.decode))
     targets.append(
         ("fixed", fixed_codec.encode_fixed(symbols.astype(np.uint64)),
          fixed_codec.decode_fixed)
