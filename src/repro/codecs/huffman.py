@@ -31,6 +31,12 @@ Design constraints (see DESIGN.md section 7):
   paths write identical bytes, and both hand their per-block end cursors
   to one validation helper, so a corrupt stream raises the same typed
   error on either.
+* An index stream passes its :class:`IndexWindow` to ``encode`` and
+  ``decode``: the caller's frequencies replace the bincount, the C packer
+  windows the signed values as it codes them and collects the escapes,
+  and the C decoder adds the offset and records the escape symbols'
+  positions as it writes, so the framing makes no pass of its own over
+  the stream.
 """
 from __future__ import annotations
 
@@ -40,6 +46,7 @@ import os
 import struct
 import threading
 from collections import OrderedDict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -295,6 +302,28 @@ def _decode_tables(
     return sym_table, len_table, max_len
 
 
+@dataclass
+class IndexWindow:
+    """The alphabet window through which an index stream is coded (the
+    framing of :func:`repro.compressors.base.encode_index_stream`).
+
+    A value ``v`` of the signed stream codes as the symbol ``v - offset``
+    when that lies in ``[0, escape)``, and as ``escape`` otherwise.
+    ``escaped`` holds the codes ``v - offset`` of the escaped values in
+    stream order: :meth:`HuffmanCodec.encode` sets it, and
+    :meth:`HuffmanCodec.decode` puts each back at its escape symbol's
+    place.  ``freqs`` (encode only, optional) are the counts of the
+    windowed symbols, taken by the caller from the stream: one per symbol
+    up to the greatest coded, as ``np.bincount`` of the windowed stream
+    gives them.
+    """
+
+    offset: int
+    escape: int
+    freqs: "np.ndarray | None" = None
+    escaped: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+
+
 class HuffmanCodec:
     """Self-contained Huffman container: ``encode`` -> bytes -> ``decode``.
 
@@ -309,26 +338,43 @@ class HuffmanCodec:
 
     # -- encoding ---------------------------------------------------------
 
-    def encode(self, symbols: np.ndarray) -> bytes:
+    def encode(
+        self, symbols: np.ndarray, *, window: "IndexWindow | None" = None
+    ) -> bytes:
+        """Code the non-negative integers ``symbols`` into a container.
+
+        With ``window`` (see :class:`IndexWindow`), ``symbols`` is the
+        signed index stream itself: its values are coded through the
+        window and the escaped values' codes are left in
+        ``window.escaped``.  Where the C kernels load and the window
+        carries its frequencies, the packer windows each value as it codes
+        it; otherwise the stream is windowed first and counted here.
+        """
         symbols = np.ascontiguousarray(symbols).ravel()
         n = symbols.size
         if n == 0:
             return _MAGIC + struct.pack("<QII", 0, self.block_size, 0)
         if symbols.dtype != np.int64 or not symbols.flags.aligned:
             symbols = symbols.astype(np.int64)
-        # bincount scans the data once and rejects negatives as it goes, so
-        # the frequency table, the alphabet bound and the sign guard all come
-        # out of a single pass (no separate min()/max() sweeps).
-        try:
-            freqs = np.bincount(symbols)
-        except ValueError:
-            raise ValueError("symbols must be non-negative") from None
+        lib = kernels.native()
+        if window is not None and lib is not None and window.freqs is not None:
+            freqs = window.freqs
+        else:
+            if window is not None:
+                symbols = _apply_window(symbols, window)
+                window = None  # the symbols are windowed now
+            # bincount scans the data once and rejects negatives as it goes,
+            # so the frequency table, the alphabet bound and the sign guard
+            # all come out of a single pass (no separate min()/max() sweeps).
+            try:
+                freqs = np.bincount(symbols)
+            except ValueError:
+                raise ValueError("symbols must be non-negative") from None
         lengths = huffman_code_lengths(freqs)
         codes = canonical_codes(lengths)
-        lib = kernels.native()
         if lib is not None:
             payload, block_offsets, total_bits = _encode_native(
-                lib, symbols, freqs, lengths, codes, self.block_size
+                lib, symbols, freqs, lengths, codes, self.block_size, window
             )
         else:
             sym_lengths = lengths[symbols]
@@ -355,7 +401,13 @@ class HuffmanCodec:
 
     # -- decoding ---------------------------------------------------------
 
-    def decode(self, data: bytes, out: "np.ndarray | None" = None) -> np.ndarray:
+    def decode(
+        self,
+        data: bytes,
+        out: "np.ndarray | None" = None,
+        *,
+        window: "IndexWindow | None" = None,
+    ) -> np.ndarray:
         """Decode a Huffman container.
 
         Strict-validating: every header field is bounds-checked against the
@@ -373,8 +425,15 @@ class HuffmanCodec:
         decoded into it and it is returned; a container holding another
         number of symbols raises :class:`~repro.errors.CorruptBlobError`
         before anything is written.
+
+        With ``window`` (see :class:`IndexWindow`) the decode returns the
+        signed stream: each symbol plus ``window.offset``, and at the
+        escape symbols the values of ``window.escaped`` in stream order.
+        A container holding another number of escape symbols than
+        ``window.escaped`` has values raises
+        :class:`~repro.errors.CorruptBlobError`.
         """
-        return _decode_one(data, out)
+        return _decode_one(data, out, window)
 
     def decode_many(self, datas: "list[bytes]") -> "list[np.ndarray]":
         """Decode several containers in order, one at a time: output and
@@ -383,20 +442,42 @@ class HuffmanCodec:
         return [_decode_one(d) for d in datas]
 
 
-def _encode_native(lib, symbols, freqs, lengths, codes, block_size: int):
+def _apply_window(symbols: np.ndarray, window: IndexWindow) -> np.ndarray:
+    """The numpy windowing of a signed stream: its symbols, the escaped
+    values' codes left in ``window.escaped``."""
+    codes = symbols - window.offset
+    outside = (codes < 0) | (codes >= window.escape)
+    window.escaped = codes[outside]
+    if window.escaped.size:
+        codes[outside] = window.escape
+    return codes
+
+
+def _encode_native(lib, symbols, freqs, lengths, codes, block_size: int,
+                   window: "IndexWindow | None"):
     """Pack ``symbols`` with the C encoder: ``(payload, offsets, bits)``,
     the payload as a uint8 array.
 
-    The tables come from ``np.bincount(symbols)``, so every symbol indexes
-    inside them, and the payload is sized exactly from the frequencies.
+    The tables come from the frequencies of the (windowed) symbols, so
+    every symbol indexes inside them, and the payload is sized exactly
+    from the frequencies.  The kernel's escape is the tables' last
+    symbol: the window's escape when some value escapes, and otherwise
+    the greatest symbol, which the window leaves as it is.
     """
     total_bits = int(freqs @ lengths)
     payload = np.empty((total_bits + 7) >> 3, dtype=np.uint8)
     offsets = np.empty(-(-symbols.size // block_size), dtype=np.uint64)
+    if window is None:
+        offset, escaped = 0, np.empty(0, np.int64)
+    else:
+        offset = window.offset
+        n_esc = int(freqs[window.escape]) if freqs.size > window.escape else 0
+        escaped = window.escaped = np.empty(n_esc, dtype=np.int64)
     lib.repro_huffman_encode(
         symbols.ctypes.data, symbols.size, codes.ctypes.data,
         lengths.ctypes.data, block_size, payload.ctypes.data,
-        offsets.ctypes.data,
+        offsets.ctypes.data, offset, lengths.size - 1, escaped.ctypes.data,
+        escaped.size,
     )
     return payload, offsets, total_bits
 
@@ -486,9 +567,14 @@ def _check_block_ends(ends, block_offsets, total_bits: int) -> None:
         raise CorruptBlobError("Huffman blocks misaligned after decode")
 
 
-def _decode_one(data: bytes, out: "np.ndarray | None" = None) -> np.ndarray:
+def _decode_one(
+    data: bytes,
+    out: "np.ndarray | None" = None,
+    window: "IndexWindow | None" = None,
+) -> np.ndarray:
     """Parse and decode one container on whichever path is loaded, into
-    ``out`` when given (see :meth:`HuffmanCodec.decode`)."""
+    ``out`` when given, through ``window`` when given (see
+    :meth:`HuffmanCodec.decode`)."""
     parsed = _parse_container(data)
     n = 0 if parsed is None else parsed[0]
     if out is None:
@@ -502,31 +588,56 @@ def _decode_one(data: bytes, out: "np.ndarray | None" = None) -> np.ndarray:
         raise CorruptBlobError(
             f"Huffman container holds {n} symbols, {out.size} expected"
         )
+    # the escape symbols met and their positions: recorded by the C
+    # decoder, found by a scan after the numpy one
+    met, positions = 0, None
     if parsed is not None:
         lib = kernels.native()
         if lib is not None:
-            _decode_native(lib, parsed, out)
+            met, positions = _decode_native(lib, parsed, out, window)
         else:
             _decode_lockstep(parsed, out)
+            if window is not None:
+                positions = np.flatnonzero(out == window.escape)
+                met = positions.size
+                if window.offset:
+                    np.add(out, window.offset, out=out)
+    if window is not None:
+        if met != window.escaped.size:
+            raise CorruptBlobError("index stream escape count mismatch")
+        if met:
+            out[positions] = window.escaped + window.offset
     return out
 
 
-def _decode_native(lib, parsed: tuple, out: np.ndarray) -> None:
-    """Decode one parsed container into ``out`` with the C block decoder.
+def _decode_native(
+    lib, parsed: tuple, out: np.ndarray, window: "IndexWindow | None"
+) -> "tuple[int, np.ndarray]":
+    """Decode one parsed container into ``out`` with the C block decoder;
+    returns how many escape symbols it met and, in stream order, the
+    positions of the first ``window.escaped.size`` of them.
 
     The kernel walks the memoized flat tables block by block, reading
     bits past the payload end as zeros (the numpy path's padding), and
-    writes only inside the ``n``-symbol output.
+    writes only inside the ``n``-symbol output and the positions buffer.
     """
     n, block_size, block_offsets, total_bits, payload, tables = parsed
     sym_table, len_table, max_len = tables
     ends = np.empty(block_offsets.size, dtype=np.int64)
-    lib.repro_huffman_decode(
+    if window is None:
+        offset, escape, cap = 0, -1, 0
+    else:
+        offset, escape, cap = window.offset, window.escape, window.escaped.size
+    positions = np.empty(cap, dtype=np.int64)
+    met = lib.repro_huffman_decode(
         payload.ctypes.data, payload.size, sym_table.ctypes.data,
         len_table.ctypes.data, max_len, block_offsets.ctypes.data,
         block_offsets.size, block_size, n, out.ctypes.data, ends.ctypes.data,
+        offset, escape, positions.ctypes.data, cap,
     )
     _check_block_ends(ends, block_offsets, total_bits)
+    # the lanes record positions block by block, not in stream order
+    return met, np.sort(positions[:met])
 
 
 def _decode_lockstep(parsed: tuple, out: np.ndarray) -> None:

@@ -21,12 +21,14 @@ from typing import Any, Protocol, runtime_checkable
 
 import numpy as np
 
+from .. import kernels
 from ..codecs import (
     HuffmanCodec,
     RangeCodec,
     compress as lossless_compress,
     decompress as lossless_decompress,
 )
+from ..codecs.huffman import IndexWindow
 from ..errors import CorruptBlobError, ReproError, TruncatedStreamError
 from ..io.integrity import is_sealed, seal, unseal
 from ..obs import add_bytes, span as stage
@@ -484,6 +486,11 @@ class Compressor(ABC):
 
 
 _STREAM_ALPHABET_CAP = 1 << 16
+#: the escape symbol of a Huffman-coded index stream: the last of the
+#: alphabet; its window codes the values offset .. offset + _ESCAPE - 1
+_ESCAPE = _STREAM_ALPHABET_CAP - 1
+#: a window's offset puts the stream's median this far into the window
+_MEDIAN_SLOT = _STREAM_ALPHABET_CAP // 2 - 1
 
 #: the index-stream entropy coders by name, each with the wire byte that
 #: leads its streams and on which decode dispatches
@@ -497,6 +504,19 @@ _RANS_WIRE_ID = 2
 # cost more than the partition it replaces
 _MEDIAN_RANGE_CAP = 1 << 21
 
+_INT64_MIN = -(1 << 63)
+
+
+def _counts_median(counts: np.ndarray, lo: int) -> float:
+    """Exact median of the integers whose histogram is ``counts`` (bin
+    ``i`` counts the value ``lo + i``): the mean of the two middle order
+    statistics in float64, as ``np.median`` gives it."""
+    cum = np.cumsum(counts)
+    n = int(cum[-1])
+    v_lo = lo + int(np.searchsorted(cum, (n - 1) // 2 + 1))
+    v_hi = lo + int(np.searchsorted(cum, n // 2 + 1))
+    return (v_lo + v_hi) / 2.0
+
 
 def _int_median(values: np.ndarray, lo: int, hi: int) -> float:
     """Exact median of an integer array, histogram-based.
@@ -509,11 +529,69 @@ def _int_median(values: np.ndarray, lo: int, hi: int) -> float:
     """
     if hi - lo > _MEDIAN_RANGE_CAP:
         return float(np.median(values))
-    counts = np.cumsum(np.bincount(values - lo))
-    n = values.size
-    v_lo = lo + int(np.searchsorted(counts, (n - 1) // 2 + 1))
-    v_hi = lo + int(np.searchsorted(counts, n // 2 + 1))
-    return (v_lo + v_hi) / 2.0
+    return _counts_median(np.bincount(values - lo), lo)
+
+
+def _native_window(indices: np.ndarray) -> "IndexWindow | None":
+    """The Huffman window of an int64 stream from one histogram taken in
+    C: the median's offset and the windowed frequencies (every value
+    outside the window counted on the escape symbol).  ``None`` where
+    :func:`_numpy_window` takes the stream: the library did not load, the
+    stream is empty, its range exceeds :data:`_MEDIAN_RANGE_CAP`, or the
+    offset falls below int64."""
+    lib = kernels.native()
+    if lib is None or not indices.size:
+        return None
+    bounds = np.empty(2, dtype=np.int64)
+    lib.repro_int_bounds(indices.ctypes.data, indices.size, bounds.ctypes.data)
+    lo, hi = int(bounds[0]), int(bounds[1])
+    if hi - lo > _MEDIAN_RANGE_CAP:
+        return None
+    nbins = hi - lo + 1
+    # four interleaved tables pay for their zeroing and summing once the
+    # stream is several times longer than one table
+    ways = 4 if indices.size >= 4 * nbins else 1
+    tables = np.zeros(ways * nbins, dtype=np.int64)
+    lib.repro_int_histogram(
+        indices.ctypes.data, indices.size, lo, nbins, ways, tables.ctypes.data
+    )
+    counts = tables[:nbins]
+    offset = int(_counts_median(counts, lo)) - _MEDIAN_SLOT
+    if offset < _INT64_MIN:
+        return None
+    # the window's values that lie in [lo, hi]
+    first, last = max(lo, offset), min(hi, offset + _ESCAPE - 1)
+    inside = counts[first - lo:last - lo + 1]
+    n_esc = indices.size - int(inside.sum())
+    # one count per symbol up to the greatest coded, as a bincount of the
+    # windowed stream gives them
+    freqs = np.zeros(_ESCAPE + 1 if n_esc else last - offset + 1, dtype=np.int64)
+    freqs[first - offset:last - offset + 1] = inside
+    if n_esc:
+        freqs[_ESCAPE] = n_esc
+    return IndexWindow(offset, _ESCAPE, freqs)
+
+
+def _numpy_window(indices: np.ndarray) -> IndexWindow:
+    """The Huffman window of an int64 stream in numpy, the fallback and the
+    reference: only the median's offset (``np.median`` past the range
+    cap); the Huffman encode windows the stream and counts it."""
+    if not indices.size:
+        return IndexWindow(0, _ESCAPE)
+    lo, hi = int(indices.min()), int(indices.max())
+    return IndexWindow(int(_int_median(indices, lo, hi)) - _MEDIAN_SLOT, _ESCAPE)
+
+
+def _zigzag(values: np.ndarray) -> np.ndarray:
+    """int64 -> uint64, small magnitudes to small codes: ``2v`` for
+    ``v >= 0``, ``-2v - 1`` below (modulo 2**64)."""
+    return np.where(values >= 0, 2 * values, -2 * values - 1).astype(np.uint64)
+
+
+def _unzigzag(codes: np.ndarray) -> np.ndarray:
+    """Invert :func:`_zigzag` on the int64 bit patterns of its codes."""
+    u = codes.view(np.uint64)
+    return ((u >> 1) ^ -(u & 1)).view(np.int64)
 
 
 def encode_index_stream(
@@ -533,6 +611,16 @@ def encode_index_stream(
 
     ``block_size`` overrides the Huffman codec's block length; it is stored
     in the container header, so decoders adapt automatically.
+
+    The window is centred on the stream's median, so heavy-tailed streams
+    keep their bulk in the alphabet and only genuine outliers escape (two
+    sided, zigzag fixed-width).  Where the C kernels load, one histogram
+    of the stream gives the window (:func:`_native_window`) and the
+    Huffman packer codes through it; the numpy path
+    (:func:`_numpy_window`, then the Huffman encode's own windowing and
+    count) is the fallback and the reference, and also takes streams
+    whose range exceeds :data:`_MEDIAN_RANGE_CAP`.  Both write the same
+    bytes.
     """
     from ..codecs.fixed import encode_fixed
 
@@ -541,39 +629,18 @@ def encode_index_stream(
     indices = np.ascontiguousarray(indices).ravel().astype(np.int64, copy=False)
     if entropy == "huffman":
         coder = HuffmanCodec(block_size) if block_size else HuffmanCodec()
-        # center the alphabet window on the median so heavy-tailed streams
-        # keep their bulk in-alphabet; only genuine outliers escape
-        # (two-sided, zigzag fixed-width)
-        if indices.size:
-            lo = int(indices.min())
-            hi = int(indices.max())
-            offset = int(_int_median(indices, lo, hi)) - (_STREAM_ALPHABET_CAP // 2 - 1)
-        else:
-            lo = hi = 0
-            offset = 0
-        codes = indices - offset
-        esc = _STREAM_ALPHABET_CAP - 1
-        if lo - offset >= 0 and hi - offset < esc:
-            # whole stream fits the alphabet window: no escape scan needed
-            esc_vals = np.empty(0, dtype=np.int64)
-            esc_mask = None
-        else:
-            esc_mask = (codes < 0) | (codes >= esc)
-            esc_vals = codes[esc_mask]
-        escapes = encode_fixed(
-            np.where(esc_vals >= 0, 2 * esc_vals, -2 * esc_vals - 1).astype(np.uint64)
-        )
-        if esc_mask is not None and esc_mask.any():
-            codes = np.where(esc_mask, esc, codes)
+        window = _native_window(indices)
+        if window is None:
+            window = _numpy_window(indices)
+        with stage("huffman"):
+            coded = coder.encode(indices, window=window)
+        offset, esc_vals = window.offset, window.escaped
     else:
         # the range coder takes the signed stream as-is: no window, no
         # escapes (zigzag of an empty stream is the empty escape block)
-        coder = RangeCodec()
-        offset = 0
-        codes = indices
-        escapes = encode_fixed(np.empty(0, np.uint64))
-    with stage("huffman"):
-        coded = coder.encode(codes)
+        with stage("huffman"):
+            coded = RangeCodec().encode(indices)
+        offset, esc_vals = 0, np.empty(0, dtype=np.int64)
     with stage("lossless"):
         payload = lossless_compress(coded)
     add_bytes("huffman", len(coded))
@@ -581,8 +648,15 @@ def encode_index_stream(
     return (
         struct.pack("<BqQ", ENTROPY_WIRE_IDS[entropy], offset, len(payload))
         + payload
-        + lossless_compress(escapes)
+        + lossless_compress(encode_fixed(_zigzag(esc_vals)))
     )
+
+
+def _decode_escapes(section: bytes) -> np.ndarray:
+    """The escaped values' codes of an index stream, in stream order."""
+    from ..codecs.fixed import decode_fixed
+
+    return _unzigzag(decode_fixed(lossless_decompress(section)))
 
 
 def decode_index_stream(data: bytes, out: "np.ndarray | None" = None) -> np.ndarray:
@@ -591,13 +665,14 @@ def decode_index_stream(data: bytes, out: "np.ndarray | None" = None) -> np.ndar
     and put the escaped outliers back.
 
     With ``out`` (a writable C-contiguous int64 array, e.g. one row of a
-    stacked decode's index buffer) the codes decode straight into it and
-    the escapes and the offset are applied there in place; a stream of
-    another length raises :class:`~repro.errors.CorruptBlobError` before
-    anything is written.
+    stacked decode's index buffer) the codes decode straight into it; a
+    stream of another length raises
+    :class:`~repro.errors.CorruptBlobError` before anything is written.
+    A Huffman stream's escapes section is read first: the decode adds the
+    offset and puts the escaped values back as it writes the symbols
+    (:class:`~repro.codecs.huffman.IndexWindow`), so no pass over the
+    stream is made here.
     """
-    from ..codecs.fixed import decode_fixed
-
     head = struct.calcsize("<BqQ")
     if len(data) < head:
         raise TruncatedStreamError(
@@ -613,10 +688,20 @@ def decode_index_stream(data: bytes, out: "np.ndarray | None" = None) -> np.ndar
         payload = lossless_decompress(data[head:head + plen])
     add_bytes("lossless", plen)
     huffman = entropy_id == ENTROPY_WIRE_IDS["huffman"]
+    if huffman:
+        try:
+            escaped = _decode_escapes(data[head + plen:])
+        except ReproError:
+            # a stream damaged in both sections raises its payload's error,
+            # as it did when the payload decoded before the escapes
+            HuffmanCodec().decode(payload, out)
+            raise
     with stage("huffman"):
         if huffman:
             # the container header carries its own block size
-            codes = HuffmanCodec().decode(payload, out)
+            codes = HuffmanCodec().decode(
+                payload, out, window=IndexWindow(offset, _ESCAPE, escaped=escaped)
+            )
         elif entropy_id == ENTROPY_WIRE_IDS["range"]:
             codes = RangeCodec().decode(payload)
             if out is not None:
@@ -635,16 +720,10 @@ def decode_index_stream(data: bytes, out: "np.ndarray | None" = None) -> np.ndar
         else:
             raise CorruptBlobError(f"unknown entropy stage id {entropy_id}")
     add_bytes("huffman", len(payload))
-    escapes = decode_fixed(lossless_decompress(data[head + plen:]))
-    n_esc = 0  # the range coder writes no escapes: its 65535 is an index
-    if huffman:
-        esc_mask = codes == _STREAM_ALPHABET_CAP - 1
-        n_esc = int(np.count_nonzero(esc_mask))
-    if n_esc != escapes.size:
-        raise CorruptBlobError("index stream escape count mismatch")
-    if escapes.size:
-        u = escapes.astype(np.int64)
-        codes[esc_mask] = np.where(u % 2 == 0, u // 2, -(u + 1) // 2)
-    if offset:
-        np.add(codes, offset, out=codes)
+    if not huffman:
+        # the range coder writes no escapes: its 65535 is an index
+        if _decode_escapes(data[head + plen:]).size:
+            raise CorruptBlobError("index stream escape count mismatch")
+        if offset:
+            np.add(codes, offset, out=codes)
     return codes

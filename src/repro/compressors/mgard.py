@@ -113,15 +113,28 @@ class MGARD(Compressor):
     def decompress_resolution(self, blob: bytes, level: int) -> np.ndarray:
         """Reconstruct only down to interpolation level ``level`` (resolution
         reduction): returns the stride-``2**level`` subgrid of the data.
-        ``level=0`` is full resolution; a level past the blob's level
-        count raises :class:`~repro.errors.CorruptBlobError` (a
-        ``ValueError``).
+        ``level=0`` is full resolution and the blob's level count the
+        coarsest.  A level outside that range raises a plain ``ValueError``
+        before anything is decoded; a damaged blob raises
+        :class:`~repro.errors.CorruptBlobError`.
 
         Routes through the same envelope/CRC unwrap, header validation, and
         typed-fault conversion as :meth:`decompress`, so sealed (v1 RPR1)
         blobs and corrupted bytes behave identically on both entry points.
         """
-        b, _shape, _dtype = self._parse_own_blob(blob)
+        b, shape, _dtype = self._parse_own_blob(blob)
+        levels = num_levels(shape)
+        engine = b.header.get("engine")
+        # an intact header declares its shape's level count; under any
+        # other the decode raises CorruptBlobError before a pass runs
+        if (
+            isinstance(engine, dict) and engine.get("levels") == levels
+            and not 0 <= level <= levels
+        ):
+            raise ValueError(
+                f"resolution level {level} is outside the blob's levels "
+                f"0..{levels}"
+            )
         with _typed_faults(self.name):
             return self._reconstruct(b, stop_level=level)
 

@@ -467,18 +467,25 @@ def decode_to_level(blob: bytes, level: int) -> np.ndarray:
     Levels ``>= level`` reconstruct exactly as the full decoder would;
     finer levels are prediction-filled.  ``decode_to_level(blob, 1)`` is
     bit-identical to ``decompress(blob)``.  A level missing from the
-    blob's level table, like any decode fault, raises
-    :class:`~repro.errors.CorruptBlobError` (a ``ValueError``).
+    blob's level table raises a plain ``ValueError`` before anything is
+    decoded; a damaged blob, a level table that does not match the blob's
+    sections included, raises :class:`~repro.errors.CorruptBlobError`.
     """
     data = bytes(blob)
     if is_sealed(data):
         data = unseal(data)
     b = Blob.from_bytes(data)
     ext = _progressive_ext(b.header)
-    with _typed_faults(SZ3Progressive.name):
-        if not any(int(e["level"]) == level for e in ext["levels"]):
-            raise ValueError(
-                f"level {level} is not in the progressive level table "
-                f"({[int(e['level']) for e in ext['levels']]})"
+    levels = [e["level"] for e in ext["levels"]]
+    if level not in levels:
+        msg = f"level {level} is not in the progressive level table ({levels})"
+        # an intact table lists the levels of the blob's sections
+        sections = _section_levels(b)
+        if levels != sections:
+            raise CorruptBlobError(
+                f"{msg}, which does not match the blob's level sections "
+                f"({sections})"
             )
+        raise ValueError(msg)
+    with _typed_faults(SZ3Progressive.name):
         return _decode_blob_to_level(b, int(level))

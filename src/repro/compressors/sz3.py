@@ -28,21 +28,14 @@ from .base import (
     Blob,
     CompressionState,
     Compressor,
+    _unzigzag,
+    _zigzag,
     decode_index_stream,
     encode_index_stream,
 )
 from .interp_engine import EngineConfig, compress_volumes, stack_key
 
 __all__ = ["SZ3"]
-
-
-def _zigzag(v: np.ndarray) -> np.ndarray:
-    return np.where(v >= 0, 2 * v, -2 * v - 1).astype(np.uint64)
-
-
-def _unzigzag(u: np.ndarray) -> np.ndarray:
-    u = u.astype(np.int64)
-    return np.where(u % 2 == 0, u // 2, -(u + 1) // 2)
 
 
 class SZ3(Compressor):

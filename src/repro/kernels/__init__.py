@@ -1,22 +1,27 @@
 """Which implementation runs each hot loop of the compressor stack.
 
 Every hot loop has a plain numpy implementation, called directly in the
-module that owns it: the Huffman code lengths, bit packing and lockstep
-decode in :mod:`repro.codecs.huffman`, the QP forward shifts and
-wavefront walks in :mod:`repro.core.qp`, the Lorenzo diff/cumsum pair in
-:mod:`repro.predictors.lorenzo`, SZ3's predictor-selection estimates in
-:mod:`repro.compressors.sz3`, the midpoint fills in
-:mod:`repro.predictors.interpolation`, the linear quantizer in
-:mod:`repro.quantize.linear` and the reserved-index encode/decode in
-:mod:`repro.quantize.adaptive`.
+module that owns it: the index-stream framing (median window, escapes,
+offset) in :mod:`repro.compressors.base`, the Huffman code lengths, bit
+packing and lockstep decode in :mod:`repro.codecs.huffman`, the QP
+forward shifts and wavefront walks in :mod:`repro.core.qp`, the Lorenzo
+diff/cumsum pair in :mod:`repro.predictors.lorenzo`, SZ3's
+predictor-selection estimates in :mod:`repro.compressors.sz3`, the
+midpoint fills in :mod:`repro.predictors.interpolation`, the linear
+quantizer in :mod:`repro.quantize.linear` and the reserved-index
+encode/decode in :mod:`repro.quantize.adaptive`.
 
 All of them also exist in C (``native.c`` beside this file).  The
-integer loops: on the decode side the Huffman block decode, the QP Case
-II-IV inverse and the prefix sums that invert Lorenzo and QP Case I, on
-the encode side the Huffman code lengths, the Huffman bit packing, the
-QP forward and Lorenzo's differences; integer arithmetic gives the same
-bytes on either path by construction.  The float loops, in float32 and
-float64: the linear and adaptive quantizers' encode and decode, the
+integer loops: on the decode side the Huffman block decode, which also
+adds an index stream's offset and finds its escape symbols, the QP Case
+II-IV inverse and the prefix sums that invert Lorenzo and QP Case I; on
+the encode side an index stream's bounds and histogram (its median,
+window and Huffman frequencies all come from that one count), the
+Huffman code lengths, the Huffman bit packing through the window (the
+escapes collected as it packs), the QP forward and Lorenzo's
+differences; integer arithmetic gives the same bytes on either path by
+construction.  The float loops, in float32 and float64: the linear and
+adaptive quantizers' encode and decode, the
 linear/cubic midpoint fill, Lorenzo's pre-quantization and the two
 histograms SZ3's predictor selection compares (the Lorenzo indices,
 without writing them, and each interpolation pass's clipped indices).
@@ -70,9 +75,13 @@ _I = ctypes.c_int64
 _D = ctypes.c_double
 #: name -> (argtypes, restype)
 _SIGNATURES = {
-    "repro_huffman_decode": ((_P, _I, _P, _P, _I, _P, _I, _I, _I, _P, _P), None),
+    "repro_huffman_decode": (
+        (_P, _I, _P, _P, _I, _P, _I, _I, _I, _P, _P, _I, _I, _P, _I), _I
+    ),
     "repro_huffman_lengths": ((_P, _I, _P, _P), None),
-    "repro_huffman_encode": ((_P, _I, _P, _P, _I, _P, _P), None),
+    "repro_huffman_encode": ((_P, _I, _P, _P, _I, _P, _P, _I, _I, _P, _I), _I),
+    "repro_int_bounds": ((_P, _I, _P), None),
+    "repro_int_histogram": ((_P, _I, _I, _I, _I, _P), None),
     "repro_qp_inverse_1d": ((_P, _I, _I, _I, _I), None),
     "repro_qp_inverse_2d": ((_P, _I, _I, _I, _I, _I), None),
     "repro_qp_inverse_3d": ((_P, _I, _I, _I, _I, _I, _I), None),

@@ -1,9 +1,12 @@
 /* Native kernels for the codec's hot loops.
  *
- * Integer stages.  Decode: the Huffman block decode, the QP Case II-IV
+ * Integer stages.  Decode: the Huffman block decode (which also adds an
+ * index stream's offset and finds its escape symbols), the QP Case II-IV
  * inverse and the prefix sums that invert Lorenzo and QP Case I.  Encode:
- * Huffman code lengths, Huffman bit packing, the QP forward and Lorenzo's
- * differences.
+ * the index stream's bounds and histogram (its median, window and Huffman
+ * frequencies come from that one count), Huffman code lengths, Huffman
+ * bit packing through the window (escapes collected as it packs), the QP
+ * forward and Lorenzo's differences.
  *
  * Float stages, each in float32 and float64: the linear quantizer's
  * quantize and dequantize, the adaptive quantizer's encode and decode, the
@@ -16,7 +19,8 @@
  * repro.codecs.huffman, repro.core.qp, repro.quantize,
  * repro.predictors.interpolation, repro.predictors.lorenzo and
  * repro.compressors.sz3 are the fallback and the reference these must
- * match bit for bit.  There are no globals and nothing is allocated:
+ * match bit for bit (repro.compressors.base holds the index-stream
+ * framing's).  There are no globals and nothing is allocated:
  * the Python caller owns, sizes and validates every buffer, scratch
  * included, so calls from several threads (ctypes releases the GIL) never
  * share state.
@@ -47,47 +51,73 @@ static uint32_t window32(const uint8_t *buf, int64_t nbytes, int64_t i)
     return w;
 }
 
-/* One symbol at bit cursor cur: store it to *dst, return the next cursor.
- * sym_table/len_table map every max_len-bit window to its symbol and code
- * length (shift = 32 - max_len, mask = 2**max_len - 1). */
-static int64_t decode_one(const uint8_t *payload, int64_t nbytes,
-                          const int64_t *sym_table, const uint8_t *len_table,
-                          int64_t shift, uint32_t mask, int64_t cur,
-                          int64_t *dst)
+/* Sums wrap modulo 2**64 through uint64, as numpy's int64 adds do. */
+#define WRAP_ADD(a, b) ((int64_t)((uint64_t)(a) + (uint64_t)(b)))
+
+/* What a decode writes besides the symbols: each symbol is stored plus
+ * offset, and the positions of the symbols equal to escape are recorded
+ * in pos, the first cap of them, and all counted in met. */
+struct escapes {
+    int64_t offset, escape, cap, met;
+    int64_t *pos;
+};
+
+/* One symbol at bit cursor cur: store it to out[at] as struct escapes
+ * says, return the next cursor.  sym_table/len_table map every
+ * max_len-bit window to its symbol and code length (shift = 32 - max_len,
+ * mask = 2**max_len - 1). */
+static inline int64_t decode_one(const uint8_t *payload, int64_t nbytes,
+                                 const int64_t *sym_table,
+                                 const uint8_t *len_table, int64_t shift,
+                                 uint32_t mask, int64_t cur, int64_t *out,
+                                 int64_t at, struct escapes *e)
 {
     uint32_t win = window32(payload, nbytes, cur >> 3) >> (shift - (cur & 7))
                    & mask;
-    *dst = sym_table[win];
+    int64_t sym = sym_table[win];
+    out[at] = WRAP_ADD(sym, e->offset);
+    if (sym == e->escape) {
+        if (e->met < e->cap)
+            e->pos[e->met] = at;
+        e->met++;
+    }
     return cur + len_table[win];
 }
 
 #define LANES 4
 
 /* Decode n symbols stored as nblocks = ceil(n / block_size) blocks starting
- * at bit offsets[b] (1 <= max_len <= 20).  Writes out[0..n) and, per block,
- * the bit cursor it stopped at into ends[b]; the caller checks those against
- * the recorded offsets, so a corrupt stream cannot go unnoticed. */
-void repro_huffman_decode(const uint8_t *payload, int64_t nbytes,
-                          const int64_t *sym_table, const uint8_t *len_table,
-                          int64_t max_len, const int64_t *offsets,
-                          int64_t nblocks, int64_t block_size, int64_t n,
-                          int64_t *out, int64_t *ends)
+ * at bit offsets[b] (1 <= max_len <= 20).  Writes out[0..n), each symbol
+ * plus offset (wrapping), and, per block, the bit cursor it stopped at into
+ * ends[b]; the caller checks those against the recorded offsets, so a
+ * corrupt stream cannot go unnoticed.  The positions of the symbols equal
+ * to escape go to pos, at most cap of them, in block-walk order (not
+ * sorted); returns how many such symbols there were.  A plain container
+ * passes offset 0 and escape -1, which no symbol equals. */
+int64_t repro_huffman_decode(const uint8_t *payload, int64_t nbytes,
+                             const int64_t *sym_table,
+                             const uint8_t *len_table, int64_t max_len,
+                             const int64_t *offsets, int64_t nblocks,
+                             int64_t block_size, int64_t n, int64_t *out,
+                             int64_t *ends, int64_t offset, int64_t escape,
+                             int64_t *pos, int64_t cap)
 {
     const int64_t shift = 32 - max_len;
     const uint32_t mask = (1u << max_len) - 1u;
+    struct escapes e = {offset, escape, cap, 0, pos};
     int64_t b = 0;
     /* Every block but the last is full.  Walking LANES of them at once
      * overlaps their independent cursor chains. */
     for (; b + LANES < nblocks; b += LANES) {
         int64_t cur[LANES];
-        int64_t *dst = out + b * block_size;
+        const int64_t first = b * block_size;
         for (int k = 0; k < LANES; k++)
             cur[k] = offsets[b + k];
         for (int64_t s = 0; s < block_size; s++)
             for (int k = 0; k < LANES; k++)
                 cur[k] = decode_one(payload, nbytes, sym_table, len_table,
-                                    shift, mask, cur[k],
-                                    dst + k * block_size + s);
+                                    shift, mask, cur[k], out,
+                                    first + k * block_size + s, &e);
         for (int k = 0; k < LANES; k++)
             ends[b + k] = cur[k];
     }
@@ -97,13 +127,11 @@ void repro_huffman_decode(const uint8_t *payload, int64_t nbytes,
         int64_t stop = n - s < block_size ? n : s + block_size;
         for (; s < stop; s++)
             cur = decode_one(payload, nbytes, sym_table, len_table, shift,
-                             mask, cur, out + s);
+                             mask, cur, out, s, &e);
         ends[b] = cur;
     }
+    return e.met;
 }
-
-/* Sums wrap modulo 2**64 through uint64, as numpy's int64 adds do. */
-#define WRAP_ADD(a, b) ((int64_t)((uint64_t)(a) + (uint64_t)(b)))
 
 /* QP inverse: q += prediction where the condition holds, in place.  cond is
  * 2, 3 or 4 for Cases II-IV (Case I is repro_prefix_sums).  Case II
@@ -334,22 +362,36 @@ void repro_huffman_lengths(const int64_t *freqs, int64_t m, int64_t *lens,
 }
 
 /* Pack the codes of symbols[0..n) MSB-first into out, recording the bit
- * offset of every block_size-th symbol in offsets.  codes/lens map a
- * symbol to its code and length (1..20 bits).  The caller builds the
- * tables from np.bincount(symbols), so every symbol indexes inside them,
- * and sizes out exactly: ceil(sum of the symbols' code lengths / 8). */
-void repro_huffman_encode(const int64_t *symbols, int64_t n,
-                          const uint64_t *codes, const int64_t *lens,
-                          int64_t block_size, uint8_t *out, uint64_t *offsets)
+ * offset of every block_size-th symbol in offsets.  Each symbol is first
+ * windowed: c = symbols[s] - offset (wrapping), and a c outside
+ * [0, escape) codes as escape and is stored to esc, the first n_esc of
+ * them in stream order.  codes/lens map c in [0, escape] to its code and
+ * length (1..20 bits).  The caller builds the tables from the frequencies
+ * of the windowed symbols and sizes out exactly: ceil(sum of their code
+ * lengths / 8).  Returns the count of symbols coded as escape.  A plain
+ * container passes offset 0 and escape = the last symbol of its tables,
+ * which no symbol exceeds, so the window changes none. */
+int64_t repro_huffman_encode(const int64_t *symbols, int64_t n,
+                             const uint64_t *codes, const int64_t *lens,
+                             int64_t block_size, uint8_t *out,
+                             uint64_t *offsets, int64_t offset, int64_t escape,
+                             int64_t *esc, int64_t n_esc)
 {
     uint64_t acc = 0;  /* pending bits: the low `fill` are live */
-    int64_t fill = 0, pos = 0;
+    int64_t fill = 0, pos = 0, k = 0;
     for (int64_t s = 0, b = 0; s < n; b++) {
         offsets[b] = (uint64_t)(8 * pos + fill);
         int64_t stop = n - s < block_size ? n : s + block_size;
         for (; s < stop; s++) {
-            int64_t len = lens[symbols[s]];
-            acc = acc << len | codes[symbols[s]];
+            int64_t c = WRAP_ADD(symbols[s], -(uint64_t)offset);
+            if ((uint64_t)c >= (uint64_t)escape) {
+                if (k < n_esc)
+                    esc[k] = c;
+                k++;
+                c = escape;
+            }
+            int64_t len = lens[c];
+            acc = acc << len | codes[c];
             fill += len;  /* below 32 + 20: no live bit shifts out */
             if (fill >= 32) {
                 fill -= 32;
@@ -368,6 +410,56 @@ void repro_huffman_encode(const int64_t *symbols, int64_t n,
     }
     if (fill)
         out[pos] = (uint8_t)(acc << (8 - fill));
+    return k;
+}
+
+/* The least and the greatest of x[0..n), n >= 1, into bounds[0..1].
+ * Even and odd elements keep their own pair, so two compare chains run
+ * side by side. */
+void repro_int_bounds(const int64_t *x, int64_t n, int64_t *bounds)
+{
+    int64_t lo0 = x[0], hi0 = x[0], lo1 = x[0], hi1 = x[0];
+    int64_t i = 0;
+    for (; i + 2 <= n; i += 2) {
+        int64_t a = x[i], b = x[i + 1];
+        lo0 = a < lo0 ? a : lo0;
+        hi0 = a > hi0 ? a : hi0;
+        lo1 = b < lo1 ? b : lo1;
+        hi1 = b > hi1 ? b : hi1;
+    }
+    if (i < n) {
+        lo0 = x[i] < lo0 ? x[i] : lo0;
+        hi0 = x[i] > hi0 ? x[i] : hi0;
+    }
+    bounds[0] = lo0 < lo1 ? lo0 : lo1;
+    bounds[1] = hi0 > hi1 ? hi0 : hi1;
+}
+
+/* counts[v - lo] += 1 for each v of x[0..n) with lo <= v < lo + nbins
+ * (with lo and nbins from repro_int_bounds that is every v).  counts
+ * holds ways (1 or 4) zeroed tables of nbins: with 4, element i counts
+ * in table i % 4, so runs of one value (an index stream is mostly
+ * zeros) do not wait on each other's increments, and the tables are
+ * then summed into the first. */
+void repro_int_histogram(const int64_t *x, int64_t n, int64_t lo,
+                         int64_t nbins, int64_t ways, int64_t *counts)
+{
+    int64_t i = 0;
+    if (ways == 4)
+        for (; i + 4 <= n; i += 4)
+            for (int k = 0; k < 4; k++) {
+                uint64_t b = (uint64_t)x[i + k] - (uint64_t)lo;
+                if (b < (uint64_t)nbins)
+                    counts[k * nbins + b]++;
+            }
+    for (; i < n; i++) {
+        uint64_t b = (uint64_t)x[i] - (uint64_t)lo;
+        if (b < (uint64_t)nbins)
+            counts[b]++;
+    }
+    for (int64_t k = 1; k < ways; k++)
+        for (int64_t b = 0; b < nbins; b++)
+            counts[b] += counts[k * nbins + b];
 }
 
 /* QP forward: out = q - c, where c is the compensation that

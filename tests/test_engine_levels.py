@@ -109,5 +109,45 @@ def test_resolution_stop_level_is_bounded_by_the_shape():
     comp = get_compressor("mgard", 1e-2)
     blob = comp.compress(_field())
     assert comp.decompress_resolution(blob, REAL).shape == (1, 1, 1)
-    with pytest.raises(CorruptBlobError):
+    with pytest.raises(ValueError) as info:
         comp.decompress_resolution(blob, REAL + 1)
+    assert not isinstance(info.value, CorruptBlobError)
+
+
+def _plain_value_error(fn):
+    """``fn()`` raises ValueError, and not the corrupt-blob kind."""
+    with pytest.raises(ValueError) as info:
+        fn()
+    assert not isinstance(info.value, CorruptBlobError), info.value
+
+
+def test_decompress_resolution_reports_a_bad_level_as_a_bad_argument(
+    passes_walked,
+):
+    # a caller's level outside 0..levels is refused before any pass runs;
+    # a re-headered level count is damage whatever level is asked for
+    comp = get_compressor("mgard", 1e-2)
+    blob = comp.compress(_field())
+    passes_walked.clear()
+    for level in (REAL + 1, REAL + 5, -1):
+        _plain_value_error(lambda: comp.decompress_resolution(blob, level))
+    assert passes_walked == []
+    for levels in BAD_COUNTS:
+        bad = _reheader(blob, _set_engine_levels(levels))
+        for level in (1, REAL + 1):
+            with pytest.raises(CorruptBlobError):
+                comp.decompress_resolution(bad, level)
+
+
+def test_decode_to_level_reports_a_missing_level_as_a_bad_argument():
+    comp = get_compressor("sz3_progressive", 1e-2)
+    blob = comp.compress(_field())
+    for level in (0, REAL + 1, -1):
+        _plain_value_error(lambda: decode_to_level(blob, level))
+
+    # a level table that no longer lists the blob's sections is damage
+    def edit(header):
+        del header["progressive"]["levels"][0]
+
+    with pytest.raises(CorruptBlobError):
+        decode_to_level(_reheader(blob, edit), REAL)

@@ -24,6 +24,7 @@ from repro.codecs import HuffmanCodec, RangeCodec
 from repro.codecs import fixed as fixed_codec
 from repro.codecs import huffman, lossless
 from repro.compressors import decompress_any, get_compressor, supports_qp
+from repro.compressors.base import decode_index_stream, encode_index_stream
 from repro.core.config import AdaptiveConfig, QPConfig
 from repro.errors import CorruptBlobError, ReproError, TruncatedStreamError
 from repro.parallel import ParallelCompressor
@@ -124,6 +125,13 @@ def _codec_streams():
         f"entropy-{name}": (codec.encode(symbols), codec.decode)
         for name, codec in (("huffman", HuffmanCodec()), ("range", RangeCodec()))
     }
+    # the framing around the Huffman container: median window, escapes
+    # below and above it, the lossless stage
+    framed = np.rint(rng.normal(0, 4, 4000)).astype(np.int64)
+    framed[[3, 4, 2000, 3990]] = [-40000, 90000, -32768, 70000]
+    streams["index-stream-huffman"] = (
+        encode_index_stream(framed), decode_index_stream
+    )
     streams.update({
         "fixed": (
             fixed_codec.encode_fixed(symbols.astype(np.uint64)),

@@ -10,6 +10,7 @@ included, over float32 and float64, ranks 1-4 and contiguous, strided
 and transposed views.
 """
 import ctypes
+import dataclasses
 import itertools
 import struct
 
@@ -25,12 +26,12 @@ from repro.codecs.huffman import (
     _huffman_lengths_native,
     _parse_container,
 )
-from repro.compressors import sz3
-from repro.compressors.base import Blob
+from repro.compressors import base, sz3
+from repro.compressors.base import Blob, decode_index_stream, encode_index_stream
 from repro.compressors.sz3 import SZ3
 from repro.core import QP_CONDITIONS, QP_DIMENSIONS, QPConfig, qp_forward, qp_inverse
 from repro.core.qp import qp_inverse_multi
-from repro.errors import ReproError
+from repro.errors import CorruptBlobError, ReproError, TruncatedStreamError
 from repro.predictors import interpolation, lorenzo
 from repro.predictors.interpolation import predict_midpoints
 from repro.predictors.lorenzo import LorenzoResult, lorenzo_decode, lorenzo_encode
@@ -281,6 +282,149 @@ def test_huffman_code_lengths_kernel(seed):
     freqs = rng.integers(1, 1 + 4 ** (seed % 4), m).astype(np.int64)
     lens = _huffman_lengths_native(kernels.native(), freqs)
     assert np.array_equal(lens, _huffman_lengths_heap(freqs))
+
+
+# -- index-stream framing -------------------------------------------------------
+
+_I64 = np.iinfo(np.int64)
+
+
+def _framing_streams():
+    rng = np.random.default_rng(11)
+    bulk = np.rint(rng.normal(0, 3, 5000)).astype(np.int64)
+    two_sided = bulk.copy()
+    # below the window, the sentinel (one below it) and above it; in blocks
+    # of 7, positions 5 and 7 sit in neighbouring blocks, which the C
+    # decoder walks side by side and so meets 7 first
+    two_sided[[5, 7, 900, 2500, 4000]] = [-40000, 70000, -32768, 200000, -99999]
+    at_escape = np.zeros(301, dtype=np.int64)
+    # the median is 0, so the offset is -32767 and this value's windowed
+    # code is the escape symbol itself
+    at_escape[150] = base._ESCAPE - base._MEDIAN_SLOT
+    cap = base._MEDIAN_RANGE_CAP
+    return {
+        "empty": np.empty(0, dtype=np.int64),
+        "single-value": np.array([-5]),
+        "all-sentinels": np.full(3000, -32768),
+        "escapes-both-sides": two_sided,
+        "value-at-escape-symbol": at_escape,
+        "range-at-cap": np.concatenate([[0, cap], bulk[:200] + 9]),
+        "range-past-cap": np.concatenate([[0, cap + 1], bulk[:200] + 9]),
+        "int64-extremes": np.array([_I64.min, _I64.max, 0, 1, -1, 2] * 30),
+        "near-int64-max": _I64.max - rng.integers(0, 70000, 2000),
+        "near-int64-min": _I64.min + 40000 + rng.integers(0, 70000, 2000),
+    }
+
+
+FRAMING_STREAMS = _framing_streams()
+
+
+@pytest.mark.parametrize("block_size", [1, 7, 4096])
+@pytest.mark.parametrize("name", sorted(FRAMING_STREAMS))
+def test_index_stream_framing(monkeypatch, name, block_size):
+    stream = FRAMING_STREAMS[name]
+    # the C path takes every non-empty stream within the range cap
+    fused = stream.size > 0 and name != "range-past-cap" and name != "int64-extremes"
+    assert (base._native_window(stream) is not None) == fused
+    blob = assert_encodes_agree(
+        monkeypatch, lambda: encode_index_stream(stream, block_size=block_size)
+    )
+    out = assert_paths_agree(monkeypatch, lambda: decode_index_stream(blob))
+    assert np.array_equal(out[0], stream)
+
+    def into_row():
+        # one row of a wider buffer, as a stacked decode hands it over
+        buf = np.full((2, stream.size + 3), 7, dtype=np.int64)
+        row = buf[1, 1:1 + stream.size]
+        assert decode_index_stream(blob, out=row) is row
+        return buf
+
+    buf = assert_paths_agree(monkeypatch, into_row)[0]
+    assert np.array_equal(buf[1, 1:1 + stream.size], stream)
+    assert (buf[0] == 7).all() and buf[1, 0] == 7 and (buf[1, -2:] == 7).all()
+    # a row of another length is refused before anything is written
+    short = np.full(stream.size + 1, 7, dtype=np.int64)
+    assert assert_paths_agree(
+        monkeypatch, lambda: decode_index_stream(blob, out=short)
+    ) is None
+    assert (short == 7).all()
+
+
+def test_index_stream_offset_below_int64_fails_alike(monkeypatch):
+    # the median-centred offset of a stream this low leaves int64: both
+    # paths refuse it the same way
+    stream = np.full(10, _I64.min)
+    errors = []
+    for lib in (kernels.native(), None):
+        with monkeypatch.context() as m:
+            m.setattr(kernels, "_lib", lib)
+            with pytest.raises(OverflowError) as info:
+                encode_index_stream(stream)
+            errors.append(str(info.value))
+    assert errors[0] == errors[1]
+
+
+def test_huffman_window_encode(monkeypatch):
+    # HuffmanCodec.encode(window=) windows on either path: the C packer as
+    # it codes, the numpy one before
+    stream = FRAMING_STREAMS["escapes-both-sides"]
+    window = base._native_window(stream)
+    escaped = []
+
+    def encode():
+        w = dataclasses.replace(window)
+        blob = HuffmanCodec(block_size=61).encode(stream, window=w)
+        escaped.append(w.escaped)
+        return blob
+
+    assert_encodes_agree(monkeypatch, encode)
+    assert np.array_equal(escaped[0], escaped[1])
+    assert np.array_equal(escaped[0] + window.offset, stream[
+        (stream - window.offset < 0) | (stream - window.offset >= base._ESCAPE)
+    ])
+
+
+def _index_sections(blob):
+    head = struct.calcsize("<BqQ")
+    plen = struct.unpack_from("<BqQ", blob)[2]
+    return blob[:head + plen], blob[head + plen:]
+
+
+@pytest.mark.parametrize("change", [-1, 1], ids=["one-too-few", "one-too-many"])
+def test_index_stream_escape_count_mismatch(monkeypatch, change):
+    stream = FRAMING_STREAMS["escapes-both-sides"]
+    framed, escapes = _index_sections(encode_index_stream(stream))
+    esc = base._decode_escapes(escapes)
+    esc = esc[:-1] if change < 0 else np.append(esc, esc[-1])
+    bad = framed + lossless.compress(sz3.encode_fixed(base._zigzag(esc)))
+    out = np.zeros(stream.size, dtype=np.int64)
+    for decode in (lambda: decode_index_stream(bad),
+                   lambda: decode_index_stream(bad, out=out)):
+        assert assert_paths_agree(monkeypatch, decode) is None
+        with pytest.raises(CorruptBlobError, match="escape count mismatch"):
+            decode()
+
+
+def test_index_stream_damaged_in_both_sections(monkeypatch):
+    # the escapes section is read before the Huffman payload now, yet a
+    # stream whose two sections are both damaged still raises the
+    # payload's error, as when the payload was decoded first
+    stream = FRAMING_STREAMS["escapes-both-sides"]
+    framed, _ = _index_sections(encode_index_stream(stream))
+    head = struct.calcsize("<BqQ")
+    entropy_id, offset, _ = struct.unpack_from("<BqQ", framed)
+    container = lossless.decompress(framed[head:])
+    payload = lossless.compress(container[:len(container) // 2])
+    bad = (struct.pack("<BqQ", entropy_id, offset, len(payload)) + payload
+           + b"not an escapes section")
+    assert assert_paths_agree(monkeypatch, lambda: decode_index_stream(bad)) is None
+    with pytest.raises(TruncatedStreamError):
+        decode_index_stream(bad)
+    # with the payload intact the escapes section's own error shows
+    good_payload = framed + b"not an escapes section"
+    with pytest.raises(CorruptBlobError) as info:
+        decode_index_stream(good_payload)
+    assert not isinstance(info.value, TruncatedStreamError)
 
 
 def _engine_views(q):

@@ -38,6 +38,7 @@ from repro.codecs import HuffmanCodec, RangeCodec
 from repro.codecs import fixed as fixed_codec
 from repro.codecs import lossless
 from repro.compressors import decompress_any, get_compressor, supports_qp
+from repro.compressors.base import decode_index_stream, encode_index_stream
 from repro.core.config import AdaptiveConfig, QPConfig
 from repro.errors import ReproError
 from repro.testing import INJECTORS
@@ -198,6 +199,16 @@ def _build_targets(seed: int):
     # both index-stream entropy coders
     for ename, codec in (("huffman", HuffmanCodec()), ("range", RangeCodec())):
         targets.append((f"entropy-{ename}", codec.encode(symbols), codec.decode))
+    # the framing around the Huffman container: the median-centred window,
+    # escapes below and above it (the sentinel among them) and the
+    # lossless stage, which the C decoder applies as it writes
+    stream = np.rint(
+        np.random.default_rng([seed, 2]).normal(0, 4, 3000)
+    ).astype(np.int64)
+    stream[[10, 11, 1500, 2990]] = [-40000, 90000, -32768, 70000]
+    targets.append(
+        ("index-stream[huffman]", encode_index_stream(stream), decode_index_stream)
+    )
     targets.append(
         ("fixed", fixed_codec.encode_fixed(symbols.astype(np.uint64)),
          fixed_codec.decode_fixed)
