@@ -31,12 +31,13 @@ Design constraints (see DESIGN.md section 7):
   paths write identical bytes, and both hand their per-block end cursors
   to one validation helper, so a corrupt stream raises the same typed
   error on either.
-* An index stream passes its :class:`IndexWindow` to ``encode`` and
-  ``decode``: the caller's frequencies replace the bincount, the C packer
-  windows the signed values as it codes them and collects the escapes,
-  and the C decoder adds the offset and records the escape symbols'
-  positions as it writes, so the framing makes no pass of its own over
-  the stream.
+* An index stream is coded through an :class:`IndexWindow`, which this
+  module alone chooses and applies.  Where the C kernels load, one
+  histogram of the signed stream gives the window's offset (the median)
+  and the Huffman frequencies, the C packer windows each value as it
+  codes it and collects the escapes, and the C decoder adds the offset
+  and records the escape symbols' positions as it writes, so the framing
+  makes no pass of its own over the stream.
 """
 from __future__ import annotations
 
@@ -64,7 +65,19 @@ __all__ = [
 ]
 
 _WIN_DTYPE = np.dtype(">u4")  # overlapping big-endian window view of payload
+_INT64_MIN = int(np.iinfo(np.int64).min)
 _INT64_MAX = np.iinfo(np.int64).max
+
+#: the escape symbol of an index stream (see :class:`IndexWindow`), the
+#: last of its 2**16 alphabet: the symbols below it code the values
+#: ``offset .. offset + _ESCAPE - 1`` in place
+_ESCAPE = (1 << 16) - 1
+#: a window's offset puts the stream's median this far into the window
+_MEDIAN_SLOT = (1 << 15) - 1
+#: the widest range (max - min) of a stream whose median comes from a
+#: histogram; past it the histogram would cost more than the partition
+#: ``np.median`` makes
+_MEDIAN_RANGE_CAP = 1 << 21
 
 MAX_CODE_LEN = 20
 DEFAULT_BLOCK_SIZE = 4096
@@ -308,19 +321,16 @@ class IndexWindow:
     framing of :func:`repro.compressors.base.encode_index_stream`).
 
     A value ``v`` of the signed stream codes as the symbol ``v - offset``
-    when that lies in ``[0, escape)``, and as ``escape`` otherwise.
-    ``escaped`` holds the codes ``v - offset`` of the escaped values in
-    stream order: :meth:`HuffmanCodec.encode` sets it, and
-    :meth:`HuffmanCodec.decode` puts each back at its escape symbol's
-    place.  ``freqs`` (encode only, optional) are the counts of the
-    windowed symbols, taken by the caller from the stream: one per symbol
-    up to the greatest coded, as ``np.bincount`` of the windowed stream
-    gives them.
+    when that lies in ``[0, _ESCAPE)``, and as the escape symbol
+    ``_ESCAPE`` otherwise; ``escaped`` holds the codes ``v - offset`` of
+    the escaped values in stream order.  :meth:`HuffmanCodec.encode`
+    chooses the offset, which puts the stream's median
+    :data:`_MEDIAN_SLOT` into the window, and sets both fields;
+    :meth:`HuffmanCodec.decode` adds the offset and puts each escaped
+    value back at its escape symbol's place.
     """
 
-    offset: int
-    escape: int
-    freqs: "np.ndarray | None" = None
+    offset: int = 0
     escaped: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
 
 
@@ -343,29 +353,30 @@ class HuffmanCodec:
     ) -> bytes:
         """Code the non-negative integers ``symbols`` into a container.
 
-        With ``window`` (see :class:`IndexWindow`), ``symbols`` is the
-        signed index stream itself: its values are coded through the
-        window and the escaped values' codes are left in
-        ``window.escaped``.  Where the C kernels load and the window
-        carries its frequencies, the packer windows each value as it codes
-        it; otherwise the stream is windowed first and counted here.
+        With ``window`` (an :class:`IndexWindow`, whose fields this sets),
+        ``symbols`` is a signed index stream, coded through the window
+        chosen for it; the escaped values' codes are left in
+        ``window.escaped``.
         """
         symbols = np.ascontiguousarray(symbols).ravel()
-        n = symbols.size
-        if n == 0:
-            return _MAGIC + struct.pack("<QII", 0, self.block_size, 0)
         if symbols.dtype != np.int64 or not symbols.flags.aligned:
             symbols = symbols.astype(np.int64)
         lib = kernels.native()
-        if window is not None and lib is not None and window.freqs is not None:
-            freqs = window.freqs
-        else:
-            if window is not None:
-                symbols = _apply_window(symbols, window)
-                window = None  # the symbols are windowed now
-            # bincount scans the data once and rejects negatives as it goes,
-            # so the frequency table, the alphabet bound and the sign guard
-            # all come out of a single pass (no separate min()/max() sweeps).
+        offset, freqs = None, None
+        if window is not None:
+            offset, freqs = _choose_window(lib, symbols)
+            window.offset = offset
+            if freqs is None:
+                # numpy windows the stream first and counts it below
+                symbols, window.escaped = _apply_window(symbols, offset)
+                offset = None
+        n = symbols.size
+        if n == 0:
+            return _MAGIC + struct.pack("<QII", 0, self.block_size, 0)
+        if freqs is None:
+            # bincount scans the data once and rejects negatives as it
+            # goes, so the frequency table, the alphabet bound and the sign
+            # guard all come out of a single pass (no min()/max() sweeps).
             try:
                 freqs = np.bincount(symbols)
             except ValueError:
@@ -373,9 +384,11 @@ class HuffmanCodec:
         lengths = huffman_code_lengths(freqs)
         codes = canonical_codes(lengths)
         if lib is not None:
-            payload, block_offsets, total_bits = _encode_native(
-                lib, symbols, freqs, lengths, codes, self.block_size, window
+            payload, block_offsets, total_bits, escaped = _encode_native(
+                lib, symbols, freqs, lengths, codes, self.block_size, offset
             )
+            if offset is not None:
+                window.escaped = escaped
         else:
             sym_lengths = lengths[symbols]
             bit_positions = np.empty(n + 1, dtype=np.int64)
@@ -442,44 +455,125 @@ class HuffmanCodec:
         return [_decode_one(d) for d in datas]
 
 
-def _apply_window(symbols: np.ndarray, window: IndexWindow) -> np.ndarray:
-    """The numpy windowing of a signed stream: its symbols, the escaped
-    values' codes left in ``window.escaped``."""
-    codes = symbols - window.offset
-    outside = (codes < 0) | (codes >= window.escape)
-    window.escaped = codes[outside]
-    if window.escaped.size:
-        codes[outside] = window.escape
-    return codes
+def _choose_window(lib, stream: np.ndarray) -> "tuple[int, np.ndarray | None]":
+    """The offset of an int64 index stream's window, and its windowed
+    symbols' frequencies where C windows the stream as it packs it
+    (``None`` where numpy windows and counts it).
+
+    The offset puts the stream's median :data:`_MEDIAN_SLOT` into the
+    window.  The median is exact: from a histogram of the stream when its
+    range is within :data:`_MEDIAN_RANGE_CAP` (taken in C where the
+    kernels load), from ``np.median`` past it, where numpy windows the
+    stream.  C's frequencies come from the same histogram: the window's
+    counts are its symbols', the rest fall on the escape symbol, one
+    count per symbol up to the greatest coded, as ``np.bincount`` of the
+    windowed stream gives them.  A stream whose offset would fall below
+    int64 raises ``ValueError``.
+    """
+    if not stream.size:
+        return 0, None
+    if lib is None:
+        lo, hi = int(stream.min()), int(stream.max())
+    else:
+        bounds = np.empty(2, dtype=np.int64)
+        lib.repro_int_bounds(stream.ctypes.data, stream.size, bounds.ctypes.data)
+        lo, hi = int(bounds[0]), int(bounds[1])
+    if hi - lo > _MEDIAN_RANGE_CAP:
+        counts = None
+        median = float(np.median(stream))
+    else:
+        counts = (
+            np.bincount(stream - lo) if lib is None
+            else _histogram(lib, stream, lo, hi - lo + 1)
+        )
+        median = _counts_median(counts, lo)
+    offset = int(median) - _MEDIAN_SLOT
+    if offset < _INT64_MIN:
+        raise ValueError(
+            f"index stream median {median} lies within {_MEDIAN_SLOT} of the "
+            "int64 minimum: its window offset does not fit in int64"
+        )
+    if lib is None or counts is None:
+        return offset, None
+    # the window's values that lie in [lo, hi]
+    first, last = max(lo, offset), min(hi, offset + _ESCAPE - 1)
+    inside = counts[first - lo:last - lo + 1]
+    n_esc = stream.size - int(inside.sum())
+    freqs = np.zeros(_ESCAPE + 1 if n_esc else last - offset + 1, dtype=np.int64)
+    freqs[first - offset:last - offset + 1] = inside
+    if n_esc:
+        freqs[_ESCAPE] = n_esc
+    return offset, freqs
+
+
+def _histogram(lib, stream: np.ndarray, lo: int, nbins: int) -> np.ndarray:
+    """Counts of the values ``lo .. lo + nbins - 1`` of ``stream``, which
+    holds no others, taken in C."""
+    # four interleaved tables pay for their zeroing and summing once the
+    # stream is several times longer than one table (docs/performance.md
+    # times both)
+    ways = 4 if stream.size >= 4 * nbins else 1
+    tables = np.zeros(ways * nbins, dtype=np.int64)
+    lib.repro_int_histogram(
+        stream.ctypes.data, stream.size, lo, nbins, ways, tables.ctypes.data
+    )
+    return tables[:nbins]
+
+
+def _counts_median(counts: np.ndarray, lo: int) -> float:
+    """Exact median of the integers whose histogram is ``counts`` (bin
+    ``i`` counts the value ``lo + i``): the mean of the two middle order
+    statistics in float64, as ``np.median`` gives it."""
+    cum = np.cumsum(counts)
+    n = int(cum[-1])
+    v_lo = lo + int(np.searchsorted(cum, (n - 1) // 2 + 1))
+    v_hi = lo + int(np.searchsorted(cum, n // 2 + 1))
+    return (v_lo + v_hi) / 2.0
+
+
+def _apply_window(
+    stream: np.ndarray, offset: int
+) -> "tuple[np.ndarray, np.ndarray]":
+    """The numpy windowing of a signed stream: its symbols and the escaped
+    values' codes."""
+    codes = stream - offset
+    outside = (codes < 0) | (codes >= _ESCAPE)
+    escaped = codes[outside]
+    if escaped.size:
+        codes[outside] = _ESCAPE
+    return codes, escaped
 
 
 def _encode_native(lib, symbols, freqs, lengths, codes, block_size: int,
-                   window: "IndexWindow | None"):
-    """Pack ``symbols`` with the C encoder: ``(payload, offsets, bits)``,
-    the payload as a uint8 array.
+                   offset: "int | None"):
+    """Pack ``symbols`` with the C encoder: ``(payload, offsets, bits,
+    escaped)``, the payload as a uint8 array.
 
-    The tables come from the frequencies of the (windowed) symbols, so
-    every symbol indexes inside them, and the payload is sized exactly
-    from the frequencies.  The kernel's escape is the tables' last
-    symbol: the window's escape when some value escapes, and otherwise
-    the greatest symbol, which the window leaves as it is.
+    With ``offset`` the symbols are a signed stream the packer windows
+    (:class:`IndexWindow`), and ``escaped`` holds the escaped values'
+    codes; without, they are coded as they are.  The tables come from
+    ``freqs``, the frequencies of the (windowed) symbols, and so does the
+    payload's size.  The kernel writes nothing past that size; symbols
+    that need more room, or hold another count of escapes than ``freqs``
+    gives, raise ``ValueError``.
     """
     total_bits = int(freqs @ lengths)
     payload = np.empty((total_bits + 7) >> 3, dtype=np.uint8)
     offsets = np.empty(-(-symbols.size // block_size), dtype=np.uint64)
-    if window is None:
-        offset, escaped = 0, np.empty(0, np.int64)
+    if offset is None:
+        offset, escape, n_esc = 0, -1, 0
     else:
-        offset = window.offset
-        n_esc = int(freqs[window.escape]) if freqs.size > window.escape else 0
-        escaped = window.escaped = np.empty(n_esc, dtype=np.int64)
-    lib.repro_huffman_encode(
+        escape = _ESCAPE
+        n_esc = int(freqs[_ESCAPE]) if freqs.size > _ESCAPE else 0
+    escaped = np.empty(n_esc, dtype=np.int64)
+    met = lib.repro_huffman_encode(
         symbols.ctypes.data, symbols.size, codes.ctypes.data,
-        lengths.ctypes.data, block_size, payload.ctypes.data,
-        offsets.ctypes.data, offset, lengths.size - 1, escaped.ctypes.data,
-        escaped.size,
+        lengths.ctypes.data, block_size, payload.ctypes.data, payload.size,
+        offsets.ctypes.data, offset, escape, escaped.ctypes.data, n_esc,
     )
-    return payload, offsets, total_bits
+    if met != n_esc:
+        raise ValueError("Huffman frequencies do not match the symbols")
+    return payload, offsets, total_bits, escaped
 
 
 def _parse_container(data: bytes) -> "tuple | None":
@@ -598,7 +692,7 @@ def _decode_one(
         else:
             _decode_lockstep(parsed, out)
             if window is not None:
-                positions = np.flatnonzero(out == window.escape)
+                positions = np.flatnonzero(out == _ESCAPE)
                 met = positions.size
                 if window.offset:
                     np.add(out, window.offset, out=out)
@@ -627,7 +721,7 @@ def _decode_native(
     if window is None:
         offset, escape, cap = 0, -1, 0
     else:
-        offset, escape, cap = window.offset, window.escape, window.escaped.size
+        offset, escape, cap = window.offset, _ESCAPE, window.escaped.size
     positions = np.empty(cap, dtype=np.int64)
     met = lib.repro_huffman_decode(
         payload.ctypes.data, payload.size, sym_table.ctypes.data,

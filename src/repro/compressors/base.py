@@ -21,7 +21,6 @@ from typing import Any, Protocol, runtime_checkable
 
 import numpy as np
 
-from .. import kernels
 from ..codecs import (
     HuffmanCodec,
     RangeCodec,
@@ -485,13 +484,6 @@ class Compressor(ABC):
 # -- shared encode stages -----------------------------------------------------
 
 
-_STREAM_ALPHABET_CAP = 1 << 16
-#: the escape symbol of a Huffman-coded index stream: the last of the
-#: alphabet; its window codes the values offset .. offset + _ESCAPE - 1
-_ESCAPE = _STREAM_ALPHABET_CAP - 1
-#: a window's offset puts the stream's median this far into the window
-_MEDIAN_SLOT = _STREAM_ALPHABET_CAP // 2 - 1
-
 #: the index-stream entropy coders by name, each with the wire byte that
 #: leads its streams and on which decode dispatches
 ENTROPY_WIRE_IDS = {"huffman": 0, "range": 1}
@@ -499,87 +491,6 @@ ENTROPY_WIRE_IDS = {"huffman": 0, "range": 1}
 #: wire byte of the retired static rANS coder: an index stream led by it
 #: fails with a migration hint rather than as an unknown byte
 _RANS_WIRE_ID = 2
-
-# range guard for the histogram median below: beyond this the bincount would
-# cost more than the partition it replaces
-_MEDIAN_RANGE_CAP = 1 << 21
-
-_INT64_MIN = -(1 << 63)
-
-
-def _counts_median(counts: np.ndarray, lo: int) -> float:
-    """Exact median of the integers whose histogram is ``counts`` (bin
-    ``i`` counts the value ``lo + i``): the mean of the two middle order
-    statistics in float64, as ``np.median`` gives it."""
-    cum = np.cumsum(counts)
-    n = int(cum[-1])
-    v_lo = lo + int(np.searchsorted(cum, (n - 1) // 2 + 1))
-    v_hi = lo + int(np.searchsorted(cum, n // 2 + 1))
-    return (v_lo + v_hi) / 2.0
-
-
-def _int_median(values: np.ndarray, lo: int, hi: int) -> float:
-    """Exact median of an integer array, histogram-based.
-
-    Produces bit-identical results to ``np.median`` (the mean of the two
-    middle order statistics, in float64) but via one bincount pass instead of
-    a partial sort — index streams are radius-bounded, so the histogram is
-    tiny next to the data.  Falls back to ``np.median`` for wide ranges.
-    ``lo``/``hi`` are the array's min/max, computed once by the caller.
-    """
-    if hi - lo > _MEDIAN_RANGE_CAP:
-        return float(np.median(values))
-    return _counts_median(np.bincount(values - lo), lo)
-
-
-def _native_window(indices: np.ndarray) -> "IndexWindow | None":
-    """The Huffman window of an int64 stream from one histogram taken in
-    C: the median's offset and the windowed frequencies (every value
-    outside the window counted on the escape symbol).  ``None`` where
-    :func:`_numpy_window` takes the stream: the library did not load, the
-    stream is empty, its range exceeds :data:`_MEDIAN_RANGE_CAP`, or the
-    offset falls below int64."""
-    lib = kernels.native()
-    if lib is None or not indices.size:
-        return None
-    bounds = np.empty(2, dtype=np.int64)
-    lib.repro_int_bounds(indices.ctypes.data, indices.size, bounds.ctypes.data)
-    lo, hi = int(bounds[0]), int(bounds[1])
-    if hi - lo > _MEDIAN_RANGE_CAP:
-        return None
-    nbins = hi - lo + 1
-    # four interleaved tables pay for their zeroing and summing once the
-    # stream is several times longer than one table
-    ways = 4 if indices.size >= 4 * nbins else 1
-    tables = np.zeros(ways * nbins, dtype=np.int64)
-    lib.repro_int_histogram(
-        indices.ctypes.data, indices.size, lo, nbins, ways, tables.ctypes.data
-    )
-    counts = tables[:nbins]
-    offset = int(_counts_median(counts, lo)) - _MEDIAN_SLOT
-    if offset < _INT64_MIN:
-        return None
-    # the window's values that lie in [lo, hi]
-    first, last = max(lo, offset), min(hi, offset + _ESCAPE - 1)
-    inside = counts[first - lo:last - lo + 1]
-    n_esc = indices.size - int(inside.sum())
-    # one count per symbol up to the greatest coded, as a bincount of the
-    # windowed stream gives them
-    freqs = np.zeros(_ESCAPE + 1 if n_esc else last - offset + 1, dtype=np.int64)
-    freqs[first - offset:last - offset + 1] = inside
-    if n_esc:
-        freqs[_ESCAPE] = n_esc
-    return IndexWindow(offset, _ESCAPE, freqs)
-
-
-def _numpy_window(indices: np.ndarray) -> IndexWindow:
-    """The Huffman window of an int64 stream in numpy, the fallback and the
-    reference: only the median's offset (``np.median`` past the range
-    cap); the Huffman encode windows the stream and counts it."""
-    if not indices.size:
-        return IndexWindow(0, _ESCAPE)
-    lo, hi = int(indices.min()), int(indices.max())
-    return IndexWindow(int(_int_median(indices, lo, hi)) - _MEDIAN_SLOT, _ESCAPE)
 
 
 def _zigzag(values: np.ndarray) -> np.ndarray:
@@ -614,13 +525,12 @@ def encode_index_stream(
 
     The window is centred on the stream's median, so heavy-tailed streams
     keep their bulk in the alphabet and only genuine outliers escape (two
-    sided, zigzag fixed-width).  Where the C kernels load, one histogram
-    of the stream gives the window (:func:`_native_window`) and the
-    Huffman packer codes through it; the numpy path
-    (:func:`_numpy_window`, then the Huffman encode's own windowing and
-    count) is the fallback and the reference, and also takes streams
-    whose range exceeds :data:`_MEDIAN_RANGE_CAP`.  Both write the same
-    bytes.
+    sided, zigzag fixed-width).  :meth:`HuffmanCodec.encode` chooses the
+    window and codes the stream through it
+    (:class:`~repro.codecs.huffman.IndexWindow`); where the C kernels load
+    that takes one histogram of the stream and no pass here.  A stream
+    whose median lies within 32767 of the int64 minimum cannot be
+    windowed and raises ``ValueError``.
     """
     from ..codecs.fixed import encode_fixed
 
@@ -629,9 +539,7 @@ def encode_index_stream(
     indices = np.ascontiguousarray(indices).ravel().astype(np.int64, copy=False)
     if entropy == "huffman":
         coder = HuffmanCodec(block_size) if block_size else HuffmanCodec()
-        window = _native_window(indices)
-        if window is None:
-            window = _numpy_window(indices)
+        window = IndexWindow()
         with stage("huffman"):
             coded = coder.encode(indices, window=window)
         offset, esc_vals = window.offset, window.escaped
@@ -700,7 +608,7 @@ def decode_index_stream(data: bytes, out: "np.ndarray | None" = None) -> np.ndar
         if huffman:
             # the container header carries its own block size
             codes = HuffmanCodec().decode(
-                payload, out, window=IndexWindow(offset, _ESCAPE, escaped=escaped)
+                payload, out, window=IndexWindow(offset, escaped)
             )
         elif entropy_id == ENTROPY_WIRE_IDS["range"]:
             codes = RangeCodec().decode(payload)

@@ -1,9 +1,9 @@
 """Which implementation runs each hot loop of the compressor stack.
 
 Every hot loop has a plain numpy implementation, called directly in the
-module that owns it: the index-stream framing (median window, escapes,
-offset) in :mod:`repro.compressors.base`, the Huffman code lengths, bit
-packing and lockstep decode in :mod:`repro.codecs.huffman`, the QP
+module that owns it: the Huffman code lengths, bit packing and lockstep
+decode, and the index-stream window they code through (median offset,
+escapes), in :mod:`repro.codecs.huffman`, the QP
 forward shifts and wavefront walks in :mod:`repro.core.qp`, the Lorenzo
 diff/cumsum pair in :mod:`repro.predictors.lorenzo`, SZ3's
 predictor-selection estimates in :mod:`repro.compressors.sz3`, the
@@ -79,7 +79,9 @@ _SIGNATURES = {
         (_P, _I, _P, _P, _I, _P, _I, _I, _I, _P, _P, _I, _I, _P, _I), _I
     ),
     "repro_huffman_lengths": ((_P, _I, _P, _P), None),
-    "repro_huffman_encode": ((_P, _I, _P, _P, _I, _P, _P, _I, _I, _P, _I), _I),
+    "repro_huffman_encode": (
+        (_P, _I, _P, _P, _I, _P, _I, _P, _I, _I, _P, _I), _I
+    ),
     "repro_int_bounds": ((_P, _I, _P), None),
     "repro_int_histogram": ((_P, _I, _I, _I, _I, _P), None),
     "repro_qp_inverse_1d": ((_P, _I, _I, _I, _I), None),

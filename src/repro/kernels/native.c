@@ -19,8 +19,7 @@
  * repro.codecs.huffman, repro.core.qp, repro.quantize,
  * repro.predictors.interpolation, repro.predictors.lorenzo and
  * repro.compressors.sz3 are the fallback and the reference these must
- * match bit for bit (repro.compressors.base holds the index-stream
- * framing's).  There are no globals and nothing is allocated:
+ * match bit for bit.  There are no globals and nothing is allocated:
  * the Python caller owns, sizes and validates every buffer, scratch
  * included, so calls from several threads (ctypes releases the GIL) never
  * share state.
@@ -361,19 +360,20 @@ void repro_huffman_lengths(const int64_t *freqs, int64_t m, int64_t *lens,
         lens[i] = depth[i];
 }
 
-/* Pack the codes of symbols[0..n) MSB-first into out, recording the bit
- * offset of every block_size-th symbol in offsets.  Each symbol is first
- * windowed: c = symbols[s] - offset (wrapping), and a c outside
- * [0, escape) codes as escape and is stored to esc, the first n_esc of
- * them in stream order.  codes/lens map c in [0, escape] to its code and
- * length (1..20 bits).  The caller builds the tables from the frequencies
- * of the windowed symbols and sizes out exactly: ceil(sum of their code
- * lengths / 8).  Returns the count of symbols coded as escape.  A plain
- * container passes offset 0 and escape = the last symbol of its tables,
- * which no symbol exceeds, so the window changes none. */
+/* Pack the codes of symbols[0..n) MSB-first into out[0..nbytes),
+ * recording the bit offset of every block_size-th symbol in offsets.  Each
+ * symbol is first windowed: c = symbols[s] - offset (wrapping), and a c
+ * outside [0, escape) codes as escape and is stored to esc, the first
+ * n_esc of them in stream order.  codes/lens map each c coded to its code
+ * and length (1..20 bits).  The caller builds the tables from the
+ * frequencies of the windowed symbols and sizes out from them: ceil(sum
+ * of their code lengths / 8).  Returns the count of symbols coded as
+ * escape, or -1, with nothing written past out[nbytes - 1], as soon as a
+ * code does not fit.  A plain container passes offset 0 and escape -1,
+ * which, read unsigned, no symbol reaches: none escapes. */
 int64_t repro_huffman_encode(const int64_t *symbols, int64_t n,
                              const uint64_t *codes, const int64_t *lens,
-                             int64_t block_size, uint8_t *out,
+                             int64_t block_size, uint8_t *out, int64_t nbytes,
                              uint64_t *offsets, int64_t offset, int64_t escape,
                              int64_t *esc, int64_t n_esc)
 {
@@ -394,6 +394,8 @@ int64_t repro_huffman_encode(const int64_t *symbols, int64_t n,
             acc = acc << len | codes[c];
             fill += len;  /* below 32 + 20: no live bit shifts out */
             if (fill >= 32) {
+                if (pos + 4 > nbytes)
+                    return -1;
                 fill -= 32;
                 uint32_t w = (uint32_t)(acc >> fill);
                 out[pos] = (uint8_t)(w >> 24);
@@ -404,6 +406,8 @@ int64_t repro_huffman_encode(const int64_t *symbols, int64_t n,
             }
         }
     }
+    if (pos + (fill + 7) / 8 > nbytes)
+        return -1;
     for (; fill >= 8; pos++) {
         fill -= 8;
         out[pos] = (uint8_t)(acc >> fill);

@@ -10,7 +10,6 @@ included, over float32 and float64, ranks 1-4 and contiguous, strided
 and transposed views.
 """
 import ctypes
-import dataclasses
 import itertools
 import struct
 
@@ -18,10 +17,11 @@ import numpy as np
 import pytest
 
 from repro import kernels
-from repro.codecs import lossless
+from repro.codecs import huffman, lossless
 from repro.codecs.huffman import (
     MAX_CODE_LEN,
     HuffmanCodec,
+    IndexWindow,
     _huffman_lengths_heap,
     _huffman_lengths_native,
     _parse_container,
@@ -300,8 +300,8 @@ def _framing_streams():
     at_escape = np.zeros(301, dtype=np.int64)
     # the median is 0, so the offset is -32767 and this value's windowed
     # code is the escape symbol itself
-    at_escape[150] = base._ESCAPE - base._MEDIAN_SLOT
-    cap = base._MEDIAN_RANGE_CAP
+    at_escape[150] = huffman._ESCAPE - huffman._MEDIAN_SLOT
+    cap = huffman._MEDIAN_RANGE_CAP
     return {
         "empty": np.empty(0, dtype=np.int64),
         "single-value": np.array([-5]),
@@ -325,7 +325,8 @@ def test_index_stream_framing(monkeypatch, name, block_size):
     stream = FRAMING_STREAMS[name]
     # the C path takes every non-empty stream within the range cap
     fused = stream.size > 0 and name != "range-past-cap" and name != "int64-extremes"
-    assert (base._native_window(stream) is not None) == fused
+    windowed_in_c = huffman._choose_window(kernels.native(), stream)[1] is not None
+    assert windowed_in_c == fused
     blob = assert_encodes_agree(
         monkeypatch, lambda: encode_index_stream(stream, block_size=block_size)
     )
@@ -350,38 +351,84 @@ def test_index_stream_framing(monkeypatch, name, block_size):
     assert (short == 7).all()
 
 
-def test_index_stream_offset_below_int64_fails_alike(monkeypatch):
-    # the median-centred offset of a stream this low leaves int64: both
-    # paths refuse it the same way
-    stream = np.full(10, _I64.min)
+def test_index_stream_offset_below_int64_is_refused(monkeypatch):
+    # a median (a float64, 2048 apart down there) within _MEDIAN_SLOT of
+    # INT64_MIN would put the window's offset below int64: both paths
+    # refuse the stream with the same ValueError; a median a little
+    # higher, both code, with escapes on both sides of the window
+    low = _I64.min + 40000
     errors = []
     for lib in (kernels.native(), None):
         with monkeypatch.context() as m:
             m.setattr(kernels, "_lib", lib)
-            with pytest.raises(OverflowError) as info:
-                encode_index_stream(stream)
-            errors.append(str(info.value))
-    assert errors[0] == errors[1]
+            for stream in (np.full(10, _I64.min), np.full(10, _I64.min + 30000)):
+                with pytest.raises(ValueError, match="does not fit in int64") as info:
+                    encode_index_stream(stream)
+                errors.append(str(info.value))
+    assert errors[:2] == errors[2:]
+    stream = np.array([low, low, _I64.min, low + 70000, low])
+    blob = assert_encodes_agree(monkeypatch, lambda: encode_index_stream(stream))
+    out = assert_paths_agree(monkeypatch, lambda: decode_index_stream(blob))
+    assert np.array_equal(out[0], stream)
 
 
 def test_huffman_window_encode(monkeypatch):
-    # HuffmanCodec.encode(window=) windows on either path: the C packer as
-    # it codes, the numpy one before
+    # HuffmanCodec.encode(window=) chooses the window and codes through it
+    # on either path (the C packer as it codes, numpy before), and decode
+    # through that window gives the stream back
     stream = FRAMING_STREAMS["escapes-both-sides"]
-    window = base._native_window(stream)
-    escaped = []
+    windows = []
 
     def encode():
-        w = dataclasses.replace(window)
-        blob = HuffmanCodec(block_size=61).encode(stream, window=w)
-        escaped.append(w.escaped)
-        return blob
+        windows.append(IndexWindow())
+        return HuffmanCodec(block_size=61).encode(stream, window=windows[-1])
 
-    assert_encodes_agree(monkeypatch, encode)
-    assert np.array_equal(escaped[0], escaped[1])
-    assert np.array_equal(escaped[0] + window.offset, stream[
-        (stream - window.offset < 0) | (stream - window.offset >= base._ESCAPE)
-    ])
+    blob = assert_encodes_agree(monkeypatch, encode)
+    native, fallback = windows
+    assert native.offset == fallback.offset
+    assert np.array_equal(native.escaped, fallback.escaped)
+    codes = stream - native.offset
+    assert np.array_equal(
+        native.escaped, codes[(codes < 0) | (codes >= huffman._ESCAPE)]
+    )
+    out = assert_paths_agree(monkeypatch, lambda: HuffmanCodec().decode(
+        blob, window=IndexWindow(native.offset, native.escaped)
+    ))
+    assert np.array_equal(out[0], stream)
+    # the encode sets both fields, also for an empty stream
+    window = IndexWindow(5, np.arange(3))
+    HuffmanCodec().encode(np.empty(0, dtype=np.int64), window=window)
+    assert window.offset == 0 and window.escaped.size == 0
+
+
+def test_native_pack_refuses_frequencies_of_another_stream():
+    # the C packer writes nothing past the payload its caller sized, and
+    # reports a stream that does not match the frequencies it was sized by
+    lib = kernels.native()
+    symbols = np.zeros(1000, dtype=np.int64)
+    freqs = np.array([1, 1])  # two symbols: a one-byte payload
+    lengths = huffman.huffman_code_lengths(freqs)
+    codes = huffman.canonical_codes(lengths)
+    guard = np.full(64, 0xAA, dtype=np.uint8)
+    offsets = np.empty(1, dtype=np.uint64)
+    met = lib.repro_huffman_encode(
+        symbols.ctypes.data, symbols.size, codes.ctypes.data,
+        lengths.ctypes.data, 4096, guard.ctypes.data, 1, offsets.ctypes.data,
+        0, -1, 0, 0,
+    )
+    assert met == -1 and (guard[1:] == 0xAA).all()
+    with pytest.raises(ValueError, match="do not match the symbols"):
+        huffman._encode_native(lib, symbols, freqs, lengths, codes, 4096, None)
+    # frequencies that leave out an escape
+    stream = FRAMING_STREAMS["escapes-both-sides"]
+    offset, freqs = huffman._choose_window(lib, stream)
+    freqs = freqs.copy()
+    freqs[huffman._ESCAPE] -= 1
+    freqs[0] += 1
+    lengths = huffman.huffman_code_lengths(freqs)
+    codes = huffman.canonical_codes(lengths)
+    with pytest.raises(ValueError, match="do not match the symbols"):
+        huffman._encode_native(lib, stream, freqs, lengths, codes, 4096, offset)
 
 
 def _index_sections(blob):
