@@ -412,6 +412,8 @@ _STACK_KEYS = (
     "levels", "structure", "axis_order", "level_schemes", "radius", "qp",
     "adaptive", "level_eb_factors",
 )
+#: the stack keys a header may lack (the decode reads them with defaults)
+_OPTIONAL_STACK_KEYS = ("level_schemes", "adaptive")
 
 
 def stack_key(
@@ -420,9 +422,15 @@ def stack_key(
 ) -> tuple:
     """Volumes with equal keys — equal shape, dtype, error bound, pass
     schedule and quantizer (the equal slabs of one SZ3 volume) — decode as
-    one stack through :func:`decompress_volumes`."""
+    one stack through :func:`decompress_volumes`.
+
+    A stack decodes with its first member's meta, so a meta lacking a key
+    the decode reads raises ``KeyError`` here, as it would decoding
+    alone, rather than join a stack of intact ones."""
     return (tuple(shape), np.dtype(dtype).str, error_bound, json.dumps(
-        [meta.get(k) for k in _STACK_KEYS], sort_keys=True
+        [meta.get(k) if k in _OPTIONAL_STACK_KEYS else meta[k]
+         for k in _STACK_KEYS],
+        sort_keys=True,
     ))
 
 

@@ -154,6 +154,23 @@ def test_corrupt_stack_member_is_typed(predictor, tamper):
         comp.decompress_many([blobs[0], bad, blobs[2]])
 
 
+@pytest.mark.parametrize("key", ["levels", "axis_order", "radius"])
+def test_stack_member_missing_an_engine_key_is_typed(key):
+    # a stack decodes with its first member's header: a later member whose
+    # header lost a key the decode reads must fail as it does alone, not
+    # decode with the first member's value
+    data = _field((15, 12, 11), 5)
+    comp = SZ3(1e-2, predictor="interp", qp=QPConfig())
+    blobs = [comp.compress(s) for s in _slabs(data, (5, 5, 5))]
+    b = Blob.from_bytes(blobs[1])
+    del b.header["engine"][key]
+    bad = b.to_bytes()
+    with pytest.raises(CorruptBlobError):
+        comp.decompress(bad)
+    with pytest.raises(CorruptBlobError):
+        comp.decompress_many([blobs[0], bad, blobs[2]])
+
+
 @pytest.mark.parametrize("tamper", [_one_symbol_too_many, _one_escape_too_many],
                          ids=["symbol-count", "escape-count"])
 def test_corrupt_row_decode_writes_nothing_outside_its_row(tamper):
