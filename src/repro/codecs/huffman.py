@@ -362,14 +362,14 @@ class HuffmanCodec:
         if symbols.dtype != np.int64 or not symbols.flags.aligned:
             symbols = symbols.astype(np.int64)
         lib = kernels.native()
-        offset, freqs = None, None
+        freqs = pack_offset = None
         if window is not None:
-            offset, freqs = _choose_window(lib, symbols)
-            window.offset = offset
+            window.offset, freqs = _choose_window(lib, symbols)
             if freqs is None:
                 # numpy windows the stream first and counts it below
-                symbols, window.escaped = _apply_window(symbols, offset)
-                offset = None
+                symbols, window.escaped = _apply_window(symbols, window.offset)
+            else:
+                pack_offset = window.offset  # the C packer windows it
         n = symbols.size
         if n == 0:
             return _MAGIC + struct.pack("<QII", 0, self.block_size, 0)
@@ -385,9 +385,10 @@ class HuffmanCodec:
         codes = canonical_codes(lengths)
         if lib is not None:
             payload, block_offsets, total_bits, escaped = _encode_native(
-                lib, symbols, freqs, lengths, codes, self.block_size, offset
+                lib, symbols, freqs, lengths, codes, self.block_size,
+                pack_offset,
             )
-            if offset is not None:
+            if pack_offset is not None:
                 window.escaped = escaped
         else:
             sym_lengths = lengths[symbols]
